@@ -15,20 +15,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-
 
 def ideal_files(tmp: Path) -> dict[str, Path]:
     from flatcert import diagonal_ideal, special_fiber_ideal
-    from flatcert.polyring import polynomial_text
+    from make_ideal_files import ideal_file_text
 
     out = {}
     for name, ideal in [("diagonal_n2", diagonal_ideal(2)),
                         ("special_fiber_n2", special_fiber_ideal(2))]:
         path = tmp / f"{name}.ideal"
-        lines = [f"# {name}", "n 2"]
-        lines += [polynomial_text(g) for g in ideal.generators]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(ideal_file_text(name, 2, ideal.generators), encoding="utf-8")
         out[name] = path
     return out
 

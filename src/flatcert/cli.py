@@ -124,6 +124,8 @@ def parse_ideal_file(path: str) -> Ideal:
                 continue
             head = line.split()
             if head[0] == "n" and n is None and not gen_lines:
+                if len(head) != 2 or not head[1].isdecimal():
+                    raise ParseError(f"{path}: header must be 'n <int>', got {line!r}")
                 n = int(head[1])
             elif head[0] == "params" and not gen_lines:
                 params = tuple(head[1:])

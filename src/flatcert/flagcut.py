@@ -228,11 +228,13 @@ def _run_one_trial(index: int, trial_seed: int, d0: int, d1: int, t_max: int,
         pair = PlaneCurvePair(f0, f1)
         record.f0 = polynomial_text(f0)
         record.f1 = polynomial_text(f1)
-        dim = gamma_curve_dimension(pair)
+        # one Ideal per draw: the table reuses the basis the dimension check built
+        ideal = gamma_curve_ideal(pair)
+        dim = ideal_dimension(ideal, projective=True)
         if dim != 1:
             record.retries.append(f"dimension {dim} != 1, redrawing")
             continue
-        table = tabulate_diagonal(gamma_curve_ideal(pair), range(t_max + 1), method)
+        table = tabulate_diagonal(ideal, range(t_max + 1), method)
         try:
             poly = interpolate_hilbert_polynomial(table, dim_bound=1)
         except NoStabilizationError:

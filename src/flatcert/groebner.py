@@ -16,6 +16,7 @@ parameters are still symbolic.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,9 +74,16 @@ class MonomialOrderSpec:
         return tuple(idx)
 
     def key_function(self, universe: VariableUniverse) -> OrderKey:
-        """Additive key; comparing keys compares monomials."""
+        """Additive key; comparing keys compares monomials.
+
+        Natural lex (the default order) compares exponent tuples as they
+        are, so its key is `tuple`, which returns a tuple argument itself
+        without a Python-level call per term.
+        """
         perm = self.permutation_indices(universe)
         nxy = universe.num_xy
+        if self.kind == "lex" and perm == tuple(range(nxy)):
+            return tuple
         if self.kind == "lex":
             def key(e: Exponents) -> tuple:
                 return tuple(e[i] for i in perm) + e[nxy:]
@@ -202,8 +210,10 @@ def normal_form(f: BiPolynomial, basis: Sequence[BiPolynomial],
 
 def spolynomial(f: BiPolynomial, g: BiPolynomial,
                 order: MonomialOrderSpec | None = None) -> BiPolynomial:
-    order = _resolve(order)
-    keyf = order.key_function(f.universe)
+    return _spolynomial(f, g, _resolve(order).key_function(f.universe))
+
+
+def _spolynomial(f: BiPolynomial, g: BiPolynomial, keyf: OrderKey) -> BiPolynomial:
     lmf, lcf = leading_term(f, keyf)
     lmg, lcg = leading_term(g, keyf)
     lcm = monomial_lcm(lmf, lmg)
@@ -289,14 +299,26 @@ def buchberger(gens: Sequence[BiPolynomial],
     run = BuchbergerRun(order=order)
 
     G = [_monic(g, keyf) for g in gens]
-    lms = [leading_term(g, keyf)[0] for g in G]
-    pending: set[tuple[int, int]] = set(combinations(range(len(G)), 2))
+    gdata = _gdata(G, keyf)
+    lms = [lm for lm, _, _ in gdata]
+    # Pairs pop by (order key of the lcm, (i, j)): the smallest lcm first,
+    # ties broken on the index pair.  `pending` holds the pairs not yet
+    # popped, which is what the chain criterion asks about.
+    heap: list[tuple[tuple, tuple[int, int], Exponents]] = []
+    pending: set[tuple[int, int]] = set()
 
-    while pending:
-        best = min(pending, key=lambda ij: (keyf(monomial_lcm(lms[ij[0]], lms[ij[1]])), ij))
+    def push(i: int, j: int) -> None:
+        lcm = monomial_lcm(lms[i], lms[j])
+        heapq.heappush(heap, (keyf(lcm), (i, j), lcm))
+        pending.add((i, j))
+
+    for i, j in combinations(range(len(G)), 2):
+        push(i, j)
+
+    while heap:
+        _, best, lcm = heapq.heappop(heap)
         pending.remove(best)
         i, j = best
-        lcm = monomial_lcm(lms[i], lms[j])
         lcm_text = uni.monomial_text(lcm)
         if lcm == monomial_mul(lms[i], lms[j]):
             run.events.append(SPairEvent(i, j, lcm_text, "skipped_coprime"))
@@ -313,14 +335,17 @@ def buchberger(gens: Sequence[BiPolynomial],
         if chain:
             run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
             continue
-        s = spolynomial(G[i], G[j], order)
-        r, steps = _reduce_terms(s.terms, _gdata(G, keyf), keyf)
+        s = _spolynomial(G[i], G[j], keyf)
+        r, steps = _reduce_terms(s.terms, gdata, keyf)
         if r:
             g_new = _monic(BiPolynomial(uni, _canonical=r), keyf)
             G.append(g_new)
-            lms.append(leading_term(g_new, keyf)[0])
+            lm, lc = leading_term(g_new, keyf)
+            gdata.append((lm, lc, g_new.terms))
+            lms.append(lm)
             m = len(G) - 1
-            pending.update((t, m) for t in range(m))
+            for t in range(m):
+                push(t, m)
             run.events.append(SPairEvent(i, j, lcm_text, "new_generator", steps))
         else:
             run.events.append(SPairEvent(i, j, lcm_text, "reduced_to_zero", steps))
@@ -356,7 +381,7 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
     spairs = []
     passed = True
     for i, j in combinations(range(len(basis)), 2):
-        s = spolynomial(basis[i], basis[j], order)
+        s = _spolynomial(basis[i], basis[j], keyf)
         r, steps = _reduce_terms(s.terms, gdata, keyf)
         zero = not r
         passed = passed and zero

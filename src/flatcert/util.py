@@ -54,7 +54,10 @@ def fraction_from_json(v: object) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {v!r} has a zero denominator") from None
     raise ValueError(f"cannot read a rational from {v!r}")
 
 

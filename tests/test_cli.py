@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,17 @@ def test_hilbert_bad_file(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("header", ["n", "n two", "n 2.5", "n -1"])
+def test_hilbert_bad_header_exits_3(tmp_path, capsys, header):
+    path = tmp_path / "header.ideal"
+    path.write_text(f"{header}\nx1*y2\n")
+    code, _ = run(["hilbert", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_flatness_passes():
     code, text = run(["verify-flatness", "--n", "2", "--t-max", "7"])
     assert code == 0
@@ -107,6 +119,15 @@ def test_verify_flatness_with_points_file(tmp_path):
     assert len(fibers) == 3
     assert fibers[-1]["point"] == {"u": [[2], [1, -3]], "d": [1, 2]}
     assert rep["report"]["verdict"] == "PASS"
+
+
+def test_points_file_with_zero_denominator_exits_3(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [{"u": [["1/0"], [1, -3]], "d": [1, 2]}]}))
+    code, out = run(["verify-flatness", "--n", "2", "--t-max", "4", "--points", str(path)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and len(err.strip().splitlines()) == 1
 
 
 def test_verify_groebner():
@@ -164,6 +185,24 @@ def test_reports_are_byte_identical(ideal_file):
     c = run(["xi-trials", "1", "1", "--trials", "2", "--seed", "7"])
     d = run(["xi-trials", "1", "1", "--trials", "2", "--seed", "7"])
     assert c == d
+
+
+# Reports checked in under tests/data, with the exit code each run gives.
+# A change that alters what a computation does or records shows up here.
+GOLDEN = {
+    "xi_trials_2_2_seed3": (["xi-trials", "2", "2", "--trials", "4", "--seed", "3"], 1),
+    "xi_trials_1_2_seed5": (["xi-trials", "1", "2", "--trials", "4", "--seed", "5"], 1),
+    "flatness_n3_seed0": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0"], 0),
+    "flatness_n3_seed0_drop1": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0",
+                                 "--corrupt", "drop-generator:1"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_reports_are_byte_identical(name):
+    argv, expected_code = GOLDEN[name]
+    golden = (Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8")
+    assert run(argv) == (expected_code, golden)
 
 
 def test_workers_do_not_change_output():

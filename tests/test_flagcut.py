@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flatcert import groebner
 from flatcert import (
     METHOD_RANK,
     PlaneCurvePair,
@@ -144,6 +145,20 @@ def test_trials_on_conics_report_the_discrepancy():
     assert str(report.koszul_expected) == "8t"
     assert str(report.xi_expected) == "4t"
     assert all(str(r.polynomial) == "8t" for r in report.records)
+
+
+def test_one_completion_per_draw(monkeypatch):
+    calls = []
+    original = groebner.buchberger
+
+    def counting(gens, order=None):
+        calls.append(order)
+        return original(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    report = run_xi_trials(2, 2, trials=2, seed=0)
+    # the dimension check and the Hilbert table share one basis per draw
+    assert len(calls) == report.trials + report.total_retries
 
 
 def test_trials_are_deterministic_and_worker_independent():

@@ -1,27 +1,44 @@
 """Monomial orders, Buchberger, and basis certification."""
 
+from itertools import combinations
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from flatcert import (
     DEFAULT_ORDER,
+    BiPolynomial,
+    PlaneCurvePair,
     DimensionUndefinedError,
     Ideal,
     MonomialOrderSpec,
     buchberger,
     diagonal_ideal,
+    evaluate_family_at,
+    family_ideal_J,
+    gamma_curve_ideal,
     ideal_dimension,
     initial_ideal,
     is_groebner_basis,
     leading_monomial,
     monomials_of_bidegree,
     normal_form,
+    random_chart_point,
+    random_plane_curve,
     special_fiber_ideal,
     spolynomial,
     xy_universe,
 )
 from flatcert.groebner import (
+    BuchbergerRun,
+    SPairEvent,
+    _gdata,
+    _interreduce,
+    _monic,
+    _reduce_terms,
     intersect_monomial_exponents,
+    leading_term,
     minimalize_monomial_exponents,
     monomial_divides,
     monomial_lcm,
@@ -180,3 +197,96 @@ def test_certificate_reports_every_pair():
     n = len(basis)
     assert len(cert.spairs) == n * (n - 1) // 2
     assert cert.order.kind == "lex"
+
+
+# --- the audit trail against a reference completion loop ---
+
+def reference_key(order, uni):
+    """The order key as a per-term Python function, natural lex included."""
+    if order.kind != "lex":
+        return order.key_function(uni)
+    perm = order.permutation_indices(uni)
+    nxy = uni.num_xy
+    return lambda e: tuple(e[i] for i in perm) + e[nxy:]
+
+
+def reference_buchberger(gens, order):
+    """Completion that rescans every pending pair with min() on each step."""
+    uni = gens[0].universe
+    keyf = reference_key(order, uni)
+    run = BuchbergerRun(order=order)
+    G = [_monic(g, keyf) for g in gens]
+    lms = [leading_term(g, keyf)[0] for g in G]
+    pending = set(combinations(range(len(G)), 2))
+    while pending:
+        best = min(pending, key=lambda ij: (keyf(monomial_lcm(lms[ij[0]], lms[ij[1]])), ij))
+        pending.remove(best)
+        i, j = best
+        lcm = monomial_lcm(lms[i], lms[j])
+        lcm_text = uni.monomial_text(lcm)
+        if lcm == monomial_mul(lms[i], lms[j]):
+            run.events.append(SPairEvent(i, j, lcm_text, "skipped_coprime"))
+            continue
+        chain = False
+        for k in range(len(G)):
+            if k in (i, j) or not monomial_divides(lms[k], lcm):
+                continue
+            p1 = (min(i, k), max(i, k))
+            p2 = (min(j, k), max(j, k))
+            if p1 not in pending and p2 not in pending:
+                chain = True
+                break
+        if chain:
+            run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
+            continue
+        s = spolynomial(G[i], G[j], order)
+        r, steps = _reduce_terms(s.terms, _gdata(G, keyf), keyf)
+        if r:
+            g_new = _monic(BiPolynomial(uni, _canonical=r), keyf)
+            G.append(g_new)
+            lms.append(leading_term(g_new, keyf)[0])
+            m = len(G) - 1
+            pending.update((t, m) for t in range(m))
+            run.events.append(SPairEvent(i, j, lcm_text, "new_generator", steps))
+        else:
+            run.events.append(SPairEvent(i, j, lcm_text, "reduced_to_zero", steps))
+    basis = tuple(_interreduce(G, keyf))
+    run.basis = basis
+    return basis, run
+
+
+def xi_pair_generators(seed):
+    rng = Random(seed)
+    uni = xy_universe(2)
+    pair = PlaneCurvePair(random_plane_curve(2, rng, "x", uni),
+                          random_plane_curve(2, rng, "y", uni))
+    return gamma_curve_ideal(pair).generators
+
+
+AUDIT_INPUTS = {
+    "xi22-seed0": lambda: xi_pair_generators(0),
+    "xi22-seed1": lambda: xi_pair_generators(1),
+    "fiber-n3": lambda: evaluate_family_at(
+        family_ideal_J(3), random_chart_point(3, Random(2))).generators,
+}
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("name", sorted(AUDIT_INPUTS))
+def test_audit_trail_matches_reference_loop(name, order):
+    gens = AUDIT_INPUTS[name]()
+    basis, run = buchberger(gens, order)
+    ref_basis, ref_run = reference_buchberger(gens, order)
+    assert basis == ref_basis
+    assert run.to_json_dict() == ref_run.to_json_dict()
+    assert any(ev.action == "new_generator" for ev in run.events)
+
+
+def test_natural_lex_key_is_the_exponent_tuple():
+    uni = xy_universe(2)
+    key = DEFAULT_ORDER.key_function(uni)
+    e = (2, 0, 1, 0, 3, 1)
+    assert key(e) is e
+    assert key(e) == reference_key(DEFAULT_ORDER, uni)(e)
+    permuted = MonomialOrderSpec("lex", ("y1", "x1", "x2", "x3", "y2", "y3"))
+    assert permuted.key_function(uni)(e) == (0, 2, 0, 1, 3, 1)

@@ -93,6 +93,12 @@ def test_fraction_json_roundtrip():
     assert fraction_to_json(Fraction(3, 7)) == "3/7"
 
 
+@pytest.mark.parametrize("bad", ["1/0", "-3/0", "x/2"])
+def test_fraction_from_json_rejects_with_value_error(bad):
+    with pytest.raises(ValueError):
+        fraction_from_json(bad)
+
+
 def test_matrix_helpers():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert mat_det(a) == -2
