@@ -189,19 +189,27 @@ def test_reports_are_byte_identical(ideal_file):
 
 # Reports checked in under tests/data, with the exit code each run gives.
 # A change that alters what a computation does or records shows up here.
+# Paths in argv are relative to the repository root, where the runs happen.
 GOLDEN = {
     "xi_trials_2_2_seed3": (["xi-trials", "2", "2", "--trials", "4", "--seed", "3"], 1),
     "xi_trials_1_2_seed5": (["xi-trials", "1", "2", "--trials", "4", "--seed", "5"], 1),
     "flatness_n3_seed0": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0"], 0),
     "flatness_n3_seed0_drop1": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0",
                                  "--corrupt", "drop-generator:1"], 1),
+    "conic_equations_seed1": (["conic-equations", "--samples", "4", "--conics", "2",
+                               "--seed", "1"], 0),
+    "primary_check_n3": (["primary-check", "--n", "3"], 0),
+    "hilbert_fiber_n2_ones": (["hilbert", "tests/data/fiber_n2_ones.ideal", "--method", "both",
+                               "--t-max", "8"], 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_reports_are_byte_identical(name):
+def test_golden_reports_are_byte_identical(name, monkeypatch):
     argv, expected_code = GOLDEN[name]
-    golden = (Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8")
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    golden = (root / "tests" / "data" / f"{name}.json").read_text(encoding="utf-8")
     assert run(argv) == (expected_code, golden)
 
 
