@@ -2,9 +2,9 @@
 
 Everything is exact rational arithmetic: a bigraded polynomial ring with
 parameter variables, Buchberger Groebner bases with certificates, diagonal
-Hilbert functions by two independent routes (standard-monomial counting and
-a Groebner-free sparse rank oracle), polynomial interpolation with
-stabilization detection, and the geometric constructions of the
+Hilbert functions by two independent routes (the Hilbert series of the
+initial ideal and a Groebner-free sparse rank oracle), polynomial
+interpolation with stabilization detection, and the geometric constructions of the
 degenerating-quadrics chart, its torus action, and the flatness certificate
 comparing every fiber against the closed form chi_graph(n).
 """
@@ -51,6 +51,7 @@ from .hilbert import (
     chi_graph,
     diagonal_hilbert_function,
     interpolate_hilbert_polynomial,
+    koszul_hilbert_polynomial,
     methods_agree,
     normalize_method,
     tabulate_diagonal,
@@ -98,7 +99,6 @@ from .flagcut import (
     codimension_check,
     gamma_curve_ideal,
     incidence_ideal,
-    koszul_hilbert_polynomial,
     random_plane_curve,
     run_xi_trials,
     swap_pair,

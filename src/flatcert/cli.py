@@ -21,28 +21,25 @@ from .groebner import (
     MonomialOrderSpec,
     ideal_dimension,
     is_groebner_basis,
+    leading_monomial,
 )
 from .hilbert import (
     METHOD_INITIAL,
     METHOD_RANK,
     HilbertPolynomialQ,
     NoStabilizationError,
-    NonBihomogeneousError,
     interpolate_hilbert_polynomial,
     normalize_method,
     tabulate_diagonal,
 )
 from .flagcut import run_xi_trials
 from .polyring import (
-    BiMonomial,
     ParseError,
-    UnknownVariableError,
     VariableUniverse,
     parse_polynomial,
 )
 from .quadfam import (
     ChartPoint,
-    NondegeneracyRequiredError,
     closed_orbit_limit_check,
     conic_matrix_identity_symbolic,
     conic_global_equations_check,
@@ -55,6 +52,7 @@ from .quadfam import (
     random_chart_point,
     random_conic_with_rational_point,
     random_torus_element,
+    special_fiber_ideal,
     torus_action_check,
     xy_universe,
 )
@@ -65,6 +63,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+USAGE_ERRORS = (ValueError, OSError, KeyError)  # main reports these with EXIT_USAGE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +106,9 @@ def _envelope(command: str, config: dict, report: dict) -> dict:
 def _load_points_file(path: str) -> list[ChartPoint]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    rows = data["points"] if isinstance(data, dict) else data
+    rows = data.get("points") if isinstance(data, dict) else data
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a list of chart points or {{'points': [...]}}")
     return [ChartPoint.from_json_dict(row) for row in rows]
 
 
@@ -309,15 +310,9 @@ def _run_conic_equations(cfg: RunConfig, samples: int, conics: int) -> tuple[int
 
 def _run_primary_check(cfg: RunConfig) -> tuple[int, dict, str]:
     intersection_ok = primary_intersection_check(cfg.n)
-    uni = xy_universe(cfg.n)
-    monomials = []
-    for i in range(1, cfg.n + 2):
-        for j in range(i + 1, cfg.n + 2):
-            e = [0] * uni.num_vars
-            e[uni.index[f"x{i}"]] = 1
-            e[uni.index[f"y{j}"]] = 1
-            monomials.append(BiMonomial(uni, tuple(e)))
-    nzd_ok = nonzerodivisor_check(incidence_form(uni), monomials)
+    special = special_fiber_ideal(cfg.n)  # the monomials x_i y_j (i < j), then x.y
+    monomials = [leading_monomial(g) for g in special.generators if len(g.terms) == 1]
+    nzd_ok = nonzerodivisor_check(incidence_form(special.universe), monomials)
     passed = intersection_ok and nzd_ok
     report = {"n": cfg.n, "intersection_identity": intersection_ok,
               "component_primes": [list(p) for p in component_primes(cfg.n)],
@@ -419,11 +414,7 @@ def main(argv: list[str] | None = None) -> int:
             code, report, text = _run_conic_equations(cfg, args.samples, args.conics)
         else:
             code, report, text = _run_primary_check(cfg)
-    except NonBihomogeneousError as exc:
-        print(f"flatcert: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, UnknownVariableError, NondegeneracyRequiredError,
-            ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"flatcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

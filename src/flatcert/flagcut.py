@@ -2,10 +2,9 @@
 
 Gamma_f = (f0 x f1) cut into F2, where f0 is a plane curve in the x-block
 and f1 a curve of the dual plane in the y-block.  The module measures the
-diagonal Hilbert polynomial of Gamma_f two ways: against the closed form
-xi_formula(d0, d1) and against the inclusion-exclusion count coming from
-the Koszul resolution of (f0, f1, x.y), which this module derives
-numerically (koszul_hilbert_polynomial) rather than taking on faith.
+diagonal Hilbert polynomial of Gamma_f two ways, against two closed forms
+from the hilbert module: xi_formula(d0, d1) and koszul_hilbert_polynomial,
+the exact count from the Koszul resolution of (f0, f1, x.y).
 
 The two closed forms agree at (1,1) and share their constant term, but the
 leading coefficients differ: xi_formula says d0+d1, the Koszul count says
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from random import Random
 
 from .groebner import Ideal, ideal_dimension
@@ -25,8 +23,8 @@ from .hilbert import (
     METHOD_INITIAL,
     HilbertPolynomialQ,
     NoStabilizationError,
-    _lagrange,
     interpolate_hilbert_polynomial,
+    koszul_hilbert_polynomial,
     tabulate_diagonal,
     xi_formula,
 )
@@ -81,39 +79,6 @@ def codimension_check(pair: PlaneCurvePair) -> bool:
 
 def gamma_curve_dimension(pair: PlaneCurvePair) -> int:
     return ideal_dimension(gamma_curve_ideal(pair), projective=True)
-
-
-def koszul_hilbert_polynomial(d0: int, d1: int) -> HilbertPolynomialQ:
-    """Hilbert polynomial of a proper complete intersection <f0, f1, x.y>
-    in P2 x P2*, by inclusion-exclusion over the Koszul resolution.
-
-    The three generators have bidegrees (d0,0), (0,d1), (1,1); the
-    alternating sum of shifted monomial counts is interpolated on a window
-    where every shift is in the stable range.
-    """
-    if d0 < 1 or d1 < 1:
-        raise ValueError("degrees must be positive")
-
-    def forms(u: int) -> int:
-        return comb(u + 2, 2) if u >= 0 else 0
-
-    shifts = ((d0, 0), (0, d1), (1, 1))
-
-    def count(t: int) -> int:
-        total = 0
-        for mask in range(8):
-            si = sum(shifts[b][0] for b in range(3) if mask >> b & 1)
-            sj = sum(shifts[b][1] for b in range(3) if mask >> b & 1)
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            total += sign * forms(t - si) * forms(t - sj)
-        return total
-
-    base = d0 + d1 + 2  # all shifted arguments >= 0 from here on
-    points = [(t, count(t)) for t in range(base, base + 5)]
-    coeffs = _lagrange(points)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return HilbertPolynomialQ.from_coefficients(coeffs, stabilization_threshold=base)
 
 
 def random_plane_curve(degree: int, rng: Random, block: str = "x",

@@ -1,8 +1,11 @@
 """Diagonal Hilbert functions by two independent routes, exact interpolation
 of Hilbert polynomials, and the closed forms they are measured against.
 
-Route one counts standard monomials of the initial ideal (Groebner).  Route
-two never touches a Groebner basis: it enumerates all bidegree-(t,t)
+Route one reads the Hilbert function off the initial ideal (Groebner): the
+bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), and
+its numerator K comes from the Bayer-Stillman recursion
+K(I + m) = K(I) - s^deg(m) K(I : m) over the minimal monomial generators.
+Route two never touches a Groebner basis: it enumerates all bidegree-(t,t)
 multiples of the generators and computes the exact rank of their
 coefficient matrix over Q by sparse fraction-free elimination.  The second
 route is the referee for the first throughout the test suite.
@@ -12,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from typing import Iterable, Sequence
 
-from .groebner import DEFAULT_ORDER, Ideal
-from .polyring import BiPolynomial, Exponents, VariableUniverse, iter_exponents_of_bidegree
+from .groebner import DEFAULT_ORDER, Ideal, minimalize_monomial_exponents
+from .polyring import BiPolynomial, Exponents, iter_exponents_of_bidegree
 from .util import parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
@@ -168,10 +171,7 @@ def binomial_basis_coordinates(poly: HilbertPolynomialQ) -> list[Fraction]:
     work = list(poly.coefficients)
     coords = [Fraction(0)] * len(work)
     for k in range(len(work) - 1, -1, -1):
-        basis = [Fraction(1)]
-        for i in range(1, k + 1):
-            basis = _poly_mul(basis, [Fraction(i), Fraction(1)])
-        basis = _poly_scale(basis, Fraction(1, factorial(k)))
+        basis = _binomial_in_t(k, 1, k)
         a = work[k] / basis[k]
         coords[k] = a
         work = _poly_add(work, _poly_scale(basis, -a))
@@ -180,23 +180,80 @@ def binomial_basis_coordinates(poly: HilbertPolynomialQ) -> list[Fraction]:
     return coords
 
 
-# --- closed forms ---
+# --- Hilbert series numerators of monomial ideals ---
 
-def _binomial_in_2t(n: int, shift: int) -> list[Fraction]:
-    """Coefficients of C(2t + shift, n) as a polynomial in t."""
+def _binomial_in_t(n: int, slope: int, shift: int) -> list[Fraction]:
+    """Coefficients of C(slope*t + shift, n) as a polynomial in t."""
     out = [Fraction(1)]
     for i in range(1, n + 1):
-        out = _poly_mul(out, [Fraction(shift - n + i), Fraction(2)])
+        out = _poly_mul(out, [Fraction(shift - n + i), Fraction(slope)])
     return _poly_scale(out, Fraction(1, factorial(n)))
 
+
+Numerator = dict[tuple[int, int], int]  # (a, b) -> coefficient of s1^a s2^b
+
+
+def _subtract_shifted(acc: Numerator, other: Numerator, deg: tuple[int, int]) -> None:
+    """acc -= s^deg * other, in place."""
+    for (a, b), c in other.items():
+        key = (a + deg[0], b + deg[1])
+        acc[key] = acc.get(key, 0) - c
+
+
+def _product_numerator(degrees: Iterable[tuple[int, int]]) -> Numerator:
+    """prod (1 - s^deg): the numerator of pairwise coprime generators."""
+    out: Numerator = {(0, 0): 1}
+    for deg in degrees:
+        _subtract_shifted(out, dict(out), deg)
+    return out
+
+
+def _series_numerator(lead: Iterable[Exponents], k: int) -> Numerator:
+    """Numerator K of the bigraded Hilbert series K / ((1-s1)^k (1-s2)^k) of
+    S/<lead>, where the first k exponents are the x-block and the next k the
+    y-block.  Adds the minimal generators in descending exponent order:
+    K(<m_1..m_r>) = K(<m_1..m_(r-1)>) - s^deg(m_r) K(<m_1..m_(r-1)> : m_r)."""
+    gens = minimalize_monomial_exponents(lead)
+
+    def deg(e: Exponents) -> tuple[int, int]:
+        return (sum(e[:k]), sum(e[k:]))
+
+    support = [i for e in gens for i, v in enumerate(e) if v]
+    if len(support) == len(set(support)):  # pairwise coprime
+        return _product_numerator(deg(e) for e in gens)
+    out: Numerator = {(0, 0): 1}
+    for r, m in enumerate(gens):
+        colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:r]]
+        _subtract_shifted(out, _series_numerator(colon, k), deg(m))
+    return {key: c for key, c in out.items() if c}
+
+
+def _numerator_value(numerator: Numerator, k: int, i: int, j: int) -> int:
+    """HF(i, j) = sum c_ab C(i-a+k-1, k-1) C(j-b+k-1, k-1) over a, b <= i, j."""
+    return sum(c * comb(i - a + k - 1, k - 1) * comb(j - b + k - 1, k - 1)
+               for (a, b), c in numerator.items() if a <= i and b <= j)
+
+
+def _diagonal_polynomial(numerator: Numerator, k: int) -> list[Fraction]:
+    """The polynomial that HF(t, t) equals for t >= max(a, b) - k + 1 over
+    the numerator's terms: _numerator_value with C(t-a+k-1, k-1) as a
+    polynomial in t."""
+    total: list[Fraction] = []
+    for (a, b), c in numerator.items():
+        term = _poly_mul(_binomial_in_t(k - 1, 1, k - 1 - a), _binomial_in_t(k - 1, 1, k - 1 - b))
+        total = _poly_add(total, _poly_scale(term, Fraction(c)))
+    return total
+
+
+# --- closed forms ---
 
 def chi_graph(n: int) -> HilbertPolynomialQ:
     """C(2t+n, n) - C(2(t-1)+n, n): the shared Hilbert polynomial every fiber
     of the family must hit.  Degree n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = _binomial_in_2t(n, n)
-    b = _binomial_in_2t(n, n - 2)
+    a = _binomial_in_t(n, 2, n)
+    b = _binomial_in_t(n, 2, n - 2)
     return HilbertPolynomialQ.from_coefficients(_poly_add(a, _poly_scale(b, Fraction(-1))))
 
 
@@ -215,6 +272,22 @@ def xi_formula(d0: int, d1: int) -> HilbertPolynomialQ:
     return HilbertPolynomialQ.from_coefficients([const, Fraction(d0 + d1)])
 
 
+def koszul_hilbert_polynomial(d0: int, d1: int) -> HilbertPolynomialQ:
+    """Hilbert polynomial of a proper complete intersection <f0, f1, x.y>
+    in P2 x P2*, whose generators have bidegrees (d0,0), (0,d1), (1,1).
+
+    The Koszul resolution gives the series numerator
+    (1 - s1^d0)(1 - s2^d1)(1 - s1 s2), read off on the diagonal.  The
+    threshold d0 + d1 + 2 is a safe bound: from there on every shifted
+    count is in its stable range.
+    """
+    if d0 < 1 or d1 < 1:
+        raise ValueError("degrees must be positive")
+    numerator = _product_numerator([(d0, 0), (0, d1), (1, 1)])
+    return HilbertPolynomialQ.from_coefficients(_diagonal_polynomial(numerator, 3),
+                                                stabilization_threshold=d0 + d1 + 2)
+
+
 # --- Hilbert function values ---
 
 def _validated_generators(ideal: Ideal) -> list[tuple[BiPolynomial, tuple[int, int]]]:
@@ -227,18 +300,6 @@ def _validated_generators(ideal: Ideal) -> list[tuple[BiPolynomial, tuple[int, i
             raise NonBihomogeneousError(g)
         out.append((g, deg))
     return out
-
-
-def _count_standard_monomials(universe: VariableUniverse, lead: list[Exponents],
-                              i: int, j: int) -> int:
-    count = 0
-    for e in iter_exponents_of_bidegree(universe, i, j):
-        for m in lead:
-            if all(a <= b for a, b in zip(m, e)):
-                break
-        else:
-            count += 1
-    return count
 
 
 def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
@@ -265,14 +326,12 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
     """dim_Q (S/I)_(i,j) by the chosen route."""
     if i < 0 or j < 0:
         return 0
-    method = _METHOD_ALIASES.get(method)
-    if method is None:
-        raise ValueError("unknown method; choose initial_ideal_count or rank_oracle")
-    if method == METHOD_RANK:
+    if normalize_method(method) == METHOD_RANK:
         return _rank_oracle_value(ideal, i, j)
     _validated_generators(ideal)
-    lead = [m.exponents for m in ideal.initial_ideal(DEFAULT_ORDER)]
-    return _count_standard_monomials(ideal.universe, lead, i, j)
+    k = ideal.universe.n + 1
+    numerator = _series_numerator((m.exponents for m in ideal.initial_ideal(DEFAULT_ORDER)), k)
+    return _numerator_value(numerator, k, i, j)
 
 
 def diagonal_hilbert_function(ideal: Ideal, t: int, method: str = METHOD_INITIAL) -> int:

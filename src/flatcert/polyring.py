@@ -492,7 +492,10 @@ def parse_polynomial(universe: VariableUniverse, text: str) -> BiPolynomial:
             if tok in "+-*":
                 raise ParseError(f"expected a factor, got {tok!r}")
             if tok[0].isdigit():
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError:
+                    raise ParseError(f"coefficient {tok!r} has a zero denominator") from None
             else:
                 name, _, exp_s = tok.partition("^")
                 idx = universe.index.get(name)

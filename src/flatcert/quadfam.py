@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -37,7 +37,6 @@ from .hilbert import (
     HilbertPolynomialQ,
     NoStabilizationError,
     NonBihomogeneousError,
-    _count_standard_monomials,
     bigraded_hilbert_function,
     chi_graph,
     interpolate_hilbert_polynomial,
@@ -209,6 +208,10 @@ class ChartPoint:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ChartPoint":
+        if not (isinstance(data, dict) and isinstance(data.get("d"), list)
+                and isinstance(data.get("u"), list)
+                and all(isinstance(row, list) for row in data["u"])):
+            raise ValueError("a chart point must be an object {'u': [[...], ...], 'd': [...]}")
         rows = [[fraction_from_json(v) for v in row] for row in data["u"]]
         d = [fraction_from_json(v) for v in data["d"]]
         return ChartPoint.from_strict_lower(rows, d)
@@ -374,11 +377,11 @@ def primed_coordinates(uni: VariableUniverse, n: int) -> tuple[list[BiPolynomial
     return xp, yp
 
 
-def _d_monomial(uni: VariableUniverse, lo: int, hi: int) -> BiPolynomial:
-    """d_lo * ... * d_hi (1-based, inclusive); 1 when the range is empty."""
+def _param_product(uni: VariableUniverse, letter: str, lo: int, hi: int) -> BiPolynomial:
+    """The monomial <letter>lo * ... * <letter>hi, e.g. d2*d3; 1 when empty."""
     exps = [0] * uni.num_vars
     for k in range(lo, hi + 1):
-        exps[uni.index[f"d{k}"]] = 1
+        exps[uni.index[f"{letter}{k}"]] = 1
     return BiPolynomial(uni, {tuple(exps): 1})
 
 
@@ -386,7 +389,7 @@ def _family_generators(uni: VariableUniverse, n: int) -> list[BiPolynomial]:
     xp, yp = primed_coordinates(uni, n)
     gens = [incidence_form(uni)]
     for i, j in combinations(range(n + 1), 2):
-        scale = _d_monomial(uni, i + 1, j)  # d_{i+1} ... d_j in 1-based names
+        scale = _param_product(uni, "d", i + 1, j)  # d_{i+1} ... d_j in 1-based names
         gens.append(xp[i] * yp[j] - scale * (yp[i] * xp[j]))
     return gens
 
@@ -402,13 +405,7 @@ def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
     """Specialize all chart parameters of J at a point; the result lives in
     the plain x/y ring."""
     uni = J.universe
-    n = point.n
-    assignment: dict[str, Fraction] = {}
-    for k in range(1, n + 1):
-        assignment[f"d{k}"] = point.d[k - 1]
-    for i in range(2, n + 2):
-        for j in range(1, i):
-            assignment[f"u{i}_{j}"] = point.u[i - 1][j - 1]
+    assignment = _point_assignment(point)
     missing = [name for name in assignment if name not in uni.index]
     if missing:
         raise ValueError(f"ideal universe lacks chart parameters {missing}")
@@ -480,14 +477,6 @@ class TorusReport:
         }
 
 
-def _c_product(uni: VariableUniverse, lo: int, hi: int) -> BiPolynomial:
-    """c_lo * ... * c_hi as a monomial; 1 when empty."""
-    exps = [0] * uni.num_vars
-    for k in range(lo, hi + 1):
-        exps[uni.index[f"c{k}"]] = 1
-    return BiPolynomial(uni, {tuple(exps): 1})
-
-
 def _laurent_c_text(exps: Sequence[int], n: int) -> str:
     parts = []
     for k, e in enumerate(exps, start=1):
@@ -549,13 +538,15 @@ def _torus_check_symbolic(n: int) -> TorusReport:
     for j in range(1, n + 2):
         # x_j picks up c_j...c_n: the action divides by gamma_j = c_1...c_{j-1}
         # and we clear denominators by one global factor c_1...c_n.
-        subs[uni.x_names[j - 1]] = _c_product(uni, j, n) * uni.variable(uni.x_names[j - 1])
-        subs[uni.y_names[j - 1]] = _c_product(uni, 1, j - 1) * uni.variable(uni.y_names[j - 1])
+        subs[uni.x_names[j - 1]] = (_param_product(uni, "c", j, n)
+                                    * uni.variable(uni.x_names[j - 1]))
+        subs[uni.y_names[j - 1]] = (_param_product(uni, "c", 1, j - 1)
+                                    * uni.variable(uni.y_names[j - 1]))
     for i in range(2, n + 2):
         for j in range(1, i):
-            subs[f"u{i}_{j}"] = _c_product(uni, j, i - 1) * uni.variable(f"u{i}_{j}")
+            subs[f"u{i}_{j}"] = _param_product(uni, "c", j, i - 1) * uni.variable(f"u{i}_{j}")
     for k in range(1, n + 1):
-        subs[f"d{k}"] = _c_product(uni, k, k) * _c_product(uni, k, k) * uni.variable(f"d{k}")
+        subs[f"d{k}"] = _param_product(uni, "c", k, k) ** 2 * uni.variable(f"d{k}")
 
     scalars: list[str] = []
     passed = True
@@ -573,8 +564,9 @@ def _torus_check_symbolic(n: int) -> TorusReport:
     law_ok = True
     for i in range(2, n + 2):
         for j in range(1, i):
-            lhs = _c_product(uni, 1, i - 1) * uni.variable(f"u{i}_{j}")
-            rhs = _c_product(uni, j, i - 1) * uni.variable(f"u{i}_{j}") * _c_product(uni, 1, j - 1)
+            lhs = _param_product(uni, "c", 1, i - 1) * uni.variable(f"u{i}_{j}")
+            rhs = (_param_product(uni, "c", j, i - 1) * uni.variable(f"u{i}_{j}")
+                   * _param_product(uni, "c", 1, j - 1))
             if lhs != rhs:
                 law_ok = False
     return TorusReport("symbolic", n, passed and law_ok, scalars, law_ok)
@@ -643,10 +635,10 @@ def closed_orbit_limit_check(n: int, point: ChartPoint) -> bool:
     ok = True
     for i in range(2, n + 2):
         for j in range(1, i):
-            moved = uni.constant(point.u[i - 1][j - 1]) * _c_product(uni, j, i - 1)
+            moved = uni.constant(point.u[i - 1][j - 1]) * _param_product(uni, "c", j, i - 1)
             ok = ok and zero_constant_term(moved)
     for k in range(1, n + 1):
-        moved = uni.constant(point.d[k - 1]) * _c_product(uni, k, k) * _c_product(uni, k, k)
+        moved = uni.constant(point.d[k - 1]) * _param_product(uni, "c", k, k) ** 2
         ok = ok and zero_constant_term(moved)
     return ok
 
@@ -730,17 +722,13 @@ def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiMonomial]) -> bo
 
     avoids = not any(in_prime(p) for p in primes)
 
-    lead = minimalize_monomial_exponents(m.exponents for m in monomials)
-
-    def phi_m(i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return _count_standard_monomials(uni, lead, i, j)
-
-    bigger = Ideal(uni, [BiMonomial(uni, e).as_polynomial() for e in lead] + [f])
+    gens = [m.as_polynomial() for m in monomials]
+    base = Ideal(uni, gens)
+    bigger = Ideal(uni, gens + [f])
     dx, dy = deg
     identity = all(
-        bigraded_hilbert_function(bigger, t, t) == phi_m(t, t) - phi_m(t - dx, t - dy)
+        bigraded_hilbert_function(bigger, t, t)
+        == bigraded_hilbert_function(base, t, t) - bigraded_hilbert_function(base, t - dx, t - dy)
         for t in range(6))
     if identity != avoids:
         raise RuntimeError("prime avoidance and Hilbert first-difference disagree; "
@@ -799,36 +787,36 @@ def _quadric_value(z: SymmetricMatrixQ, p: Sequence[Fraction], q: Sequence[Fract
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...] | None:
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    """The primitive integer multiple of vec whose first nonzero entry is
+    positive; None for the zero vector."""
+    denom = lcm(*(v.denominator for v in vec))
     ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g == 0:
         return None
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def find_rational_point(z: SymmetricMatrixQ, height: int = 12) -> tuple[int, ...] | None:
-    """First primitive integer point on x z x^T = 0, scanning by height."""
+    """First primitive integer point on x z x^T = 0, scanning by height.
+
+    Height h is the shell max(|a|, |b|, |c|) = h, walked in (a, b, c)
+    lexicographic order; the quadric is evaluated in integers after
+    clearing z's denominators.
+    """
+    denom = lcm(*(v.denominator for row in z.entries for v in row))
+    q = [[int(v * denom) for v in row] for row in z.entries]
     for h in range(1, height + 1):
         for a in range(-h, h + 1):
             for b in range(-h, h + 1):
-                for cc in range(-h, h + 1):
-                    if max(abs(a), abs(b), abs(cc)) != h:
-                        continue
-                    if gcd(gcd(abs(a), abs(b)), abs(cc)) != 1:
-                        continue
-                    vec = (Fraction(a), Fraction(b), Fraction(cc))
-                    if _quadric_value(z, vec, vec) == 0:
+                # on the shell's faces |a| = h or |b| = h every c fits; else |c| = h
+                cs = range(-h, h + 1) if h in (abs(a), abs(b)) else (-h, h)
+                ab = q[0][0] * a * a + 2 * q[0][1] * a * b + q[1][1] * b * b
+                lin = 2 * (q[0][2] * a + q[1][2] * b)
+                for cc in cs:
+                    if ab + cc * (lin + q[2][2] * cc) == 0 and gcd(a, b, cc) == 1:
                         return (a, b, cc)
     return None
 

@@ -121,13 +121,22 @@ def test_verify_flatness_with_points_file(tmp_path):
     assert rep["report"]["verdict"] == "PASS"
 
 
-def test_points_file_with_zero_denominator_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("body, message", [
+    ({"points": [{"u": [["1/0"], [1, -3]], "d": [1, 2]}]}, "zero denominator"),
+    ({"points": 5}, "list of chart points"),
+    ([1], "chart point must be an object"),
+    ([{"u": 3, "d": [1, 2]}], "chart point must be an object"),
+    ({"pts": []}, "list of chart points"),
+], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
+        "no-points-key"])
+def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
-    path.write_text(json.dumps({"points": [{"u": [["1/0"], [1, -3]], "d": [1, 2]}]}))
+    path.write_text(json.dumps(body))
     code, out = run(["verify-flatness", "--n", "2", "--t-max", "4", "--points", str(path)])
     assert code == 3 and out == ""
     err = capsys.readouterr().err
-    assert "zero denominator" in err and len(err.strip().splitlines()) == 1
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_groebner():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flatcert import (
     HilbertPolynomialQ,
@@ -30,6 +30,7 @@ from flatcert.hilbert import (
     normalize_method,
     tabulate_diagonal,
 )
+from flatcert.polyring import iter_exponents_of_bidegree
 
 
 def test_chi_graph_closed_forms():
@@ -95,6 +96,37 @@ def test_bigraded_values_for_principal_monomial():
         for j in range(4):
             want = (i + 1) * (j + 1) - i * j
             assert bigraded_hilbert_function(ideal, i, j) == want
+
+
+def _enumerated_value(uni, lead, i, j):
+    """The count by enumeration: bidegree-(i,j) monomials outside <lead>."""
+    return sum(1 for e in iter_exponents_of_bidegree(uni, i, j)
+               if not any(all(a <= b for a, b in zip(m, e)) for m in lead))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """(n, exponents) for n = 1, 2, each generator of bidegree <= (3, 3)."""
+    n = draw(st.sampled_from([1, 2]))
+
+    def block():
+        picks = draw(st.lists(st.integers(0, n), max_size=3))
+        return tuple(picks.count(v) for v in range(n + 1))
+
+    return n, [block() + block() for _ in range(draw(st.integers(1, 6)))]
+
+
+@given(_monomial_ideals())
+@example((1, [(0, 0, 0, 0)]))  # the unit ideal
+@example((2, [(1, 0, 0, 0, 2, 0)]))  # one generator: the only colon is empty
+@example((1, [(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1)]))  # a repeated generator
+def test_numerator_matches_enumeration(case):
+    n, exps = case
+    uni = xy_universe(n)
+    ideal = Ideal(uni, [uni.monomial(e).as_polynomial() for e in exps])
+    for i in range(5):
+        for j in range(5):
+            assert bigraded_hilbert_function(ideal, i, j) == _enumerated_value(uni, exps, i, j)
 
 
 def test_rank_oracle_never_calls_groebner(monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -295,6 +296,41 @@ def test_rational_point_search():
     assert find_rational_point(SymmetricMatrixQ.diagonal((1, 1, -1))) == (-1, 0, -1)
     # x^2 + y^2 + z^2 = 0 has no real point at all
     assert find_rational_point(SymmetricMatrixQ.diagonal((1, 1, 1))) is None
+
+
+def _cube_scan(z, height):
+    """Reference search: the whole cube [-h, h]^3 at every height, keeping
+    only its shell, in Fraction arithmetic."""
+    m = [list(row) for row in z.entries]
+    for h in range(1, height + 1):
+        for a in range(-h, h + 1):
+            for b in range(-h, h + 1):
+                for c in range(-h, h + 1):
+                    if max(abs(a), abs(b), abs(c)) != h or gcd(gcd(a, b), c) != 1:
+                        continue
+                    v = (Fraction(a), Fraction(b), Fraction(c))
+                    if sum(m[i][j] * v[i] * v[j] for i in range(3) for j in range(3)) == 0:
+                        return (a, b, c)
+    return None
+
+
+def test_rational_point_search_matches_cube_scan():
+    rng = random.Random(11)
+    conics = [SymmetricMatrixQ.diagonal((1, 1, 1)),
+              SymmetricMatrixQ.diagonal((1, 1, -1)),
+              SymmetricMatrixQ.from_rows([[Fraction(1, 2), Fraction(1, 3), 0],
+                                          [Fraction(1, 3), -1, Fraction(-1, 5)],
+                                          [0, Fraction(-1, 5), Fraction(3, 7)]])]
+    for _ in range(16):
+        v = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(6)]
+        conics.append(SymmetricMatrixQ.from_rows([[v[0], v[1], v[2]],
+                                                  [v[1], v[3], v[4]],
+                                                  [v[2], v[4], v[5]]]))
+    found = [find_rational_point(z, 5) for z in conics]
+    assert found == [_cube_scan(z, 5) for z in conics]
+    assert found[0] is None and found[1] == (-1, 0, -1)
+    assert any(p is None for p in found[3:]) and any(p is not None for p in found[3:])
+    assert find_rational_point(conics[0]) is None  # the full default height
 
 
 def test_conic_global_equations():
