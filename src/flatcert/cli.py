@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from random import Random
 
 from .groebner import (
@@ -63,6 +62,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_CODES = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}
 USAGE_ERRORS = (ValueError, OSError, KeyError)  # main reports these with EXIT_USAGE
 
 
@@ -76,31 +76,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunConfig:
-    n: int = 2
-    t_max: int = 8
-    seed: int = 0
-    method: str = METHOD_INITIAL
-    corrupt: str | None = None
-    points: str | None = None
-    output: str | None = None
-    format: str = "json"
-    workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("--n must be >= 1")
-        if self.t_max < 3:
-            raise ValueError("--t-max must be >= 3")
-        if self.format not in ("json", "text"):
-            raise ValueError("--format must be json or text")
-        self.method = normalize_method(self.method)
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def at_least(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return at_least
 
 
-def _envelope(command: str, config: dict, report: dict) -> dict:
-    return {"schema": SCHEMA_VERSION, "command": command,
-            "config": config, "report": report}
+def _method(text: str) -> str:
+    """argparse type: a method name or alias, normalized."""
+    try:
+        return normalize_method(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _method_or_both(text: str) -> str:
+    """argparse type for hilbert: checked, but kept as typed for its report."""
+    if text != "both":
+        _method(text)
+    return text
 
 
 def _load_points_file(path: str) -> list[ChartPoint]:
@@ -141,29 +142,34 @@ def parse_ideal_file(path: str) -> Ideal:
     return Ideal(uni, gens)
 
 
-# --- subcommand handlers: each returns (exit_code, report_dict, text_str) ---
+# --- subcommand handlers: each takes the parsed arguments and returns
+# (verdict, config, report, text lines); main does the rest ---
 
-def _run_verify_flatness(cfg: RunConfig) -> tuple[int, dict, str]:
-    rng = Random(cfg.seed)
-    if cfg.points:
-        extra = _load_points_file(cfg.points)
+Outcome = tuple[str, dict, dict, list[str]]
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
+    rng = Random(args.seed)
+    if args.points:
+        extra = _load_points_file(args.points)
     else:
-        extra = [random_chart_point(cfg.n, rng, degenerate=False),
-                 random_chart_point(cfg.n, rng, degenerate=True)]
-    workers = resolve_workers(cfg.workers)
-    report = flatness_certificate(cfg.n, extra, cfg.t_max, cfg.method,
-                                  cfg.corrupt, workers)
-    verdict = report.verdict
-    code = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
-    lines = [f"flatness n={cfg.n} t_max={cfg.t_max} expected={report.expected}"]
+        extra = [random_chart_point(args.n, rng, degenerate=False),
+                 random_chart_point(args.n, rng, degenerate=True)]
+    report = flatness_certificate(args.n, extra, args.t_max, args.method,
+                                  args.corrupt, args.workers)
+    lines = [f"flatness n={args.n} t_max={args.t_max} expected={report.expected}"]
     for fib in report.fibers:
         got = str(fib.polynomial) if fib.polynomial is not None else f"({fib.failure})"
         mark = "ok" if fib.matches else "DIVERGES"
         lines.append(f"  fiber {fib.index} {fib.point.label()}: {got} {mark}")
-    lines.append(f"verdict: {verdict}")
-    config = {"n": cfg.n, "t_max": cfg.t_max, "seed": cfg.seed,
-              "method": cfg.method, "corrupt": cfg.corrupt, "points": cfg.points}
-    return code, _envelope("verify-flatness", config, report.to_json_dict()), "\n".join(lines) + "\n"
+    lines.append(f"verdict: {report.verdict}")
+    config = {"n": args.n, "t_max": args.t_max, "seed": args.seed,
+              "method": args.method, "corrupt": args.corrupt, "points": args.points}
+    return report.verdict, config, report.to_json_dict(), lines
 
 
 def _sampled_orders(n: int, seed: int) -> list[MonomialOrderSpec]:
@@ -177,32 +183,31 @@ def _sampled_orders(n: int, seed: int) -> list[MonomialOrderSpec]:
     return orders
 
 
-def _run_verify_groebner(cfg: RunConfig) -> tuple[int, dict, str]:
-    ideal = diagonal_ideal(cfg.n)
+def _run_verify_groebner(args: argparse.Namespace) -> Outcome:
+    ideal = diagonal_ideal(args.n)
     results = []
     all_ok = True
-    for order in _sampled_orders(cfg.n, cfg.seed):
+    for order in _sampled_orders(args.n, args.seed):
         ok, cert = is_groebner_basis(list(ideal.generators), order)
         all_ok = all_ok and ok
         results.append({"order": order.to_json_dict(), "passed": ok,
                         "s_pairs": len(cert.spairs)})
-    lines = [f"groebner n={cfg.n}: 2x2 minors over {len(results)} orders"]
+    lines = [f"groebner n={args.n}: 2x2 minors over {len(results)} orders"]
     for row in results:
         kind = row["order"]["kind"]
         lines.append(f"  {kind}{' (permuted)' if row['order'].get('variable_permutation') else ''}:"
-                     f" {'PASS' if row['passed'] else 'FAIL'} ({row['s_pairs']} S-pairs)")
-    lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
-    config = {"n": cfg.n, "seed": cfg.seed}
-    report = {"n": cfg.n, "orders": results, "passed": all_ok}
-    return (EXIT_PASS if all_ok else EXIT_FAIL,
-            _envelope("verify-groebner", config, report), "\n".join(lines) + "\n")
+                     f" {_verdict(row['passed'])} ({row['s_pairs']} S-pairs)")
+    lines.append(f"verdict: {_verdict(all_ok)}")
+    config = {"n": args.n, "seed": args.seed}
+    report = {"n": args.n, "orders": results, "passed": all_ok}
+    return _verdict(all_ok), config, report, lines
 
 
-def _run_hilbert(cfg: RunConfig, ideal_file: str, method_arg: str) -> tuple[int, dict, str]:
-    ideal = parse_ideal_file(ideal_file)
-    methods = ([METHOD_INITIAL, METHOD_RANK] if method_arg == "both"
-               else [normalize_method(method_arg)])
-    tables = {m: tabulate_diagonal(ideal, range(cfg.t_max + 1), m) for m in methods}
+def _run_hilbert(args: argparse.Namespace) -> Outcome:
+    ideal = parse_ideal_file(args.ideal_file)
+    methods = ([METHOD_INITIAL, METHOD_RANK] if args.method == "both"
+               else [normalize_method(args.method)])
+    tables = {m: tabulate_diagonal(ideal, range(args.t_max + 1), m) for m in methods}
     disagreements = []
     if len(tables) == 2:
         a, b = (tables[m].values for m in methods)
@@ -221,76 +226,68 @@ def _run_hilbert(cfg: RunConfig, ideal_file: str, method_arg: str) -> tuple[int,
         except NoStabilizationError:
             poly = None
     report = {
-        "file": ideal_file,
-        "method": method_arg,
+        "file": args.ideal_file,
+        "method": args.method,
         "table": table.to_json_rows(),
         "projective_dimension": dim,
         "polynomial": poly.to_json_dict() if poly else None,
         "methods_disagree": disagreements,
     }
-    lines = [f"hilbert {ideal_file} (method={method_arg})"]
+    lines = [f"hilbert {args.ideal_file} (method={args.method})"]
     for t in sorted(table.values):
         lines.append(f"  t={t}: {table.values[t]}")
     lines.append(f"polynomial: {poly if poly is not None else 'did not stabilize'}")
     if disagreements:
         lines.append(f"METHODS DISAGREE on {len(disagreements)} rows")
-    config = {"file": ideal_file, "t_max": cfg.t_max, "method": method_arg}
-    if disagreements:
-        code = EXIT_FAIL
-    elif poly is None:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_PASS
-    return code, _envelope("hilbert", config, report), "\n".join(lines) + "\n"
+    config = {"file": args.ideal_file, "t_max": args.t_max, "method": args.method}
+    verdict = "FAIL" if disagreements else "INCONCLUSIVE" if poly is None else "PASS"
+    return verdict, config, report, lines
 
 
-def _run_xi_trials(cfg: RunConfig, d0: int, d1: int, trials: int,
-                   t_max: int | None) -> tuple[int, dict, str]:
-    workers = resolve_workers(cfg.workers)
-    report = run_xi_trials(d0, d1, trials, cfg.seed, t_max, cfg.method, workers)
+def _run_xi_trials(args: argparse.Namespace) -> Outcome:
+    report = run_xi_trials(args.d0, args.d1, args.trials, args.seed, args.t_max,
+                           args.method, args.workers)
     lines = [
-        f"xi-trials d0={d0} d1={d1} trials={trials} seed={cfg.seed}",
+        f"xi-trials d0={args.d0} d1={args.d1} trials={args.trials} seed={args.seed}",
         f"  xi_formula expectation: {report.xi_expected}"
-        f" -> {report.xi_matches}/{trials} match",
+        f" -> {report.xi_matches}/{args.trials} match",
         f"  koszul count expectation: {report.koszul_expected}"
-        f" -> {report.koszul_matches}/{trials} match",
+        f" -> {report.koszul_matches}/{args.trials} match",
         f"  retries: {report.total_retries}",
-        f"verdict: {'PASS' if report.passed else 'FAIL'}",
+        f"verdict: {_verdict(report.passed)}",
     ]
-    config = {"d0": d0, "d1": d1, "trials": trials, "seed": cfg.seed,
-              "method": cfg.method}
-    return (EXIT_PASS if report.passed else EXIT_FAIL,
-            _envelope("xi-trials", config, report.to_json_dict()), "\n".join(lines) + "\n")
+    config = {"d0": args.d0, "d1": args.d1, "trials": args.trials, "seed": args.seed,
+              "method": args.method}
+    return _verdict(report.passed), config, report.to_json_dict(), lines
 
 
-def _run_torus_check(cfg: RunConfig) -> tuple[int, dict, str]:
-    symbolic = torus_action_check(cfg.n)
-    rng = Random(cfg.seed)
-    point = random_chart_point(cfg.n, rng)
-    c = random_torus_element(cfg.n, rng)
-    numeric = torus_action_check(cfg.n, point, c)
-    orbit_ok = closed_orbit_limit_check(cfg.n, point)
+def _run_torus_check(args: argparse.Namespace) -> Outcome:
+    symbolic = torus_action_check(args.n)
+    rng = Random(args.seed)
+    point = random_chart_point(args.n, rng)
+    c = random_torus_element(args.n, rng)
+    numeric = torus_action_check(args.n, point, c)
+    orbit_ok = closed_orbit_limit_check(args.n, point)
     passed = symbolic.passed and numeric.passed and orbit_ok
     report = {"symbolic": symbolic.to_json_dict(), "numeric": numeric.to_json_dict(),
               "closed_orbit_limit": orbit_ok, "passed": passed}
-    lines = [f"torus-check n={cfg.n}",
+    lines = [f"torus-check n={args.n}",
              f"  symbolic scalars: {', '.join(symbolic.generator_scalars)}"
-             f" [{'PASS' if symbolic.passed else 'FAIL'}]",
+             f" [{_verdict(symbolic.passed)}]",
              f"  numeric at seeded point: {', '.join(numeric.generator_scalars)}"
-             f" [{'PASS' if numeric.passed else 'FAIL'}]",
-             f"  closed-orbit limit -> (I, 0): {'PASS' if orbit_ok else 'FAIL'}",
-             f"verdict: {'PASS' if passed else 'FAIL'}"]
-    config = {"n": cfg.n, "seed": cfg.seed}
-    return (EXIT_PASS if passed else EXIT_FAIL,
-            _envelope("torus-check", config, report), "\n".join(lines) + "\n")
+             f" [{_verdict(numeric.passed)}]",
+             f"  closed-orbit limit -> (I, 0): {_verdict(orbit_ok)}",
+             f"verdict: {_verdict(passed)}"]
+    config = {"n": args.n, "seed": args.seed}
+    return _verdict(passed), config, report, lines
 
 
-def _run_conic_equations(cfg: RunConfig, samples: int, conics: int) -> tuple[int, dict, str]:
+def _run_conic_equations(args: argparse.Namespace) -> Outcome:
     identity_ok = conic_matrix_identity_symbolic()
-    rng = Random(cfg.seed)
-    per_conic = -(-samples // conics)
+    rng = Random(args.seed)
+    per_conic = -(-args.samples // args.conics)
     reports = []
-    for _ in range(conics):
+    for _ in range(args.conics):
         z, _tries = random_conic_with_rational_point(rng)
         sample_seed = rng.getrandbits(32)
         rep = conic_global_equations_check(z, samples=per_conic, seed=sample_seed)
@@ -299,35 +296,35 @@ def _run_conic_equations(cfg: RunConfig, samples: int, conics: int) -> tuple[int
     passed = identity_ok and all(r["passed"] for r in reports)
     report = {"symbolic_identity": identity_ok, "conics": reports,
               "total_points_checked": total_points, "passed": passed}
-    lines = [f"conic-equations seed={cfg.seed}",
-             f"  symbolic 3z*adj(z) = trace*I: {'PASS' if identity_ok else 'FAIL'}",
+    lines = [f"conic-equations seed={args.seed}",
+             f"  symbolic 3z*adj(z) = trace*I: {_verdict(identity_ok)}",
              f"  {len(reports)} conics, {total_points} rational points checked",
-             f"verdict: {'PASS' if passed else 'FAIL'}"]
-    config = {"seed": cfg.seed, "samples": samples, "conics": conics}
-    return (EXIT_PASS if passed else EXIT_FAIL,
-            _envelope("conic-equations", config, report), "\n".join(lines) + "\n")
+             f"verdict: {_verdict(passed)}"]
+    config = {"seed": args.seed, "samples": args.samples, "conics": args.conics}
+    return _verdict(passed), config, report, lines
 
 
-def _run_primary_check(cfg: RunConfig) -> tuple[int, dict, str]:
-    intersection_ok = primary_intersection_check(cfg.n)
-    special = special_fiber_ideal(cfg.n)  # the monomials x_i y_j (i < j), then x.y
+def _run_primary_check(args: argparse.Namespace) -> Outcome:
+    intersection_ok = primary_intersection_check(args.n)
+    special = special_fiber_ideal(args.n)  # the monomials x_i y_j (i < j), then x.y
     monomials = [leading_monomial(g) for g in special.generators if len(g.terms) == 1]
     nzd_ok = nonzerodivisor_check(incidence_form(special.universe), monomials)
     passed = intersection_ok and nzd_ok
-    report = {"n": cfg.n, "intersection_identity": intersection_ok,
-              "component_primes": [list(p) for p in component_primes(cfg.n)],
+    report = {"n": args.n, "intersection_identity": intersection_ok,
+              "component_primes": [list(p) for p in component_primes(args.n)],
               "trace_form_nonzerodivisor": nzd_ok, "passed": passed}
-    lines = [f"primary-check n={cfg.n}",
-             f"  <x_i y_j : i<j> = intersection of {cfg.n + 1} primes:"
-             f" {'PASS' if intersection_ok else 'FAIL'}",
-             f"  x.y nonzerodivisor mod the monomial ideal: {'PASS' if nzd_ok else 'FAIL'}",
-             f"verdict: {'PASS' if passed else 'FAIL'}"]
-    config = {"n": cfg.n}
-    return (EXIT_PASS if passed else EXIT_FAIL,
-            _envelope("primary-check", config, report), "\n".join(lines) + "\n")
+    lines = [f"primary-check n={args.n}",
+             f"  <x_i y_j : i<j> = intersection of {args.n + 1} primes:"
+             f" {_verdict(intersection_ok)}",
+             f"  x.y nonzerodivisor mod the monomial ideal: {_verdict(nzd_ok)}",
+             f"verdict: {_verdict(passed)}"]
+    config = {"n": args.n}
+    return _verdict(passed), config, report, lines
 
 
 def build_parser() -> _Parser:
+    positive = _int_at_least(1)
+    t_max = _int_at_least(3)
     parser = _Parser(prog="flatcert", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -339,93 +336,75 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-flatness", parents=[common],
                        help="Hilbert polynomials of family fibers vs chi_graph(n)")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--t-max", type=int, default=8)
-    p.add_argument("--method", default=METHOD_INITIAL)
+    p.set_defaults(run=_run_verify_flatness)
+    p.add_argument("--n", type=positive, default=2)
+    p.add_argument("--t-max", type=t_max, default=8)
+    p.add_argument("--method", type=_method, default=METHOD_INITIAL)
     p.add_argument("--corrupt", default=None, help="e.g. drop-generator:1")
     p.add_argument("--points", default=None, help="JSON file of extra chart points")
 
     p = sub.add_parser("verify-groebner", parents=[common],
                        help="minors of [x;y] as a Groebner basis over sampled orders")
-    p.add_argument("--n", type=int, default=2)
+    p.set_defaults(run=_run_verify_groebner)
+    p.add_argument("--n", type=positive, default=2)
 
     p = sub.add_parser("hilbert", parents=[common],
                        help="diagonal Hilbert function and polynomial of an ideal file")
+    p.set_defaults(run=_run_hilbert)
     p.add_argument("ideal_file")
-    p.add_argument("--t-max", type=int, default=8)
-    p.add_argument("--method", default="both",
+    p.add_argument("--t-max", type=t_max, default=8)
+    p.add_argument("--method", type=_method_or_both, default="both",
                    help="initial_ideal_count | rank_oracle | both")
 
     p = sub.add_parser("xi-trials", parents=[common],
                        help="random curve pairs on F2 vs the xi closed form")
-    p.add_argument("d0", type=int)
-    p.add_argument("d1", type=int)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--method", default=METHOD_INITIAL)
+    p.set_defaults(run=_run_xi_trials)
+    p.add_argument("d0", type=positive)
+    p.add_argument("d1", type=positive)
+    p.add_argument("--trials", type=positive, default=20)
+    p.add_argument("--t-max", type=t_max, default=None)
+    p.add_argument("--method", type=_method, default=METHOD_INITIAL)
 
     p = sub.add_parser("torus-check", parents=[common],
                        help="torus equivariance of the family generators")
-    p.add_argument("--n", type=int, default=2)
+    p.set_defaults(run=_run_torus_check)
+    p.add_argument("--n", type=positive, default=2)
 
     p = sub.add_parser("conic-equations", parents=[common],
                        help="global equations of the complete-conics graph")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--conics", type=int, default=5)
+    p.set_defaults(run=_run_conic_equations)
+    p.add_argument("--samples", type=positive, default=20)
+    p.add_argument("--conics", type=positive, default=5)
 
     p = sub.add_parser("primary-check", parents=[common],
                        help="primary decomposition and nonzerodivisor checks")
-    p.add_argument("--n", type=int, default=2)
+    p.set_defaults(run=_run_primary_check)
+    p.add_argument("--n", type=positive, default=2)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse raises on usage errors and on --help; surface the code
         return int(exc.code or 0)
-    method_arg = getattr(args, "method", METHOD_INITIAL)
     try:
-        cfg = RunConfig(
-            n=getattr(args, "n", 2),
-            t_max=getattr(args, "t_max", None) or 8,
-            seed=args.seed,
-            method=METHOD_INITIAL if method_arg == "both" else method_arg,
-            corrupt=getattr(args, "corrupt", None),
-            points=getattr(args, "points", None),
-            output=args.output,
-            format=args.format,
-            workers=resolve_workers(args.workers),
-        )
-        if args.command == "verify-flatness":
-            code, report, text = _run_verify_flatness(cfg)
-        elif args.command == "verify-groebner":
-            code, report, text = _run_verify_groebner(cfg)
-        elif args.command == "hilbert":
-            code, report, text = _run_hilbert(cfg, args.ideal_file, args.method)
-        elif args.command == "xi-trials":
-            code, report, text = _run_xi_trials(cfg, args.d0, args.d1,
-                                                args.trials, args.t_max)
-        elif args.command == "torus-check":
-            code, report, text = _run_torus_check(cfg)
-        elif args.command == "conic-equations":
-            code, report, text = _run_conic_equations(cfg, args.samples, args.conics)
+        args.workers = resolve_workers(args.workers)
+        verdict, config, report, lines = args.run(args)
+        envelope = {"schema": SCHEMA_VERSION, "command": args.command,
+                    "config": config, "report": report}
+        payload = (json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+                   if args.format == "json" else "\n".join(lines) + "\n")
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
         else:
-            code, report, text = _run_primary_check(cfg)
+            sys.stdout.write(payload)
     except USAGE_ERRORS as exc:
         print(f"flatcert: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
-               if cfg.format == "json" else text)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return code
+    return EXIT_CODES[verdict]
 
 
 if __name__ == "__main__":

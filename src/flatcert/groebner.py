@@ -106,10 +106,6 @@ class MonomialOrderSpec:
                 return (dx,) + tuple(e[i] for i in xs) + (dy,) + tuple(e[i] for i in ys) + e[nxy:]
         return key
 
-    def describe(self, universe: VariableUniverse) -> str:
-        perm = self.permutation_indices(universe)
-        return f"{self.kind}({'>'.join(universe.names[i] for i in perm)})"
-
     def to_json_dict(self) -> dict:
         return {"kind": self.kind,
                 "variable_permutation": list(self.variable_permutation) if self.variable_permutation else None}
@@ -259,25 +255,20 @@ def _monic(f: BiPolynomial, keyf: OrderKey) -> BiPolynomial:
 
 
 def _interreduce(basis: list[BiPolynomial], keyf: OrderKey) -> list[BiPolynomial]:
-    """Minimalize leading terms, then reduce tails to a fixpoint."""
+    """Minimalize leading terms, then reduce every tail once."""
     ordered = sorted(basis, key=lambda g: keyf(leading_term(g, keyf)[0]))
     minimal: list[BiPolynomial] = []
     for g in ordered:
         lm = leading_term(g, keyf)[0]
         if not any(monomial_divides(leading_term(h, keyf)[0], lm) for h in minimal):
             minimal.append(_monic(g, keyf))
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1:]
-            if not others:
-                continue
+    # one pass suffices: reduction keeps every leading term, so a tail
+    # reduced against them stays reduced when the others change
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        if others:
             r, _ = _reduce_terms(g.terms, _gdata(others, keyf), keyf)
-            rp = _monic(BiPolynomial(g.universe, _canonical=r), keyf)
-            if rp != g:
-                minimal[i] = rp
-                changed = True
+            minimal[i] = BiPolynomial(g.universe, _canonical=r)
     minimal.sort(key=lambda g: keyf(leading_term(g, keyf)[0]))
     return minimal
 

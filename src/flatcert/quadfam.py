@@ -838,17 +838,17 @@ def conic_global_equations_check(z: SymmetricMatrixQ, samples: int = 20,
 
     (a) the matrix identity 3 z w = trace(z w) I with w = adj(z), exactly;
     (b) on sampled rational points x of the conic, with y = x.z: the
-    incidence x.y = 0 and the 2x2 minors of (x.z, y) and of (x, y.w) all
-    vanish.  Conics with no rational point within the search height skip
-    (b) and report that.
+    incidence x.y = 0 and the 2x2 minors of (x, y.w) vanish.  Conics with
+    no rational point within the search height skip (b) and report that.
     """
     if z.size != 3:
         raise ValueError("conic checks are for 3x3 matrices")
     if not z.is_nondegenerate():
         raise NondegeneracyRequiredError("the conic must be smooth: det(z) != 0")
 
-    w_rows = mat_adjugate([list(r) for r in z.entries])
-    zw = mat_mul([list(r) for r in z.entries], w_rows)
+    z_rows = [list(r) for r in z.entries]
+    w_rows = mat_adjugate(z_rows)
+    zw = mat_mul(z_rows, w_rows)
     trace = zw[0][0] + zw[1][1] + zw[2][2]
     identity_ok = all(
         3 * zw[i][j] == (trace if i == j else Fraction(0))
@@ -883,12 +883,10 @@ def conic_global_equations_check(z: SymmetricMatrixQ, samples: int = 20,
             continue
         seen.add(prim)
         xf = tuple(Fraction(v) for v in prim)
-        y = _vector_matrix(xf, [list(r) for r in z.entries])
+        y = _vector_matrix(xf, z_rows)
         on_conic = sum((xf[k] * y[k] for k in range(3)), Fraction(0)) == 0
         yw = _vector_matrix(y, w_rows)
-        ok = (on_conic
-              and _two_by_n_minors_zero(_vector_matrix(xf, [list(r) for r in z.entries]), y)
-              and _two_by_n_minors_zero(xf, yw))
+        ok = on_conic and _two_by_n_minors_zero(xf, yw)
         all_ok = all_ok and ok
         checked += 1
     passed = identity_ok and all_ok and checked > 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
@@ -15,6 +16,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 WORKERS_ENV_VAR = "FLATCERT_WORKERS"
+# no exponent or decimal forms: Fraction("1e2000000") expands the power exactly
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -49,16 +52,15 @@ def fraction_to_json(q: Fraction | int) -> int | str:
 
 
 def fraction_from_json(v: object) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ValueError(f"rationals must be integers or 'p/q' strings, got {v!r}")
-    if isinstance(v, int):
+    """A JSON integer, or a string "p" or "p/q" in decimal digits."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
         try:
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"rational {v!r} has a zero denominator") from None
-    raise ValueError(f"cannot read a rational from {v!r}")
+    raise ValueError(f"rationals must be integers or 'p/q' strings, got {v!r}")
 
 
 # --- matrices over any commutative ring (entries need +, -, *) ---

@@ -127,8 +127,9 @@ def test_verify_flatness_with_points_file(tmp_path):
     ([1], "chart point must be an object"),
     ([{"u": 3, "d": [1, 2]}], "chart point must be an object"),
     ({"pts": []}, "list of chart points"),
+    ([{"u": [["1e2000000"], [1, -3]], "d": [1, 2]}], "'p/q' strings"),
 ], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
-        "no-points-key"])
+        "no-points-key", "exponent-notation"])
 def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
     path.write_text(json.dumps(body))
@@ -242,16 +243,37 @@ def test_output_flag_writes_file(tmp_path, ideal_file):
     code, text = run(["hilbert", ideal_file, "--output", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["command"] == "hilbert"
+    # an unwritable report path is an input error, not a traceback
+    assert run(["hilbert", ideal_file, "--output", str(tmp_path / "no" / "r.json")]) == (3, "")
 
 
-def test_usage_errors_exit_3():
+def test_usage_errors_exit_3(ideal_file, capsys):
     assert run(["no-such-command"])[0] == 3
     assert run([])[0] == 3
-    assert run(["verify-flatness", "--n", "0"])[0] == 3
     assert run(["hilbert"])[0] == 3
-    assert run(["verify-flatness", "--n", "1", "--method", "bogus"])[0] == 3
-    assert run(["verify-flatness", "--n", "1", "--t-max", "2"])[0] == 3
-    assert run(["verify-flatness", "--n", "1", "--format", "yaml"])[0] == 3
+    # out-of-range arguments: exit 3, nothing on stdout, the argument named last
+    for argv, name in [
+        (["verify-flatness", "--n", "0"], "--n"),
+        (["verify-flatness", "--n", "1", "--method", "bogus"], "--method"),
+        (["verify-flatness", "--n", "1", "--method", "both"], "--method"),
+        (["verify-flatness", "--n", "1", "--t-max", "2"], "--t-max"),
+        (["verify-flatness", "--n", "1", "--format", "yaml"], "--format"),
+        (["verify-flatness", "--t-max", "0"], "--t-max"),
+        (["hilbert", ideal_file, "--t-max", "0"], "--t-max"),
+        (["hilbert", ideal_file, "--method", "bogus"], "--method"),
+        (["conic-equations", "--conics", "0"], "--conics"),
+        (["conic-equations", "--conics", "-1"], "--conics"),
+        (["conic-equations", "--samples", "0"], "--samples"),
+        (["xi-trials", "2", "2", "--trials", "0"], "--trials"),
+        (["xi-trials", "2", "2", "--t-max", "2"], "--t-max"),
+        (["xi-trials", "0", "2"], "d0"),
+        (["xi-trials", "1", "x"], "d1"),
+        (["torus-check", "--n", "-1"], "--n"),
+    ]:
+        capsys.readouterr()
+        assert run(argv) == (3, ""), argv
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {name}:" in last, (argv, last)
 
 
 def test_console_script_runs():

@@ -34,7 +34,6 @@ from flatcert.groebner import (
     BuchbergerRun,
     SPairEvent,
     _gdata,
-    _interreduce,
     _monic,
     _reduce_terms,
     intersect_monomial_exponents,
@@ -210,6 +209,26 @@ def reference_key(order, uni):
     return lambda e: tuple(e[i] for i in perm) + e[nxy:]
 
 
+def reference_interreduce(basis, keyf):
+    """Minimalize leading terms, then reduce tails until nothing changes."""
+    minimal = []
+    for g in sorted(basis, key=lambda g: keyf(leading_term(g, keyf)[0])):
+        lm = leading_term(g, keyf)[0]
+        if not any(monomial_divides(leading_term(h, keyf)[0], lm) for h in minimal):
+            minimal.append(_monic(g, keyf))
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(minimal):
+            others = minimal[:i] + minimal[i + 1:]
+            if others:
+                r, _ = _reduce_terms(g.terms, _gdata(others, keyf), keyf)
+                rp = _monic(BiPolynomial(g.universe, _canonical=r), keyf)
+                if rp != g:
+                    minimal[i], changed = rp, True
+    return sorted(minimal, key=lambda g: keyf(leading_term(g, keyf)[0]))
+
+
 def reference_buchberger(gens, order):
     """Completion that rescans every pending pair with min() on each step."""
     uni = gens[0].universe
@@ -250,7 +269,7 @@ def reference_buchberger(gens, order):
             run.events.append(SPairEvent(i, j, lcm_text, "new_generator", steps))
         else:
             run.events.append(SPairEvent(i, j, lcm_text, "reduced_to_zero", steps))
-    basis = tuple(_interreduce(G, keyf))
+    basis = tuple(reference_interreduce(G, keyf))
     run.basis = basis
     return basis, run
 
