@@ -18,11 +18,16 @@ from pathlib import Path
 
 def ideal_files(tmp: Path) -> dict[str, Path]:
     from flatcert import diagonal_ideal, special_fiber_ideal
+    from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
     from make_ideal_files import ideal_file_text
 
+    # a chart point with coefficients of heights 3..8, so that the rank
+    # oracle's elimination meets pivots other than +-1
+    chart = ChartPoint.from_strict_lower([[-6], [8, 4]], [7, -3])
     out = {}
     for name, ideal in [("diagonal_n2", diagonal_ideal(2)),
-                        ("special_fiber_n2", special_fiber_ideal(2))]:
+                        ("special_fiber_n2", special_fiber_ideal(2)),
+                        ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart))]:
         path = tmp / f"{name}.ideal"
         path.write_text(ideal_file_text(name, 2, ideal.generators), encoding="utf-8")
         out[name] = path
@@ -48,6 +53,8 @@ def main() -> int:
              ["hilbert", str(files["diagonal_n2"]), "--method", "both"], 0),
             ("hilbert: special fiber n=2",
              ["hilbert", str(files["special_fiber_n2"]), "--method", "both"], 0),
+            ("hilbert: chart fiber n=2",
+             ["hilbert", str(files["chart_fiber_n2"]), "--method", "both", "--t-max", "6"], 0),
             ("flatness n=1",
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",

@@ -330,7 +330,7 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", default=None, help="write the report to a file")
-    common.add_argument("--workers", type=int, default=None,
+    common.add_argument("--workers", type=positive, default=None,
                         help="parallelism (flag beats FLATCERT_WORKERS beats cpu count)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,16 +21,23 @@ _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else FLATCERT_WORKERS, else cpu count."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None and env != "":
+    """Worker count: explicit argument, else FLATCERT_WORKERS, else cpu count.
+
+    A count below 1, from either source, is a ValueError, not clamped.
+    """
+    source = "worker count"
+    if requested is None:
+        env = os.environ.get(WORKERS_ENV_VAR)
+        if not env:
+            return max(1, os.cpu_count() or 1)
+        source = WORKERS_ENV_VAR
         try:
-            return max(1, int(env))
+            requested = int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
+    if requested < 1:
+        raise ValueError(f"{source} must be >= 1, got {requested}")
+    return int(requested)
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
@@ -125,9 +132,13 @@ def fraction_identity(m: int) -> list[list[Fraction]]:
 def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank of a sparse integer matrix by fraction-free elimination.
 
-    Rows are dicts column -> nonzero integer.  Pivots favor short rows and
-    thin columns; each update row is (pv*row - v*pivot) divided by its
-    content, so all arithmetic stays in Z.  Deterministic.
+    Rows are dicts column -> nonzero integer; the caller's dicts are not
+    changed.  Pivots favor short rows and thin columns.  With g = gcd(pv, v),
+    each target row becomes +-((pv/g)*row - (v/g)*pivot) in place, touching
+    only the pivot row's columns; a row scaled by |pv/g| > 1 is divided by
+    its content afterwards, so all arithmetic stays in Z.  Scaling keeps a
+    row's support, so fill-in and pivot order do not depend on it.
+    Deterministic.
     """
     active: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -158,32 +169,40 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
         pivot_col = min(row, key=lambda c: (len(col_rows[c]), c))
         pv = row[pivot_col]
         rank += 1
-        for vid in sorted(col_rows.get(pivot_col, ())):
+        rest = [(c, val) for c, val in row.items() if c != pivot_col]
+        for vid in col_rows.pop(pivot_col):
             vrow = active[vid]
             vv = vrow.pop(pivot_col)
-            col_rows[pivot_col].discard(vid)
-            old_keys = set(vrow)
-            new = {c: pv * val for c, val in vrow.items()}
-            for c, val in row.items():
-                if c == pivot_col:
-                    continue
-                nv = new.get(c, 0) - vv * val
-                if nv:
-                    new[c] = nv
+            g = gcd(pv, vv)
+            scale, f = pv // g, vv // g
+            if scale < 0:  # negating the update keeps its support
+                scale, f = -scale, -f
+            if scale != 1:
+                for c in vrow:
+                    vrow[c] *= scale
+            for c, val in rest:
+                old = vrow.get(c)
+                if old is None:
+                    vrow[c] = -f * val
+                    col_rows[c].add(vid)
                 else:
-                    new.pop(c, None)
-            for c in old_keys - new.keys():
-                col_rows[c].discard(vid)
-            for c in new.keys() - old_keys:
-                col_rows.setdefault(c, set()).add(vid)
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                active[vid] = new
-                heapq.heappush(heap, (len(new), vid))
-            else:
+                    nv = old - f * val
+                    if nv:
+                        vrow[c] = nv
+                    else:
+                        del vrow[c]
+                        col_rows[c].discard(vid)
+            if not vrow:
                 del active[vid]
+                continue
+            if scale != 1:
+                g = 0
+                for v in vrow.values():
+                    g = gcd(g, v)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for c in vrow:
+                        vrow[c] //= g
+            heapq.heappush(heap, (len(vrow), vid))
     return rank

@@ -211,6 +211,9 @@ GOLDEN = {
     "primary_check_n3": (["primary-check", "--n", "3"], 0),
     "hilbert_fiber_n2_ones": (["hilbert", "tests/data/fiber_n2_ones.ideal", "--method", "both",
                                "--t-max", "8"], 0),
+    # chart coefficients of heights 3..8, so the rank route meets non-unit pivots
+    "hilbert_fiber_n2_chart": (["hilbert", "tests/data/fiber_n2_chart.ideal", "--method", "both",
+                                "--t-max", "6"], 0),
 }
 
 
@@ -233,9 +236,9 @@ def test_workers_env_var(monkeypatch, ideal_file):
     monkeypatch.setenv("FLATCERT_WORKERS", "2")
     code, text = run(["hilbert", ideal_file, "--t-max", "4"])
     assert code == 0
-    monkeypatch.setenv("FLATCERT_WORKERS", "zzz")
-    code, _ = run(["hilbert", ideal_file, "--t-max", "4"])
-    assert code == 3
+    for bad in ("zzz", "0"):
+        monkeypatch.setenv("FLATCERT_WORKERS", bad)
+        assert run(["hilbert", ideal_file, "--t-max", "4"]) == (3, ""), bad
 
 
 def test_output_flag_writes_file(tmp_path, ideal_file):
@@ -269,6 +272,8 @@ def test_usage_errors_exit_3(ideal_file, capsys):
         (["xi-trials", "0", "2"], "d0"),
         (["xi-trials", "1", "x"], "d1"),
         (["torus-check", "--n", "-1"], "--n"),
+        (["torus-check", "--n", "1", "--workers", "0"], "--workers"),
+        (["hilbert", ideal_file, "--workers", "-5"], "--workers"),
     ]:
         capsys.readouterr()
         assert run(argv) == (3, ""), argv

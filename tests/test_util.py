@@ -1,11 +1,16 @@
 """Exact linear algebra and worker plumbing."""
 
+import copy
+import heapq
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flatcert import hilbert
+from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
     WORKERS_ENV_VAR,
     fraction_from_json,
@@ -37,17 +42,121 @@ def dense_rank(rows, width):
     return rank
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_sparse_rank_matches_dense(seed):
-    rng = random.Random(seed)
-    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+def reference_sparse_rank(rows):
+    """Reference kernel with the same pivot rule: every update builds the
+    whole target row anew as pv*row - v*pivot and divides it by its content."""
+    active, col_rows, heap = {}, {}, []
+    for rid, row in enumerate(rows):
+        r = {c: v for c, v in row.items() if v}
+        if not r:
+            continue
+        g = 0
+        for v in r.values():
+            g = gcd(g, v)
+        if g > 1:
+            r = {c: v // g for c, v in r.items()}
+        active[rid] = r
+        for c in r:
+            col_rows.setdefault(c, set()).add(rid)
+        heapq.heappush(heap, (len(r), rid))
+    rank = 0
+    while heap:
+        nnz, rid = heapq.heappop(heap)
+        row = active.get(rid)
+        if row is None or len(row) != nnz:
+            continue
+        del active[rid]
+        for c in row:
+            col_rows[c].discard(rid)
+        pivot_col = min(row, key=lambda c: (len(col_rows[c]), c))
+        pv = row[pivot_col]
+        rank += 1
+        for vid in sorted(col_rows.get(pivot_col, ())):
+            vrow = active[vid]
+            vv = vrow.pop(pivot_col)
+            col_rows[pivot_col].discard(vid)
+            old_keys = set(vrow)
+            new = {c: pv * val for c, val in vrow.items()}
+            for c, val in row.items():
+                if c == pivot_col:
+                    continue
+                nv = new.get(c, 0) - vv * val
+                if nv:
+                    new[c] = nv
+                else:
+                    new.pop(c, None)
+            for c in old_keys - new.keys():
+                col_rows[c].discard(vid)
+            for c in new.keys() - old_keys:
+                col_rows.setdefault(c, set()).add(vid)
+            if new:
+                g = 0
+                for v in new.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+                active[vid] = new
+                heapq.heappush(heap, (len(new), vid))
+            else:
+                del active[vid]
+    return rank
+
+
+def random_sparse_rows(rng):
+    """Up to 12 x 12 with entries up to +-50; some rows are integer combinations
+    of earlier ones, so rank deficiency, cancellation and non-unit pivots occur."""
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
     rows = []
     for _ in range(nrows):
-        nnz = rng.randint(0, min(4, ncols))
-        cols = rng.sample(range(ncols), nnz)
-        rows.append({c: rng.randint(-5, 5) for c in cols})
-    rows = [{c: v for c, v in r.items() if v} for r in rows]
+        row = {}
+        if len(rows) >= 2 and rng.random() < 0.4:
+            for r in rng.sample(rows, rng.randint(2, min(3, len(rows)))):
+                k = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+                for c, v in r.items():
+                    row[c] = row.get(c, 0) + k * v
+        else:
+            for c in rng.sample(range(ncols), rng.randint(0, min(6, ncols))):
+                row[c] = rng.randint(-50, 50)
+        rows.append({c: v for c, v in row.items() if v})
+    return rows, ncols
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sparse_rank_matches_dense(seed):
+    rows, ncols = random_sparse_rows(random.Random(seed))
     assert sparse_integer_rank(rows) == dense_rank(rows, ncols)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sparse_rank_leaves_input_unchanged(seed):
+    rows, _ = random_sparse_rows(random.Random(seed))
+    rows.append({0: 0, 1: 6, 2: -4})  # an explicit zero and a common factor
+    before = copy.deepcopy(rows)
+    sparse_integer_rank(rows)
+    assert rows == before
+
+
+def _macaulay_matrices(point, ts, monkeypatch):
+    """The rank oracle's matrices for the fiber of J at a chart point."""
+    captured = []
+    monkeypatch.setattr(hilbert, "sparse_integer_rank",
+                        lambda rows: captured.append(copy.deepcopy(rows)) or 0)
+    fiber = evaluate_family_at(family_ideal_J(point.n), point)
+    for t in ts:
+        hilbert.diagonal_hilbert_function(fiber, t, hilbert.METHOD_RANK)
+    return captured
+
+
+@pytest.mark.parametrize("point, t_max", [
+    (ChartPoint.from_strict_lower([[4], [-6, 8]], [3, 7]), 5),
+    (ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7]), 5),
+    (ChartPoint.from_strict_lower([[3], [-5, 2], [4, -7, 6]], [2, -9, 5]), 3),
+], ids=["n2", "n2-degenerate", "n3"])
+def test_sparse_rank_matches_reference_on_macaulay_matrices(point, t_max, monkeypatch):
+    matrices = _macaulay_matrices(point, range(1, t_max + 1), monkeypatch)
+    assert len(matrices) == t_max
+    for rows in matrices:
+        assert sparse_integer_rank(rows) == reference_sparse_rank(rows)
 
 
 def test_sparse_rank_edge_cases():
@@ -84,6 +193,16 @@ def test_resolve_workers_precedence(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
     with pytest.raises(ValueError):
         resolve_workers()
+    # a count below 1 is refused, not clamped
+    for bad in ("0", "-5"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            resolve_workers()
+    with pytest.raises(ValueError):
+        resolve_workers(0)
+    # an empty value means unset
+    monkeypatch.setenv(WORKERS_ENV_VAR, "")
+    assert resolve_workers() >= 1
 
 
 def test_fraction_json_roundtrip():
