@@ -59,6 +59,8 @@ def main() -> int:
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",
              ["verify-flatness", "--n", "2", "--seed", str(args.seed)], 0),
+            ("flatness n=2, rank oracle",
+             ["verify-flatness", "--n", "2", "--method", "rank", "--seed", str(args.seed)], 0),
             ("negative control",
              ["verify-flatness", "--n", "2", "--t-max", "7",
               "--corrupt", "drop-generator:1"], 1),

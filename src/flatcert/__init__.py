@@ -20,7 +20,6 @@ from .polyring import (
     parse_polynomial,
     polynomial_text,
     proportionality_ratio,
-    substitute,
 )
 from .groebner import (
     DEFAULT_ORDER,
@@ -31,7 +30,6 @@ from .groebner import (
     MonomialOrderSpec,
     buchberger,
     ideal_dimension,
-    initial_ideal,
     is_groebner_basis,
     leading_monomial,
     leading_term,
@@ -43,13 +41,11 @@ from .hilbert import (
     METHOD_RANK,
     HilbertFunctionTable,
     HilbertPolynomialQ,
-    InterpolationError,
     NoStabilizationError,
     NonBihomogeneousError,
     bigraded_hilbert_function,
     binomial_basis_coordinates,
     chi_graph,
-    diagonal_hilbert_function,
     interpolate_hilbert_polynomial,
     koszul_hilbert_polynomial,
     methods_agree,
@@ -80,7 +76,6 @@ from .quadfam import (
     flatness_certificate,
     gauss_graph_ideal,
     incidence_form,
-    laksov_diagonal_matrices,
     minimal_primes_of_monomial_ideal,
     nonzerodivisor_check,
     primary_intersection_check,
@@ -89,19 +84,15 @@ from .quadfam import (
     random_conic_with_rational_point,
     random_torus_element,
     special_fiber_ideal,
-    standard_chart_points,
     torus_action_check,
     xy_universe,
 )
 from .flagcut import (
     PlaneCurvePair,
     XiTrialsReport,
-    codimension_check,
     gamma_curve_ideal,
-    incidence_ideal,
     random_plane_curve,
     run_xi_trials,
-    swap_pair,
 )
 
 __version__ = "0.1.0"

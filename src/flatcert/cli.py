@@ -42,6 +42,7 @@ from .quadfam import (
     closed_orbit_limit_check,
     conic_matrix_identity_symbolic,
     conic_global_equations_check,
+    corruption_index,
     diagonal_ideal,
     flatness_certificate,
     incidence_form,
@@ -95,6 +96,16 @@ def _method(text: str) -> str:
         return normalize_method(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _corruption(text: str) -> str:
+    """argparse type: a 'drop-generator:K' spec, kept as typed for its report;
+    apply_corruption checks K against the generator count."""
+    try:
+        corruption_index(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _method_or_both(text: str) -> str:
@@ -340,7 +351,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=positive, default=2)
     p.add_argument("--t-max", type=t_max, default=8)
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)
-    p.add_argument("--corrupt", default=None, help="e.g. drop-generator:1")
+    p.add_argument("--corrupt", type=_corruption, default=None, help="e.g. drop-generator:1")
     p.add_argument("--points", default=None, help="JSON file of extra chart points")
 
     p = sub.add_parser("verify-groebner", parents=[common],

@@ -60,25 +60,10 @@ class PlaneCurvePair:
         return (self.f0.bidegree()[0], self.f1.bidegree()[1])
 
 
-def incidence_ideal(n: int = 2) -> Ideal:
-    """The flag variety F_n cut by the single form x.y."""
-    uni = xy_universe(n)
-    return Ideal(uni, [incidence_form(uni)])
-
-
 def gamma_curve_ideal(pair: PlaneCurvePair) -> Ideal:
     """<f0, f1, x.y>: the curve (f0 x f1) meet F2."""
     uni = pair.f0.universe
     return Ideal(uni, [pair.f0, pair.f1, incidence_form(uni)])
-
-
-def codimension_check(pair: PlaneCurvePair) -> bool:
-    """Gamma_f should be a curve: projective dimension 1 = dim F2 - 2."""
-    return gamma_curve_dimension(pair) == 1
-
-
-def gamma_curve_dimension(pair: PlaneCurvePair) -> int:
-    return ideal_dimension(gamma_curve_ideal(pair), projective=True)
 
 
 def random_plane_curve(degree: int, rng: Random, block: str = "x",
@@ -98,22 +83,6 @@ def random_plane_curve(degree: int, rng: Random, block: str = "x",
                 terms[mono.exponents] = Fraction(coeff)
         if terms:
             return BiPolynomial(universe, terms)
-
-
-def swap_blocks(poly: BiPolynomial) -> BiPolynomial:
-    """Exchange the x- and y-blocks (x_i <-> y_i), fixing parameters."""
-    uni = poly.universe
-    m = uni.n + 1
-    terms = {}
-    for e, coeff in poly.terms.items():
-        swapped = e[m:2 * m] + e[:m] + e[2 * m:]
-        terms[swapped] = coeff
-    return BiPolynomial(uni, terms)
-
-
-def swap_pair(pair: PlaneCurvePair) -> PlaneCurvePair:
-    """The zero-locus swap: (f0, f1) -> (f1 in x, f0 in y)."""
-    return PlaneCurvePair(swap_blocks(pair.f1), swap_blocks(pair.f0))
 
 
 @dataclass

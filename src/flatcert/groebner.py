@@ -10,8 +10,8 @@ the coprimality criterion and the chain criterion.  Verification
 reduction chain lengths, so certificates are reproducible run to run.
 
 Parameter variables compare below all x/y variables in every order, so
-leading terms are taken with respect to x/y content when chart or torus
-parameters are still symbolic.
+leading terms are taken with respect to x/y content when chart parameters
+are still symbolic.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class MonomialOrderSpec:
     kind: str = "lex"
     variable_permutation: tuple[str, ...] | None = None
 
-    KINDS: ClassVar[tuple[str, ...]] = ("lex", "grevlex", "block_lex_x_then_y")
+    KINDS: ClassVar[tuple[str, ...]] = ("lex", "grevlex")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
@@ -87,7 +87,7 @@ class MonomialOrderSpec:
         if self.kind == "lex":
             def key(e: Exponents) -> tuple:
                 return tuple(e[i] for i in perm) + e[nxy:]
-        elif self.kind == "grevlex":
+        else:  # grevlex
             rev = tuple(reversed(perm))
 
             def key(e: Exponents) -> tuple:
@@ -95,15 +95,6 @@ class MonomialOrderSpec:
                 for i in perm:
                     deg += e[i]
                 return (deg,) + tuple(-e[i] for i in rev) + e[nxy:]
-        else:  # block_lex_x_then_y: x-block strictly dominates, graded lex inside each block
-            k = universe.n + 1
-            xs = tuple(i for i in perm if i < k)
-            ys = tuple(i for i in perm if i >= k)
-
-            def key(e: Exponents) -> tuple:
-                dx = sum(e[i] for i in xs)
-                dy = sum(e[i] for i in ys)
-                return (dx,) + tuple(e[i] for i in xs) + (dy,) + tuple(e[i] for i in ys) + e[nxy:]
         return key
 
     def to_json_dict(self) -> dict:
@@ -440,10 +431,6 @@ class Ideal:
         return f"Ideal({gens}{more})"
 
 
-def initial_ideal(ideal: Ideal, order: MonomialOrderSpec | None = None) -> tuple[BiMonomial, ...]:
-    return ideal.initial_ideal(order)
-
-
 # --- dimension of monomial quotients ---
 
 def _max_independent_subset(supports: list[frozenset[int]], num_vars: int) -> int:
@@ -456,14 +443,13 @@ def _max_independent_subset(supports: list[frozenset[int]], num_vars: int) -> in
     return 0
 
 
-def ideal_dimension(ideal: Ideal, order: MonomialOrderSpec | None = None,
-                    projective: bool = False) -> int:
-    """Krull dimension of the quotient by the initial ideal.
+def ideal_dimension(ideal: Ideal, projective: bool = False) -> int:
+    """Krull dimension of the quotient by the initial ideal (default order).
 
     Affine cone dimension by default; projective=True subtracts 2, one for
     each of the two projective scalings.
     """
-    init = ideal.initial_ideal(order)
+    init = ideal.initial_ideal()
     supports = []
     for m in init:
         s = frozenset(i for i, e in enumerate(m.exponents) if e)

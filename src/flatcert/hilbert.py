@@ -46,11 +46,7 @@ class NonBihomogeneousError(ValueError):
         super().__init__(f"generator is not bihomogeneous: {generator}")
 
 
-class InterpolationError(RuntimeError):
-    pass
-
-
-class NoStabilizationError(InterpolationError):
+class NoStabilizationError(RuntimeError):
     """The table never settles onto one polynomial; carries the residuals."""
 
     def __init__(self, message: str, residuals: dict[int, tuple[int, Fraction]] | None = None):
@@ -334,11 +330,6 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
     return _numerator_value(numerator, k, i, j)
 
 
-def diagonal_hilbert_function(ideal: Ideal, t: int, method: str = METHOD_INITIAL) -> int:
-    """dim_Q (S/I)_(t,t)."""
-    return bigraded_hilbert_function(ideal, t, t, method)
-
-
 @dataclass
 class HilbertFunctionTable:
     """Sampled diagonal values t -> dim, tagged with the route that made them."""
@@ -354,19 +345,19 @@ class HilbertFunctionTable:
 def tabulate_diagonal(ideal: Ideal, ts: Iterable[int], method: str = METHOD_INITIAL,
                       workers: int = 1) -> HilbertFunctionTable:
     ts = sorted(set(int(t) for t in ts))
-    method = _METHOD_ALIASES.get(method, method)
+    method = normalize_method(method)
     if method == METHOD_INITIAL:
         # warm the basis cache once so threads only read
         _validated_generators(ideal)
         ideal.initial_ideal(DEFAULT_ORDER)
-    vals = parallel_map(lambda t: diagonal_hilbert_function(ideal, t, method), ts, workers)
+    vals = parallel_map(lambda t: bigraded_hilbert_function(ideal, t, t, method), ts, workers)
     return HilbertFunctionTable(dict(zip(ts, vals)), method)
 
 
 def methods_agree(ideal: Ideal, ts: Iterable[int]) -> bool:
     """Cross-check the two routes on the same sample points."""
-    return all(diagonal_hilbert_function(ideal, t, METHOD_INITIAL)
-               == diagonal_hilbert_function(ideal, t, METHOD_RANK) for t in ts)
+    return all(bigraded_hilbert_function(ideal, t, t, METHOD_INITIAL)
+               == bigraded_hilbert_function(ideal, t, t, METHOD_RANK) for t in ts)
 
 
 # --- interpolation ---

@@ -2,10 +2,10 @@
 
 Every ring here has n+1 point coordinates ``x1..x{n+1}``, n+1 dual
 coordinates ``y1..y{n+1}``, and optionally a block of parameter variables
-(chart coordinates ``d1..dn``, unipotent entries ``u{i}_{j}``, torus
-coordinates ``c1..cn``).  The bidegree of a monomial counts x-exponents and
-y-exponents only; parameters sit in bidegree (0, 0) and travel through all
-graded bookkeeping as scalars.
+(chart coordinates ``d1..dn`` and unipotent entries ``u{i}_{j}``).  The
+bidegree of a monomial counts x-exponents and y-exponents only; parameters
+sit in bidegree (0, 0) and travel through all graded bookkeeping as
+scalars.
 
 Representation: a polynomial is a finite map from exponent tuples (one slot
 per variable, x-block then y-block then parameter block) to nonzero
@@ -137,12 +137,6 @@ class VariableUniverse:
         exps[i] = 1
         return BiPolynomial(self, _canonical={tuple(exps): Fraction(1)})
 
-    def monomial(self, exps: Sequence[int]) -> "BiMonomial":
-        return BiMonomial(self, tuple(int(e) for e in exps))
-
-    def polynomial(self, terms: Mapping[Sequence[int], Rational]) -> "BiPolynomial":
-        return BiPolynomial(self, terms)
-
     def parse(self, text: str) -> "BiPolynomial":
         return parse_polynomial(self, text)
 
@@ -171,9 +165,6 @@ class BiMonomial:
     @property
     def bidegree(self) -> tuple[int, int]:
         return self.universe.bidegree_of(self.exponents)
-
-    def divides(self, other: "BiMonomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
     def as_polynomial(self) -> "BiPolynomial":
         return BiPolynomial(self.universe, _canonical={self.exponents: Fraction(1)})
@@ -232,10 +223,6 @@ class BiPolynomial:
                 if v:
                     used.add(i)
         return used
-
-    def is_bihomogeneous(self) -> bool:
-        """True if every term has the same x/y bidegree (parameters ignored)."""
-        return len({self.universe.bidegree_of(e) for e in self.terms}) <= 1
 
     def bidegree(self) -> tuple[int, int] | None:
         """The common bidegree, (0, 0) for zero, None if inhomogeneous."""
@@ -355,7 +342,7 @@ class BiPolynomial:
         Parameter variables assigned a constant disappear from the result's
         universe (when drop_params is set); x/y variables always keep their
         slots.  Substituting into an x/y variable may break bihomogeneity;
-        the caller can consult is_bihomogeneous() on the result.
+        the caller can consult bidegree() on the result.
         """
         uni = self.universe
         values: dict[int, BiPolynomial] = {}
@@ -411,11 +398,6 @@ class BiPolynomial:
                 raise ValueError("cannot drop a parameter that still occurs")
             out[tuple(e[i] for i in keep)] = c
         return BiPolynomial(target, _canonical=out)
-
-
-def substitute(f: BiPolynomial, assignment: Mapping[str, Union[BiPolynomial, Rational]],
-               drop_params: bool = True) -> BiPolynomial:
-    return f.substitute(assignment, drop_params=drop_params)
 
 
 def proportionality_ratio(f: BiPolynomial, g: BiPolynomial) -> Fraction | None:

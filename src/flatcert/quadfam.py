@@ -12,8 +12,15 @@ chi_graph(n).
 
 Index conventions: variable names are 1-based (x1..x{n+1}), Python
 containers 0-based.  A chart point is a pair (u, d) with u unipotent lower
-triangular and d the n diagonal ratios; d = 0 is allowed (degenerate
-quadrics are the point of the construction).
+triangular and d the n diagonal ratios; it presents the quadric
+u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T, and d = 0 is allowed
+(degenerate quadrics are the point of the construction).
+
+The torus (Q*)^n acts by one weight table, `torus_weights`: each x, y, u
+and d variable is multiplied by a monomial in c1..cn.  The symbolic check
+proves each generator of J semi-invariant by giving all its monomials one
+weight; the numeric check, the conjugation law and the closed-orbit limit
+read the same table.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from random import Random
 from typing import Iterable, Sequence
 
@@ -79,16 +86,9 @@ def _u_names(n: int) -> list[str]:
     return [f"u{i}_{j}" for i in range(2, n + 2) for j in range(1, i)]
 
 
-def _c_names(n: int) -> list[str]:
-    return [f"c{k}" for k in range(1, n + 1)]
-
-
-def family_universe(n: int, with_torus: bool = False) -> VariableUniverse:
-    """x/y plus the chart parameters d1..dn, u{i}_{j}; torus adds c1..cn."""
-    params = _d_names(n) + _u_names(n)
-    if with_torus:
-        params += _c_names(n)
-    return VariableUniverse.standard(n, params)
+def family_universe(n: int) -> VariableUniverse:
+    """x/y plus the chart parameters d1..dn, u{i}_{j}."""
+    return VariableUniverse.standard(n, _d_names(n) + _u_names(n))
 
 
 def incidence_form(universe: VariableUniverse) -> BiPolynomial:
@@ -292,47 +292,6 @@ def gauss_graph_ideal(a: SymmetricMatrixQ) -> Ideal:
     return Ideal(uni, gens)
 
 
-def laksov_diagonal_matrices(n: int, d: Sequence | None = None,
-                             universe: VariableUniverse | None = None):
-    """The diagonal matrices d^(1)..d^(n) of the chart.
-
-    d^(1) = diag(1, d1, d1*d2, ..., d1*...*dn).  d^(i) is the i-th compound
-    of d^(1) (entries indexed by i-subsets of rows, lexicographically) with
-    the common monomial d1^{i-1} d2^{i-2} ... d{i-1} cancelled.  The
-    cancellation is exponent arithmetic, so numeric d may contain zeros.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    numeric = d is not None
-    if numeric and len(d) != n:
-        raise ValueError(f"need {n} diagonal ratios, got {len(d)}")
-    if not numeric and universe is None:
-        universe = family_universe(n)
-
-    # exponent vectors over d1..dn for diag(1, d1, d1 d2, ...)
-    first = [[1 if k < s else 0 for k in range(n)] for s in range(n + 1)]
-    out = []
-    for i in range(1, n + 1):
-        common = [max(0, i - k) for k in range(1, n + 1)]
-        entries = []
-        for subset in combinations(range(n + 1), i):
-            exps = [sum(first[s][k] for s in subset) - common[k] for k in range(n)]
-            if any(e < 0 for e in exps):
-                raise AssertionError("compound cancellation produced a negative exponent")
-            if numeric:
-                val = Fraction(1)
-                for k, e in enumerate(exps):
-                    val *= Fraction(d[k]) ** e
-                entries.append(val)
-            else:
-                full = [0] * universe.num_vars
-                for k, e in enumerate(exps):
-                    full[universe.index[f"d{k + 1}"]] = e
-                entries.append(BiPolynomial(universe, {tuple(full): 1}))
-        out.append(tuple(entries))
-    return out
-
-
 # --- the family ideal J ---
 
 def _unipotent_matrix(uni: VariableUniverse, n: int) -> list[list[BiPolynomial]]:
@@ -377,28 +336,19 @@ def primed_coordinates(uni: VariableUniverse, n: int) -> tuple[list[BiPolynomial
     return xp, yp
 
 
-def _param_product(uni: VariableUniverse, letter: str, lo: int, hi: int) -> BiPolynomial:
-    """The monomial <letter>lo * ... * <letter>hi, e.g. d2*d3; 1 when empty."""
-    exps = [0] * uni.num_vars
-    for k in range(lo, hi + 1):
-        exps[uni.index[f"{letter}{k}"]] = 1
-    return BiPolynomial(uni, {tuple(exps): 1})
-
-
-def _family_generators(uni: VariableUniverse, n: int) -> list[BiPolynomial]:
+def family_ideal_J(n: int) -> Ideal:
+    """The cancelled-minor family over the chart: the incidence form plus,
+    for each 1 <= i < j <= n+1, the generator x'_i y'_j - d_i...d_{j-1} y'_i x'_j."""
+    uni = family_universe(n)
     xp, yp = primed_coordinates(uni, n)
     gens = [incidence_form(uni)]
     for i, j in combinations(range(n + 1), 2):
-        scale = _param_product(uni, "d", i + 1, j)  # d_{i+1} ... d_j in 1-based names
+        exps = [0] * uni.num_vars
+        for k in range(i + 1, j + 1):  # d_{i+1} ... d_j in 1-based names
+            exps[uni.index[f"d{k}"]] = 1
+        scale = BiPolynomial(uni, {tuple(exps): 1})
         gens.append(xp[i] * yp[j] - scale * (yp[i] * xp[j]))
-    return gens
-
-
-def family_ideal_J(n: int, with_torus: bool = False) -> Ideal:
-    """The cancelled-minor family over the chart: the incidence form plus,
-    for each 1 <= i < j <= n+1, the generator x'_i y'_j - d_i...d_{j-1} y'_i x'_j."""
-    uni = family_universe(n, with_torus)
-    return Ideal(uni, _family_generators(uni, n))
+    return Ideal(uni, gens)
 
 
 def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
@@ -418,10 +368,12 @@ def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
 
 
 def fiber_matrix(point: ChartPoint) -> SymmetricMatrixQ:
-    """The symmetric matrix u * d^(1) * u^T presented by a chart point."""
-    n = point.n
-    diag = laksov_diagonal_matrices(n, d=point.d)[0]
-    m = n + 1
+    """The symmetric matrix u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T
+    presented by a chart point."""
+    diag = [Fraction(1)]
+    for v in point.d:
+        diag.append(diag[-1] * v)
+    m = point.n + 1
     middle = [[diag[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)]
     u = [list(row) for row in point.u]
     prod = mat_mul(mat_mul(u, middle), mat_transpose(u))
@@ -438,17 +390,6 @@ def random_chart_point(n: int, rng: Random, degenerate: bool = False) -> ChartPo
     if degenerate:
         d[rng.randrange(n)] = 0
     return ChartPoint.from_strict_lower(rows, d)
-
-
-def standard_chart_points(n: int, rng: Random) -> list[ChartPoint]:
-    """The four canonical fibers: (I,0), (I,1..1), a random nondegenerate
-    point, and a random point with one d_i = 0."""
-    return [
-        ChartPoint.special(n),
-        ChartPoint.all_ones(n),
-        random_chart_point(n, rng, degenerate=False),
-        random_chart_point(n, rng, degenerate=True),
-    ]
 
 
 def random_torus_element(n: int, rng: Random) -> TorusElement:
@@ -477,7 +418,33 @@ class TorusReport:
         }
 
 
-def _laurent_c_text(exps: Sequence[int], n: int) -> str:
+def _c_interval(n: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Exponents of c_lo * ... * c_hi over c1..cn (all zero when lo > hi)."""
+    return tuple(int(lo <= k <= hi) for k in range(1, n + 1))
+
+
+def torus_weights(n: int) -> dict[str, tuple[int, ...]]:
+    """The torus action as one table: c in (Q*)^n multiplies each x, y, u
+    and d variable by the c-monomial with the listed exponents.
+
+    With gamma_j = c_1...c_{j-1}: x_j -> x_j / gamma_j, y_j -> gamma_j y_j,
+    u_ij -> c_j...c_{i-1} u_ij and d_k -> c_k^2 d_k.  Every torus check
+    reads this table, so a wrong weight fails each of them.
+    """
+    table = {}
+    for j in range(1, n + 2):
+        gamma = _c_interval(n, 1, j - 1)
+        table[f"x{j}"] = tuple(-e for e in gamma)
+        table[f"y{j}"] = gamma
+    for i in range(2, n + 2):
+        for j in range(1, i):
+            table[f"u{i}_{j}"] = _c_interval(n, j, i - 1)
+    for k in range(1, n + 1):
+        table[f"d{k}"] = tuple(2 * e for e in _c_interval(n, k, k))
+    return table
+
+
+def _laurent_c_text(exps: Sequence[int]) -> str:
     parts = []
     for k, e in enumerate(exps, start=1):
         if e == 0:
@@ -486,41 +453,15 @@ def _laurent_c_text(exps: Sequence[int], n: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _c_factor_match(transformed: BiPolynomial, base: BiPolynomial,
-                    c_positions: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
-    """Is `transformed` a single c-monomial times `base`?  Returns the factor."""
-    if len(transformed.terms) != len(base.terms):
-        return False, None
-    mu: tuple[int, ...] | None = None
-    cset = set(c_positions)
-    for e, coeff in transformed.terms.items():
-        stripped = list(e)
-        cpart = []
-        for pos in c_positions:
-            cpart.append(e[pos])
-            stripped[pos] = 0
-        b = tuple(stripped)
-        if base.terms.get(b) != coeff:
-            return False, None
-        cp = tuple(cpart)
-        if mu is None:
-            mu = cp
-        elif mu != cp:
-            return False, None
-    if mu is None:  # zero polynomial: only if base is zero too, which Ideal forbids
-        mu = tuple(0 for _ in c_positions)
-    return True, mu
-
-
 def torus_action_check(n: int, point: ChartPoint | None = None,
                        c: TorusElement | None = None) -> TorusReport:
     """Each generator of J, pushed through the torus action, must come back
-    as a nonzero scalar times itself.
+    as a nonzero scalar times itself, and the action on the chart must be
+    conjugation of the fiber matrix by G = diag(gamma_1, ..., gamma_{n+1}).
 
-    Symbolic mode (point and c omitted): works over Q(d, u, c), clearing
-    the c-denominators by a global x-rescaling, and proves the scalar is a
-    monomial in c.  Numeric mode evaluates at a chart point and reports the
-    rational scalar per generator.
+    Symbolic mode (point and c omitted) proves the scalar is a monomial in
+    c: every monomial of a generator has the same weight.  Numeric mode
+    moves a chart point and reports the rational scalar per generator.
     """
     if (point is None) != (c is None):
         raise ValueError("give both a point and a torus element, or neither")
@@ -530,82 +471,62 @@ def torus_action_check(n: int, point: ChartPoint | None = None,
 
 
 def _torus_check_symbolic(n: int) -> TorusReport:
-    uni = family_universe(n, with_torus=True)
-    gens = _family_generators(uni, n)
-    c_positions = [uni.index[name] for name in _c_names(n)]
-
-    subs: dict[str, BiPolynomial] = {}
-    for j in range(1, n + 2):
-        # x_j picks up c_j...c_n: the action divides by gamma_j = c_1...c_{j-1}
-        # and we clear denominators by one global factor c_1...c_n.
-        subs[uni.x_names[j - 1]] = (_param_product(uni, "c", j, n)
-                                    * uni.variable(uni.x_names[j - 1]))
-        subs[uni.y_names[j - 1]] = (_param_product(uni, "c", 1, j - 1)
-                                    * uni.variable(uni.y_names[j - 1]))
-    for i in range(2, n + 2):
-        for j in range(1, i):
-            subs[f"u{i}_{j}"] = _param_product(uni, "c", j, i - 1) * uni.variable(f"u{i}_{j}")
-    for k in range(1, n + 1):
-        subs[f"d{k}"] = _param_product(uni, "c", k, k) ** 2 * uni.variable(f"d{k}")
-
+    J = family_ideal_J(n)
+    table = torus_weights(n)
+    columns = [table[name] for name in J.universe.names]
     scalars: list[str] = []
-    passed = True
-    for g in gens:
-        transformed = g.substitute(subs, drop_params=False)
-        ok, mu = _c_factor_match(transformed, g, c_positions)
-        if not ok:
-            passed = False
-            scalars.append("not proportional")
-            continue
-        laurent = tuple(e - 1 for e in mu)  # divide the clearing factor c_1...c_n back out
-        scalars.append(_laurent_c_text(laurent, n))
+    for g in J.generators:
+        weights = {tuple(sum(e * w[k] for e, w in zip(exps, columns)) for k in range(n))
+                   for exps in g.terms}
+        scalars.append(_laurent_c_text(weights.pop()) if len(weights) == 1
+                       else "not proportional")
 
-    # conjugation law: gamma_i * u_ij == (c_j...c_{i-1} * u_ij) * gamma_j
-    law_ok = True
-    for i in range(2, n + 2):
-        for j in range(1, i):
-            lhs = _param_product(uni, "c", 1, i - 1) * uni.variable(f"u{i}_{j}")
-            rhs = (_param_product(uni, "c", j, i - 1) * uni.variable(f"u{i}_{j}")
-                   * _param_product(uni, "c", 1, j - 1))
-            if lhs != rhs:
-                law_ok = False
-    return TorusReport("symbolic", n, passed and law_ok, scalars, law_ok)
+    # conjugation law: u -> G u G^-1 and diag(1, d1, d1*d2, ...) -> G diag(...) G
+    gamma = [_c_interval(n, 1, j - 1) for j in range(1, n + 2)]
+    law_ok = all(table[f"u{i}_{j}"] == tuple(a - b for a, b in zip(gamma[i - 1], gamma[j - 1]))
+                 for i in range(2, n + 2) for j in range(1, i))
+    diag = (0,) * n
+    for k in range(1, n + 1):
+        diag = tuple(a + b for a, b in zip(diag, table[f"d{k}"]))
+        law_ok = law_ok and diag == tuple(2 * e for e in gamma[k])
+    passed = law_ok and "not proportional" not in scalars
+    return TorusReport("symbolic", n, passed, scalars, law_ok)
 
 
 def _torus_check_numeric(n: int, point: ChartPoint, c: TorusElement) -> TorusReport:
     if point.n != n or c.n != n:
         raise ValueError("point and torus element must match n")
+    table = torus_weights(n)
+
+    def scale(name: str) -> Fraction:
+        return prod((v ** e for v, e in zip(c.c, table[name])), start=Fraction(1))
+
+    moved_u = [[point.u[i][j] * scale(f"u{i + 1}_{j + 1}") if i > j else point.u[i][j]
+                for j in range(n + 1)] for i in range(n + 1)]
+    moved_d = [point.d[k] * scale(f"d{k + 1}") for k in range(n)]
+    moved = ChartPoint(tuple(tuple(row) for row in moved_u), tuple(moved_d))
+
     J = family_ideal_J(n)
     base = [g.substitute(_point_assignment(point)) for g in J.generators]
-
-    gammas = [c.gamma(j) for j in range(1, n + 2)]
-    moved_u = [[point.u[i][j] * gammas[i] / gammas[j] if i > j else point.u[i][j]
-                for j in range(n + 1)] for i in range(n + 1)]
-    moved_d = [c.c[k] ** 2 * point.d[k] for k in range(n)]
-    moved = ChartPoint(tuple(tuple(row) for row in moved_u), tuple(moved_d))
     at_moved = [g.substitute(_point_assignment(moved)) for g in J.generators]
-
     uni0 = base[0].universe
-    coord_subs: dict[str, BiPolynomial] = {}
-    for j in range(1, n + 2):
-        coord_subs[uni0.x_names[j - 1]] = uni0.variable(uni0.x_names[j - 1]) * (1 / gammas[j - 1])
-        coord_subs[uni0.y_names[j - 1]] = uni0.variable(uni0.y_names[j - 1]) * gammas[j - 1]
+    coord_subs = {name: uni0.variable(name) * scale(name) for name in uni0.names}
 
     scalars: list[str] = []
     passed = True
     for g_moved, g_base in zip(at_moved, base):
-        h = g_moved.substitute(coord_subs)
-        ratio = proportionality_ratio(h, g_base)
+        ratio = proportionality_ratio(g_moved.substitute(coord_subs), g_base)
         if ratio is None or ratio == 0:
             passed = False
             scalars.append("not proportional")
         else:
             scalars.append(str(ratio))
 
-    # conjugation law, numerically: moved u must be gamma_i/gamma_j scalings
-    law_ok = all(
-        moved_u[i][j] == point.u[i][j] * gammas[i] / gammas[j]
-        for i in range(n + 1) for j in range(i))
+    # conjugation law, numerically: the moved fiber matrix is G * matrix * G
+    gammas = [c.gamma(j) for j in range(1, n + 2)]
+    a, b = fiber_matrix(point).entries, fiber_matrix(moved).entries
+    law_ok = all(b[i][j] == gammas[i] * a[i][j] * gammas[j]
+                 for i in range(n + 1) for j in range(n + 1))
     return TorusReport("numeric", n, passed and law_ok, scalars, law_ok,
                        c=c.to_json_dict(), point=point.to_json_dict())
 
@@ -621,26 +542,15 @@ def _point_assignment(point: ChartPoint) -> dict[str, Fraction]:
 
 
 def closed_orbit_limit_check(n: int, point: ChartPoint) -> bool:
-    """Scaling any chart point by the torus and sending every c_k -> 0 must
-    land on (I, 0): each moved coordinate is a polynomial in c with zero
-    constant term (the unipotent diagonal stays 1 and is not moved)."""
+    """Scaling a chart point by the torus and sending every c_k -> 0 must
+    land on (I, 0): each nonzero chart coordinate must be moved by a
+    nonconstant c-monomial with no negative exponent (the unipotent
+    diagonal stays 1 and is not moved)."""
     if point.n != n:
         raise ValueError("point does not match n")
-    uni = VariableUniverse.standard(n, params=_c_names(n))
-    c_positions = [uni.index[name] for name in _c_names(n)]
-
-    def zero_constant_term(p: BiPolynomial) -> bool:
-        return all(any(e[pos] for pos in c_positions) for e in p.terms)
-
-    ok = True
-    for i in range(2, n + 2):
-        for j in range(1, i):
-            moved = uni.constant(point.u[i - 1][j - 1]) * _param_product(uni, "c", j, i - 1)
-            ok = ok and zero_constant_term(moved)
-    for k in range(1, n + 1):
-        moved = uni.constant(point.d[k - 1]) * _param_product(uni, "c", k, k) ** 2
-        ok = ok and zero_constant_term(moved)
-    return ok
+    table = torus_weights(n)
+    return all(min(table[name]) >= 0 and max(table[name]) > 0
+               for name, v in _point_assignment(point).items() if v)
 
 
 # --- primary structure of the special monomial ideal ---
@@ -968,13 +878,18 @@ class FlatnessReport:
         }
 
 
+def corruption_index(corrupt: str) -> int:
+    """The generator index K of a 'drop-generator:K' corruption."""
+    kind, _, arg = corrupt.partition(":")
+    if kind != "drop-generator" or not arg.isdecimal():
+        raise ValueError(f"unknown corruption {corrupt!r}; expected drop-generator:K")
+    return int(arg)
+
+
 def apply_corruption(J: Ideal, corrupt: str) -> Ideal:
     """Negative-control hook: 'drop-generator:K' removes generator K (0-based)."""
-    kind, _, arg = corrupt.partition(":")
-    if kind != "drop-generator" or not arg:
-        raise ValueError(f"unknown corruption {corrupt!r}; expected drop-generator:K")
-    k = int(arg)
-    if not 0 <= k < len(J.generators):
+    k = corruption_index(corrupt)
+    if k >= len(J.generators):
         raise ValueError(f"generator index {k} out of range 0..{len(J.generators) - 1}")
     gens = [g for i, g in enumerate(J.generators) if i != k]
     return Ideal(J.universe, gens)

@@ -46,7 +46,7 @@ from flatcert.cli import main as cli_main
 from flatcert.hilbert import (
     METHOD_INITIAL,
     METHOD_RANK,
-    diagonal_hilbert_function,
+    bigraded_hilbert_function,
     interpolate_hilbert_polynomial,
     tabulate_diagonal,
 )
@@ -89,8 +89,8 @@ def test_ac02_diagonal_hilbert_identity():
         ideal = diagonal_ideal(n)
         for t in range(7):
             want = comb(2 * t + n, n)
-            assert diagonal_hilbert_function(ideal, t, method=METHOD_INITIAL) == want
-            assert diagonal_hilbert_function(ideal, t, method=METHOD_RANK) == want
+            assert bigraded_hilbert_function(ideal, t, t, METHOD_INITIAL) == want
+            assert bigraded_hilbert_function(ideal, t, t, METHOD_RANK) == want
     corpus = [
         special_fiber_ideal(1), special_fiber_ideal(2), special_fiber_ideal(3),
         diagonal_ideal(1), diagonal_ideal(2),
@@ -110,7 +110,7 @@ def test_ac03_special_fiber_polynomial():
         poly = interpolate_hilbert_polynomial(table, dim_bound=n - 1)
         assert poly == chi_graph(n), (n, str(poly))
         for t in range(3, 6):
-            assert diagonal_hilbert_function(ideal, t, method=METHOD_RANK) == poly.evaluate(t)
+            assert bigraded_hilbert_function(ideal, t, t, METHOD_RANK) == poly.evaluate(t)
         rendered.append(str(poly))
     assert report(3, "special fiber polynomial", True, ", ".join(rendered))
 

@@ -214,6 +214,9 @@ GOLDEN = {
     # chart coefficients of heights 3..8, so the rank route meets non-unit pivots
     "hilbert_fiber_n2_chart": (["hilbert", "tests/data/fiber_n2_chart.ideal", "--method", "both",
                                 "--t-max", "6"], 0),
+    "torus_check_n2_seed0": (["torus-check", "--n", "2", "--seed", "0"], 0),
+    "torus_check_n3_seed1": (["torus-check", "--n", "3", "--seed", "1"], 0),
+    "verify_groebner_n3_seed0": (["verify-groebner", "--n", "3", "--seed", "0"], 0),
 }
 
 
@@ -262,6 +265,9 @@ def test_usage_errors_exit_3(ideal_file, capsys):
         (["verify-flatness", "--n", "1", "--t-max", "2"], "--t-max"),
         (["verify-flatness", "--n", "1", "--format", "yaml"], "--format"),
         (["verify-flatness", "--t-max", "0"], "--t-max"),
+        (["verify-flatness", "--n", "1", "--corrupt", "drop-generator:x"], "--corrupt"),
+        (["verify-flatness", "--n", "1", "--corrupt", "drop-generator:-1"], "--corrupt"),
+        (["verify-flatness", "--n", "1", "--corrupt", "swap:1"], "--corrupt"),
         (["hilbert", ideal_file, "--t-max", "0"], "--t-max"),
         (["hilbert", ideal_file, "--method", "bogus"], "--method"),
         (["conic-equations", "--conics", "0"], "--conics"),

@@ -7,22 +7,19 @@ import pytest
 from flatcert import groebner
 from flatcert import (
     METHOD_RANK,
+    Ideal,
     PlaneCurvePair,
-    codimension_check,
     gamma_curve_ideal,
     ideal_dimension,
-    incidence_ideal,
+    incidence_form,
     koszul_hilbert_polynomial,
-    polynomial_text,
     random_plane_curve,
     run_xi_trials,
-    swap_pair,
     xi_formula,
     xy_universe,
 )
-from flatcert.flagcut import gamma_curve_dimension
 from flatcert.hilbert import (
-    diagonal_hilbert_function,
+    bigraded_hilbert_function,
     interpolate_hilbert_polynomial,
     tabulate_diagonal,
 )
@@ -38,9 +35,9 @@ def fit_gamma(pair, t_max=8, method=None):
 
 
 def test_flag_threefold_hilbert_function():
-    ideal = incidence_ideal()
-    assert [diagonal_hilbert_function(ideal, t) for t in range(4)] == [1, 8, 27, 64]
-    assert [diagonal_hilbert_function(ideal, t, method=METHOD_RANK)
+    ideal = Ideal(UNI, [incidence_form(UNI)])
+    assert [bigraded_hilbert_function(ideal, t, t) for t in range(4)] == [1, 8, 27, 64]
+    assert [bigraded_hilbert_function(ideal, t, t, METHOD_RANK)
             for t in range(4)] == [1, 8, 27, 64]
     assert ideal_dimension(ideal, projective=True) == 3
 
@@ -60,7 +57,7 @@ def test_pair_validation():
 
 def test_two_lines_give_a_conic_section():
     pair = PlaneCurvePair(UNI.parse("x1"), UNI.parse("y1"))
-    assert codimension_check(pair)
+    assert ideal_dimension(gamma_curve_ideal(pair), projective=True) == 1
     assert str(fit_gamma(pair)) == "2t+1"
     # the rank route agrees without touching any basis computation
     assert str(fit_gamma(pair, t_max=6, method=METHOD_RANK)) == "2t+1"
@@ -69,7 +66,7 @@ def test_two_lines_give_a_conic_section():
 
 def test_line_and_conic():
     pair = PlaneCurvePair(UNI.parse("x1"), UNI.parse("y2^2 - y1*y3"))
-    assert gamma_curve_dimension(pair) == 1
+    assert ideal_dimension(gamma_curve_ideal(pair), projective=True) == 1
     assert str(fit_gamma(pair)) == "4t+1"
     assert koszul_hilbert_polynomial(1, 2) == fit_gamma(pair)
 
@@ -115,17 +112,15 @@ def test_random_curves_are_reproducible():
 def test_swap_symmetry():
     rng = random.Random(12)
     pair = PlaneCurvePair(random_plane_curve(1, rng), random_plane_curve(2, rng, block="y"))
-    swapped = swap_pair(pair)
+    # the same curve with the two plane factors exchanged: f1 read in x, f0 in y
+    swapped = PlaneCurvePair(
+        UNI.parse("2*x1^2 - 5*x1*x2 + 3*x1*x3 - 9*x2^2 + 2*x2*x3 + 6*x3^2"),
+        UNI.parse("6*y1 - y2 + 7*y3"))
+    assert pair.f0 == UNI.parse("6*x1 - x2 + 7*x3")
+    assert pair.f1 == UNI.parse("2*y1^2 - 5*y1*y2 + 3*y1*y3 - 9*y2^2 + 2*y2*y3 + 6*y3^2")
     assert swapped.degrees == (2, 1)
-    # same curve up to exchanging the two plane factors: same Hilbert polynomial
-    assert fit_gamma(pair) == fit_gamma(swapped)
-
-
-def test_swap_is_an_involution():
-    pair = PlaneCurvePair(UNI.parse("x1^2 - 2*x2*x3"), UNI.parse("y3"))
-    back = swap_pair(swap_pair(pair))
-    assert polynomial_text(back.f0) == polynomial_text(pair.f0)
-    assert polynomial_text(back.f1) == polynomial_text(pair.f1)
+    # same Hilbert polynomial, the (1,2) Koszul count 4t+1
+    assert str(fit_gamma(pair)) == str(fit_gamma(swapped)) == "4t+1"
 
 
 def test_trials_on_lines_confirm_the_closed_formula():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from flatcert import (
+    BiMonomial,
     HilbertPolynomialQ,
     Ideal,
     METHOD_INITIAL,
@@ -26,7 +27,6 @@ from flatcert import (
 )
 from flatcert.hilbert import (
     binomial_basis_coordinates,
-    diagonal_hilbert_function,
     normalize_method,
     tabulate_diagonal,
 )
@@ -63,7 +63,7 @@ def test_chi_matches_gauss_graph_hilbert_function(n):
     ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(n + 1))
     poly = chi_graph(n)
     for t in range(1, 7):
-        assert diagonal_hilbert_function(ideal, t) == poly.evaluate(t)
+        assert bigraded_hilbert_function(ideal, t, t) == poly.evaluate(t)
 
 
 def test_methods_agree_on_corpus():
@@ -123,7 +123,7 @@ def _monomial_ideals(draw):
 def test_numerator_matches_enumeration(case):
     n, exps = case
     uni = xy_universe(n)
-    ideal = Ideal(uni, [uni.monomial(e).as_polynomial() for e in exps])
+    ideal = Ideal(uni, [BiMonomial(uni, e).as_polynomial() for e in exps])
     for i in range(5):
         for j in range(5):
             assert bigraded_hilbert_function(ideal, i, j) == _enumerated_value(uni, exps, i, j)
@@ -221,3 +221,12 @@ def test_normalize_method():
     assert normalize_method(METHOD_RANK) == METHOD_RANK
     with pytest.raises(ValueError):
         normalize_method("bogus")
+
+
+def test_tabulate_diagonal_checks_the_method_up_front():
+    ideal = special_fiber_ideal(1)
+    # an empty range must not hide a bad method, nor tag a table with it
+    for ts in ([], range(3)):
+        with pytest.raises(ValueError, match="unknown method"):
+            tabulate_diagonal(ideal, ts, "bogus")
+    assert tabulate_diagonal(ideal, [], "rank").method == METHOD_RANK

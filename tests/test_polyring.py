@@ -15,9 +15,9 @@ from flatcert import (
     monomials_of_bidegree,
     parse_polynomial,
     polynomial_text,
-    substitute,
     xy_universe,
 )
+from flatcert.groebner import monomial_divides
 
 UNI = xy_universe(2)
 
@@ -90,7 +90,6 @@ def test_parse_rejects_garbage():
 
 def test_bidegree_of_mixed_polynomial_is_none():
     f = UNI.parse("x1 + y1")
-    assert not f.is_bihomogeneous()
     assert f.bidegree() is None
 
 
@@ -115,18 +114,18 @@ def test_monomials_of_bidegree_count():
 
 def test_substitute_scalar_and_polynomial():
     f = UNI.parse("x1*y1 + 2*x2*y2")
-    g = substitute(f, {"x2": Fraction(3)})
+    g = f.substitute({"x2": Fraction(3)})
     assert polynomial_text(g) == "x1*y1 + 6*y2"
-    h = substitute(f, {"y2": UNI.parse("y1 + y3")})
+    h = f.substitute({"y2": UNI.parse("y1 + y3")})
     assert h == UNI.parse("x1*y1 + 2*x2*y1 + 2*x2*y3")
 
 
 def test_substitute_can_keep_params():
     fam = family_universe(1)
     f = fam.parse("d1*x1*y1")
-    kept = substitute(f, {"x1": Fraction(1)}, drop_params=False)
+    kept = f.substitute({"x1": Fraction(1)}, drop_params=False)
     assert polynomial_text(kept) == "y1*d1"
-    dropped = substitute(f, {"x1": Fraction(1), "d1": Fraction(5)})
+    dropped = f.substitute({"x1": Fraction(1), "d1": Fraction(5)})
     assert polynomial_text(dropped) == "5*y1"
 
 
@@ -142,12 +141,10 @@ def test_universe_shape():
     fam = family_universe(2)
     assert "d1" in fam.param_names and "u3_2" in fam.param_names
     assert fam.parse("d1").bidegree() == (0, 0)
-    tor = family_universe(2, with_torus=True)
-    assert "c1" in tor.param_names
 
 
 def test_monomial_divides():
     a, b = monomials_of_bidegree(UNI, 1, 0)[0], monomials_of_bidegree(UNI, 2, 0)[0]
     # x1 divides x1^2
-    assert a.divides(b)
-    assert not b.divides(a)
+    assert monomial_divides(a.exponents, b.exponents)
+    assert not monomial_divides(b.exponents, a.exponents)

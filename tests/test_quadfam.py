@@ -6,18 +6,19 @@ from math import gcd
 
 import pytest
 
+from flatcert import quadfam
 from flatcert import (
     ChartPoint,
     NondegeneracyRequiredError,
     SymmetricMatrixQ,
     TorusElement,
     apply_corruption,
+    bigraded_hilbert_function,
     chi_graph,
     closed_orbit_limit_check,
     component_primes,
     conic_global_equations_check,
     conic_matrix_identity_symbolic,
-    diagonal_hilbert_function,
     diagonal_ideal,
     evaluate_family_at,
     family_ideal_J,
@@ -27,7 +28,6 @@ from flatcert import (
     flatness_certificate,
     gauss_graph_ideal,
     incidence_form,
-    laksov_diagonal_matrices,
     leading_monomial,
     minimal_primes_of_monomial_ideal,
     nonzerodivisor_check,
@@ -40,8 +40,6 @@ from flatcert import (
     random_conic_with_rational_point,
     random_torus_element,
     special_fiber_ideal,
-    standard_chart_points,
-    substitute,
     torus_action_check,
     xy_universe,
 )
@@ -92,12 +90,6 @@ def test_random_points_are_reproducible():
     a = random_chart_point(2, random.Random(7))
     b = random_chart_point(2, random.Random(7))
     assert a == b and a.is_nondegenerate()
-    pts = standard_chart_points(2, random.Random(0))
-    assert pts[0] == ChartPoint.special(2)
-    assert pts[1] == ChartPoint.all_ones(2)
-    # the last canonical point deliberately zeroes one d_i
-    assert len(pts) == 4
-    assert pts[2].is_nondegenerate() and not pts[3].is_nondegenerate()
     assert random_chart_point(2, random.Random(1), degenerate=True).is_nondegenerate() is False
     t = random_torus_element(2, random.Random(3))
     assert all(v != 0 for v in t.c)
@@ -116,42 +108,12 @@ def test_gauss_graph_identity_quadric():
     ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(2))
     texts = [polynomial_text(g) for g in ideal.generators]
     assert texts == ["x1*y1 + x2*y2", "-x1*y2 + x2*y1"]
-    assert diagonal_hilbert_function(ideal, 3) == 2
+    assert bigraded_hilbert_function(ideal, 3, 3) == 2
 
 
 def test_gauss_graph_requires_smooth_quadric():
     with pytest.raises(NondegeneracyRequiredError):
         gauss_graph_ideal(SymmetricMatrixQ.diagonal((1, 0, 1)))
-
-
-# --- Laksov diagonals ---
-
-def test_laksov_symbolic_n3():
-    rows = laksov_diagonal_matrices(3)
-    rendered = [[polynomial_text(e) for e in row] for row in rows]
-    assert rendered == [
-        ["1", "d1", "d1*d2", "d1*d2*d3"],
-        ["1", "d2", "d2*d3", "d1*d2", "d1*d2*d3", "d1*d2^2*d3"],
-        ["1", "d3", "d2*d3", "d1*d2*d3"],
-    ]
-
-
-def test_laksov_numeric_handles_zero():
-    rows = laksov_diagonal_matrices(2, d=(0, 5))
-    assert rows == [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(5), Fraction(0)),
-    ]
-
-
-def test_laksov_numeric_matches_symbolic_substitution():
-    sym = laksov_diagonal_matrices(2)
-    num = laksov_diagonal_matrices(2, d=(3, 4))
-    assign = {"d1": Fraction(3), "d2": Fraction(4)}
-    for srow, nrow in zip(sym, num):
-        for spoly, nval in zip(srow, nrow):
-            got = substitute(spoly, assign)
-            assert got == got.universe.constant(nval)
 
 
 # --- the family and its fibers ---
@@ -209,7 +171,7 @@ def test_fiber_agrees_with_gauss_graph(n):
         assert all(normal_form(g, gbg).is_zero() for g in fiber.generators)
         assert all(normal_form(g, gbf).is_zero() for g in graph.generators)
         for t in range(5):
-            assert diagonal_hilbert_function(fiber, t) == diagonal_hilbert_function(graph, t)
+            assert bigraded_hilbert_function(fiber, t, t) == bigraded_hilbert_function(graph, t, t)
 
 
 def test_fiber_matrix_values():
@@ -217,6 +179,12 @@ def test_fiber_matrix_values():
         "entries": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     }
     assert fiber_matrix(ChartPoint.all_ones(2)) == SymmetricMatrixQ.identity(3)
+    # u = I leaves diag(1, d1, d1*d2): a zero ratio kills every later entry
+    plain = [[0], [0, 0]]
+    assert fiber_matrix(ChartPoint.from_strict_lower(plain, [0, 5])) == \
+        SymmetricMatrixQ.diagonal((1, 0, 0))
+    assert fiber_matrix(ChartPoint.from_strict_lower(plain, [3, 4])) == \
+        SymmetricMatrixQ.diagonal((1, 3, 12))
 
 
 # --- torus action ---
@@ -252,6 +220,45 @@ def test_torus_action_numeric():
 def test_closed_orbit_limit(n):
     assert closed_orbit_limit_check(n, ChartPoint.all_ones(n))
     assert closed_orbit_limit_check(n, random_chart_point(n, random.Random(2)))
+
+
+# (variable, wrong weight): d_k moved by c_k instead of c_k^2, or a u entry not moved
+WRONG_WEIGHTS = [("d1", (1, 0)), ("d2", (0, 1)),
+                 ("u2_1", (0, 0)), ("u3_1", (0, 0)), ("u3_2", (0, 0))]
+
+
+@pytest.mark.parametrize("name,weight", WRONG_WEIGHTS, ids=[w[0] for w in WRONG_WEIGHTS])
+def test_torus_checks_fail_on_a_wrong_weight(name, weight, monkeypatch):
+    point = ChartPoint.from_strict_lower([[3], [4, -8]], [-1, 8])
+    c = TorusElement((Fraction(7), Fraction(4)))
+    assert torus_action_check(2).passed and torus_action_check(2, point, c).passed
+    assert closed_orbit_limit_check(2, point)
+
+    table = quadfam.torus_weights
+    monkeypatch.setattr(quadfam, "torus_weights", lambda n: {**table(n), name: weight})
+    symbolic = torus_action_check(2)
+    numeric = torus_action_check(2, point, c)
+    assert not symbolic.passed and "not proportional" in symbolic.generator_scalars
+    assert not symbolic.param_law_ok
+    assert not numeric.passed and not numeric.param_law_ok
+    # c_k still sends d_k to 0 as c -> 0; an unmoved nonzero u entry stays put
+    assert closed_orbit_limit_check(2, point) == name.startswith("d")
+
+
+def test_torus_checks_reject_the_trivial_action(monkeypatch):
+    # weight 0 everywhere fixes every generator, but it is not conjugation
+    # by diag(gamma), so only the law catches it
+    table = quadfam.torus_weights
+    monkeypatch.setattr(quadfam, "torus_weights",
+                        lambda n: {name: (0,) * n for name in table(n)})
+    symbolic = torus_action_check(2)
+    assert symbolic.generator_scalars == ["1"] * 4
+    assert not symbolic.param_law_ok and not symbolic.passed
+    numeric = torus_action_check(2, ChartPoint.all_ones(2),
+                                 TorusElement((Fraction(2), Fraction(3))))
+    assert numeric.generator_scalars == ["1"] * 4
+    assert not numeric.param_law_ok and not numeric.passed
+    assert not closed_orbit_limit_check(2, ChartPoint.all_ones(2))
 
 
 # --- primary structure of the special fiber ---
@@ -390,8 +397,9 @@ def test_apply_corruption_validation():
     assert len(dropped.generators) == len(J.generators) - 1
     with pytest.raises(ValueError):
         apply_corruption(J, "drop-generator:99")
-    with pytest.raises(ValueError):
-        apply_corruption(J, "nonsense")
+    for bad in ("nonsense", "drop-generator:x", "drop-generator:-1", "drop-generator:"):
+        with pytest.raises(ValueError, match="expected drop-generator:K"):
+            apply_corruption(J, bad)
 
 
 def test_proportionality_ratio():

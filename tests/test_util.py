@@ -143,7 +143,7 @@ def _macaulay_matrices(point, ts, monkeypatch):
                         lambda rows: captured.append(copy.deepcopy(rows)) or 0)
     fiber = evaluate_family_at(family_ideal_J(point.n), point)
     for t in ts:
-        hilbert.diagonal_hilbert_function(fiber, t, hilbert.METHOD_RANK)
+        hilbert.bigraded_hilbert_function(fiber, t, t, hilbert.METHOD_RANK)
     return captured
 
 
