@@ -65,6 +65,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_CODES = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}
 USAGE_ERRORS = (ValueError, OSError, KeyError)  # main reports these with EXIT_USAGE
+# Input budget: the largest projective dimension n accepted by --n and by an
+# ideal file's header.  Every suite, script and benchmark runs n <= 8; far
+# beyond it torus-check runs for minutes and monomial enumeration exhausts
+# the recursion limit.
+MAX_N = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,17 +82,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-    def at_least(text: str) -> int:
+def _int_in_range(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than `low` and, if given, no
+    larger than `high`."""
+    def in_range(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
-    return at_least
+    return in_range
 
 
 def _method(text: str) -> str:
@@ -140,6 +148,8 @@ def parse_ideal_file(path: str) -> Ideal:
                 if len(head) != 2 or not head[1].isdecimal():
                     raise ParseError(f"{path}: header must be 'n <int>', got {line!r}")
                 n = int(head[1])
+                if n > MAX_N:
+                    raise ParseError(f"{path}: n {n} exceeds the limit MAX_N = {MAX_N}")
             elif head[0] == "params" and not gen_lines:
                 params = tuple(head[1:])
             else:
@@ -334,8 +344,9 @@ def _run_primary_check(args: argparse.Namespace) -> Outcome:
 
 
 def build_parser() -> _Parser:
-    positive = _int_at_least(1)
-    t_max = _int_at_least(3)
+    positive = _int_in_range(1)
+    dimension = _int_in_range(1, MAX_N)
+    t_max = _int_in_range(3)
     parser = _Parser(prog="flatcert", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -348,7 +359,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-flatness", parents=[common],
                        help="Hilbert polynomials of family fibers vs chi_graph(n)")
     p.set_defaults(run=_run_verify_flatness)
-    p.add_argument("--n", type=positive, default=2)
+    p.add_argument("--n", type=dimension, default=2)
     p.add_argument("--t-max", type=t_max, default=8)
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)
     p.add_argument("--corrupt", type=_corruption, default=None, help="e.g. drop-generator:1")
@@ -357,7 +368,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-groebner", parents=[common],
                        help="minors of [x;y] as a Groebner basis over sampled orders")
     p.set_defaults(run=_run_verify_groebner)
-    p.add_argument("--n", type=positive, default=2)
+    p.add_argument("--n", type=dimension, default=2)
 
     p = sub.add_parser("hilbert", parents=[common],
                        help="diagonal Hilbert function and polynomial of an ideal file")
@@ -379,7 +390,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("torus-check", parents=[common],
                        help="torus equivariance of the family generators")
     p.set_defaults(run=_run_torus_check)
-    p.add_argument("--n", type=positive, default=2)
+    p.add_argument("--n", type=dimension, default=2)
 
     p = sub.add_parser("conic-equations", parents=[common],
                        help="global equations of the complete-conics graph")
@@ -390,7 +401,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("primary-check", parents=[common],
                        help="primary decomposition and nonzerodivisor checks")
     p.set_defaults(run=_run_primary_check)
-    p.add_argument("--n", type=positive, default=2)
+    p.add_argument("--n", type=dimension, default=2)
     return parser
 
 

@@ -12,6 +12,13 @@ reduction chain lengths, so certificates are reproducible run to run.
 Parameter variables compare below all x/y variables in every order, so
 leading terms are taken with respect to x/y content when chart parameters
 are still symbolic.
+
+Arithmetic.  Reduction runs fraction-free inside `_reduce_terms`: the
+working polynomial is integers over one common denominator, each basis
+element is a primitive integer polynomial built once per basis, S-pairs are
+formed from the integer tails, and the leading term comes off a heap.
+`Fraction` appears only at the API boundary: converting an input and
+storing a remainder term.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ import heapq
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from math import gcd, lcm
+from operator import add, itemgetter, le, neg, sub
 from typing import Callable, ClassVar, Iterable, Sequence
 
 from .polyring import (
@@ -85,16 +94,16 @@ class MonomialOrderSpec:
         if self.kind == "lex" and perm == tuple(range(nxy)):
             return tuple
         if self.kind == "lex":
-            def key(e: Exponents) -> tuple:
-                return tuple(e[i] for i in perm) + e[nxy:]
-        else:  # grevlex
-            rev = tuple(reversed(perm))
+            permuted = itemgetter(*perm)
 
             def key(e: Exponents) -> tuple:
-                deg = 0
-                for i in perm:
-                    deg += e[i]
-                return (deg,) + tuple(-e[i] for i in rev) + e[nxy:]
+                return permuted(e) + e[nxy:]
+        else:  # grevlex
+            reversed_xy = itemgetter(*reversed(perm))
+
+            def key(e: Exponents) -> tuple:
+                xy = reversed_xy(e)
+                return (sum(xy),) + tuple(map(neg, xy)) + e[nxy:]
         return key
 
     def to_json_dict(self) -> dict:
@@ -112,19 +121,13 @@ def _resolve(order: MonomialOrderSpec | None) -> MonomialOrderSpec:
 # --- monomial helpers on raw exponent tuples ---
 
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-def monomial_quotient(b: Exponents, a: Exponents) -> Exponents:
-    q = tuple(x - y for x, y in zip(b, a))
-    if any(v < 0 for v in q):
-        raise ValueError("monomial quotient with negative exponent")
-    return q
+    return tuple(map(add, a, b))
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def leading_term(f: BiPolynomial, keyf: OrderKey) -> tuple[Exponents, Fraction]:
@@ -142,42 +145,99 @@ def leading_monomial(f: BiPolynomial, order: MonomialOrderSpec | None = None) ->
 
 # --- reduction ---
 
-_GData = list[tuple[Exponents, Fraction, dict[Exponents, Fraction]]]
+def _integer_terms(terms: dict[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+    """(h, scale) with integer h and terms == h / scale."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}, scale
 
 
-def _gdata(basis: Sequence[BiPolynomial], keyf: OrderKey) -> _GData:
-    data = []
-    for g in basis:
-        lm, lc = leading_term(g, keyf)
-        data.append((lm, lc, g.terms))
-    return data
+# One record per basis element, built once: the support bitmask of the
+# leading monomial (for quick rejection), the leading monomial, and the
+# element scaled to a primitive integer polynomial, split into its leading
+# coefficient and its tail.
+_Divisor = tuple[int, Exponents, int, tuple[tuple[Exponents, int], ...]]
 
 
-def _reduce_terms(terms: dict[Exponents, Fraction], gdata: _GData,
+def _divisor(g: BiPolynomial, keyf: OrderKey) -> _Divisor:
+    lm, _ = leading_term(g, keyf)
+    ints, _ = _integer_terms(g.terms)
+    content = gcd(*ints.values())
+    mask = sum(1 << i for i, v in enumerate(lm) if v)
+    tail = tuple((e, c // content) for e, c in ints.items() if e != lm)
+    return mask, lm, ints[lm] // content, tail
+
+
+def _gdata(basis: Sequence[BiPolynomial], keyf: OrderKey) -> list[_Divisor]:
+    return [_divisor(g, keyf) for g in basis]
+
+
+def _negated(keyf: OrderKey) -> OrderKey:
+    """The key whose smallest value is the largest monomial, for heapq."""
+    if keyf is tuple:
+        return lambda e: tuple(map(neg, e))
+    return lambda e: tuple(map(neg, keyf(e)))
+
+
+def _reduce_terms(h: dict[Exponents, int], scale: int, gdata: Sequence[_Divisor],
                   keyf: OrderKey) -> tuple[dict[Exponents, Fraction], int]:
-    """Full division-algorithm remainder plus the reduction chain length."""
-    h = dict(terms)
+    """Full division-algorithm remainder of h / scale plus the reduction
+    chain length; h is consumed.
+
+    The working polynomial stays h / scale with integer h.  A step by a
+    divisor with integer leading coefficient lc cancels the leading term c
+    by h <- (lc/g)*h - (c/g)*shift*tail, g = gcd(c, lc), fraction-free as
+    in Bareiss elimination, and divides out the content when lc/g is not 1.
+    Leading terms come off a heap of negated order keys; a term is pushed
+    when it appears in h, and a popped term no longer in h is skipped.
+    """
+    if not h:
+        return {}, 0
+    negkey = _negated(keyf)
+    heap = [(negkey(e), e) for e in h]
+    heapq.heapify(heap)
+    bits = [1 << i for i in range(len(heap[0][1]))]
     r: dict[Exponents, Fraction] = {}
     steps = 0
-    while h:
-        lead = max(h, key=keyf)
-        c = h[lead]
-        for lm, lc, gterms in gdata:
-            if monomial_divides(lm, lead):
-                shift = tuple(a - b for a, b in zip(lead, lm))
-                factor = c / lc
-                for ge, gc in gterms.items():
-                    e = tuple(a + b for a, b in zip(ge, shift))
-                    v = h.get(e, Fraction(0)) - factor * gc
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        c = h.pop(lead, 0)
+        if not c:
+            continue
+        lead_mask = sum(compress(bits, lead))
+        for mask, lm, lc, tail in gdata:
+            if mask & ~lead_mask or not all(map(le, lm, lead)):
+                continue
+            g = gcd(c, lc)
+            a, b = lc // g, c // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for e in h:
+                    h[e] *= a
+                scale *= a
+            shift = tuple(map(sub, lead, lm))
+            for ge, gc in tail:
+                e = tuple(map(add, ge, shift))
+                v = h.get(e)
+                if v is None:
+                    h[e] = -b * gc
+                    heapq.heappush(heap, (negkey(e), e))
+                else:
+                    v -= b * gc
                     if v:
                         h[e] = v
                     else:
-                        h.pop(e, None)
-                steps += 1
-                break
+                        del h[e]
+            if a != 1:
+                content = gcd(scale, *h.values())
+                if content != 1:
+                    scale //= content
+                    for e in h:
+                        h[e] //= content
+            steps += 1
+            break
         else:
-            r[lead] = c
-            del h[lead]
+            r[lead] = Fraction(c, scale)
     return r, steps
 
 
@@ -191,22 +251,37 @@ def normal_form(f: BiPolynomial, basis: Sequence[BiPolynomial],
             raise UniverseMismatchError("basis and argument universes differ")
         if g.is_zero():
             raise ValueError("zero polynomial in reduction basis")
-    r, _ = _reduce_terms(f.terms, _gdata(basis, keyf), keyf)
+    r, _ = _reduce_terms(*_integer_terms(f.terms), _gdata(basis, keyf), keyf)
     return BiPolynomial(f.universe, _canonical=r)
+
+
+def _spair(p: _Divisor, q: _Divisor) -> tuple[dict[Exponents, int], int]:
+    """The S-polynomial x^(L-lm p) p/lc p - x^(L-lm q) q/lc q, L the lcm of
+    the leading monomials, as (h, scale).  The leading terms cancel by
+    construction, so it is built from the two tails alone."""
+    _, lmp, lcp, tailp = p
+    _, lmq, lcq, tailq = q
+    lcm_pq = monomial_lcm(lmp, lmq)
+    g = gcd(lcp, lcq)
+    a, b = lcq // g, lcp // g
+    h: dict[Exponents, int] = {}
+    for tail, lm, factor in ((tailp, lmp, a), (tailq, lmq, -b)):
+        shift = tuple(map(sub, lcm_pq, lm))
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
+            v = h.get(e, 0) + factor * c
+            if v:
+                h[e] = v
+            else:
+                del h[e]
+    return h, lcp * a
 
 
 def spolynomial(f: BiPolynomial, g: BiPolynomial,
                 order: MonomialOrderSpec | None = None) -> BiPolynomial:
-    return _spolynomial(f, g, _resolve(order).key_function(f.universe))
-
-
-def _spolynomial(f: BiPolynomial, g: BiPolynomial, keyf: OrderKey) -> BiPolynomial:
-    lmf, lcf = leading_term(f, keyf)
-    lmg, lcg = leading_term(g, keyf)
-    lcm = monomial_lcm(lmf, lmg)
-    mf = BiPolynomial(f.universe, _canonical={monomial_quotient(lcm, lmf): 1 / lcf})
-    mg = BiPolynomial(g.universe, _canonical={monomial_quotient(lcm, lmg): 1 / lcg})
-    return mf * f - mg * g
+    keyf = _resolve(order).key_function(f.universe)
+    h, scale = _spair(_divisor(f, keyf), _divisor(g, keyf))
+    return BiPolynomial(f.universe, _canonical={e: Fraction(c, scale) for e, c in h.items()})
 
 
 # --- Buchberger completion ---
@@ -255,11 +330,13 @@ def _interreduce(basis: list[BiPolynomial], keyf: OrderKey) -> list[BiPolynomial
             minimal.append(_monic(g, keyf))
     # one pass suffices: reduction keeps every leading term, so a tail
     # reduced against them stays reduced when the others change
+    gdata = _gdata(minimal, keyf)
     for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
+        others = gdata[:i] + gdata[i + 1:]
         if others:
-            r, _ = _reduce_terms(g.terms, _gdata(others, keyf), keyf)
+            r, _ = _reduce_terms(*_integer_terms(g.terms), others, keyf)
             minimal[i] = BiPolynomial(g.universe, _canonical=r)
+            gdata[i] = _divisor(minimal[i], keyf)
     minimal.sort(key=lambda g: keyf(leading_term(g, keyf)[0]))
     return minimal
 
@@ -282,7 +359,7 @@ def buchberger(gens: Sequence[BiPolynomial],
 
     G = [_monic(g, keyf) for g in gens]
     gdata = _gdata(G, keyf)
-    lms = [lm for lm, _, _ in gdata]
+    lms = [lm for _, lm, _, _ in gdata]
     # Pairs pop by (order key of the lcm, (i, j)): the smallest lcm first,
     # ties broken on the index pair.  `pending` holds the pairs not yet
     # popped, which is what the chain criterion asks about.
@@ -317,14 +394,12 @@ def buchberger(gens: Sequence[BiPolynomial],
         if chain:
             run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
             continue
-        s = _spolynomial(G[i], G[j], keyf)
-        r, steps = _reduce_terms(s.terms, gdata, keyf)
+        r, steps = _reduce_terms(*_spair(gdata[i], gdata[j]), gdata, keyf)
         if r:
             g_new = _monic(BiPolynomial(uni, _canonical=r), keyf)
             G.append(g_new)
-            lm, lc = leading_term(g_new, keyf)
-            gdata.append((lm, lc, g_new.terms))
-            lms.append(lm)
+            gdata.append(_divisor(g_new, keyf))
+            lms.append(gdata[-1][1])
             m = len(G) - 1
             for t in range(m):
                 push(t, m)
@@ -359,12 +434,11 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
     uni = basis[0].universe
     keyf = order.key_function(uni)
     gdata = _gdata(basis, keyf)
-    lms = [d[0] for d in gdata]
+    lms = [lm for _, lm, _, _ in gdata]
     spairs = []
     passed = True
     for i, j in combinations(range(len(basis)), 2):
-        s = _spolynomial(basis[i], basis[j], keyf)
-        r, steps = _reduce_terms(s.terms, gdata, keyf)
+        r, steps = _reduce_terms(*_spair(gdata[i], gdata[j]), gdata, keyf)
         zero = not r
         passed = passed and zero
         spairs.append({

@@ -334,15 +334,14 @@ class BiPolynomial:
 
     # --- substitution ---
 
-    def substitute(self, assignment: Mapping[str, Union["BiPolynomial", Rational]],
-                   drop_params: bool = True) -> "BiPolynomial":
+    def substitute(self, assignment: Mapping[str, Union["BiPolynomial", Rational]]) -> "BiPolynomial":
         """Ring-map evaluation: replace named variables by values.
 
         Values are rationals or polynomials over the same universe.
         Parameter variables assigned a constant disappear from the result's
-        universe (when drop_params is set); x/y variables always keep their
-        slots.  Substituting into an x/y variable may break bihomogeneity;
-        the caller can consult bidegree() on the result.
+        universe; x/y variables always keep their slots.  Substituting into
+        an x/y variable may break bihomogeneity; the caller can consult
+        bidegree() on the result.
         """
         uni = self.universe
         values: dict[int, BiPolynomial] = {}
@@ -383,7 +382,7 @@ class BiPolynomial:
                 piece = piece * power(i, e)
             total = total + piece
 
-        if drop_params and constant_params:
+        if constant_params:
             total = total._project_off_params(constant_params)
         return total
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flatcert.cli import main
+from flatcert.cli import MAX_N, main
 
 SPECIAL_N2 = """# special fiber monomials plus the incidence form
 n 2
@@ -253,10 +253,21 @@ def test_output_flag_writes_file(tmp_path, ideal_file):
     assert run(["hilbert", ideal_file, "--output", str(tmp_path / "no" / "r.json")]) == (3, "")
 
 
-def test_usage_errors_exit_3(ideal_file, capsys):
+def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
     assert run(["no-such-command"])[0] == 3
     assert run([])[0] == 3
     assert run(["hilbert"])[0] == 3
+    # past the input budget: exit 3 at once with one line naming the limit
+    big = tmp_path / "big.ideal"
+    big.write_text(f"n {MAX_N + 1}\nx1*y2\n")
+    capsys.readouterr()
+    assert run(["hilbert", str(big), "--method", "rank"]) == (3, "")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"MAX_N = {MAX_N}" in err[0], err
+    for command in ("verify-flatness", "verify-groebner", "torus-check", "primary-check"):
+        assert run([command, "--n", str(MAX_N + 1)]) == (3, "")
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument --n: must be <= {MAX_N}" in last, last
     # out-of-range arguments: exit 3, nothing on stdout, the argument named last
     for argv, name in [
         (["verify-flatness", "--n", "0"], "--n"),

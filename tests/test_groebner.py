@@ -1,5 +1,6 @@
 """Monomial orders, Buchberger, and basis certification."""
 
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -33,6 +34,7 @@ from flatcert.groebner import (
     BuchbergerRun,
     SPairEvent,
     _gdata,
+    _integer_terms,
     _monic,
     _reduce_terms,
     intersect_monomial_exponents,
@@ -222,6 +224,47 @@ def reference_key(order, uni):
     return lambda e: tuple(e[i] for i in perm) + e[nxy:]
 
 
+def reference_gdata(basis, keyf):
+    return [(*leading_term(g, keyf), g.terms) for g in basis]
+
+
+def reference_reduce_terms(terms, gdata, keyf):
+    """The division algorithm over Fraction, rescanning h with max() for
+    the leading term on every step."""
+    h = dict(terms)
+    r = {}
+    steps = 0
+    while h:
+        lead = max(h, key=keyf)
+        c = h[lead]
+        for lm, lc, gterms in gdata:
+            if monomial_divides(lm, lead):
+                shift = tuple(a - b for a, b in zip(lead, lm))
+                factor = c / lc
+                for ge, gc in gterms.items():
+                    e = tuple(a + b for a, b in zip(ge, shift))
+                    v = h.get(e, Fraction(0)) - factor * gc
+                    if v:
+                        h[e] = v
+                    else:
+                        h.pop(e, None)
+                steps += 1
+                break
+        else:
+            r[lead] = c
+            del h[lead]
+    return r, steps
+
+
+def reference_spolynomial(f, g, keyf):
+    """The S-polynomial by BiPolynomial multiplication and subtraction."""
+    (lmf, lcf), (lmg, lcg) = leading_term(f, keyf), leading_term(g, keyf)
+    lcm = monomial_lcm(lmf, lmg)
+    mf = BiPolynomial(f.universe, {tuple(a - b for a, b in zip(lcm, lmf)): 1 / lcf})
+    mg = BiPolynomial(g.universe, {tuple(a - b for a, b in zip(lcm, lmg)): 1 / lcg})
+    return mf * f - mg * g
+
+
 def reference_interreduce(basis, keyf):
     """Minimalize leading terms, then reduce tails until nothing changes."""
     minimal = []
@@ -235,7 +278,7 @@ def reference_interreduce(basis, keyf):
         for i, g in enumerate(minimal):
             others = minimal[:i] + minimal[i + 1:]
             if others:
-                r, _ = _reduce_terms(g.terms, _gdata(others, keyf), keyf)
+                r, _ = reference_reduce_terms(g.terms, reference_gdata(others, keyf), keyf)
                 rp = _monic(BiPolynomial(g.universe, _canonical=r), keyf)
                 if rp != g:
                     minimal[i], changed = rp, True
@@ -271,8 +314,8 @@ def reference_buchberger(gens, order):
         if chain:
             run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
             continue
-        s = spolynomial(G[i], G[j], order)
-        r, steps = _reduce_terms(s.terms, _gdata(G, keyf), keyf)
+        s = reference_spolynomial(G[i], G[j], keyf)
+        r, steps = reference_reduce_terms(s.terms, reference_gdata(G, keyf), keyf)
         if r:
             g_new = _monic(BiPolynomial(uni, _canonical=r), keyf)
             G.append(g_new)
@@ -313,6 +356,34 @@ def test_audit_trail_matches_reference_loop(name, label):
     assert basis == ref_basis
     assert run.to_json_dict() == ref_run.to_json_dict()
     assert any(ev.action == "new_generator" for ev in run.events)
+
+
+def random_polynomial(rng, universe, bidegree, num_terms):
+    """Bihomogeneous, with coefficients p/q, |p| <= 50 and q in 1..12."""
+    monomials = [m.exponents for m in monomials_of_bidegree(universe, *bidegree)]
+    picked = rng.sample(monomials, min(num_terms, len(monomials)))
+    return BiPolynomial(universe, {
+        e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 12))
+        for e in picked})
+
+
+@pytest.mark.parametrize("label", ORDER_LABELS)
+def test_normal_form_matches_reference_kernel(label):
+    order = order_for(label, UNI)
+    keyf = order.key_function(UNI)
+    steps_seen = 0
+    for seed in range(40):
+        rng = Random(seed)
+        basis = [random_polynomial(rng, UNI, rng.choice([(1, 1), (1, 0), (0, 2)]),
+                                   rng.randint(2, 5)) for _ in range(rng.randint(2, 4))]
+        f = random_polynomial(rng, UNI, (2, 2), rng.randint(4, 12))
+        r, steps = _reduce_terms(*_integer_terms(f.terms), _gdata(basis, keyf), keyf)
+        ref_r, ref_steps = reference_reduce_terms(f.terms, reference_gdata(basis, keyf), keyf)
+        assert r == ref_r and steps == ref_steps, seed
+        assert normal_form(f, basis, order).terms == ref_r
+        assert spolynomial(*basis[:2], order) == reference_spolynomial(*basis[:2], keyf)
+        steps_seen += steps
+    assert steps_seen > 0
 
 
 def test_natural_lex_key_is_the_exponent_tuple():

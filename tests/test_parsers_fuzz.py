@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 from flatcert import ChartPoint, Ideal
-from flatcert.cli import USAGE_ERRORS, _load_points_file, parse_ideal_file
+from flatcert.cli import MAX_N, USAGE_ERRORS, _load_points_file, parse_ideal_file
 
 
 def load_or_usage_error(load, content):
@@ -43,6 +43,7 @@ _junk = st.lists(st.sampled_from(["x1", "y2", "z9", "1", "/", "^", "*", "+", "-"
                                   "2.5", "(", "n", "params", "\t"]), max_size=8).map("".join)
 _headers = st.one_of(
     st.integers(min_value=-2, max_value=3).map(lambda k: f"n {k}"),
+    st.integers(min_value=MAX_N - 1, max_value=10**6).map(lambda k: f"n {k}"),
     st.sampled_from(["n", "n two", "n 2 3", "n 2.5", "params a b", "params x1", "params 9"]),
 )
 _ideal_files = st.one_of(
@@ -61,6 +62,12 @@ _ideal_files = st.one_of(
 def test_ideal_file_parses_or_exits_3(content):
     result = load_or_usage_error(parse_ideal_file, content)
     assert isinstance(result, (Ideal, *USAGE_ERRORS))
+
+
+@given(st.integers(min_value=MAX_N + 1, max_value=10**9), st.lists(_polynomials, max_size=2))
+def test_ideal_file_beyond_the_n_budget_exits_3(n, generators):
+    result = load_or_usage_error(parse_ideal_file, "\n".join([f"n {n}", *generators]))
+    assert isinstance(result, USAGE_ERRORS) and f"MAX_N = {MAX_N}" in str(result)
 
 
 # --- points files ---

@@ -120,13 +120,12 @@ def test_substitute_scalar_and_polynomial():
     assert h == UNI.parse("x1*y1 + 2*x2*y1 + 2*x2*y3")
 
 
-def test_substitute_can_keep_params():
+def test_substitute_drops_constant_params():
     fam = family_universe(1)
     f = fam.parse("d1*x1*y1")
-    kept = f.substitute({"x1": Fraction(1)}, drop_params=False)
-    assert polynomial_text(kept) == "y1*d1"
     dropped = f.substitute({"x1": Fraction(1), "d1": Fraction(5)})
     assert polynomial_text(dropped) == "5*y1"
+    assert "d1" not in dropped.universe.param_names
 
 
 def test_universe_mismatch_rejected():
