@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .groebner import DEFAULT_ORDER, Ideal, minimalize_monomial_exponents
+from .groebner import DEFAULT_ORDER, Ideal, _integer_terms, minimalize_monomial_exponents
 from .polyring import BiPolynomial, Exponents, iter_exponents_of_bidegree
 from .util import parallel_map, sparse_integer_rank
 
@@ -308,12 +308,9 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     for g, (a, b) in _validated_generators(ideal):
         if a > i or b > j:
             continue
-        denom = 1
-        for c in g.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        int_terms = [(e, int(c * denom)) for e, c in g.terms.items()]
+        int_terms, _ = _integer_terms(g.terms)
         for m in iter_exponents_of_bidegree(uni, i - a, j - b):
-            rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v for e, v in int_terms})
+            rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v for e, v in int_terms.items()})
     return len(cols) - sparse_integer_rank(rows)
 
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
 Rational = Union[Fraction, int]
@@ -104,16 +104,6 @@ class VariableUniverse:
     def bidegree_of(self, exps: Exponents) -> tuple[int, int]:
         k = self.n + 1
         return (sum(exps[:k]), sum(exps[k:2 * k]))
-
-    def drop_params(self, names: Iterable[str]) -> "VariableUniverse":
-        gone = set(names)
-        unknown = gone - set(self.param_names)
-        if unknown:
-            raise UnknownVariableError(f"not parameter variables: {sorted(unknown)}")
-        return VariableUniverse(
-            self.n, self.x_names, self.y_names,
-            tuple(p for p in self.param_names if p not in gone),
-        )
 
     # --- element constructors ---
 
@@ -216,14 +206,6 @@ class BiPolynomial:
         """Terms in canonical order: descending exponent tuple."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def support(self) -> set[int]:
-        used: set[int] = set()
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    used.add(i)
-        return used
-
     def bidegree(self) -> tuple[int, int] | None:
         """The common bidegree, (0, 0) for zero, None if inhomogeneous."""
         degs = {self.universe.bidegree_of(e) for e in self.terms}
@@ -309,14 +291,6 @@ class BiPolynomial:
             return self * (1 / q)
         return NotImplemented
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        out = self.universe.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.universe.constant(other)
@@ -334,68 +308,47 @@ class BiPolynomial:
 
     # --- substitution ---
 
-    def substitute(self, assignment: Mapping[str, Union["BiPolynomial", Rational]]) -> "BiPolynomial":
-        """Ring-map evaluation: replace named variables by values.
+    def substitute(self, assignment: Mapping[str, Rational]) -> "BiPolynomial":
+        """Evaluate named variables at rationals, in one pass over the terms.
 
-        Values are rationals or polynomials over the same universe.
-        Parameter variables assigned a constant disappear from the result's
-        universe; x/y variables always keep their slots.  Substituting into
-        an x/y variable may break bihomogeneity; the caller can consult
-        bidegree() on the result.
+        Assigned parameter variables disappear from the result's universe;
+        assigned x/y variables keep their slots with exponent 0.
+        Substituting into an x/y variable may break bihomogeneity; the
+        caller can consult bidegree() on the result.
         """
         uni = self.universe
-        values: dict[int, BiPolynomial] = {}
-        constant_params: list[str] = []
+        values: dict[int, Fraction] = {}
         for name, val in assignment.items():
             i = uni.index.get(name)
             if i is None:
                 raise UnknownVariableError(name)
-            v = val if isinstance(val, BiPolynomial) else uni.constant(val)
-            if v.universe != uni:
-                raise UniverseMismatchError(f"value for {name} lives in a different universe")
-            values[i] = v
-            if uni.is_param_index(i) and not v.support():
-                constant_params.append(name)
+            if not isinstance(val, (int, Fraction)):
+                raise TypeError(f"value for {name} must be a rational, not {type(val).__name__}")
+            values[i] = Fraction(val)
         if not values:
             return self
 
-        pow_cache: dict[tuple[int, int], BiPolynomial] = {}
-
-        def power(i: int, e: int) -> BiPolynomial:
-            key = (i, e)
-            hit = pow_cache.get(key)
-            if hit is None:
-                hit = values[i] ** e
-                pow_cache[key] = hit
-            return hit
-
-        total = uni.zero()
-        for exps, coeff in self.terms.items():
-            base = list(exps)
-            factors = []
-            for i, e in enumerate(exps):
-                if e and i in values:
-                    base[i] = 0
-                    factors.append((i, e))
-            piece = BiPolynomial(uni, _canonical={tuple(base): coeff})
-            for i, e in factors:
-                piece = piece * power(i, e)
-            total = total + piece
-
-        if constant_params:
-            total = total._project_off_params(constant_params)
-        return total
-
-    def _project_off_params(self, names: Sequence[str]) -> "BiPolynomial":
-        uni = self.universe
-        target = uni.drop_params(names)
-        gone = sorted(uni.index[name] for name in names)
-        keep = [i for i in range(uni.num_vars) if i not in set(gone)]
+        params = tuple(p for p in uni.param_names if uni.index[p] not in values)
+        target = uni if len(params) == len(uni.param_names) else VariableUniverse(
+            uni.n, uni.x_names, uni.y_names, params)
+        keep = [*range(uni.num_xy), *(uni.index[p] for p in params)]
         out: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in gone):
-                raise ValueError("cannot drop a parameter that still occurs")
-            out[tuple(e[i] for i in keep)] = c
+        for exps, coeff in self.terms.items():
+            for i, v in values.items():
+                if exps[i]:
+                    coeff *= v ** exps[i]
+            if not coeff:
+                continue
+            e = tuple(0 if i in values else exps[i] for i in keep)
+            c = out.get(e)
+            if c is None:
+                out[e] = coeff
+                continue
+            c += coeff
+            if c:
+                out[e] = c
+            else:
+                del out[e]
         return BiPolynomial(target, _canonical=out)
 
 

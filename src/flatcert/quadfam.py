@@ -356,9 +356,9 @@ def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
     the plain x/y ring."""
     uni = J.universe
     assignment = _point_assignment(point)
-    missing = [name for name in assignment if name not in uni.index]
-    if missing:
-        raise ValueError(f"ideal universe lacks chart parameters {missing}")
+    if set(assignment) != set(uni.param_names):
+        raise ValueError(f"a chart point of n={point.n} does not assign exactly the "
+                         f"parameters of the ideal ({', '.join(uni.param_names)})")
     gens = []
     for g in J.generators:
         h = g.substitute(assignment)
@@ -510,12 +510,15 @@ def _torus_check_numeric(n: int, point: ChartPoint, c: TorusElement) -> TorusRep
     base = [g.substitute(_point_assignment(point)) for g in J.generators]
     at_moved = [g.substitute(_point_assignment(moved)) for g in J.generators]
     uni0 = base[0].universe
-    coord_subs = {name: uni0.variable(name) * scale(name) for name in uni0.names}
+    scales = [scale(name) for name in uni0.names]
 
     scalars: list[str] = []
     passed = True
     for g_moved, g_base in zip(at_moved, base):
-        ratio = proportionality_ratio(g_moved.substitute(coord_subs), g_base)
+        # g_moved(c.x, c.y): rescale each term by its x/y variables
+        rescaled = BiPolynomial(uni0, {e: coeff * prod(map(pow, scales, e))
+                                       for e, coeff in g_moved.terms.items()})
+        ratio = proportionality_ratio(rescaled, g_base)
         if ratio is None or ratio == 0:
             passed = False
             scalars.append("not proportional")

@@ -3,13 +3,15 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from flatcert.cli import MAX_N, main
+from flatcert import ChartPoint, evaluate_family_at, family_ideal_J
+from flatcert.cli import MAX_N, main, parse_ideal_file
 
 SPECIAL_N2 = """# special fiber monomials plus the incidence form
 n 2
@@ -217,6 +219,7 @@ GOLDEN = {
     "torus_check_n2_seed0": (["torus-check", "--n", "2", "--seed", "0"], 0),
     "torus_check_n3_seed1": (["torus-check", "--n", "3", "--seed", "1"], 0),
     "verify_groebner_n3_seed0": (["verify-groebner", "--n", "3", "--seed", "0"], 0),
+    "torus_check_n4_seed2": (["torus-check", "--n", "4", "--seed", "2"], 0),
 }
 
 
@@ -227,6 +230,19 @@ def test_golden_reports_are_byte_identical(name, monkeypatch):
     monkeypatch.chdir(root)
     golden = (root / "tests" / "data" / f"{name}.json").read_text(encoding="utf-8")
     assert run(argv) == (expected_code, golden)
+
+
+@pytest.mark.parametrize("name", ["fiber_n2_chart.ideal", "fiber_n4_chart.ideal"])
+def test_fiber_files_are_the_family_at_their_point(name):
+    path = Path(__file__).parent / "data" / name
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    u, d = re.search(r"u=\[([^]]*)\], d=\(([^)]*)\)", header).groups()
+    point = ChartPoint.from_strict_lower([row.split(",") for row in u.split(";")], d.split(","))
+    fiber = evaluate_family_at(family_ideal_J(point.n), point)
+    parsed = parse_ideal_file(str(path))
+    assert len(parsed.generators) == len(fiber.generators)
+    for got, want in zip(parsed.generators, fiber.generators):
+        assert got == want
 
 
 def test_workers_do_not_change_output():

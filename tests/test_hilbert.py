@@ -1,6 +1,7 @@
 """Hilbert functions two ways, interpolation, and the closed forms."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -25,6 +26,7 @@ from flatcert import (
     xi_formula,
     xy_universe,
 )
+from flatcert.cli import parse_ideal_file
 from flatcert.hilbert import (
     binomial_basis_coordinates,
     normalize_method,
@@ -86,6 +88,17 @@ def test_methods_agree_off_diagonal():
             a = bigraded_hilbert_function(ideal, i, j, method=METHOD_INITIAL)
             b = bigraded_hilbert_function(ideal, i, j, method=METHOD_RANK)
             assert a == b, (i, j, a, b)
+
+
+def test_methods_agree_on_rational_coefficients():
+    # generators with coefficients like 21/2: the rank route clears denominators
+    path = Path(__file__).parent / "data" / "fiber_n4_chart.ideal"
+    ideal = parse_ideal_file(str(path))
+    assert any(c.denominator > 1 for g in ideal.generators for c in g.terms.values())
+    for i, j in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        a = bigraded_hilbert_function(ideal, i, j, method=METHOD_INITIAL)
+        b = bigraded_hilbert_function(ideal, i, j, method=METHOD_RANK)
+        assert a == b, (i, j, a, b)
 
 
 def test_bigraded_values_for_principal_monomial():

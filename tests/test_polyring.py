@@ -11,6 +11,7 @@ from flatcert import (
     ParseError,
     UniverseMismatchError,
     UnknownVariableError,
+    family_ideal_J,
     family_universe,
     monomials_of_bidegree,
     parse_polynomial,
@@ -112,12 +113,20 @@ def test_monomials_of_bidegree_count():
     assert len(monomials_of_bidegree(UNI, 0, 0)) == 1
 
 
-def test_substitute_scalar_and_polynomial():
+def test_substitute_at_a_rational():
     f = UNI.parse("x1*y1 + 2*x2*y2")
     g = f.substitute({"x2": Fraction(3)})
     assert polynomial_text(g) == "x1*y1 + 6*y2"
-    h = f.substitute({"y2": UNI.parse("y1 + y3")})
-    assert h == UNI.parse("x1*y1 + 2*x2*y1 + 2*x2*y3")
+    assert g.universe == UNI
+
+
+def test_substitute_takes_only_known_names_and_rationals():
+    f = UNI.parse("x1*y1 + 2*x2*y2")
+    with pytest.raises(TypeError):
+        f.substitute({"y2": UNI.parse("y1 + y3")})
+    with pytest.raises(UnknownVariableError):
+        f.substitute({"d1": Fraction(2)})
+    assert f.substitute({}) is f
 
 
 def test_substitute_drops_constant_params():
@@ -126,6 +135,21 @@ def test_substitute_drops_constant_params():
     dropped = f.substitute({"x1": Fraction(1), "d1": Fraction(5)})
     assert polynomial_text(dropped) == "5*y1"
     assert "d1" not in dropped.universe.param_names
+
+
+_rationals = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                       st.integers(min_value=1, max_value=5))
+
+
+@given(st.lists(_rationals, min_size=5, max_size=5))
+def test_substitute_in_steps_equals_substitute_at_once(values):
+    J = family_ideal_J(2)
+    d = dict(zip(("d1", "d2"), values))
+    u = dict(zip(("u2_1", "u3_1", "u3_2"), values[2:]))
+    for g in J.generators:
+        at_once = g.substitute({**d, **u})
+        assert at_once.universe.param_names == ()
+        assert g.substitute(d).substitute(u) == at_once
 
 
 def test_universe_mismatch_rejected():

@@ -174,6 +174,12 @@ def test_fiber_agrees_with_gauss_graph(n):
             assert bigraded_hilbert_function(fiber, t, t) == bigraded_hilbert_function(graph, t, t)
 
 
+@pytest.mark.parametrize("point_n", [2, 4])
+def test_fiber_needs_a_point_of_the_same_n(point_n):
+    with pytest.raises(ValueError, match="does not assign exactly"):
+        evaluate_family_at(family_ideal_J(3), ChartPoint.all_ones(point_n))
+
+
 def test_fiber_matrix_values():
     assert fiber_matrix(ChartPoint.special(2)).to_json_dict() == {
         "entries": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
