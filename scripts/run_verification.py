@@ -3,7 +3,9 @@
 
 Each suite has an expected exit code.  Most suites must pass (0); the
 xi-trials run at degrees (2,2) is expected to exit 1 because the computed
-fibers fit the Koszul count 8t, not the closed formula 4t (see README).
+fibers fit the Koszul count 8t, not the closed formula 4t (see README),
+and the n=4 chart fiber at t=5 is expected to exit 3 because its
+rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES.
 The script exits 0 exactly when every suite matches its expectation.
 """
 
@@ -24,12 +26,17 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     # a chart point with coefficients of heights 3..8, so that the rank
     # oracle's elimination meets pivots other than +-1
     chart = ChartPoint.from_strict_lower([[-6], [8, 4]], [7, -3])
+    # an n=4 chart point whose rank-oracle matrix at t=5 is over budget
+    chart_n4 = ChartPoint.from_strict_lower(
+        [["3"], ["-4", "5/3"], ["7", "-3", "4"], ["5/2", "-6", "3", "-8"]], ["3", "-7/4", "5", "9"])
     out = {}
     for name, ideal in [("diagonal_n2", diagonal_ideal(2)),
                         ("special_fiber_n2", special_fiber_ideal(2)),
-                        ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart))]:
+                        ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
+                        ("chart_fiber_n4", evaluate_family_at(family_ideal_J(4), chart_n4))]:
         path = tmp / f"{name}.ideal"
-        path.write_text(ideal_file_text(name, 2, ideal.generators), encoding="utf-8")
+        path.write_text(ideal_file_text(name, ideal.universe.n, ideal.generators),
+                        encoding="utf-8")
         out[name] = path
     return out
 
@@ -54,7 +61,9 @@ def main() -> int:
             ("hilbert: special fiber n=2",
              ["hilbert", str(files["special_fiber_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=2",
-             ["hilbert", str(files["chart_fiber_n2"]), "--method", "both", "--t-max", "6"], 0),
+             ["hilbert", str(files["chart_fiber_n2"]), "--method", "both"], 0),
+            ("hilbert: chart fiber n=4, rank oracle over its matrix budget",
+             ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
             ("flatness n=1",
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",

@@ -70,6 +70,11 @@ USAGE_ERRORS = (ValueError, OSError, KeyError)  # main reports these with EXIT_U
 # beyond it torus-check runs for minutes and monomial enumeration exhausts
 # the recursion limit.
 MAX_N = 8
+# Input budget on --t-max: every tabulated t is held in memory, so a huge
+# value would exhaust it before any other check runs.  The suites, scripts
+# and benchmark run t <= 8; the rank route meets its own budget,
+# hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
+MAX_T = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +233,8 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
     ideal = parse_ideal_file(args.ideal_file)
     methods = ([METHOD_INITIAL, METHOD_RANK] if args.method == "both"
                else [normalize_method(args.method)])
-    tables = {m: tabulate_diagonal(ideal, range(args.t_max + 1), m) for m in methods}
+    # the rank route first: an input over its budget is refused before any work
+    tables = {m: tabulate_diagonal(ideal, range(args.t_max + 1), m) for m in reversed(methods)}
     disagreements = []
     if len(tables) == 2:
         a, b = (tables[m].values for m in methods)
@@ -346,7 +352,7 @@ def _run_primary_check(args: argparse.Namespace) -> Outcome:
 def build_parser() -> _Parser:
     positive = _int_in_range(1)
     dimension = _int_in_range(1, MAX_N)
-    t_max = _int_in_range(3)
+    t_max = _int_in_range(3, MAX_T)
     parser = _Parser(prog="flatcert", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)

@@ -5,10 +5,12 @@ Route one reads the Hilbert function off the initial ideal (Groebner): the
 bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), and
 its numerator K comes from the Bayer-Stillman recursion
 K(I + m) = K(I) - s^deg(m) K(I : m) over the minimal monomial generators.
-Route two never touches a Groebner basis: it enumerates all bidegree-(t,t)
-multiples of the generators and computes the exact rank of their
-coefficient matrix over Q by sparse fraction-free elimination.  The second
-route is the referee for the first throughout the test suite.
+Route two never touches a Groebner basis: it puts each bidegree's
+generators into reduced echelon form over Q (a change of basis of the same
+span), lists their bidegree-(i,j) multiples minus the rows that the Koszul
+syzygies g_i*g_j = g_j*g_i make redundant, and computes the exact rank of
+that Macaulay matrix by sparse fraction-free elimination.  The second route
+is the referee for the first throughout the test suite.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .groebner import DEFAULT_ORDER, Ideal, _integer_terms, minimalize_monomial_exponents
+from .groebner import (DEFAULT_ORDER, Ideal, _integer_terms, minimalize_monomial_exponents,
+                       monomial_divides)
 from .polyring import BiPolynomial, Exponents, iter_exponents_of_bidegree
 from .util import parallel_map, sparse_integer_rank
 
@@ -44,6 +47,26 @@ class NonBihomogeneousError(ValueError):
     def __init__(self, generator: BiPolynomial):
         self.generator = generator
         super().__init__(f"generator is not bihomogeneous: {generator}")
+
+
+# Budget of the rank route: the largest Macaulay matrix, as rows x columns,
+# that tabulate_diagonal will eliminate.  The largest that the tests, the
+# benchmark and scripts/run_verification.py build is the n=3 special fiber
+# at t=6, 9897 x 7056 (7.0e7 entries, 0.25 s); the n=4 chart fiber at t=5,
+# 24760 x 15876 (3.9e8), ran for minutes past 900 MB.  Cost follows shape
+# only roughly (3.5e7 entries at n=4, t=4 take 43 s), so this is a size
+# budget, not a time limit.
+MAX_MACAULAY_ENTRIES = 10**8
+
+
+class MacaulayBudgetError(ValueError):
+    """A rank-oracle matrix would exceed MAX_MACAULAY_ENTRIES."""
+
+    def __init__(self, t: int, rows: int, cols: int):
+        super().__init__(
+            f"rank oracle: the bidegree-({t},{t}) Macaulay matrix would be {rows} x {cols}"
+            f" = {rows * cols} entries, over the budget MAX_MACAULAY_ENTRIES = "
+            f"{MAX_MACAULAY_ENTRIES}")
 
 
 class NoStabilizationError(RuntimeError):
@@ -298,19 +321,85 @@ def _validated_generators(ideal: Ideal) -> list[tuple[BiPolynomial, tuple[int, i
     return out
 
 
+# (bidegree, leading exponents, integer terms) of one echelon generator
+_EchelonGenerator = tuple[tuple[int, int], Exponents, dict[Exponents, int]]
+
+
+def _echelon_generators(ideal: Ideal) -> list[_EchelonGenerator]:
+    """The reduced row echelon form over Q of each bidegree's generators,
+    bidegrees ascending and leading exponents descending within one.  Leading means largest exponent tuple
+    (lex, x1 > .. > y{n+1}), a monomial order.  Zero and dependent
+    generators drop out; the ideal, and every bidegree's span, are unchanged."""
+    groups: dict[tuple[int, int], list[dict[Exponents, Fraction]]] = {}
+    for g, deg in _validated_generators(ideal):
+        groups.setdefault(deg, []).append(g.terms)
+    out = []
+    for deg in sorted(groups):
+        basis: dict[Exponents, dict[Exponents, Fraction]] = {}  # monic, by leading exponents
+        for terms in groups[deg]:
+            row = dict(terms)
+            for lead, b in basis.items():
+                if lead in row:
+                    _subtract_multiple(row, row[lead], b)
+            if not row:
+                continue
+            lead = max(row)
+            row = {e: v / row[lead] for e, v in row.items()}
+            for b in basis.values():
+                if lead in b:
+                    _subtract_multiple(b, b[lead], row)
+            basis[lead] = row
+        out += [(deg, lead, _integer_terms(basis[lead])[0]) for lead in sorted(basis, reverse=True)]
+    return out
+
+
+def _subtract_multiple(row: dict[Exponents, Fraction], c: Fraction,
+                       other: dict[Exponents, Fraction]) -> None:
+    """row -= c * other in place, dropping zeros."""
+    for e, v in other.items():
+        nv = row.get(e, 0) - c * v
+        if nv:
+            row[e] = nv
+        else:
+            del row[e]
+
+
+def rank_matrix_shape(ideal: Ideal, t: int) -> tuple[int, int]:
+    """(rows, columns) of the rank oracle's bidegree-(t,t) Macaulay matrix,
+    counted without building it: generator r keeps the multipliers outside
+    <LT(g_1), .., LT(g_(r-1))>, as many as the Hilbert function of that
+    monomial quotient counts."""
+    k = ideal.universe.n + 1
+    rows = 0
+    leads: list[Exponents] = []
+    for (a, b), lead, _ in _echelon_generators(ideal):
+        rows += _numerator_value(_series_numerator(leads, k), k, t - a, t - b)
+        leads.append(lead)
+    return rows, comb(t + k - 1, k - 1) ** 2
+
+
 def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
-    """dim of the bidegree-(i,j) piece of the quotient, Groebner-free."""
+    """dim of the bidegree-(i,j) piece of the quotient, Groebner-free.
+
+    The rows are the multiples m*g_r of the echelon generators, except
+    those with LT(g_q) | m for some q < r.  Such a row is redundant: with
+    m = m'*LT(g_q) and g_q monic, the Koszul identity g_q*g_r = g_r*g_q gives
+    m*g_r = (m'*g_r)*g_q - (m'*(g_q - LT(g_q)))*g_r, rows of g_q plus rows
+    m''*g_r with m'' < m, and induction on (r, m) keeps the rank.  Lazard
+    (EUROCAL 1983); the F5 criterion of Faugere (ISSAC 2002).
+    """
     uni = ideal.universe
     cols: dict[Exponents, int] = {}
     for e in iter_exponents_of_bidegree(uni, i, j):
         cols[e] = len(cols)
     rows: list[dict[int, int]] = []
-    for g, (a, b) in _validated_generators(ideal):
-        if a > i or b > j:
-            continue
-        int_terms, _ = _integer_terms(g.terms)
+    leads: list[Exponents] = []
+    for (a, b), lead, int_terms in _echelon_generators(ideal):
         for m in iter_exponents_of_bidegree(uni, i - a, j - b):
-            rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v for e, v in int_terms.items()})
+            if not any(monomial_divides(p, m) for p in leads):
+                rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v
+                             for e, v in int_terms.items()})
+        leads.append(lead)
     return len(cols) - sparse_integer_rank(rows)
 
 
@@ -343,6 +432,10 @@ def tabulate_diagonal(ideal: Ideal, ts: Iterable[int], method: str = METHOD_INIT
                       workers: int = 1) -> HilbertFunctionTable:
     ts = sorted(set(int(t) for t in ts))
     method = normalize_method(method)
+    if method == METHOD_RANK and ts:
+        rows, cols = rank_matrix_shape(ideal, ts[-1])
+        if rows * cols > MAX_MACAULAY_ENTRIES:
+            raise MacaulayBudgetError(ts[-1], rows, cols)
     if method == METHOD_INITIAL:
         # warm the basis cache once so threads only read
         _validated_generators(ideal)

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from flatcert import ChartPoint, evaluate_family_at, family_ideal_J
-from flatcert.cli import MAX_N, main, parse_ideal_file
+from flatcert.cli import MAX_N, MAX_T, main, parse_ideal_file
+from flatcert.hilbert import MAX_MACAULAY_ENTRIES
 
 SPECIAL_N2 = """# special fiber monomials plus the incidence form
 n 2
@@ -284,6 +285,17 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         assert run([command, "--n", str(MAX_N + 1)]) == (3, "")
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument --n: must be <= {MAX_N}" in last, last
+    # a rank-oracle matrix past its budget: refused before any elimination
+    n4_chart = str(Path(__file__).parent / "data" / "fiber_n4_chart.ideal")
+    for argv, shape in [
+        (["hilbert", n4_chart, "--t-max", "5"], "(5,5) Macaulay matrix would be 24760 x 15876"),
+        (["verify-flatness", "--n", "3", "--method", "rank"], "(8,8) Macaulay matrix"),
+        (["hilbert", ideal_file, "--method", "rank", "--t-max", str(MAX_T)], "Macaulay matrix"),
+    ]:
+        assert run(argv) == (3, ""), argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and shape in err[0], err
+        assert f"MAX_MACAULAY_ENTRIES = {MAX_MACAULAY_ENTRIES}" in err[0], err
     # out-of-range arguments: exit 3, nothing on stdout, the argument named last
     for argv, name in [
         (["verify-flatness", "--n", "0"], "--n"),
@@ -296,6 +308,8 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         (["verify-flatness", "--n", "1", "--corrupt", "drop-generator:-1"], "--corrupt"),
         (["verify-flatness", "--n", "1", "--corrupt", "swap:1"], "--corrupt"),
         (["hilbert", ideal_file, "--t-max", "0"], "--t-max"),
+        (["hilbert", ideal_file, "--t-max", str(MAX_T + 1)], "--t-max"),
+        (["verify-flatness", "--t-max", "10" * 30], "--t-max"),
         (["hilbert", ideal_file, "--method", "bogus"], "--method"),
         (["conic-equations", "--conics", "0"], "--conics"),
         (["conic-equations", "--conics", "-1"], "--conics"),

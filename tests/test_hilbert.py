@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from flatcert import (
     BiMonomial,
+    ChartPoint,
     HilbertPolynomialQ,
     Ideal,
     METHOD_INITIAL,
@@ -18,6 +20,8 @@ from flatcert import (
     bigraded_hilbert_function,
     chi_graph,
     diagonal_ideal,
+    evaluate_family_at,
+    family_ideal_J,
     gauss_graph_ideal,
     ideal_dimension,
     interpolate_hilbert_polynomial,
@@ -26,13 +30,19 @@ from flatcert import (
     xi_formula,
     xy_universe,
 )
+from flatcert import hilbert
 from flatcert.cli import parse_ideal_file
+from flatcert.groebner import _integer_terms, monomial_mul
 from flatcert.hilbert import (
+    MAX_MACAULAY_ENTRIES,
+    MacaulayBudgetError,
     binomial_basis_coordinates,
     normalize_method,
+    rank_matrix_shape,
     tabulate_diagonal,
 )
 from flatcert.polyring import iter_exponents_of_bidegree
+from flatcert.util import sparse_integer_rank
 
 
 def test_chi_graph_closed_forms():
@@ -140,6 +150,87 @@ def test_numerator_matches_enumeration(case):
     for i in range(5):
         for j in range(5):
             assert bigraded_hilbert_function(ideal, i, j) == _enumerated_value(uni, exps, i, j)
+
+
+# --- the pruned rank oracle against the unpruned builder ---
+
+def unpruned_rank_value(ideal, i, j):
+    """The rank oracle without echelon form or Koszul pruning: every
+    bidegree-(i,j) multiple m*g of every generator is a row."""
+    uni = ideal.universe
+    cols = {e: c for c, e in enumerate(iter_exponents_of_bidegree(uni, i, j))}
+    rows = []
+    for g in ideal.generators:
+        a, b = g.bidegree()
+        ints, _ = _integer_terms(g.terms)
+        for m in iter_exponents_of_bidegree(uni, i - a, j - b):
+            rows.append({cols[monomial_mul(e, m)]: v for e, v in ints.items()})
+    return len(cols) - sparse_integer_rank(rows)
+
+
+_BIDEGREES = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2)]
+
+
+def random_bihomogeneous_ideal(n, rng):
+    """A few sparse generators of mixed bidegrees with rational coefficients,
+    plus a proportional copy, a repeat and a linear combination of two
+    generators of one bidegree, shuffled."""
+    uni = xy_universe(n)
+    gens = []
+    for _ in range(rng.randint(3, 5)):
+        monomials = list(iter_exponents_of_bidegree(uni, *rng.choice(_BIDEGREES)))
+        picks = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
+        gens.append(sum((BiMonomial(uni, e).as_polynomial()
+                         * Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+                         for e in picks), uni.zero()))
+    f, g = rng.sample(gens, 2)
+    gens.append(f * Fraction(-3, 2))
+    gens.append(g)
+    same = [h for h in gens if h.bidegree() == f.bidegree()]
+    gens.append(same[0] * 2 + same[-1] * Fraction(1, 3))
+    rng.shuffle(gens)
+    return Ideal(uni, gens)
+
+
+@pytest.mark.parametrize("n, seed", [(1, s) for s in range(10)] + [(2, s) for s in range(10)])
+def test_pruned_rank_oracle_matches_unpruned_builder(n, seed, monkeypatch):
+    ideal = random_bihomogeneous_ideal(n, Random(seed))
+    kept = []
+    monkeypatch.setattr(hilbert, "sparse_integer_rank",
+                        lambda rows: kept.append(len(rows)) or sparse_integer_rank(rows))
+    top = 4 if n == 1 else 3
+    for i in range(top + 1):
+        for j in range(top + 1):
+            value = hilbert._rank_oracle_value(ideal, i, j)
+            assert value == unpruned_rank_value(ideal, i, j), (i, j)
+            assert value == bigraded_hilbert_function(ideal, i, j, METHOD_INITIAL), (i, j)
+            if i == j:
+                assert rank_matrix_shape(ideal, i)[0] == kept[-1]
+
+
+def test_rank_route_refuses_matrices_over_the_budget():
+    path = Path(__file__).parent / "data" / "fiber_n4_chart.ideal"
+    ideal = parse_ideal_file(str(path))
+    rows, cols = rank_matrix_shape(ideal, 5)
+    assert (rows, cols) == (24760, 15876) and rows * cols > MAX_MACAULAY_ENTRIES
+    with pytest.raises(MacaulayBudgetError, match="MAX_MACAULAY_ENTRIES"):
+        tabulate_diagonal(ideal, range(6), METHOD_RANK)
+    # the initial-ideal route has no Macaulay matrix to bound
+    assert tabulate_diagonal(ideal, range(6)).values[5] == chi_graph(4).evaluate(5)
+
+
+def _strata(n):
+    """The 2^n chart points (I, d) with d in {0, 1}^n."""
+    return [ChartPoint.from_strict_lower([[0] * i for i in range(1, n + 1)],
+                                         [(mask >> k) & 1 for k in range(n)])
+            for mask in range(2 ** n)]
+
+
+@pytest.mark.parametrize("n, t_max", [(2, 8), (3, 4)])
+def test_methods_agree_on_every_stratum(n, t_max):
+    J = family_ideal_J(n)
+    for point in _strata(n):
+        assert methods_agree(evaluate_family_at(J, point), range(t_max + 1)), point.label()
 
 
 def test_rank_oracle_never_calls_groebner(monkeypatch):

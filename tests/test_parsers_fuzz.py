@@ -1,10 +1,14 @@
-"""Fuzzing the input parsers.
+"""Fuzzing the input parsers and the input budgets.
 
 Any ideal file or points file either parses, or raises an error that the
 command line reports on one line with exit code 3 (`cli.USAGE_ERRORS`).
-Only the loaders run here; no Hilbert function is computed.
+A --t-max past `cli.MAX_T`, or one whose rank-oracle matrix is past
+`hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way.  No Hilbert function
+is computed here.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,7 +16,10 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 from flatcert import ChartPoint, Ideal
-from flatcert.cli import MAX_N, USAGE_ERRORS, _load_points_file, parse_ideal_file
+from flatcert.cli import MAX_N, MAX_T, USAGE_ERRORS, _load_points_file, main, parse_ideal_file
+from flatcert.hilbert import MAX_MACAULAY_ENTRIES
+
+N2_CHART = str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal")
 
 
 def load_or_usage_error(load, content):
@@ -96,3 +103,37 @@ def test_points_file_parses_or_exits_3(content):
     result = load_or_usage_error(_load_points_file, content)
     if not isinstance(result, USAGE_ERRORS):
         assert all(isinstance(p, ChartPoint) for p in result)
+
+
+# --- large --t-max ---
+
+def exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().strip().splitlines()
+
+
+_T_MAX_COMMANDS = st.sampled_from([
+    ["hilbert", N2_CHART], ["hilbert", N2_CHART, "--method", "initial"],
+    ["verify-flatness", "--n", "2"], ["xi-trials", "1", "1"]])
+
+
+@given(_T_MAX_COMMANDS, st.integers(min_value=MAX_T + 1, max_value=10**30))
+def test_t_max_beyond_its_budget_exits_3(argv, t_max):
+    code, err = exit_code_and_stderr([*argv, "--t-max", str(t_max)])
+    assert code == 3 and f"argument --t-max: must be <= {MAX_T}" in err[-1], err
+
+
+# the n=2 rank-oracle matrices pass MAX_MACAULAY_ENTRIES from t = 13
+_RANK_COMMANDS = st.sampled_from([
+    ["hilbert", N2_CHART, "--method", "rank"], ["hilbert", N2_CHART, "--method", "both"],
+    ["verify-flatness", "--n", "2", "--method", "rank"]])
+
+
+@given(_RANK_COMMANDS, st.integers(min_value=13, max_value=MAX_T))
+def test_rank_route_past_the_macaulay_budget_exits_3(argv, t_max):
+    code, err = exit_code_and_stderr([*argv, "--t-max", str(t_max)])
+    assert code == 3 and len(err) == 1, err
+    assert f"({t_max},{t_max}) Macaulay matrix" in err[0], err
+    assert f"MAX_MACAULAY_ENTRIES = {MAX_MACAULAY_ENTRIES}" in err[0], err

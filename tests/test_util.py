@@ -5,11 +5,13 @@ import heapq
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from flatcert import hilbert
+from flatcert.cli import parse_ideal_file
 from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
     WORKERS_ENV_VAR,
@@ -136,14 +138,13 @@ def test_sparse_rank_leaves_input_unchanged(seed):
     assert rows == before
 
 
-def _macaulay_matrices(point, ts, monkeypatch):
-    """The rank oracle's matrices for the fiber of J at a chart point."""
+def _macaulay_matrices(ideal, ts, monkeypatch):
+    """The rank oracle's matrices for an ideal at each diagonal t."""
     captured = []
     monkeypatch.setattr(hilbert, "sparse_integer_rank",
                         lambda rows: captured.append(copy.deepcopy(rows)) or 0)
-    fiber = evaluate_family_at(family_ideal_J(point.n), point)
     for t in ts:
-        hilbert.bigraded_hilbert_function(fiber, t, t, hilbert.METHOD_RANK)
+        hilbert.bigraded_hilbert_function(ideal, t, t, hilbert.METHOD_RANK)
     return captured
 
 
@@ -153,10 +154,24 @@ def _macaulay_matrices(point, ts, monkeypatch):
     (ChartPoint.from_strict_lower([[3], [-5, 2], [4, -7, 6]], [2, -9, 5]), 3),
 ], ids=["n2", "n2-degenerate", "n3"])
 def test_sparse_rank_matches_reference_on_macaulay_matrices(point, t_max, monkeypatch):
-    matrices = _macaulay_matrices(point, range(1, t_max + 1), monkeypatch)
+    fiber = evaluate_family_at(family_ideal_J(point.n), point)
+    matrices = _macaulay_matrices(fiber, range(1, t_max + 1), monkeypatch)
     assert len(matrices) == t_max
     for rows in matrices:
         assert sparse_integer_rank(rows) == reference_sparse_rank(rows)
+
+
+def test_pruned_macaulay_matrix_shape(monkeypatch):
+    # at t=8 Koszul pruning keeps 2412 of the 4 * 1296 multiples m*g; at t=2
+    # the four generators, of distinct leading terms, lose 0+1+2+3 of 36
+    ideal = parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal"))
+    assert ([hilbert.rank_matrix_shape(ideal, t)[0] for t in range(9)]
+            == [0, 4, 30, 102, 250, 510, 924, 1540, 2412])
+    (rows,) = _macaulay_matrices(ideal, [8], monkeypatch)
+    assert len(rows) == 2412
+    assert len({c for row in rows for c in row}) == 2025
+    assert hilbert.rank_matrix_shape(ideal, 8) == (2412, 2025)
+    assert sparse_integer_rank(rows) == reference_sparse_rank(rows) == 1992
 
 
 def test_sparse_rank_edge_cases():
