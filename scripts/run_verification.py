@@ -6,6 +6,8 @@ xi-trials run at degrees (2,2) is expected to exit 1 because the computed
 fibers fit the Koszul count 8t, not the closed formula 4t (see README),
 and the n=4 chart fiber at t=5 is expected to exit 3 because its
 rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES.
+Each suite's line gives its exit code and wall time (the subprocess,
+interpreter start-up included); the last line gives the total.
 The script exits 0 exactly when every suite matches its expectation.
 """
 
@@ -15,6 +17,7 @@ import argparse
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 
@@ -91,19 +94,24 @@ def main() -> int:
                   "--seed", str(args.seed)], 1))
 
         failures = 0
+        total = 0.0
         for label, argv, expected in suites:
+            start = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, "-m", "flatcert", *argv, "--output", "/dev/null"],
                 capture_output=True, text=True)
+            wall = time.perf_counter() - start
+            total += wall
             ok = proc.returncode == expected
             mark = "ok  " if ok else "BAD "
             note = "" if expected == 0 else f" (expected exit {expected})"
-            print(f"{mark} exit={proc.returncode}{note}  {label}")
+            print(f"{mark} exit={proc.returncode} {wall:6.2f} s{note}  {label}", flush=True)
             if not ok:
                 failures += 1
                 if proc.stderr:
                     print(proc.stderr.strip())
-        print(f"{len(suites) - failures}/{len(suites)} suites behaved as expected")
+        print(f"{len(suites) - failures}/{len(suites)} suites behaved as expected"
+              f" in {total:.2f} s")
         return 0 if failures == 0 else 1
 
 

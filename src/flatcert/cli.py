@@ -3,7 +3,7 @@
 Exit codes partition outcomes: 0 the checked property holds, 1 it fails
 mathematically, 2 the run was inconclusive (no stabilization), 3 usage or
 input error.  Reports are byte-identical given the same arguments and seed:
-no timestamps, sorted JSON keys, order-preserving parallel merges.
+no timestamps, sorted JSON keys, and every fiber and trial run in order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .hilbert import (
     normalize_method,
     tabulate_diagonal,
 )
-from .flagcut import run_xi_trials
+from .flagcut import default_t_max, run_xi_trials
 from .polyring import (
     ParseError,
     VariableUniverse,
@@ -56,7 +56,6 @@ from .quadfam import (
     torus_action_check,
     xy_universe,
 )
-from .util import resolve_workers
 
 SCHEMA_VERSION = 1
 EXIT_PASS = 0
@@ -185,8 +184,7 @@ def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
     else:
         extra = [random_chart_point(args.n, rng, degenerate=False),
                  random_chart_point(args.n, rng, degenerate=True)]
-    report = flatness_certificate(args.n, extra, args.t_max, args.method,
-                                  args.corrupt, args.workers)
+    report = flatness_certificate(args.n, extra, args.t_max, args.method, args.corrupt)
     lines = [f"flatness n={args.n} t_max={args.t_max} expected={report.expected}"]
     for fib in report.fibers:
         got = str(fib.polynomial) if fib.polynomial is not None else f"({fib.failure})"
@@ -272,8 +270,11 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
 
 
 def _run_xi_trials(args: argparse.Namespace) -> Outcome:
-    report = run_xi_trials(args.d0, args.d1, args.trials, args.seed, args.t_max,
-                           args.method, args.workers)
+    t_max = default_t_max(args.d0, args.d1) if args.t_max is None else args.t_max
+    if t_max > MAX_T:  # an explicit --t-max is bounded by argparse
+        raise ValueError(f"xi-trials: the default t_max d0 + d1 + 5 = {t_max} is over "
+                         f"MAX_T = {MAX_T}")
+    report = run_xi_trials(args.d0, args.d1, args.trials, args.seed, t_max, args.method)
     lines = [
         f"xi-trials d0={args.d0} d1={args.d1} trials={args.trials} seed={args.seed}",
         f"  xi_formula expectation: {report.xi_expected}"
@@ -358,8 +359,9 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", default=None, help="write the report to a file")
+    # accepted and ignored: every bench/workloads.py item passes it
     common.add_argument("--workers", type=positive, default=None,
-                        help="parallelism (flag beats FLATCERT_WORKERS beats cpu count)")
+                        help="accepted and ignored; every run is serial")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-flatness", parents=[common],
@@ -418,7 +420,6 @@ def main(argv: list[str] | None = None) -> int:
         # argparse raises on usage errors and on --help; surface the code
         return int(exc.code or 0)
     try:
-        args.workers = resolve_workers(args.workers)
         verdict, config, report, lines = args.run(args)
         envelope = {"schema": SCHEMA_VERSION, "command": args.command,
                     "config": config, "report": report}

@@ -30,7 +30,6 @@ from .hilbert import (
 )
 from .polyring import BiPolynomial, VariableUniverse, monomials_of_bidegree, polynomial_text
 from .quadfam import incidence_form, xy_universe
-from .util import parallel_map
 
 MAX_RETRIES_PER_TRIAL = 8
 
@@ -182,24 +181,24 @@ def _run_one_trial(index: int, trial_seed: int, d0: int, d1: int, t_max: int,
     return record
 
 
+def default_t_max(d0: int, d1: int) -> int:
+    """Table length past the Koszul stabilization threshold d0 + d1 + 2."""
+    return d0 + d1 + 5
+
+
 def run_xi_trials(d0: int, d1: int, trials: int = 20, seed: int = 0,
-                  t_max: int | None = None, method: str = METHOD_INITIAL,
-                  workers: int = 1) -> XiTrialsReport:
+                  t_max: int | None = None, method: str = METHOD_INITIAL) -> XiTrialsReport:
     """Sample random curve pairs and compare Gamma_f's Hilbert polynomial
     to xi_formula(d0, d1) and to the Koszul count.  Degenerate draws retry
     with the same per-trial stream and are logged."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if t_max is None:
-        t_max = d0 + d1 + 5
+        t_max = default_t_max(d0, d1)
     xi = xi_formula(d0, d1)
     koszul = koszul_hilbert_polynomial(d0, d1)
     master = Random(seed)
     trial_seeds = [master.getrandbits(32) for _ in range(trials)]
-
-    def run(args: tuple[int, int]) -> TrialRecord:
-        idx, ts = args
-        return _run_one_trial(idx, ts, d0, d1, t_max, method, xi, koszul)
-
-    records = parallel_map(run, list(enumerate(trial_seeds)), workers)
+    records = [_run_one_trial(idx, ts, d0, d1, t_max, method, xi, koszul)
+               for idx, ts in enumerate(trial_seeds)]
     return XiTrialsReport(d0, d1, trials, seed, xi, koszul, records)

@@ -24,7 +24,6 @@ storing a remainder term.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
@@ -453,13 +452,13 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
 # --- ideals ---
 
 class Ideal:
-    """A finitely generated bihomogeneous ideal with cached reduced bases.
+    """A finitely generated bihomogeneous ideal with its reduced basis under
+    DEFAULT_ORDER, computed on first use and cached.
 
-    The cache maps an order spec to (reduced basis, initial ideal); writes
-    happen once per order under a lock, so concurrent readers are safe.
+    Other orders go through `buchberger(generators, order)` directly.
     """
 
-    __slots__ = ("universe", "generators", "_cache", "_lock")
+    __slots__ = ("universe", "generators", "_computed")
 
     def __init__(self, universe: VariableUniverse, generators: Iterable[BiPolynomial]):
         gens = tuple(generators)
@@ -474,30 +473,22 @@ class Ideal:
                 raise ValueError("zero generator")
         self.universe = universe
         self.generators = gens
-        self._cache: dict[MonomialOrderSpec, tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]]] = {}
-        self._lock = threading.Lock()
+        self._computed: tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]] | None = None
 
-    def _computed(self, order: MonomialOrderSpec) -> tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]]:
-        hit = self._cache.get(order)
-        if hit is not None:
-            return hit
-        with self._lock:
-            hit = self._cache.get(order)
-            if hit is not None:
-                return hit
-            basis, _ = buchberger(self.generators, order)
-            keyf = order.key_function(self.universe)
+    def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]]:
+        if self._computed is None:
+            basis, _ = buchberger(self.generators, DEFAULT_ORDER)
+            keyf = DEFAULT_ORDER.key_function(self.universe)
             lead = sorted((leading_term(g, keyf)[0] for g in basis), reverse=True)
-            initial = tuple(BiMonomial(self.universe, e) for e in lead)
-            self._cache[order] = (basis, initial)
-            return self._cache[order]
+            self._computed = (basis, tuple(BiMonomial(self.universe, e) for e in lead))
+        return self._computed
 
-    def groebner_basis(self, order: MonomialOrderSpec | None = None) -> tuple[BiPolynomial, ...]:
-        return self._computed(_resolve(order))[0]
+    def groebner_basis(self) -> tuple[BiPolynomial, ...]:
+        return self._basis_and_initial()[0]
 
-    def initial_ideal(self, order: MonomialOrderSpec | None = None) -> tuple[BiMonomial, ...]:
+    def initial_ideal(self) -> tuple[BiMonomial, ...]:
         """Minimal monomial generators of the ideal of leading terms."""
-        return self._computed(_resolve(order))[1]
+        return self._basis_and_initial()[1]
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators[:4])

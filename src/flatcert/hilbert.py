@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .groebner import (DEFAULT_ORDER, Ideal, _integer_terms, minimalize_monomial_exponents,
-                       monomial_divides)
+from .groebner import Ideal, _integer_terms, minimalize_monomial_exponents, monomial_divides
 from .polyring import BiPolynomial, Exponents, iter_exponents_of_bidegree
 from .util import parallel_map, sparse_integer_rank
 
@@ -412,7 +411,7 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
         return _rank_oracle_value(ideal, i, j)
     _validated_generators(ideal)
     k = ideal.universe.n + 1
-    numerator = _series_numerator((m.exponents for m in ideal.initial_ideal(DEFAULT_ORDER)), k)
+    numerator = _series_numerator((m.exponents for m in ideal.initial_ideal()), k)
     return _numerator_value(numerator, k, i, j)
 
 
@@ -428,19 +427,16 @@ class HilbertFunctionTable:
                 for t in sorted(self.values)]
 
 
-def tabulate_diagonal(ideal: Ideal, ts: Iterable[int], method: str = METHOD_INITIAL,
-                      workers: int = 1) -> HilbertFunctionTable:
+def tabulate_diagonal(ideal: Ideal, ts: Iterable[int],
+                      method: str = METHOD_INITIAL) -> HilbertFunctionTable:
     ts = sorted(set(int(t) for t in ts))
     method = normalize_method(method)
     if method == METHOD_RANK and ts:
         rows, cols = rank_matrix_shape(ideal, ts[-1])
         if rows * cols > MAX_MACAULAY_ENTRIES:
             raise MacaulayBudgetError(ts[-1], rows, cols)
-    if method == METHOD_INITIAL:
-        # warm the basis cache once so threads only read
-        _validated_generators(ideal)
-        ideal.initial_ideal(DEFAULT_ORDER)
-    vals = parallel_map(lambda t: bigraded_hilbert_function(ideal, t, t, method), ts, workers)
+    # serial; parallel_map stays only because bench/tracing.py traces this call
+    vals = parallel_map(lambda t: bigraded_hilbert_function(ideal, t, t, method), ts)
     return HilbertFunctionTable(dict(zip(ts, vals)), method)
 
 

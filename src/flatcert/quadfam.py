@@ -920,13 +920,12 @@ def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
 
 def flatness_certificate(n: int, extra_points: Sequence[ChartPoint] = (),
                          t_max: int = 8, method: str = METHOD_INITIAL,
-                         corrupt: str | None = None, workers: int = 1) -> FlatnessReport:
+                         corrupt: str | None = None) -> FlatnessReport:
     """Certify (or refute, under corruption) that every listed fiber of the
     family has Hilbert polynomial chi_graph(n).
 
     The fibers over (I, 0) and (I, (1,..,1)) are always included, followed
-    by extra_points.  Fibers are independent and may run concurrently;
-    results merge in point order.
+    by extra_points, and are checked in that order.
     """
     J = family_ideal_J(n)
     if corrupt:
@@ -941,5 +940,6 @@ def flatness_certificate(n: int, extra_points: Sequence[ChartPoint] = (),
         idx, pt = args
         return _check_fiber(J, idx, pt, t_max, method, expected)
 
-    fibers = parallel_map(run, list(enumerate(points)), workers)
+    # serial; parallel_map stays only because bench/tracing.py traces this call
+    fibers = parallel_map(run, enumerate(points))
     return FlatnessReport(n, t_max, method, corrupt, expected, fibers)

@@ -1,13 +1,10 @@
 """Small shared utilities: rationals in JSON, tiny exact linear algebra over
-arbitrary rings, sparse fraction-free rank over the integers, and a
-deterministic worker pool."""
+arbitrary rings, and sparse fraction-free rank over the integers."""
 
 from __future__ import annotations
 
 import heapq
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -15,42 +12,14 @@ from typing import Callable, Iterable, Sequence, TypeVar
 T = TypeVar("T")
 R = TypeVar("R")
 
-WORKERS_ENV_VAR = "FLATCERT_WORKERS"
 # no exponent or decimal forms: Fraction("1e2000000") expands the power exactly
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else FLATCERT_WORKERS, else cpu count.
-
-    A count below 1, from either source, is a ValueError, not clamped.
-    """
-    source = "worker count"
-    if requested is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if not env:
-            return max(1, os.cpu_count() or 1)
-        source = WORKERS_ENV_VAR
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}")
-    if requested < 1:
-        raise ValueError(f"{source} must be >= 1, got {requested}")
-    return int(requested)
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], workers: int = 1) -> list[R]:
-    """Map preserving input order; thread pool when workers > 1.
-
-    Shared inputs are treated as immutable and results are merged in input
-    order, so the outcome does not depend on scheduling.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], workers: object = None) -> list[R]:
+    """[fn(x) for x in items]; `workers` is accepted and ignored."""
+    # a serial map kept by name because bench/tracing.py wraps it and passes `workers`
+    return [fn(x) for x in items]
 
 
 def fraction_to_json(q: Fraction | int) -> int | str:

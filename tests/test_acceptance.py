@@ -121,7 +121,7 @@ def test_ac04_flatness_certificate(n):
     rng = random.Random(90 + n)
     extras = [random_chart_point(n, rng) for _ in range(3)]
     extras += [random_chart_point(n, rng, degenerate=True) for _ in range(3)]
-    result = flatness_certificate(n, extra_points=tuple(extras), t_max=8, workers=4)
+    result = flatness_certificate(n, extra_points=tuple(extras), t_max=8)
     assert result.verdict == "PASS", result.divergent
     assert result.expected == chi_graph(n)
     assert len(result.fibers) == 8

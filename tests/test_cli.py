@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -252,13 +253,15 @@ def test_workers_do_not_change_output():
     assert a == b
 
 
-def test_workers_env_var(monkeypatch, ideal_file):
-    monkeypatch.setenv("FLATCERT_WORKERS", "2")
-    code, text = run(["hilbert", ideal_file, "--t-max", "4"])
-    assert code == 0
-    for bad in ("zzz", "0"):
-        monkeypatch.setenv("FLATCERT_WORKERS", bad)
-        assert run(["hilbert", ideal_file, "--t-max", "4"]) == (3, ""), bad
+def test_no_subcommand_starts_a_thread(monkeypatch):
+    argvs = [["verify-flatness", "--n", "2"], ["xi-trials", "1", "1", "--trials", "3"]]
+    serial = [run(argv + ["--workers", "1"]) for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert [run(argv + ["--workers", "4"]) for argv in argvs] == serial
 
 
 def test_output_flag_writes_file(tmp_path, ideal_file):
@@ -285,6 +288,10 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         assert run([command, "--n", str(MAX_N + 1)]) == (3, "")
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument --n: must be <= {MAX_N}" in last, last
+    # xi-trials' default t_max, d0 + d1 + 5, meets MAX_T as --t-max does
+    assert run(["xi-trials", str(MAX_T - 5), "1", "--trials", "1"]) == (3, "")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"MAX_T = {MAX_T}" in err[0], err
     # a rank-oracle matrix past its budget: refused before any elimination
     n4_chart = str(Path(__file__).parent / "data" / "fiber_n4_chart.ideal")
     for argv, shape in [

@@ -157,8 +157,8 @@ def test_one_completion_per_draw(monkeypatch):
 
 
 def test_trials_are_deterministic_and_worker_independent():
-    a = run_xi_trials(1, 2, trials=3, seed=5, workers=1)
-    b = run_xi_trials(1, 2, trials=3, seed=5, workers=3)
+    a = run_xi_trials(1, 2, trials=3, seed=5)
+    b = run_xi_trials(1, 2, trials=3, seed=5)
     assert a.to_json_dict() == b.to_json_dict()
     assert [r.seed for r in a.records] == [r.seed for r in b.records]
 

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from flatcert import groebner
 from flatcert import (
     DEFAULT_ORDER,
     BiPolynomial,
@@ -167,13 +168,23 @@ def test_leading_monomial_respects_order():
     assert repr(leading_monomial(f, MonomialOrderSpec("lex"))) == "BiMonomial('x1*y2')"
 
 
-def test_ideal_caches_basis_per_order():
+def test_ideal_caches_one_basis(monkeypatch):
     ideal = special_fiber_ideal(2)
+    calls = []
+    original = groebner.buchberger
+
+    def counting(gens, order=None):
+        calls.append(order)
+        return original(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
     b1 = ideal.groebner_basis()
-    b2 = ideal.groebner_basis()
-    assert b1 is b2
-    b3 = ideal.groebner_basis(MonomialOrderSpec("grevlex"))
-    ok, _ = is_groebner_basis(b3, MonomialOrderSpec("grevlex"))
+    assert ideal.initial_ideal() and ideal.groebner_basis() is b1
+    assert calls == [DEFAULT_ORDER]
+    # other orders go through buchberger itself
+    grevlex = MonomialOrderSpec("grevlex")
+    b3, _ = buchberger(ideal.generators, grevlex)
+    ok, _ = is_groebner_basis(b3, grevlex)
     assert ok
 
 

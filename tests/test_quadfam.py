@@ -381,7 +381,7 @@ def test_flatness_certificate_n2_with_extra_point():
     extra = ChartPoint.from_strict_lower(
         [[Fraction(2)], [Fraction(-1), Fraction(3)]], [Fraction(1), Fraction(-2)]
     )
-    report = flatness_certificate(2, extra_points=(extra,), t_max=7, workers=2)
+    report = flatness_certificate(2, extra_points=(extra,), t_max=7)
     assert report.verdict == "PASS"
     assert report.expected == chi_graph(2)
     assert len(report.fibers) >= 3

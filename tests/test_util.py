@@ -1,4 +1,5 @@
-"""Exact linear algebra and worker plumbing."""
+"""Rationals in JSON, exact linear algebra, sparse integer rank, and the
+serial map."""
 
 import copy
 import heapq
@@ -14,7 +15,6 @@ from flatcert import hilbert
 from flatcert.cli import parse_ideal_file
 from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
-    WORKERS_ENV_VAR,
     fraction_from_json,
     fraction_to_json,
     mat_adjugate,
@@ -22,7 +22,6 @@ from flatcert.util import (
     mat_mul,
     mat_transpose,
     parallel_map,
-    resolve_workers,
     sparse_integer_rank,
 )
 
@@ -183,8 +182,9 @@ def test_sparse_rank_edge_cases():
 
 def test_parallel_map_preserves_order():
     items = list(range(40))
-    assert parallel_map(lambda v: v * v, items, workers=4) == [v * v for v in items]
-    assert parallel_map(lambda v: v + 1, items, workers=1) == [v + 1 for v in items]
+    assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
+    # bench/tracing.py passes a worker count as a third argument; it is ignored
+    assert parallel_map(lambda v: v + 1, iter(items), 4) == [v + 1 for v in items]
 
 
 def test_parallel_map_propagates_errors():
@@ -194,30 +194,7 @@ def test_parallel_map_propagates_errors():
         return v
 
     with pytest.raises(RuntimeError):
-        parallel_map(bad, range(6), workers=3)
-
-
-def test_resolve_workers_precedence(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    assert resolve_workers(3) == 3
-    assert resolve_workers() >= 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-    assert resolve_workers() == 5
-    # an explicit request wins over the environment
-    assert resolve_workers(2) == 2
-    monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    # a count below 1 is refused, not clamped
-    for bad in ("0", "-5"):
-        monkeypatch.setenv(WORKERS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            resolve_workers()
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-    # an empty value means unset
-    monkeypatch.setenv(WORKERS_ENV_VAR, "")
-    assert resolve_workers() >= 1
+        parallel_map(bad, range(6))
 
 
 def test_fraction_json_roundtrip():
