@@ -13,12 +13,21 @@ Parameter variables compare below all x/y variables in every order, so
 leading terms are taken with respect to x/y content when chart parameters
 are still symbolic.
 
-Arithmetic.  Reduction runs fraction-free inside `_reduce_terms`: the
+Arithmetic.  Inside `normal_form`, `spolynomial`, `buchberger` (with its
+interreduction) and `is_groebner_basis`, each monomial is one int
+(`_Packing`): one field per exponent, in the order's significance order,
+with a guard bit above each field.  Multiplying monomials adds their ints,
+comparing them compares monomials (for grevlex through a key that negates
+the reversed x/y fields), and a divides b exactly when b - a sets no guard
+bit.  Reduction runs fraction-free inside `_reduce_terms`: the
 working polynomial is integers over one common denominator, each basis
 element is a primitive integer polynomial built once per basis, S-pairs are
-formed from the integer tails, and the leading term comes off a heap.
-`Fraction` appears only at the API boundary: converting an input and
-storing a remainder term.
+formed from the integer tails, and the leading term comes off a heap of
+ints.  A field that would overflow raises `_FieldOverflow` before any term
+is stored, and the whole call restarts at twice the field width, so
+results never depend on the width.  Exponent tuples and `Fraction` appear
+only at the API boundary: converting an input, storing a remainder term,
+and the `BuchbergerRun` audit trail.
 """
 
 from __future__ import annotations
@@ -26,10 +35,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from functools import lru_cache
+from itertools import combinations
 from math import gcd, lcm
-from operator import add, itemgetter, le, neg, sub
-from typing import Callable, ClassVar, Iterable, Sequence
+from operator import add, itemgetter, le, lshift, neg
+from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
 
 from .polyring import (
     BiMonomial,
@@ -142,43 +152,145 @@ def leading_monomial(f: BiPolynomial, order: MonomialOrderSpec | None = None) ->
     return BiMonomial(f.universe, e)
 
 
+# --- packed monomials ---
+
+class _FieldOverflow(Exception):
+    """An exponent outgrew its packed field; `_packed` retries wider."""
+
+
+class _Packing:
+    """The monomials of one universe as ints, for one order and field width.
+
+    A monomial's code has one field per exponent, the most significant
+    first in the order's significance order: for lex the x/y variables in
+    `permutation_indices` order, then the parameters; for grevlex a total
+    x/y degree field, then the x/y variables in reversed order, then the
+    parameters.  Each field is `width` bits with a guard bit above it, kept
+    zero.  Codes of monomials add field by field, and a divides b exactly
+    when b - a has no guard bit set: a field of b smaller than a's borrows
+    from the guard bit above it.
+
+    The key of code c is c - 2*(c & rev), where rev covers grevlex's
+    reversed x/y fields (rev is 0 for lex, where key and code coincide).
+    It negates those fields, so comparing keys compares monomials, and it
+    stays additive.  The kernel keys its polynomials by key and forms a
+    code only to test divisibility or overflow.
+    """
+
+    __slots__ = ("universe", "guard", "rev", "low", "_limit", "_shifts", "_total",
+                 "_fields", "_exponents")
+
+    def __init__(self, universe: VariableUniverse, order: MonomialOrderSpec, width: int):
+        perm = order.permutation_indices(universe)
+        nxy = universe.num_xy
+        total = order.kind == "grevlex"
+        variables = (perm[::-1] if total else perm) + tuple(range(nxy, universe.num_vars))
+        stride = width + 1
+        self._shifts = tuple(range(stride * (len(variables) + total - 1), -1, -stride))
+        self.universe = universe
+        self._limit = (1 << width) - 1
+        self.guard = sum(1 << (s + width) for s in self._shifts)
+        self.rev = sum(self._limit << s for s in self._shifts[1:nxy + 1]) if total else 0
+        self.low = (1 << self._shifts[nxy]) - 1 if total else 0
+        self._total = nxy if total else 0
+        self._fields = itemgetter(*variables)
+        self._exponents = itemgetter(*(variables.index(i) + total for i in range(len(variables))))
+
+    def pack(self, e: Exponents) -> int:
+        """The key of e; raises _FieldOverflow if a field cannot hold it."""
+        fields = self._fields(e)
+        if self._total:
+            fields = (sum(fields[:self._total]), *fields)
+        if max(fields) > self._limit:
+            raise _FieldOverflow
+        c = sum(map(lshift, fields, self._shifts))
+        return c - 2 * (c & self.rev)
+
+    def code(self, key: int) -> int:
+        """The code of a key: it adds 2*(c & rev) back, reading c & rev off
+        the bits that -key borrows into below the reversed fields."""
+        return key + 2 * ((self.low - key) & self.rev)
+
+    def unpack(self, key: int) -> Exponents:
+        c = self.code(key)
+        limit = self._limit
+        return self._exponents([(c >> s) & limit for s in self._shifts])
+
+
+@lru_cache(maxsize=32)
+def _packing(universe: VariableUniverse, order: MonomialOrderSpec, width: int) -> _Packing:
+    return _Packing(universe, order, width)
+
+
+# Field width of a first attempt: exponents up to 63.  A field that
+# overflows restarts the whole computation at twice the width.
+_INITIAL_WIDTH = 6
+
+_T = TypeVar("_T")
+
+
+def _packed(run: Callable[[_Packing], _T], universe: VariableUniverse,
+            order: MonomialOrderSpec) -> _T:
+    """run(packing), at the first width from _INITIAL_WIDTH up, doubling,
+    where no exponent overflows its field."""
+    width = _INITIAL_WIDTH
+    while True:
+        try:
+            return run(_packing(universe, order, width))
+        except _FieldOverflow:
+            width *= 2
+
+
 # --- reduction ---
 
-def _integer_terms(terms: dict[Exponents, Fraction]) -> tuple[dict[Exponents, int], int]:
+def _integer_terms(terms: dict) -> tuple[dict, int]:
     """(h, scale) with integer h and terms == h / scale."""
     scale = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}, scale
 
 
-# One record per basis element, built once: the support bitmask of the
-# leading monomial (for quick rejection), the leading monomial, and the
-# element scaled to a primitive integer polynomial, split into its leading
-# coefficient and its tail.
-_Divisor = tuple[int, Exponents, int, tuple[tuple[Exponents, int], ...]]
+def _packed_terms(f: BiPolynomial, pk: _Packing) -> tuple[dict[int, int], int]:
+    """(h, scale) with integer h keyed by packed key and f == h / scale."""
+    ints, scale = _integer_terms(f.terms)
+    return {pk.pack(e): c for e, c in ints.items()}, scale
 
 
-def _divisor(g: BiPolynomial, keyf: OrderKey) -> _Divisor:
-    lm, _ = leading_term(g, keyf)
-    ints, _ = _integer_terms(g.terms)
-    content = gcd(*ints.values())
-    mask = sum(1 << i for i, v in enumerate(lm) if v)
-    tail = tuple((e, c // content) for e, c in ints.items() if e != lm)
-    return mask, lm, ints[lm] // content, tail
+def _polynomial(terms: dict[int, Fraction], pk: _Packing) -> BiPolynomial:
+    return BiPolynomial(pk.universe, _canonical={pk.unpack(k): c for k, c in terms.items()})
 
 
-def _gdata(basis: Sequence[BiPolynomial], keyf: OrderKey) -> list[_Divisor]:
-    return [_divisor(g, keyf) for g in basis]
+# One record per basis element, built once: the code and the key of the
+# leading monomial, the element scaled to a primitive integer polynomial
+# with positive leading coefficient, split into that coefficient and its
+# tail, and the bitwise or of the tail's codes, which bounds every tail
+# field for the overflow test.
+_Divisor = tuple[int, int, int, tuple[tuple[int, int], ...], int]
 
 
-def _negated(keyf: OrderKey) -> OrderKey:
-    """The key whose smallest value is the largest monomial, for heapq."""
-    if keyf is tuple:
-        return lambda e: tuple(map(neg, e))
-    return lambda e: tuple(map(neg, keyf(e)))
+def _divisor(h: dict[int, int], pk: _Packing) -> _Divisor:
+    """The record of the nonzero polynomial h (integer, keyed by key)."""
+    lm = max(h)
+    content = gcd(*h.values())
+    if h[lm] < 0:
+        content = -content
+    tail = tuple((k, c // content) for k, c in h.items() if k != lm)
+    bits = 0
+    for k, _ in tail:
+        bits |= pk.code(k)
+    return pk.code(lm), lm, h[lm] // content, tail, bits
 
 
-def _reduce_terms(h: dict[Exponents, int], scale: int, gdata: Sequence[_Divisor],
-                  keyf: OrderKey) -> tuple[dict[Exponents, Fraction], int]:
+def _gdata(basis: Sequence[BiPolynomial], pk: _Packing) -> list[_Divisor]:
+    return [_divisor(_packed_terms(g, pk)[0], pk) for g in basis]
+
+
+def _monic_polynomial(d: _Divisor, pk: _Packing) -> BiPolynomial:
+    _, lm, lc, tail, _ = d
+    return _polynomial({lm: Fraction(1), **{k: Fraction(c, lc) for k, c in tail}}, pk)
+
+
+def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
+                  pk: _Packing) -> tuple[dict[int, Fraction], int]:
     """Full division-algorithm remainder of h / scale plus the reduction
     chain length; h is consumed.
 
@@ -186,41 +298,44 @@ def _reduce_terms(h: dict[Exponents, int], scale: int, gdata: Sequence[_Divisor]
     divisor with integer leading coefficient lc cancels the leading term c
     by h <- (lc/g)*h - (c/g)*shift*tail, g = gcd(c, lc), fraction-free as
     in Bareiss elimination, and divides out the content when lc/g is not 1.
-    Leading terms come off a heap of negated order keys; a term is pushed
-    when it appears in h, and a popped term no longer in h is skipped.
+    Leading terms come off a heap of negated keys; a term is pushed when it
+    appears in h, and a popped term no longer in h is skipped.  A step
+    whose shifted tail would overflow a field raises _FieldOverflow before
+    it changes h.
     """
     if not h:
         return {}, 0
-    negkey = _negated(keyf)
-    heap = [(negkey(e), e) for e in h]
+    heap = [-k for k in h]
     heapq.heapify(heap)
-    bits = [1 << i for i in range(len(heap[0][1]))]
-    r: dict[Exponents, Fraction] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    guard, rev, low = pk.guard, pk.rev, pk.low
+    r: dict[int, Fraction] = {}
     steps = 0
     while heap:
-        lead = heapq.heappop(heap)[1]
+        lead = -heappop(heap)
         c = h.pop(lead, 0)
         if not c:
             continue
-        lead_mask = sum(compress(bits, lead))
-        for mask, lm, lc, tail in gdata:
-            if mask & ~lead_mask or not all(map(le, lm, lead)):
+        code = lead + 2 * ((low - lead) & rev) if rev else lead
+        for lm_code, lm, lc, tail, bits in gdata:
+            s = code - lm_code
+            if s & guard:
                 continue
+            if (bits + s) & guard:
+                raise _FieldOverflow
             g = gcd(c, lc)
             a, b = lc // g, c // g
-            if a < 0:
-                a, b = -a, -b
             if a != 1:
                 for e in h:
                     h[e] *= a
                 scale *= a
-            shift = tuple(map(sub, lead, lm))
-            for ge, gc in tail:
-                e = tuple(map(add, ge, shift))
+            shift = lead - lm
+            for e, gc in tail:
+                e += shift
                 v = h.get(e)
                 if v is None:
                     h[e] = -b * gc
-                    heapq.heappush(heap, (negkey(e), e))
+                    heappush(heap, -e)
                 else:
                     v -= b * gc
                     if v:
@@ -243,31 +358,33 @@ def _reduce_terms(h: dict[Exponents, int], scale: int, gdata: Sequence[_Divisor]
 def normal_form(f: BiPolynomial, basis: Sequence[BiPolynomial],
                 order: MonomialOrderSpec | None = None) -> BiPolynomial:
     """Deterministic full remainder of f modulo the listed polynomials."""
-    order = _resolve(order)
-    keyf = order.key_function(f.universe)
     for g in basis:
         if g.universe != f.universe:
             raise UniverseMismatchError("basis and argument universes differ")
         if g.is_zero():
             raise ValueError("zero polynomial in reduction basis")
-    r, _ = _reduce_terms(*_integer_terms(f.terms), _gdata(basis, keyf), keyf)
-    return BiPolynomial(f.universe, _canonical=r)
+
+    def run(pk: _Packing) -> BiPolynomial:
+        r, _ = _reduce_terms(*_packed_terms(f, pk), _gdata(basis, pk), pk)
+        return _polynomial(r, pk)
+    return _packed(run, f.universe, _resolve(order))
 
 
-def _spair(p: _Divisor, q: _Divisor) -> tuple[dict[Exponents, int], int]:
+def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[int, int], int]:
     """The S-polynomial x^(L-lm p) p/lc p - x^(L-lm q) q/lc q, L the lcm of
-    the leading monomials, as (h, scale).  The leading terms cancel by
-    construction, so it is built from the two tails alone."""
-    _, lmp, lcp, tailp = p
-    _, lmq, lcq, tailq = q
-    lcm_pq = monomial_lcm(lmp, lmq)
+    the leading monomials (lcm_key its key), as (h, scale).  The leading
+    terms cancel by construction, so it is built from the two tails alone."""
+    lcm_code = pk.code(lcm_key)
+    lcp, lcq = p[2], q[2]
     g = gcd(lcp, lcq)
     a, b = lcq // g, lcp // g
-    h: dict[Exponents, int] = {}
-    for tail, lm, factor in ((tailp, lmp, a), (tailq, lmq, -b)):
-        shift = tuple(map(sub, lcm_pq, lm))
+    h: dict[int, int] = {}
+    for (lm_code, lm, _, tail, bits), factor in ((p, a), (q, -b)):
+        if (bits + lcm_code - lm_code) & pk.guard:
+            raise _FieldOverflow
+        shift = lcm_key - lm
         for e, c in tail:
-            e = tuple(map(add, e, shift))
+            e += shift
             v = h.get(e, 0) + factor * c
             if v:
                 h[e] = v
@@ -278,9 +395,12 @@ def _spair(p: _Divisor, q: _Divisor) -> tuple[dict[Exponents, int], int]:
 
 def spolynomial(f: BiPolynomial, g: BiPolynomial,
                 order: MonomialOrderSpec | None = None) -> BiPolynomial:
-    keyf = _resolve(order).key_function(f.universe)
-    h, scale = _spair(_divisor(f, keyf), _divisor(g, keyf))
-    return BiPolynomial(f.universe, _canonical={e: Fraction(c, scale) for e, c in h.items()})
+    def run(pk: _Packing) -> BiPolynomial:
+        p, q = _gdata((f, g), pk)
+        lcm_key = pk.pack(monomial_lcm(pk.unpack(p[1]), pk.unpack(q[1])))
+        h, scale = _spair(p, q, lcm_key, pk)
+        return _polynomial({k: Fraction(c, scale) for k, c in h.items()}, pk)
+    return _packed(run, f.universe, _resolve(order))
 
 
 # --- Buchberger completion ---
@@ -314,29 +434,20 @@ class BuchbergerRun:
         }
 
 
-def _monic(f: BiPolynomial, keyf: OrderKey) -> BiPolynomial:
-    _, lc = leading_term(f, keyf)
-    return f if lc == 1 else f / lc
-
-
-def _interreduce(basis: list[BiPolynomial], keyf: OrderKey) -> list[BiPolynomial]:
+def _interreduce(gdata: list[_Divisor], pk: _Packing) -> list[_Divisor]:
     """Minimalize leading terms, then reduce every tail once."""
-    ordered = sorted(basis, key=lambda g: keyf(leading_term(g, keyf)[0]))
-    minimal: list[BiPolynomial] = []
-    for g in ordered:
-        lm = leading_term(g, keyf)[0]
-        if not any(monomial_divides(leading_term(h, keyf)[0], lm) for h in minimal):
-            minimal.append(_monic(g, keyf))
+    minimal: list[_Divisor] = []
+    for d in sorted(gdata, key=itemgetter(1)):
+        if all((d[0] - m[0]) & pk.guard for m in minimal):
+            minimal.append(d)
     # one pass suffices: reduction keeps every leading term, so a tail
     # reduced against them stays reduced when the others change
-    gdata = _gdata(minimal, keyf)
-    for i, g in enumerate(minimal):
-        others = gdata[:i] + gdata[i + 1:]
+    for i, (_, lm, lc, tail, _) in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
         if others:
-            r, _ = _reduce_terms(*_integer_terms(g.terms), others, keyf)
-            minimal[i] = BiPolynomial(g.universe, _canonical=r)
-            gdata[i] = _divisor(minimal[i], keyf)
-    minimal.sort(key=lambda g: keyf(leading_term(g, keyf)[0]))
+            r, _ = _reduce_terms({lm: lc, **dict(tail)}, 1, others, pk)
+            minimal[i] = _divisor(_integer_terms(r)[0], pk)
+    minimal.sort(key=itemgetter(1))
     return minimal
 
 
@@ -353,60 +464,64 @@ def buchberger(gens: Sequence[BiPolynomial],
             raise UniverseMismatchError("generators live over different universes")
         if g.is_zero():
             raise ValueError("zero generator")
-    keyf = order.key_function(uni)
-    run = BuchbergerRun(order=order)
+    return _packed(lambda pk: _complete(gens, order, pk), uni, order)
 
-    G = [_monic(g, keyf) for g in gens]
-    gdata = _gdata(G, keyf)
-    lms = [lm for _, lm, _, _ in gdata]
-    # Pairs pop by (order key of the lcm, (i, j)): the smallest lcm first,
-    # ties broken on the index pair.  `pending` holds the pairs not yet
-    # popped, which is what the chain criterion asks about.
-    heap: list[tuple[tuple, tuple[int, int], Exponents]] = []
+
+def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
+              pk: _Packing) -> tuple[tuple[BiPolynomial, ...], BuchbergerRun]:
+    """`buchberger` under one packing."""
+    uni = pk.universe
+    guard = pk.guard
+    run = BuchbergerRun(order=order)
+    gdata = _gdata(gens, pk)
+    lms = [pk.unpack(d[1]) for d in gdata]
+    codes = [d[0] for d in gdata]
+    # Pairs pop by (key of the lcm, (i, j)): the smallest lcm first, ties
+    # broken on the index pair.  `pending` holds the pairs not yet popped,
+    # which is what the chain criterion asks about.
+    heap: list[tuple[int, tuple[int, int], Exponents]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(i: int, j: int) -> None:
-        lcm = monomial_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (keyf(lcm), (i, j), lcm))
+        lcm_e = monomial_lcm(lms[i], lms[j])
+        heapq.heappush(heap, (pk.pack(lcm_e), (i, j), lcm_e))
         pending.add((i, j))
 
-    for i, j in combinations(range(len(G)), 2):
+    for i, j in combinations(range(len(gdata)), 2):
         push(i, j)
 
     while heap:
-        _, best, lcm = heapq.heappop(heap)
+        lcm_key, best, lcm_e = heapq.heappop(heap)
         pending.remove(best)
         i, j = best
-        lcm_text = uni.monomial_text(lcm)
-        if lcm == monomial_mul(lms[i], lms[j]):
+        lcm_text = uni.monomial_text(lcm_e)
+        lcm_code = pk.code(lcm_key)
+        if lcm_code == codes[i] + codes[j]:
             run.events.append(SPairEvent(i, j, lcm_text, "skipped_coprime"))
             continue
         chain = False
-        for k in range(len(G)):
-            if k in (i, j) or not monomial_divides(lms[k], lcm):
+        for k, code in enumerate(codes):
+            if (lcm_code - code) & guard or k == i or k == j:
                 continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 not in pending and p2 not in pending:
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 chain = True
                 break
         if chain:
             run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
             continue
-        r, steps = _reduce_terms(*_spair(gdata[i], gdata[j]), gdata, keyf)
+        r, steps = _reduce_terms(*_spair(gdata[i], gdata[j], lcm_key, pk), gdata, pk)
         if r:
-            g_new = _monic(BiPolynomial(uni, _canonical=r), keyf)
-            G.append(g_new)
-            gdata.append(_divisor(g_new, keyf))
-            lms.append(gdata[-1][1])
-            m = len(G) - 1
+            gdata.append(_divisor(_integer_terms(r)[0], pk))
+            lms.append(pk.unpack(gdata[-1][1]))
+            codes.append(gdata[-1][0])
+            m = len(gdata) - 1
             for t in range(m):
                 push(t, m)
             run.events.append(SPairEvent(i, j, lcm_text, "new_generator", steps))
         else:
             run.events.append(SPairEvent(i, j, lcm_text, "reduced_to_zero", steps))
 
-    basis = tuple(_interreduce(G, keyf))
+    basis = tuple(_monic_polynomial(d, pk) for d in _interreduce(gdata, pk))
     run.basis = basis
     return basis, run
 
@@ -430,22 +545,23 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
     basis = list(basis)
     if not basis:
         raise ValueError("need at least one basis element")
-    uni = basis[0].universe
-    keyf = order.key_function(uni)
-    gdata = _gdata(basis, keyf)
-    lms = [lm for _, lm, _, _ in gdata]
-    spairs = []
-    passed = True
-    for i, j in combinations(range(len(basis)), 2):
-        r, steps = _reduce_terms(*_spair(gdata[i], gdata[j]), gdata, keyf)
-        zero = not r
-        passed = passed and zero
-        spairs.append({
-            "pair": [i, j],
-            "lcm": uni.monomial_text(monomial_lcm(lms[i], lms[j])),
-            "reduction_steps": steps,
-            "remainder_zero": zero,
-        })
+
+    def run(pk: _Packing) -> list[dict]:
+        gdata = _gdata(basis, pk)
+        lms = [pk.unpack(d[1]) for d in gdata]
+        spairs = []
+        for i, j in combinations(range(len(basis)), 2):
+            lcm_e = monomial_lcm(lms[i], lms[j])
+            r, steps = _reduce_terms(*_spair(gdata[i], gdata[j], pk.pack(lcm_e), pk), gdata, pk)
+            spairs.append({
+                "pair": [i, j],
+                "lcm": pk.universe.monomial_text(lcm_e),
+                "reduction_steps": steps,
+                "remainder_zero": not r,
+            })
+        return spairs
+    spairs = _packed(run, basis[0].universe, order)
+    passed = all(sp["remainder_zero"] for sp in spairs)
     return passed, GroebnerCertificate(order=order, passed=passed, spairs=spairs)
 
 
@@ -456,9 +572,12 @@ class Ideal:
     DEFAULT_ORDER, computed on first use and cached.
 
     Other orders go through `buchberger(generators, order)` directly.
+    `series_numerator` is the Hilbert-series numerator of the quotient by
+    the initial ideal; `hilbert` fills it in on first use and reuses it for
+    the Ideal's lifetime.
     """
 
-    __slots__ = ("universe", "generators", "_computed")
+    __slots__ = ("universe", "generators", "_computed", "series_numerator")
 
     def __init__(self, universe: VariableUniverse, generators: Iterable[BiPolynomial]):
         gens = tuple(generators)
@@ -474,6 +593,7 @@ class Ideal:
         self.universe = universe
         self.generators = gens
         self._computed: tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]] | None = None
+        self.series_numerator: dict[tuple[int, int], int] | None = None
 
     def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]]:
         if self._computed is None:

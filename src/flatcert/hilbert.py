@@ -409,10 +409,12 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
         return 0
     if normalize_method(method) == METHOD_RANK:
         return _rank_oracle_value(ideal, i, j)
-    _validated_generators(ideal)
     k = ideal.universe.n + 1
-    numerator = _series_numerator((m.exponents for m in ideal.initial_ideal()), k)
-    return _numerator_value(numerator, k, i, j)
+    if ideal.series_numerator is None:
+        _validated_generators(ideal)
+        ideal.series_numerator = _series_numerator(
+            (m.exponents for m in ideal.initial_ideal()), k)
+    return _numerator_value(ideal.series_numerator, k, i, j)
 
 
 @dataclass

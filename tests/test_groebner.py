@@ -11,6 +11,7 @@ from flatcert import groebner
 from flatcert import (
     DEFAULT_ORDER,
     BiPolynomial,
+    VariableUniverse,
     PlaneCurvePair,
     DimensionUndefinedError,
     Ideal,
@@ -32,12 +33,15 @@ from flatcert import (
     xy_universe,
 )
 from flatcert.groebner import (
+    _INITIAL_WIDTH,
     BuchbergerRun,
     SPairEvent,
+    _FieldOverflow,
     _gdata,
-    _integer_terms,
-    _monic,
+    _packed_terms,
+    _packing,
     _reduce_terms,
+    _spair,
     intersect_monomial_exponents,
     leading_term,
     minimalize_monomial_exponents,
@@ -235,6 +239,11 @@ def reference_key(order, uni):
     return lambda e: tuple(e[i] for i in perm) + e[nxy:]
 
 
+def monic(f, keyf):
+    _, lc = leading_term(f, keyf)
+    return f if lc == 1 else f / lc
+
+
 def reference_gdata(basis, keyf):
     return [(*leading_term(g, keyf), g.terms) for g in basis]
 
@@ -282,7 +291,7 @@ def reference_interreduce(basis, keyf):
     for g in sorted(basis, key=lambda g: keyf(leading_term(g, keyf)[0])):
         lm = leading_term(g, keyf)[0]
         if not any(monomial_divides(leading_term(h, keyf)[0], lm) for h in minimal):
-            minimal.append(_monic(g, keyf))
+            minimal.append(monic(g, keyf))
     changed = True
     while changed:
         changed = False
@@ -290,7 +299,7 @@ def reference_interreduce(basis, keyf):
             others = minimal[:i] + minimal[i + 1:]
             if others:
                 r, _ = reference_reduce_terms(g.terms, reference_gdata(others, keyf), keyf)
-                rp = _monic(BiPolynomial(g.universe, _canonical=r), keyf)
+                rp = monic(BiPolynomial(g.universe, _canonical=r), keyf)
                 if rp != g:
                     minimal[i], changed = rp, True
     return sorted(minimal, key=lambda g: keyf(leading_term(g, keyf)[0]))
@@ -301,7 +310,7 @@ def reference_buchberger(gens, order):
     uni = gens[0].universe
     keyf = reference_key(order, uni)
     run = BuchbergerRun(order=order)
-    G = [_monic(g, keyf) for g in gens]
+    G = [monic(g, keyf) for g in gens]
     lms = [leading_term(g, keyf)[0] for g in G]
     pending = set(combinations(range(len(G)), 2))
     while pending:
@@ -328,7 +337,7 @@ def reference_buchberger(gens, order):
         s = reference_spolynomial(G[i], G[j], keyf)
         r, steps = reference_reduce_terms(s.terms, reference_gdata(G, keyf), keyf)
         if r:
-            g_new = _monic(BiPolynomial(uni, _canonical=r), keyf)
+            g_new = monic(BiPolynomial(uni, _canonical=r), keyf)
             G.append(g_new)
             lms.append(leading_term(g_new, keyf)[0])
             m = len(G) - 1
@@ -354,11 +363,17 @@ AUDIT_INPUTS = {
     "xi22-seed1": lambda: xi_pair_generators(1),
     "fiber-n3": lambda: evaluate_family_at(
         family_ideal_J(3), random_chart_point(3, Random(2))).generators,
+    "fiber-n4": lambda: evaluate_family_at(
+        family_ideal_J(4), random_chart_point(4, Random(3))).generators,
 }
+# The n=4 chart fiber is the benchmark's input class; permuted lex can run
+# for minutes on chart fibers, so it runs under lex and grevlex only.
+AUDIT_CASES = [(name, label) for name in sorted(AUDIT_INPUTS) for label in ORDER_LABELS
+               if not (name == "fiber-n4" and label == "lex_permuted")]
 
 
-@pytest.mark.parametrize("label", ORDER_LABELS)
-@pytest.mark.parametrize("name", sorted(AUDIT_INPUTS))
+@pytest.mark.parametrize("name, label", AUDIT_CASES,
+                         ids=[f"{name}-{label}" for name, label in AUDIT_CASES])
 def test_audit_trail_matches_reference_loop(name, label):
     gens = AUDIT_INPUTS[name]()
     order = order_for(label, gens[0].universe)
@@ -382,19 +397,108 @@ def random_polynomial(rng, universe, bidegree, num_terms):
 def test_normal_form_matches_reference_kernel(label):
     order = order_for(label, UNI)
     keyf = order.key_function(UNI)
+    pk = _packing(UNI, order, _INITIAL_WIDTH)
     steps_seen = 0
     for seed in range(40):
         rng = Random(seed)
         basis = [random_polynomial(rng, UNI, rng.choice([(1, 1), (1, 0), (0, 2)]),
                                    rng.randint(2, 5)) for _ in range(rng.randint(2, 4))]
         f = random_polynomial(rng, UNI, (2, 2), rng.randint(4, 12))
-        r, steps = _reduce_terms(*_integer_terms(f.terms), _gdata(basis, keyf), keyf)
+        r, steps = _reduce_terms(*_packed_terms(f, pk), _gdata(basis, pk), pk)
+        r = {pk.unpack(k): c for k, c in r.items()}
         ref_r, ref_steps = reference_reduce_terms(f.terms, reference_gdata(basis, keyf), keyf)
         assert r == ref_r and steps == ref_steps, seed
         assert normal_form(f, basis, order).terms == ref_r
         assert spolynomial(*basis[:2], order) == reference_spolynomial(*basis[:2], keyf)
         steps_seen += steps
     assert steps_seen > 0
+
+
+# --- packed monomials ---
+
+PUNI = VariableUniverse.standard(2, ("a", "b"))  # parameters get fields too
+
+
+def packing_for(label):
+    order = order_for(label, PUNI)
+    return _packing(PUNI, order, _INITIAL_WIDTH), order.key_function(PUNI)
+
+
+@pytest.mark.parametrize("label", ORDER_LABELS)
+@given(a=exponent_strategy(PUNI, 9), b=exponent_strategy(PUNI, 9))
+def test_packed_keys_compare_as_the_order_key(label, a, b):
+    pk, key = packing_for(label)
+    assert (pk.pack(a) < pk.pack(b)) == (key(a) < key(b))
+    assert (pk.pack(a) == pk.pack(b)) == (a == b)
+
+
+@pytest.mark.parametrize("label", ORDER_LABELS)
+@given(a=exponent_strategy(PUNI, 9), b=exponent_strategy(PUNI, 9), divisible=st.booleans())
+def test_guard_bits_test_divisibility(label, a, b, divisible):
+    pk, _ = packing_for(label)
+    if divisible:
+        b = monomial_lcm(a, b)
+    assert (not (pk.code(pk.pack(b)) - pk.code(pk.pack(a))) & pk.guard) == monomial_divides(a, b)
+
+
+@pytest.mark.parametrize("label", ORDER_LABELS)
+@given(a=exponent_strategy(PUNI, 9))
+def test_pack_then_unpack_is_the_identity(label, a):
+    pk, _ = packing_for(label)
+    assert pk.unpack(pk.pack(a)) == a
+    assert pk.code(pk.pack(a)) & pk.guard == 0
+
+
+@pytest.mark.parametrize("label", ORDER_LABELS)
+@given(a=exponent_strategy(PUNI, 4), b=exponent_strategy(PUNI, 4))
+def test_packed_keys_and_codes_add(label, a, b):
+    pk, _ = packing_for(label)
+    ab = monomial_mul(a, b)
+    assert pk.pack(a) + pk.pack(b) == pk.pack(ab)
+    assert pk.code(pk.pack(a)) + pk.code(pk.pack(b)) == pk.code(pk.pack(ab))
+
+
+# Exponents past the initial field width (at most 63): in an input (130
+# would spill into the next field, past its own guard bit), and only in
+# the basis (up to 185), through lcms and non-homogeneous steps.
+OVERFLOW_INPUTS = {
+    "input": ("y1^2*x1 - y2^130*x2", "x1^2 - x2*x1"),
+    "growth": ("x1^60*y1 - x2^60*y2", "x1^5*y2^3 - x2^2*y1^6"),
+}
+
+
+@pytest.mark.parametrize("label", ORDER_LABELS)
+@pytest.mark.parametrize("name", sorted(OVERFLOW_INPUTS))
+def test_field_overflow_matches_reference_loop(name, label):
+    uni = xy_universe(1)
+    gens = [uni.parse(text) for text in OVERFLOW_INPUTS[name]]
+    order = order_for(label, uni)
+    basis, run = buchberger(gens, order)
+    ref_basis, ref_run = reference_buchberger(gens, order)
+    assert basis == ref_basis
+    assert run.to_json_dict() == ref_run.to_json_dict()
+    assert max(max(e) for g in basis for e in g.terms) >= 1 << _INITIAL_WIDTH
+
+
+def test_packed_fields_never_wrap():
+    # lex only: under grevlex a reduction step never raises the degree
+    uni = xy_universe(1)
+    keyf = reference_key(DEFAULT_ORDER, uni)
+    pk = _packing(uni, DEFAULT_ORDER, _INITIAL_WIDTH)
+    with pytest.raises(_FieldOverflow):
+        pk.pack((0, 0, 0, 130))
+    with pytest.raises(_FieldOverflow):  # grevlex's total-degree field
+        _packing(uni, MonomialOrderSpec("grevlex"), _INITIAL_WIDTH).pack((40, 40, 0, 0))
+    f, g = uni.parse("x1^8*y1 + y2"), uni.parse("x1 - x2^8")
+    with pytest.raises(_FieldOverflow):
+        _reduce_terms(*_packed_terms(f, pk), _gdata([g], pk), pk)
+    ref_r, _ = reference_reduce_terms(f.terms, reference_gdata([g], keyf), keyf)
+    assert normal_form(f, [g]).terms == ref_r == {(0, 64, 1, 0): 1, (0, 0, 0, 1): 1}
+    # the S-pair shifts x2^60 by x2^50
+    p, q = uni.parse("x1^60 - x2^60"), uni.parse("x1*x2^50 + y1")
+    with pytest.raises(_FieldOverflow):
+        _spair(*_gdata([p, q], pk), pk.pack((60, 50, 0, 0)), pk)
+    assert spolynomial(p, q) == reference_spolynomial(p, q, keyf) == uni.parse("-x2^110 - x1^59*y1")
 
 
 def test_natural_lex_key_is_the_exponent_tuple():

@@ -265,6 +265,26 @@ def test_tabulate_and_interpolate_recover_chi():
     assert rows[0] == {"t": 0, "value": 1, "method": METHOD_INITIAL}
 
 
+def test_series_numerator_once_per_ideal(monkeypatch):
+    calls = []
+    original = hilbert._series_numerator
+
+    def counting(lead, k):
+        calls.append(k)
+        return original(lead, k)
+
+    monkeypatch.setattr(hilbert, "_series_numerator", counting)
+    ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
+    assert bigraded_hilbert_function(ideal, 1, 1) == 5
+    once = len(calls)  # the recursion's calls for one numerator
+    assert once > 0
+    assert tabulate_diagonal(ideal, range(8)).values[7] == 29
+    assert len(calls) == once
+    # nothing outlives the Ideal: the same generators in a new one recount
+    assert bigraded_hilbert_function(Ideal(ideal.universe, ideal.generators), 1, 1) == 5
+    assert len(calls) == 2 * once
+
+
 def test_interpolation_stability_on_corpus():
     # interpolate, then confirm the fit reproduces the table past the threshold
     for ideal in [special_fiber_ideal(1), special_fiber_ideal(2), diagonal_ideal(2)]:
