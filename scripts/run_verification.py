@@ -22,7 +22,7 @@ from pathlib import Path
 
 
 def ideal_files(tmp: Path) -> dict[str, Path]:
-    from flatcert import diagonal_ideal, special_fiber_ideal
+    from flatcert import Ideal, diagonal_ideal, special_fiber_ideal, xy_universe
     from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
     from make_ideal_files import ideal_file_text
 
@@ -35,6 +35,7 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     out = {}
     for name, ideal in [("diagonal_n2", diagonal_ideal(2)),
                         ("special_fiber_n2", special_fiber_ideal(2)),
+                        ("unit_n2", Ideal(xy_universe(2), [xy_universe(2).one()])),
                         ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
                         ("chart_fiber_n4", evaluate_family_at(family_ideal_J(4), chart_n4))]:
         path = tmp / f"{name}.ideal"
@@ -63,6 +64,8 @@ def main() -> int:
              ["hilbert", str(files["diagonal_n2"]), "--method", "both"], 0),
             ("hilbert: special fiber n=2",
              ["hilbert", str(files["special_fiber_n2"]), "--method", "both"], 0),
+            ("hilbert: unit ideal n=2, polynomial 0",
+             ["hilbert", str(files["unit_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=2",
              ["hilbert", str(files["chart_fiber_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=4, rank oracle over its matrix budget",

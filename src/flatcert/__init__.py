@@ -28,6 +28,7 @@ from .groebner import (
     GroebnerCertificate,
     Ideal,
     MonomialOrderSpec,
+    NonBihomogeneousError,
     buchberger,
     ideal_dimension,
     is_groebner_basis,
@@ -42,7 +43,6 @@ from .hilbert import (
     HilbertFunctionTable,
     HilbertPolynomialQ,
     NoStabilizationError,
-    NonBihomogeneousError,
     bigraded_hilbert_function,
     binomial_basis_coordinates,
     chi_graph,

@@ -25,7 +25,6 @@ from .groebner import (
 from .hilbert import (
     METHOD_INITIAL,
     METHOD_RANK,
-    HilbertPolynomialQ,
     NoStabilizationError,
     interpolate_hilbert_polynomial,
     normalize_method,
@@ -74,6 +73,10 @@ MAX_N = 8
 # and benchmark run t <= 8; the rank route meets its own budget,
 # hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
 MAX_T = 100
+# Input budget on --trials, --samples and --conics, checked before any seed is
+# drawn.  At 1000, xi-trials 2 2 took 25 s and conic-equations 11 s; the xi
+# degrees stay open (20 trials at (3, 3) took 80 s).
+MAX_COUNT = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,16 +243,13 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
                          for t in sorted(a) if a[t] != b[t]]
     table = tables[methods[0]]
     try:
-        dim = ideal_dimension(ideal, projective=True)
+        dim = ideal_dimension(ideal)
     except DimensionUndefinedError:
         dim = None
-    if dim is None and all(v == 0 for v in table.values.values()):
-        poly: HilbertPolynomialQ | None = HilbertPolynomialQ((), stabilization_threshold=0)
-    else:
-        try:
-            poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim or 0, 0))
-        except NoStabilizationError:
-            poly = None
+    try:
+        poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim or 0, 0))
+    except NoStabilizationError:
+        poly = None
     report = {
         "file": args.ideal_file,
         "method": args.method,
@@ -354,6 +354,7 @@ def build_parser() -> _Parser:
     positive = _int_in_range(1)
     dimension = _int_in_range(1, MAX_N)
     t_max = _int_in_range(3, MAX_T)
+    count = _int_in_range(1, MAX_COUNT)
     parser = _Parser(prog="flatcert", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -391,7 +392,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_run_xi_trials)
     p.add_argument("d0", type=positive)
     p.add_argument("d1", type=positive)
-    p.add_argument("--trials", type=positive, default=20)
+    p.add_argument("--trials", type=count, default=20)
     p.add_argument("--t-max", type=t_max, default=None)
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)
 
@@ -403,8 +404,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("conic-equations", parents=[common],
                        help="global equations of the complete-conics graph")
     p.set_defaults(run=_run_conic_equations)
-    p.add_argument("--samples", type=positive, default=20)
-    p.add_argument("--conics", type=positive, default=5)
+    p.add_argument("--samples", type=count, default=20)
+    p.add_argument("--conics", type=count, default=5)
 
     p = sub.add_parser("primary-check", parents=[common],
                        help="primary decomposition and nonzerodivisor checks")

@@ -32,6 +32,7 @@ from .polyring import BiPolynomial, VariableUniverse, monomials_of_bidegree, pol
 from .quadfam import incidence_form, xy_universe
 
 MAX_RETRIES_PER_TRIAL = 8
+CURVE_COEFF_BOUND = 9
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ def gamma_curve_ideal(pair: PlaneCurvePair) -> Ideal:
 
 
 def random_plane_curve(degree: int, rng: Random, block: str = "x",
-                       universe: VariableUniverse | None = None,
-                       coeff_bound: int = 9) -> BiPolynomial:
+                       universe: VariableUniverse | None = None) -> BiPolynomial:
     """A random nonzero form of the given degree, pure in one block."""
     if block not in ("x", "y"):
         raise ValueError("block must be 'x' or 'y'")
@@ -77,7 +77,7 @@ def random_plane_curve(degree: int, rng: Random, block: str = "x",
     while True:
         terms = {}
         for mono in monomials_of_bidegree(universe, *bidegree):
-            coeff = rng.randint(-coeff_bound, coeff_bound)
+            coeff = rng.randint(-CURVE_COEFF_BOUND, CURVE_COEFF_BOUND)
             if coeff:
                 terms[mono.exponents] = Fraction(coeff)
         if terms:
@@ -163,7 +163,7 @@ def _run_one_trial(index: int, trial_seed: int, d0: int, d1: int, t_max: int,
         record.f1 = polynomial_text(f1)
         # one Ideal per draw: the table reuses the basis the dimension check built
         ideal = gamma_curve_ideal(pair)
-        dim = ideal_dimension(ideal, projective=True)
+        dim = ideal_dimension(ideal)
         if dim != 1:
             record.retries.append(f"dimension {dim} != 1, redrawing")
             continue

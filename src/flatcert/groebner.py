@@ -1,5 +1,5 @@
 """Monomial orders, Buchberger completion, reduced bases, initial ideals,
-and combinatorial dimension of monomial quotients.
+and Hilbert-series numerators of monomial quotients, with the dimension.
 
 Determinism notes.  Reduction always rewrites the largest reducible term by
 the first applicable divisor in the basis's stored order.  Completion
@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, lcm
 from operator import add, itemgetter, le, lshift, neg
 from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
@@ -567,17 +567,23 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
 
 # --- ideals ---
 
+class NonBihomogeneousError(ValueError):
+    """A generator mixes bidegrees; Hilbert bookkeeping needs bihomogeneity."""
+
+    def __init__(self, generator: BiPolynomial):
+        self.generator = generator
+        super().__init__(f"generator is not bihomogeneous: {generator}")
+
+
 class Ideal:
     """A finitely generated bihomogeneous ideal with its reduced basis under
-    DEFAULT_ORDER, computed on first use and cached.
+    DEFAULT_ORDER and its `series_numerator()`, each computed on first use and
+    cached.  The Hilbert function and `ideal_dimension` both read the numerator.
 
     Other orders go through `buchberger(generators, order)` directly.
-    `series_numerator` is the Hilbert-series numerator of the quotient by
-    the initial ideal; `hilbert` fills it in on first use and reuses it for
-    the Ideal's lifetime.
     """
 
-    __slots__ = ("universe", "generators", "_computed", "series_numerator")
+    __slots__ = ("universe", "generators", "_computed", "_numerator")
 
     def __init__(self, universe: VariableUniverse, generators: Iterable[BiPolynomial]):
         gens = tuple(generators)
@@ -593,7 +599,7 @@ class Ideal:
         self.universe = universe
         self.generators = gens
         self._computed: tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]] | None = None
-        self.series_numerator: dict[tuple[int, int], int] | None = None
+        self._numerator: Numerator | None = None
 
     def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]]:
         if self._computed is None:
@@ -610,39 +616,45 @@ class Ideal:
         """Minimal monomial generators of the ideal of leading terms."""
         return self._basis_and_initial()[1]
 
+    def series_numerator(self) -> Numerator:
+        """K(s1, s2), the Hilbert series of S/in(I) being K / ((1-s1)(1-s2))^(n+1);
+        the generators are validated before any basis is computed."""
+        if self._numerator is None:
+            _require_bihomogeneous(self)
+            self._numerator = _series_numerator(
+                (m.exponents for m in self.initial_ideal()), self.universe.n + 1)
+        return self._numerator
+
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators[:4])
         more = ", ..." if len(self.generators) > 4 else ""
         return f"Ideal({gens}{more})"
 
 
-# --- dimension of monomial quotients ---
-
-def _max_independent_subset(supports: list[frozenset[int]], num_vars: int) -> int:
-    """Largest variable set containing no generator's full support."""
-    for size in range(num_vars, -1, -1):
-        for combo in combinations(range(num_vars), size):
-            s = set(combo)
-            if all(not sup <= s for sup in supports):
-                return size
-    return 0
+def _require_bihomogeneous(ideal: Ideal) -> None:
+    """The check every Hilbert count makes first, on either route."""
+    if ideal.universe.param_names:
+        raise ValueError("specialize parameter variables before Hilbert computations")
+    for g in ideal.generators:
+        if g.bidegree() is None:
+            raise NonBihomogeneousError(g)
 
 
-def ideal_dimension(ideal: Ideal, projective: bool = False) -> int:
-    """Krull dimension of the quotient by the initial ideal (default order).
-
-    Affine cone dimension by default; projective=True subtracts 2, one for
-    each of the two projective scalings.
-    """
-    init = ideal.initial_ideal()
-    supports = []
-    for m in init:
-        s = frozenset(i for i, e in enumerate(m.exponents) if e)
-        if not s:
-            raise DimensionUndefinedError("the ideal is the whole ring")
-        supports.append(s)
-    dim = _max_independent_subset(supports, ideal.universe.num_vars)
-    return dim - 2 if projective else dim
+def ideal_dimension(ideal: Ideal) -> int:
+    """Dimension of the ideal's zero set in P^n x P^n: the Krull dimension of
+    S/in(I), the pole order at s = 1 of K(s, s) / (1-s)^(2n+2) (Hilbert-Serre),
+    less 2 for the two projective scalings."""
+    numerator = ideal.series_numerator()
+    coeffs = [0] * (max((a + b for a, b in numerator), default=0) + 1)
+    for (a, b), c in numerator.items():
+        coeffs[a + b] += c
+    if not any(coeffs):
+        raise DimensionUndefinedError("the ideal is the whole ring")
+    divisions = 0
+    while not sum(coeffs):  # K(1) = 0: divide by (1 - s)
+        coeffs = list(accumulate(coeffs))[:-1]
+        divisions += 1
+    return ideal.universe.num_xy - divisions - 2
 
 
 # --- monomial ideal utilities ---
@@ -660,3 +672,42 @@ def minimalize_monomial_exponents(exps: Iterable[Exponents]) -> list[Exponents]:
 def intersect_monomial_exponents(a: Iterable[Exponents], b: Iterable[Exponents]) -> list[Exponents]:
     """Intersection of two monomial ideals via pairwise lcms."""
     return minimalize_monomial_exponents(monomial_lcm(x, y) for x in a for y in b)
+
+
+Numerator = dict[tuple[int, int], int]  # (a, b) -> coefficient of s1^a s2^b
+
+
+def _subtract_shifted(acc: Numerator, other: Numerator, deg: tuple[int, int]) -> None:
+    """acc -= s^deg * other, in place."""
+    for (a, b), c in other.items():
+        key = (a + deg[0], b + deg[1])
+        acc[key] = acc.get(key, 0) - c
+
+
+def _product_numerator(degrees: Iterable[tuple[int, int]]) -> Numerator:
+    """prod (1 - s^deg): the numerator of pairwise coprime generators."""
+    out: Numerator = {(0, 0): 1}
+    for deg in degrees:
+        _subtract_shifted(out, dict(out), deg)
+    return out
+
+
+def _series_numerator(lead: Iterable[Exponents], k: int) -> Numerator:
+    """Numerator K of the bigraded Hilbert series K / ((1-s1)^k (1-s2)^k) of
+    S/<lead>, where the first k exponents are the x-block and the next k the
+    y-block.  Adds the minimal generators in descending exponent order:
+    K(<m_1..m_r>) = K(<m_1..m_(r-1)>) - s^deg(m_r) K(<m_1..m_(r-1)> : m_r)
+    (Bayer and Stillman, "Computation of Hilbert functions", 1992)."""
+    gens = minimalize_monomial_exponents(lead)
+
+    def deg(e: Exponents) -> tuple[int, int]:
+        return (sum(e[:k]), sum(e[k:]))
+
+    support = [i for e in gens for i, v in enumerate(e) if v]
+    if len(support) == len(set(support)):  # pairwise coprime
+        return _product_numerator(deg(e) for e in gens)
+    out: Numerator = {(0, 0): 1}
+    for r, m in enumerate(gens):
+        colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:r]]
+        _subtract_shifted(out, _series_numerator(colon, k), deg(m))
+    return {key: c for key, c in out.items() if c}

@@ -2,9 +2,8 @@
 of Hilbert polynomials, and the closed forms they are measured against.
 
 Route one reads the Hilbert function off the initial ideal (Groebner): the
-bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), and
-its numerator K comes from the Bayer-Stillman recursion
-K(I + m) = K(I) - s^deg(m) K(I : m) over the minimal monomial generators.
+bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), with
+K from `Ideal.series_numerator()` (the Bayer-Stillman recursion).
 Route two never touches a Groebner basis: it puts each bidegree's
 generators into reduced echelon form over Q (a change of basis of the same
 span), lists their bidegree-(i,j) multiples minus the rows that the Koszul
@@ -20,8 +19,17 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .groebner import Ideal, _integer_terms, minimalize_monomial_exponents, monomial_divides
-from .polyring import BiPolynomial, Exponents, iter_exponents_of_bidegree
+from .groebner import (  # NonBihomogeneousError is re-exported from here
+    Ideal,
+    NonBihomogeneousError,
+    Numerator,
+    _integer_terms,
+    _product_numerator,
+    _require_bihomogeneous,
+    _series_numerator,
+    monomial_divides,
+)
+from .polyring import Exponents, iter_exponents_of_bidegree
 from .util import parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
@@ -38,14 +46,6 @@ def normalize_method(method: str) -> str:
     if full is None:
         raise ValueError(f"unknown method {method!r}; choose {METHOD_INITIAL} or {METHOD_RANK}")
     return full
-
-
-class NonBihomogeneousError(ValueError):
-    """A generator mixes bidegrees; Hilbert bookkeeping needs bihomogeneity."""
-
-    def __init__(self, generator: BiPolynomial):
-        self.generator = generator
-        super().__init__(f"generator is not bihomogeneous: {generator}")
 
 
 # Budget of the rank route: the largest Macaulay matrix, as rows x columns,
@@ -198,7 +198,7 @@ def binomial_basis_coordinates(poly: HilbertPolynomialQ) -> list[Fraction]:
     return coords
 
 
-# --- Hilbert series numerators of monomial ideals ---
+# --- Hilbert functions from series numerators ---
 
 def _binomial_in_t(n: int, slope: int, shift: int) -> list[Fraction]:
     """Coefficients of C(slope*t + shift, n) as a polynomial in t."""
@@ -206,44 +206,6 @@ def _binomial_in_t(n: int, slope: int, shift: int) -> list[Fraction]:
     for i in range(1, n + 1):
         out = _poly_mul(out, [Fraction(shift - n + i), Fraction(slope)])
     return _poly_scale(out, Fraction(1, factorial(n)))
-
-
-Numerator = dict[tuple[int, int], int]  # (a, b) -> coefficient of s1^a s2^b
-
-
-def _subtract_shifted(acc: Numerator, other: Numerator, deg: tuple[int, int]) -> None:
-    """acc -= s^deg * other, in place."""
-    for (a, b), c in other.items():
-        key = (a + deg[0], b + deg[1])
-        acc[key] = acc.get(key, 0) - c
-
-
-def _product_numerator(degrees: Iterable[tuple[int, int]]) -> Numerator:
-    """prod (1 - s^deg): the numerator of pairwise coprime generators."""
-    out: Numerator = {(0, 0): 1}
-    for deg in degrees:
-        _subtract_shifted(out, dict(out), deg)
-    return out
-
-
-def _series_numerator(lead: Iterable[Exponents], k: int) -> Numerator:
-    """Numerator K of the bigraded Hilbert series K / ((1-s1)^k (1-s2)^k) of
-    S/<lead>, where the first k exponents are the x-block and the next k the
-    y-block.  Adds the minimal generators in descending exponent order:
-    K(<m_1..m_r>) = K(<m_1..m_(r-1)>) - s^deg(m_r) K(<m_1..m_(r-1)> : m_r)."""
-    gens = minimalize_monomial_exponents(lead)
-
-    def deg(e: Exponents) -> tuple[int, int]:
-        return (sum(e[:k]), sum(e[k:]))
-
-    support = [i for e in gens for i, v in enumerate(e) if v]
-    if len(support) == len(set(support)):  # pairwise coprime
-        return _product_numerator(deg(e) for e in gens)
-    out: Numerator = {(0, 0): 1}
-    for r, m in enumerate(gens):
-        colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:r]]
-        _subtract_shifted(out, _series_numerator(colon, k), deg(m))
-    return {key: c for key, c in out.items() if c}
 
 
 def _numerator_value(numerator: Numerator, k: int, i: int, j: int) -> int:
@@ -308,18 +270,6 @@ def koszul_hilbert_polynomial(d0: int, d1: int) -> HilbertPolynomialQ:
 
 # --- Hilbert function values ---
 
-def _validated_generators(ideal: Ideal) -> list[tuple[BiPolynomial, tuple[int, int]]]:
-    if ideal.universe.param_names:
-        raise ValueError("specialize parameter variables before Hilbert computations")
-    out = []
-    for g in ideal.generators:
-        deg = g.bidegree()
-        if deg is None:
-            raise NonBihomogeneousError(g)
-        out.append((g, deg))
-    return out
-
-
 # (bidegree, leading exponents, integer terms) of one echelon generator
 _EchelonGenerator = tuple[tuple[int, int], Exponents, dict[Exponents, int]]
 
@@ -330,8 +280,9 @@ def _echelon_generators(ideal: Ideal) -> list[_EchelonGenerator]:
     (lex, x1 > .. > y{n+1}), a monomial order.  Zero and dependent
     generators drop out; the ideal, and every bidegree's span, are unchanged."""
     groups: dict[tuple[int, int], list[dict[Exponents, Fraction]]] = {}
-    for g, deg in _validated_generators(ideal):
-        groups.setdefault(deg, []).append(g.terms)
+    _require_bihomogeneous(ideal)
+    for g in ideal.generators:
+        groups.setdefault(g.bidegree(), []).append(g.terms)
     out = []
     for deg in sorted(groups):
         basis: dict[Exponents, dict[Exponents, Fraction]] = {}  # monic, by leading exponents
@@ -409,12 +360,7 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
         return 0
     if normalize_method(method) == METHOD_RANK:
         return _rank_oracle_value(ideal, i, j)
-    k = ideal.universe.n + 1
-    if ideal.series_numerator is None:
-        _validated_generators(ideal)
-        ideal.series_numerator = _series_numerator(
-            (m.exponents for m in ideal.initial_ideal()), k)
-    return _numerator_value(ideal.series_numerator, k, i, j)
+    return _numerator_value(ideal.series_numerator(), ideal.universe.n + 1, i, j)
 
 
 @dataclass

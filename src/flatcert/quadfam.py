@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 from .groebner import (
     DimensionUndefinedError,
     Ideal,
+    NonBihomogeneousError,
     ideal_dimension,
     intersect_monomial_exponents,
     minimalize_monomial_exponents,
@@ -43,7 +44,6 @@ from .hilbert import (
     METHOD_INITIAL,
     HilbertPolynomialQ,
     NoStabilizationError,
-    NonBihomogeneousError,
     bigraded_hilbert_function,
     chi_graph,
     interpolate_hilbert_polynomial,
@@ -712,7 +712,13 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...] | None:
     return tuple(v // g for v in ints)
 
 
-def find_rational_point(z: SymmetricMatrixQ, height: int = 12) -> tuple[int, ...] | None:
+CONIC_ENTRY_BOUND = 5
+CONIC_SEARCH_HEIGHT = 12
+CONIC_MAX_TRIES = 500
+
+
+def find_rational_point(z: SymmetricMatrixQ,
+                        height: int = CONIC_SEARCH_HEIGHT) -> tuple[int, ...] | None:
     """First primitive integer point on x z x^T = 0, scanning by height.
 
     Height h is the shell max(|a|, |b|, |c|) = h, walked in (a, b, c)
@@ -746,13 +752,13 @@ def _two_by_n_minors_zero(r1: Sequence[Fraction], r2: Sequence[Fraction]) -> boo
 
 
 def conic_global_equations_check(z: SymmetricMatrixQ, samples: int = 20,
-                                 seed: int = 0, search_height: int = 12) -> ConicReport:
+                                 seed: int = 0) -> ConicReport:
     """Check the graph equations of a fixed smooth conic.
 
     (a) the matrix identity 3 z w = trace(z w) I with w = adj(z), exactly;
     (b) on sampled rational points x of the conic, with y = x.z: the
     incidence x.y = 0 and the 2x2 minors of (x, y.w) vanish.  Conics with
-    no rational point within the search height skip (b) and report that.
+    no rational point within CONIC_SEARCH_HEIGHT skip (b) and report that.
     """
     if z.size != 3:
         raise ValueError("conic checks are for 3x3 matrices")
@@ -767,7 +773,7 @@ def conic_global_equations_check(z: SymmetricMatrixQ, samples: int = 20,
         3 * zw[i][j] == (trace if i == j else Fraction(0))
         for i in range(3) for j in range(3))
 
-    base = find_rational_point(z, search_height)
+    base = find_rational_point(z)
     if base is None:
         return ConicReport(identity_ok, True, None, 0, 0, identity_ok)
 
@@ -806,13 +812,11 @@ def conic_global_equations_check(z: SymmetricMatrixQ, samples: int = 20,
     return ConicReport(identity_ok, False, base, checked, skipped, passed)
 
 
-def random_conic_with_rational_point(rng: Random, entry_bound: int = 5,
-                                     search_height: int = 12,
-                                     max_tries: int = 500) -> tuple[SymmetricMatrixQ, int]:
+def random_conic_with_rational_point(rng: Random) -> tuple[SymmetricMatrixQ, int]:
     """A random smooth integer conic that provably has a rational point;
     returns the number of draws it took."""
-    for tries in range(1, max_tries + 1):
-        vals = [rng.randint(-entry_bound, entry_bound) for _ in range(6)]
+    for tries in range(1, CONIC_MAX_TRIES + 1):
+        vals = [rng.randint(-CONIC_ENTRY_BOUND, CONIC_ENTRY_BOUND) for _ in range(6)]
         z = SymmetricMatrixQ.from_rows([
             [vals[0], vals[1], vals[2]],
             [vals[1], vals[3], vals[4]],
@@ -820,9 +824,9 @@ def random_conic_with_rational_point(rng: Random, entry_bound: int = 5,
         ])
         if not z.is_nondegenerate():
             continue
-        if find_rational_point(z, search_height) is not None:
+        if find_rational_point(z) is not None:
             return z, tries
-    raise RuntimeError(f"no isotropic smooth conic found in {max_tries} draws")
+    raise RuntimeError(f"no isotropic smooth conic found in {CONIC_MAX_TRIES} draws")
 
 
 # --- the flatness certificate ---
@@ -902,17 +906,14 @@ def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
                  method: str, expected: HilbertPolynomialQ) -> FiberCheck:
     fiber = evaluate_family_at(J, point)
     try:
-        dim = ideal_dimension(fiber, projective=True)
+        dim = ideal_dimension(fiber)
     except DimensionUndefinedError:
         dim = None
     table = tabulate_diagonal(fiber, range(t_max + 1), method)
-    if dim is None:
-        if all(v == 0 for v in table.values.values()):
-            poly = HilbertPolynomialQ((), stabilization_threshold=0)
-            return FiberCheck(index, point, poly, None, poly == expected)
+    if dim is None and any(table.values.values()):
         return FiberCheck(index, point, None, None, False, "dimension undefined")
     try:
-        poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim, 0))
+        poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim or 0, 0))
     except NoStabilizationError as exc:
         return FiberCheck(index, point, None, dim, False, f"no stabilization: {exc}")
     return FiberCheck(index, point, poly, dim, poly == expected)

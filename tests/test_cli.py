@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from flatcert import ChartPoint, evaluate_family_at, family_ideal_J
-from flatcert.cli import MAX_N, MAX_T, main, parse_ideal_file
+from flatcert.cli import MAX_COUNT, MAX_N, MAX_T, main, parse_ideal_file
 from flatcert.hilbert import MAX_MACAULAY_ENTRIES
 
 SPECIAL_N2 = """# special fiber monomials plus the incidence form
@@ -218,6 +218,9 @@ GOLDEN = {
     # chart coefficients of heights 3..8, so the rank route meets non-unit pivots
     "hilbert_fiber_n2_chart": (["hilbert", "tests/data/fiber_n2_chart.ideal", "--method", "both",
                                 "--t-max", "6"], 0),
+    # the unit ideal: no dimension, an all-zero table and the polynomial 0
+    "hilbert_unit_n2": (["hilbert", "tests/data/unit_n2.ideal", "--method", "both",
+                         "--t-max", "8"], 0),
     "torus_check_n2_seed0": (["torus-check", "--n", "2", "--seed", "0"], 0),
     "torus_check_n3_seed1": (["torus-check", "--n", "3", "--seed", "1"], 0),
     "verify_groebner_n3_seed0": (["verify-groebner", "--n", "3", "--seed", "0"], 0),
@@ -322,6 +325,11 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         (["conic-equations", "--conics", "-1"], "--conics"),
         (["conic-equations", "--samples", "0"], "--samples"),
         (["xi-trials", "2", "2", "--trials", "0"], "--trials"),
+        (["xi-trials", "1", "1", "--trials", str(MAX_COUNT + 1)], "--trials"),
+        (["xi-trials", "1", "1", "--trials", "1000000000"], "--trials"),
+        (["conic-equations", "--samples", str(MAX_COUNT + 1), "--conics", "1"], "--samples"),
+        (["conic-equations", "--samples", "1000000000", "--conics", "1"], "--samples"),
+        (["conic-equations", "--conics", str(MAX_COUNT + 1)], "--conics"),
         (["xi-trials", "2", "2", "--t-max", "2"], "--t-max"),
         (["xi-trials", "0", "2"], "d0"),
         (["xi-trials", "1", "x"], "d1"),

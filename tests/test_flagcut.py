@@ -18,6 +18,7 @@ from flatcert import (
     xi_formula,
     xy_universe,
 )
+from flatcert.flagcut import CURVE_COEFF_BOUND
 from flatcert.hilbert import (
     bigraded_hilbert_function,
     interpolate_hilbert_polynomial,
@@ -39,7 +40,7 @@ def test_flag_threefold_hilbert_function():
     assert [bigraded_hilbert_function(ideal, t, t) for t in range(4)] == [1, 8, 27, 64]
     assert [bigraded_hilbert_function(ideal, t, t, METHOD_RANK)
             for t in range(4)] == [1, 8, 27, 64]
-    assert ideal_dimension(ideal, projective=True) == 3
+    assert ideal_dimension(ideal) == 3
 
 
 def test_pair_validation():
@@ -57,7 +58,7 @@ def test_pair_validation():
 
 def test_two_lines_give_a_conic_section():
     pair = PlaneCurvePair(UNI.parse("x1"), UNI.parse("y1"))
-    assert ideal_dimension(gamma_curve_ideal(pair), projective=True) == 1
+    assert ideal_dimension(gamma_curve_ideal(pair)) == 1
     assert str(fit_gamma(pair)) == "2t+1"
     # the rank route agrees without touching any basis computation
     assert str(fit_gamma(pair, t_max=6, method=METHOD_RANK)) == "2t+1"
@@ -66,7 +67,7 @@ def test_two_lines_give_a_conic_section():
 
 def test_line_and_conic():
     pair = PlaneCurvePair(UNI.parse("x1"), UNI.parse("y2^2 - y1*y3"))
-    assert ideal_dimension(gamma_curve_ideal(pair), projective=True) == 1
+    assert ideal_dimension(gamma_curve_ideal(pair)) == 1
     assert str(fit_gamma(pair)) == "4t+1"
     assert koszul_hilbert_polynomial(1, 2) == fit_gamma(pair)
 
@@ -96,9 +97,9 @@ def test_random_curves_respect_block_and_degree():
     rng = random.Random(4)
     f = random_plane_curve(3, rng, block="x")
     assert f.bidegree() == (3, 0)
-    g = random_plane_curve(2, rng, block="y", coeff_bound=5)
+    g = random_plane_curve(2, rng, block="y")
     assert g.bidegree() == (0, 2)
-    assert all(abs(c) <= 5 for c in g.terms.values())
+    assert all(abs(c) <= CURVE_COEFF_BOUND for c in g.terms.values())
     with pytest.raises(ValueError):
         random_plane_curve(2, rng, block="z")
 

@@ -5,7 +5,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from flatcert import groebner
 from flatcert import (
@@ -193,14 +193,53 @@ def test_ideal_caches_one_basis(monkeypatch):
 
 
 def test_ideal_dimension_desk_values():
-    # special fiber: 3 affine / 1 projective; minors: 4 affine
-    assert ideal_dimension(special_fiber_ideal(2)) == 3
-    assert ideal_dimension(special_fiber_ideal(2), projective=True) == 1
-    assert ideal_dimension(diagonal_ideal(2)) == 4
+    # projective dimensions in P2 x P2: the special fiber is a curve, the
+    # minors cut out the diagonal P2, and the irrelevant ideal nothing (-2)
+    assert ideal_dimension(special_fiber_ideal(2)) == 1
+    assert ideal_dimension(diagonal_ideal(2)) == 2
     full = Ideal(UNI, [UNI.variable(nm) for nm in UNI.names])
-    assert ideal_dimension(full) == 0
+    assert ideal_dimension(full) == -2
     with pytest.raises(DimensionUndefinedError):
         ideal_dimension(Ideal(UNI, [UNI.one()]))
+
+
+def reference_dimension(exponents, num_vars):
+    """Projective dimension of a monomial quotient by subset enumeration:
+    the largest set of variables that contains no generator's support,
+    less 2 for the two projective scalings."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in exponents]
+    if frozenset() in supports:
+        raise DimensionUndefinedError("the ideal is the whole ring")
+    for size in range(num_vars, -1, -1):
+        for combo in combinations(range(num_vars), size):
+            if not any(sup <= set(combo) for sup in supports):
+                return size - 2
+    raise AssertionError("the empty set contains no nonempty support")
+
+
+def _monomial_ideals(n):
+    nxy = 2 * (n + 1)
+    exponent = st.sampled_from([0, 0, 0, 1, 2, 3])  # non-squarefree, mostly sparse
+    return st.tuples(st.just(n), st.lists(st.tuples(*[exponent] * nxy), min_size=1, max_size=6))
+
+
+@given(st.integers(min_value=1, max_value=2).flatmap(_monomial_ideals))
+@example((2, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]))  # one block
+@example((2, [(0, 0, 0, 2, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 0, 3)]))
+@example((1, [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)]))  # zero-dimensional
+@example((1, [(1, 1, 0, 0), (0, 0, 0, 0)]))  # the unit ideal
+@example((1, [(1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)]))
+def test_ideal_dimension_matches_subset_enumeration(case):
+    n, exponents = case
+    uni = xy_universe(n)
+    ideal = Ideal(uni, [BiPolynomial(uni, {e: Fraction(1)}) for e in exponents])
+    try:
+        want = reference_dimension(exponents, uni.num_xy)
+    except DimensionUndefinedError:
+        with pytest.raises(DimensionUndefinedError):
+            ideal_dimension(ideal)
+    else:
+        assert ideal_dimension(ideal) == want
 
 
 def test_ideal_requires_a_generator():

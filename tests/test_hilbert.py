@@ -17,6 +17,7 @@ from flatcert import (
     NoStabilizationError,
     NonBihomogeneousError,
     SymmetricMatrixQ,
+    VariableUniverse,
     bigraded_hilbert_function,
     chi_graph,
     diagonal_ideal,
@@ -30,7 +31,7 @@ from flatcert import (
     xi_formula,
     xy_universe,
 )
-from flatcert import hilbert
+from flatcert import groebner, hilbert
 from flatcert.cli import parse_ideal_file
 from flatcert.groebner import _integer_terms, monomial_mul
 from flatcert.hilbert import (
@@ -253,11 +254,36 @@ def test_nonbihomogeneous_input_rejected():
         bigraded_hilbert_function(bad, 1, 1)
 
 
+UNCHECKED_IDEALS = {
+    "inhomogeneous": (lambda uni: Ideal(uni, [uni.parse("x1*y1 + x2"), uni.parse("x1*y2")]),
+                      xy_universe(1), NonBihomogeneousError),
+    "parametric": (lambda uni: Ideal(uni, [uni.parse("a*x1*y1 - x2*y2")]),
+                   VariableUniverse.standard(1, ("a",)), ValueError),
+}
+ENTRY_POINTS = {
+    "dimension": ideal_dimension,
+    "initial": lambda ideal: bigraded_hilbert_function(ideal, 1, 1),
+    "rank": lambda ideal: bigraded_hilbert_function(ideal, 1, 1, METHOD_RANK),
+}
+
+
+@pytest.mark.parametrize("first", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", sorted(UNCHECKED_IDEALS))
+def test_unchecked_ideal_raises_from_every_entry_point(kind, first):
+    # one Ideal throughout: whichever entry point runs first must not leave
+    # a cached numerator behind that lets a later one count
+    make, uni, error = UNCHECKED_IDEALS[kind]
+    ideal = make(uni)
+    for name in [first, *sorted(set(ENTRY_POINTS) - {first})]:
+        with pytest.raises(error):
+            ENTRY_POINTS[name](ideal)
+
+
 def test_tabulate_and_interpolate_recover_chi():
     ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
     table = tabulate_diagonal(ideal, range(8))
     assert table.values == {0: 1, 1: 5, 2: 9, 3: 13, 4: 17, 5: 21, 6: 25, 7: 29}
-    dim = ideal_dimension(ideal, projective=True)
+    dim = ideal_dimension(ideal)
     poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
     assert poly == chi_graph(2)
     assert poly.stabilization_threshold == 0
@@ -267,15 +293,16 @@ def test_tabulate_and_interpolate_recover_chi():
 
 def test_series_numerator_once_per_ideal(monkeypatch):
     calls = []
-    original = hilbert._series_numerator
+    original = groebner._series_numerator
 
     def counting(lead, k):
         calls.append(k)
         return original(lead, k)
 
-    monkeypatch.setattr(hilbert, "_series_numerator", counting)
+    monkeypatch.setattr(groebner, "_series_numerator", counting)
     ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
-    assert bigraded_hilbert_function(ideal, 1, 1) == 5
+    # the dimension and the table read the same numerator
+    assert ideal_dimension(ideal) == 1
     once = len(calls)  # the recursion's calls for one numerator
     assert once > 0
     assert tabulate_diagonal(ideal, range(8)).values[7] == 29
@@ -288,7 +315,7 @@ def test_series_numerator_once_per_ideal(monkeypatch):
 def test_interpolation_stability_on_corpus():
     # interpolate, then confirm the fit reproduces the table past the threshold
     for ideal in [special_fiber_ideal(1), special_fiber_ideal(2), diagonal_ideal(2)]:
-        dim = ideal_dimension(ideal, projective=True)
+        dim = ideal_dimension(ideal)
         table = tabulate_diagonal(ideal, range(dim + 9))
         poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
         assert poly.degree == dim

@@ -3,8 +3,9 @@
 Any ideal file or points file either parses, or raises an error that the
 command line reports on one line with exit code 3 (`cli.USAGE_ERRORS`).
 A --t-max past `cli.MAX_T`, or one whose rank-oracle matrix is past
-`hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way.  No Hilbert function
-is computed here.
+`hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way, and so does a
+--trials, --samples or --conics past `cli.MAX_COUNT`.  No Hilbert function
+is computed, and no trial or sample run, here.
 """
 
 import contextlib
@@ -16,7 +17,15 @@ from pathlib import Path
 from hypothesis import given, strategies as st
 
 from flatcert import ChartPoint, Ideal
-from flatcert.cli import MAX_N, MAX_T, USAGE_ERRORS, _load_points_file, main, parse_ideal_file
+from flatcert.cli import (
+    MAX_COUNT,
+    MAX_N,
+    MAX_T,
+    USAGE_ERRORS,
+    _load_points_file,
+    main,
+    parse_ideal_file,
+)
 from flatcert.hilbert import MAX_MACAULAY_ENTRIES
 
 N2_CHART = str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal")
@@ -123,6 +132,19 @@ _T_MAX_COMMANDS = st.sampled_from([
 def test_t_max_beyond_its_budget_exits_3(argv, t_max):
     code, err = exit_code_and_stderr([*argv, "--t-max", str(t_max)])
     assert code == 3 and f"argument --t-max: must be <= {MAX_T}" in err[-1], err
+
+
+# --- large counts ---
+
+_COUNT_OPTIONS = st.sampled_from([
+    ["xi-trials", "1", "1", "--trials"], ["xi-trials", "2", "2", "--trials"],
+    ["conic-equations", "--conics", "1", "--samples"], ["conic-equations", "--conics"]])
+
+
+@given(_COUNT_OPTIONS, st.integers(min_value=MAX_COUNT + 1, max_value=10**30))
+def test_count_beyond_its_budget_exits_3(argv, count):
+    code, err = exit_code_and_stderr([*argv, str(count)])
+    assert code == 3 and f"argument {argv[-1]}: must be <= {MAX_COUNT}" in err[-1], err
 
 
 # the n=2 rank-oracle matrices pass MAX_MACAULAY_ENTRIES from t = 13

@@ -9,6 +9,8 @@ import pytest
 from flatcert import quadfam
 from flatcert import (
     ChartPoint,
+    HilbertPolynomialQ,
+    Ideal,
     NondegeneracyRequiredError,
     SymmetricMatrixQ,
     TorusElement,
@@ -395,6 +397,16 @@ def test_flatness_detects_corruption():
     assert report.verdict == "FAIL"
     assert report.divergent
     assert any(not fb.matches for fb in report.fibers)
+
+
+@pytest.mark.parametrize("method", ["initial", "rank"])
+def test_unit_fiber_has_the_zero_polynomial(method):
+    # no dimension, an all-zero table: the fit of degree 0 is the polynomial 0
+    uni = family_universe(1)
+    check = quadfam._check_fiber(Ideal(uni, [uni.one()]), 0, ChartPoint.special(1), 4,
+                                 method, chi_graph(1))
+    assert (check.polynomial, check.dimension, check.failure) == (HilbertPolynomialQ(()), None, None)
+    assert check.polynomial.stabilization_threshold == 0 and not check.matches
 
 
 def test_apply_corruption_validation():
