@@ -4,8 +4,9 @@
 Each suite has an expected exit code.  Most suites must pass (0); the
 xi-trials run at degrees (2,2) is expected to exit 1 because the computed
 fibers fit the Koszul count 8t, not the closed formula 4t (see README),
-and the n=4 chart fiber at t=5 is expected to exit 3 because its
-rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES.
+the two negative controls to exit 1, and the n=4 chart fiber at t=5 to
+exit 3 because its rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES.
+flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
 The script exits 0 exactly when every suite matches its expectation.
@@ -14,11 +15,15 @@ The script exits 0 exactly when every suite matches its expectation.
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 
 def ideal_files(tmp: Path) -> dict[str, Path]:
@@ -79,6 +84,10 @@ def main() -> int:
             ("negative control",
              ["verify-flatness", "--n", "2", "--t-max", "7",
               "--corrupt", "drop-generator:1"], 1),
+            # the special fiber's table is too short, but the flat fibers still FAIL
+            ("negative control, short table",
+             ["verify-flatness", "--n", "2", "--t-max", "3",
+              "--corrupt", "drop-generator:1"], 1),
             ("torus equivariance",
              ["torus-check", "--n", "2", "--seed", str(args.seed)], 0),
             ("conic equations",
@@ -96,13 +105,15 @@ def main() -> int:
                  ["xi-trials", "2", "2", "--trials", str(trials),
                   "--seed", str(args.seed)], 1))
 
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         failures = 0
         total = 0.0
         for label, argv, expected in suites:
             start = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, "-m", "flatcert", *argv, "--output", "/dev/null"],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             wall = time.perf_counter() - start
             total += wall
             ok = proc.returncode == expected

@@ -44,7 +44,6 @@ from .hilbert import (
     HilbertPolynomialQ,
     NoStabilizationError,
     bigraded_hilbert_function,
-    binomial_basis_coordinates,
     chi_graph,
     interpolate_hilbert_polynomial,
     koszul_hilbert_polynomial,

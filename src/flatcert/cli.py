@@ -1,9 +1,10 @@
 """flatcert command line: verification suites with deterministic reports.
 
 Exit codes partition outcomes: 0 the checked property holds, 1 it fails
-mathematically, 2 the run was inconclusive (no stabilization), 3 usage or
-input error.  Reports are byte-identical given the same arguments and seed:
-no timestamps, sorted JSON keys, and every fiber and trial run in order.
+mathematically, 2 the run was inconclusive (a Hilbert table too short, or
+not settled, within --t-max), 3 usage or input error.  Reports are
+byte-identical given the same arguments and seed: no timestamps, sorted
+JSON keys, and every fiber and trial run in order.
 """
 
 from __future__ import annotations
@@ -140,10 +141,9 @@ def _load_points_file(path: str) -> list[ChartPoint]:
 
 
 def parse_ideal_file(path: str) -> Ideal:
-    """Plain text: optional comments (#), a header `n <int>` and optional
-    `params <names...>`, then one generator per line in polynomial text."""
+    """Plain text: optional comments (#), a header `n <int>`, then one
+    generator per line in polynomial text."""
     n = None
-    params: tuple[str, ...] = ()
     gen_lines: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -157,13 +157,11 @@ def parse_ideal_file(path: str) -> Ideal:
                 n = int(head[1])
                 if n > MAX_N:
                     raise ParseError(f"{path}: n {n} exceeds the limit MAX_N = {MAX_N}")
-            elif head[0] == "params" and not gen_lines:
-                params = tuple(head[1:])
             else:
                 gen_lines.append(line)
     if n is None:
         raise ParseError(f"{path}: missing 'n <int>' header line")
-    uni = VariableUniverse.standard(n, params)
+    uni = VariableUniverse.standard(n)
     gens = [parse_polynomial(uni, line) for line in gen_lines]
     if not gens:
         raise ParseError(f"{path}: no generators")
@@ -181,6 +179,10 @@ def _verdict(passed: bool) -> str:
 
 
 def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
+    # a flat fiber has dimension n - 1, and its fit needs n + 2 samples t = 0..t_max
+    if args.t_max < args.n + 1:
+        raise ValueError(f"verify-flatness: argument --t-max: must be >= n + 1 = {args.n + 1}"
+                         f" for n = {args.n}, got {args.t_max}")
     rng = Random(args.seed)
     if args.points:
         extra = _load_points_file(args.points)
@@ -282,11 +284,11 @@ def _run_xi_trials(args: argparse.Namespace) -> Outcome:
         f"  koszul count expectation: {report.koszul_expected}"
         f" -> {report.koszul_matches}/{args.trials} match",
         f"  retries: {report.total_retries}",
-        f"verdict: {_verdict(report.passed)}",
+        f"verdict: {report.verdict}",
     ]
     config = {"d0": args.d0, "d1": args.d1, "trials": args.trials, "seed": args.seed,
               "method": args.method}
-    return _verdict(report.passed), config, report.to_json_dict(), lines
+    return report.verdict, config, report.to_json_dict(), lines
 
 
 def _run_torus_check(args: argparse.Namespace) -> Outcome:

@@ -183,21 +183,6 @@ class HilbertPolynomialQ:
         }
 
 
-def binomial_basis_coordinates(poly: HilbertPolynomialQ) -> list[Fraction]:
-    """Coordinates a_k with p(t) = sum a_k * C(t+k, k); integer for any
-    integer-valued polynomial, which is the extra sanity check on fits."""
-    work = list(poly.coefficients)
-    coords = [Fraction(0)] * len(work)
-    for k in range(len(work) - 1, -1, -1):
-        basis = _binomial_in_t(k, 1, k)
-        a = work[k] / basis[k]
-        coords[k] = a
-        work = _poly_add(work, _poly_scale(basis, -a))
-    if any(work):
-        raise AssertionError("basis conversion did not terminate cleanly")
-    return coords
-
-
 # --- Hilbert functions from series numerators ---
 
 def _binomial_in_t(n: int, slope: int, shift: int) -> list[Fraction]:
@@ -415,10 +400,11 @@ def interpolate_hilbert_polynomial(table: HilbertFunctionTable,
     """Fit the eventual polynomial of a sampled diagonal Hilbert function.
 
     Fits degree <= dim_bound through the trailing samples, walks backwards
-    to find where the table starts agreeing, and fails loudly (with the
-    residual rows) if the trailing dim_bound+2 samples never agree.  As an
-    extra check the fit must have integer coordinates in the basis
-    C(t+k, k), which every genuine Hilbert polynomial has.
+    to find where the table starts agreeing, and raises NoStabilizationError
+    (with the residual rows) if the trailing run of consecutive samples is
+    shorter than dim_bound+3 or its last dim_bound+2 samples never agree.
+    The fit interpolates integer values at consecutive integers, so it is
+    integer-valued (Hartshorne, Algebraic Geometry, Prop. I.7.3).
     """
     if dim_bound < 0:
         dim_bound = 0
@@ -433,7 +419,7 @@ def interpolate_hilbert_polynomial(table: HilbertFunctionTable,
     run.reverse()
     need = dim_bound + 3
     if len(run) < need:
-        raise ValueError(
+        raise NoStabilizationError(
             f"need at least dim_bound+3 = {need} consecutive trailing samples, have {len(run)}")
 
     fit_pts = [(t, table.values[t]) for t in run[-(dim_bound + 1):]]
@@ -452,10 +438,4 @@ def interpolate_hilbert_polynomial(table: HilbertFunctionTable,
         raise NoStabilizationError(
             f"table does not stabilize onto a degree<={dim_bound} polynomial", residuals)
 
-    poly = HilbertPolynomialQ(coeffs, stabilization_threshold=min(matched))
-    coords = binomial_basis_coordinates(poly)
-    bad = [c for c in coords if c.denominator != 1]
-    if bad:
-        raise NoStabilizationError(
-            f"fit is not integer-valued (binomial coordinates {[str(c) for c in coords]})")
-    return poly
+    return HilbertPolynomialQ(coeffs, stabilization_threshold=min(matched))

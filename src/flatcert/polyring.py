@@ -434,7 +434,7 @@ def parse_polynomial(universe: VariableUniverse, text: str) -> BiPolynomial:
                 name, _, exp_s = tok.partition("^")
                 idx = universe.index.get(name)
                 if idx is None:
-                    raise UnknownVariableError(name)
+                    raise UnknownVariableError(f"unknown variable {name!r}")
                 exps[idx] += int(exp_s) if exp_s else 1
             i += 1
             if i < len(tokens) and tokens[i] == "*":

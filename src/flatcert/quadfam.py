@@ -36,6 +36,7 @@ from .groebner import (
     DimensionUndefinedError,
     Ideal,
     NonBihomogeneousError,
+    _subtract_shifted,
     ideal_dimension,
     intersect_monomial_exponents,
     minimalize_monomial_exponents,
@@ -44,7 +45,6 @@ from .hilbert import (
     METHOD_INITIAL,
     HilbertPolynomialQ,
     NoStabilizationError,
-    bigraded_hilbert_function,
     chi_graph,
     interpolate_hilbert_polynomial,
     tabulate_diagonal,
@@ -616,8 +616,9 @@ def minimal_primes_of_monomial_ideal(universe: VariableUniverse,
 
 def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiMonomial]) -> bool:
     """True iff f avoids every minimal prime of the (squarefree) monomial
-    ideal; cross-checked against the Hilbert-function first-difference
-    identity for t <= 5.  The two methods must agree."""
+    ideal M.  Cross-checked exactly: f is a nonzerodivisor on S/M iff the
+    Hilbert-series numerators satisfy K(M + f) = K(M) * (1 - s^deg f), in
+    every bidegree.  The two methods must agree."""
     uni = f.universe
     if f.is_zero():
         return False
@@ -636,15 +637,13 @@ def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiMonomial]) -> bo
     avoids = not any(in_prime(p) for p in primes)
 
     gens = [m.as_polynomial() for m in monomials]
-    base = Ideal(uni, gens)
-    bigger = Ideal(uni, gens + [f])
-    dx, dy = deg
-    identity = all(
-        bigraded_hilbert_function(bigger, t, t)
-        == bigraded_hilbert_function(base, t, t) - bigraded_hilbert_function(base, t - dx, t - dy)
-        for t in range(6))
+    base = Ideal(uni, gens).series_numerator()
+    expected = dict(base)
+    _subtract_shifted(expected, base, deg)
+    identity = (Ideal(uni, gens + [f]).series_numerator()
+                == {key: c for key, c in expected.items() if c})
     if identity != avoids:
-        raise RuntimeError("prime avoidance and Hilbert first-difference disagree; "
+        raise RuntimeError("prime avoidance and the Hilbert-series numerators disagree; "
                            "this contradicts the exactness argument")
     return avoids
 

@@ -3,11 +3,19 @@
 Hypothesis profiles: "ci" (default) runs enough examples to be useful,
 "fast" trims the example count for quick local iteration.  Select with
 HYPOTHESIS_PROFILE=fast pytest.
+
+pytest imports flatcert from src/ (pythonpath in pyproject.toml); the
+PYTHONPATH set here makes the `python -m flatcert` subprocesses of the
+tests do the same.
 """
 
 import os
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile(
     "ci",

@@ -75,11 +75,15 @@ def test_hilbert_missing_file(tmp_path):
     assert code == 3
 
 
-def test_hilbert_bad_file(tmp_path):
+def test_hilbert_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.ideal"
-    path.write_text("n 1\nx1*z9\n")
-    code, _ = run(["hilbert", str(path)])
-    assert code == 3
+    # a params line is read as a generator too: ideal files have no parameters
+    for body, name in (("n 1\nx1*z9\n", "z9"), ("n 1\nparams a\nx1*y2\n", "params")):
+        path.write_text(body)
+        code, _ = run(["hilbert", str(path)])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"flatcert: unknown variable {name!r}"], err
 
 
 @pytest.mark.parametrize("header", ["n", "n two", "n 2.5", "n -1"])
@@ -107,6 +111,29 @@ def test_verify_flatness_detects_corruption():
                       "--corrupt", "drop-generator:1"])
     assert code == 1
     assert json.loads(text)["report"]["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("argv, code, verdict", [
+    # the special fiber's table is too short for its dimension, but the
+    # other fibers fit 6t, not 4t+1
+    (["--n", "2", "--t-max", "3", "--corrupt", "drop-generator:1"], 1, "FAIL"),
+    # every fiber's table is too short and none fails
+    (["--n", "3", "--t-max", "4", "--corrupt", "drop-generator:0"], 2, "INCONCLUSIVE"),
+])
+def test_short_table_under_corruption(argv, code, verdict):
+    got, text = run(["verify-flatness", *argv])
+    assert got == code
+    assert json.loads(text)["report"]["verdict"] == verdict
+
+
+def test_hilbert_short_table_is_inconclusive(tmp_path):
+    # the diagonal of P2 x P2 has dimension 2; its fit needs t = 0..4
+    path = tmp_path / "diagonal_n2.ideal"
+    path.write_text("n 2\nx1*y2 - x2*y1\nx1*y3 - x3*y1\nx2*y3 - x3*y2\n")
+    code, text = run(["hilbert", str(path), "--t-max", "3"])
+    assert code == 2
+    rep = json.loads(text)["report"]
+    assert rep["projective_dimension"] == 2 and rep["polynomial"] is None
 
 
 def test_verify_flatness_with_points_file(tmp_path):
@@ -312,6 +339,9 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         (["verify-flatness", "--n", "1", "--method", "bogus"], "--method"),
         (["verify-flatness", "--n", "1", "--method", "both"], "--method"),
         (["verify-flatness", "--n", "1", "--t-max", "2"], "--t-max"),
+        # a flat fiber's fit needs t = 0..n+1; refused before any fiber
+        (["verify-flatness", "--n", str(MAX_N)], "--t-max"),
+        (["verify-flatness", "--n", "4", "--t-max", "4"], "--t-max"),
         (["verify-flatness", "--n", "1", "--format", "yaml"], "--format"),
         (["verify-flatness", "--t-max", "0"], "--t-max"),
         (["verify-flatness", "--n", "1", "--corrupt", "drop-generator:x"], "--corrupt"),

@@ -1,5 +1,6 @@
 """Curves cut on the flag threefold and the degree-formula trials."""
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from flatcert import (
     xi_formula,
     xy_universe,
 )
+from flatcert.cli import main
 from flatcert.flagcut import CURVE_COEFF_BOUND
 from flatcert.hilbert import (
     bigraded_hilbert_function,
@@ -143,7 +145,9 @@ def test_trials_on_conics_report_the_discrepancy():
     assert all(str(r.polynomial) == "8t" for r in report.records)
 
 
-def test_one_completion_per_draw(monkeypatch):
+@pytest.fixture()
+def buchberger_calls(monkeypatch):
+    """The orders of every groebner.buchberger call made during the test."""
     calls = []
     original = groebner.buchberger
 
@@ -152,9 +156,22 @@ def test_one_completion_per_draw(monkeypatch):
         return original(gens, order)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
+    return calls
+
+
+def test_one_completion_per_draw(buchberger_calls):
     report = run_xi_trials(2, 2, trials=2, seed=0)
     # the dimension check and the Hilbert table share one basis per draw
-    assert len(calls) == report.trials + report.total_retries
+    assert len(buchberger_calls) == report.trials + report.total_retries
+
+
+def test_short_table_is_one_draw_per_trial_and_inconclusive(buchberger_calls, capsys):
+    # t = 0..3 cannot fix the (1,3) curve's polynomial: no trial redraws
+    assert main(["xi-trials", "1", "3", "--t-max", "3", "--trials", "3"]) == 2
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert len(buchberger_calls) == 3
+    assert [r["polynomial"] for r in report["records"]] == [None] * 3
+    assert report["total_retries"] == 0 and not report["passed"]
 
 
 def test_trials_are_deterministic_and_worker_independent():

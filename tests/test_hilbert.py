@@ -37,7 +37,6 @@ from flatcert.groebner import _integer_terms, monomial_mul
 from flatcert.hilbert import (
     MAX_MACAULAY_ENTRIES,
     MacaulayBudgetError,
-    binomial_basis_coordinates,
     normalize_method,
     rank_matrix_shape,
     tabulate_diagonal,
@@ -328,7 +327,7 @@ def test_interpolation_stability_on_corpus():
 def test_interpolation_needs_enough_samples():
     ideal = special_fiber_ideal(2)
     table = tabulate_diagonal(ideal, range(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(NoStabilizationError, match="need at least dim_bound\\+3 = 4"):
         interpolate_hilbert_polynomial(table, dim_bound=1)
 
 
@@ -352,13 +351,6 @@ def test_polynomial_type_basics():
     assert d["coefficients"] == ["1", "4"]
     zero = HilbertPolynomialQ.from_coefficients([])
     assert str(zero) == "0" and zero.degree == -1
-
-
-def test_binomial_basis_coordinates():
-    assert binomial_basis_coordinates(chi_graph(2)) == [-3, 4]
-    assert binomial_basis_coordinates(chi_graph(3)) == [1, -8, 8]
-    # chi values are integer combinations of C(t+k, k); xi too
-    assert all(c.denominator == 1 for c in binomial_basis_coordinates(xi_formula(2, 3)))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
