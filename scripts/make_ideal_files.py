@@ -3,12 +3,17 @@
 
 Each file is the plain-text format parse_ideal_file reads: comment lines,
 an `n <int>` header, then one generator per line in polynomial text.
+flatcert is imported from this checkout's src/.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 from flatcert import diagonal_ideal, special_fiber_ideal, xy_universe
 from flatcert.polyring import polynomial_text

@@ -90,9 +90,7 @@ def main() -> int:
               "--corrupt", "drop-generator:1"], 1),
             ("torus equivariance",
              ["torus-check", "--n", "2", "--seed", str(args.seed)], 0),
-            ("conic equations",
-             ["conic-equations", "--samples", "4", "--conics", "5",
-              "--seed", str(args.seed)], 0),
+            ("conic equations", ["conic-equations"], 0),
             ("primary structure",
              ["primary-check", "--n", "4"], 0),
             ("xi trials (1,1)",

@@ -54,7 +54,6 @@ from .hilbert import (
 )
 from .quadfam import (
     ChartPoint,
-    ConicReport,
     FiberCheck,
     FlatnessReport,
     NondegeneracyRequiredError,
@@ -64,14 +63,12 @@ from .quadfam import (
     apply_corruption,
     closed_orbit_limit_check,
     component_primes,
-    conic_global_equations_check,
-    conic_matrix_identity_symbolic,
+    conic_graph_identities,
     diagonal_ideal,
     evaluate_family_at,
     family_ideal_J,
     family_universe,
     fiber_matrix,
-    find_rational_point,
     flatness_certificate,
     gauss_graph_ideal,
     incidence_form,
@@ -80,7 +77,6 @@ from .quadfam import (
     primary_intersection_check,
     primed_coordinates,
     random_chart_point,
-    random_conic_with_rational_point,
     random_torus_element,
     special_fiber_ideal,
     torus_action_check,

@@ -40,8 +40,7 @@ from .polyring import (
 from .quadfam import (
     ChartPoint,
     closed_orbit_limit_check,
-    conic_matrix_identity_symbolic,
-    conic_global_equations_check,
+    conic_graph_identities,
     corruption_index,
     diagonal_ideal,
     flatness_certificate,
@@ -50,7 +49,6 @@ from .quadfam import (
     primary_intersection_check,
     component_primes,
     random_chart_point,
-    random_conic_with_rational_point,
     random_torus_element,
     special_fiber_ideal,
     torus_action_check,
@@ -74,18 +72,18 @@ MAX_N = 8
 # and benchmark run t <= 8; the rank route meets its own budget,
 # hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
 MAX_T = 100
-# Input budget on --trials, --samples and --conics, checked before any seed is
-# drawn.  At 1000, xi-trials 2 2 took 25 s and conic-equations 11 s; the xi
-# degrees stay open (20 trials at (3, 3) took 80 s).
+# Input budget on --trials, checked before any seed is drawn.  At 1000,
+# xi-trials 2 2 took 25 s; the xi degrees stay open (20 trials at (3, 3)
+# took 80 s).
 MAX_COUNT = 1000
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the CLI contract reserves 2 for
-    inconclusive runs, so remap to 3."""
+    inconclusive runs, so remap to 3.  The error is one line on stderr,
+    without the usage text (`--help` prints that)."""
 
     def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -313,25 +311,15 @@ def _run_torus_check(args: argparse.Namespace) -> Outcome:
 
 
 def _run_conic_equations(args: argparse.Namespace) -> Outcome:
-    identity_ok = conic_matrix_identity_symbolic()
-    rng = Random(args.seed)
-    per_conic = -(-args.samples // args.conics)
-    reports = []
-    for _ in range(args.conics):
-        z, _tries = random_conic_with_rational_point(rng)
-        sample_seed = rng.getrandbits(32)
-        rep = conic_global_equations_check(z, samples=per_conic, seed=sample_seed)
-        reports.append({"matrix": z.to_json_dict(), **rep.to_json_dict()})
-    total_points = sum(r["points_checked"] for r in reports)
-    passed = identity_ok and all(r["passed"] for r in reports)
-    report = {"symbolic_identity": identity_ok, "conics": reports,
-              "total_points_checked": total_points, "passed": passed}
-    lines = [f"conic-equations seed={args.seed}",
-             f"  symbolic 3z*adj(z) = trace*I: {_verdict(identity_ok)}",
-             f"  {len(reports)} conics, {total_points} rational points checked",
+    identities = conic_graph_identities()
+    passed = all(identities.values())
+    lines = ["conic-equations: identities over Q[z, x, b, q], z a symmetric 3x3",
+             f"  z*adj(z) = det(z)*I: {_verdict(identities['adjugate'])}",
+             f"  minors of (x, x*z*adj(z)) vanish: {_verdict(identities['graph_minors'])}",
+             "  Q(x(q), x(q)) = Q(q,q)^2*Q(b,b), x(q) = Q(q,q)*b - 2*B(b,q)*q:"
+             f" {_verdict(identities['parametrization'])}",
              f"verdict: {_verdict(passed)}"]
-    config = {"seed": args.seed, "samples": args.samples, "conics": args.conics}
-    return _verdict(passed), config, report, lines
+    return _verdict(passed), {}, {**identities, "passed": passed}, lines
 
 
 def _run_primary_check(args: argparse.Namespace) -> Outcome:
@@ -406,8 +394,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("conic-equations", parents=[common],
                        help="global equations of the complete-conics graph")
     p.set_defaults(run=_run_conic_equations)
-    p.add_argument("--samples", type=count, default=20)
-    p.add_argument("--conics", type=count, default=5)
 
     p = sub.add_parser("primary-check", parents=[common],
                        help="primary decomposition and nonzerodivisor checks")

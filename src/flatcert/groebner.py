@@ -409,12 +409,12 @@ def spolynomial(f: BiPolynomial, g: BiPolynomial,
 class SPairEvent:
     i: int
     j: int
-    lcm: str
+    lcm: Exponents
     action: str  # reduced_to_zero | new_generator | skipped_coprime | skipped_chain
     reduction_steps: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {"pair": [self.i, self.j], "lcm": self.lcm,
+    def to_json_dict(self, universe: VariableUniverse) -> dict:
+        return {"pair": [self.i, self.j], "lcm": universe.monomial_text(self.lcm),
                 "action": self.action, "reduction_steps": self.reduction_steps}
 
 
@@ -429,7 +429,7 @@ class BuchbergerRun:
     def to_json_dict(self) -> dict:
         return {
             "order": self.order.to_json_dict(),
-            "events": [ev.to_json_dict() for ev in self.events],
+            "events": [ev.to_json_dict(self.basis[0].universe) for ev in self.events],
             "basis": [str(g) for g in self.basis],
         }
 
@@ -470,7 +470,6 @@ def buchberger(gens: Sequence[BiPolynomial],
 def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
               pk: _Packing) -> tuple[tuple[BiPolynomial, ...], BuchbergerRun]:
     """`buchberger` under one packing."""
-    uni = pk.universe
     guard = pk.guard
     run = BuchbergerRun(order=order)
     gdata = _gdata(gens, pk)
@@ -494,10 +493,9 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
         lcm_key, best, lcm_e = heapq.heappop(heap)
         pending.remove(best)
         i, j = best
-        lcm_text = uni.monomial_text(lcm_e)
         lcm_code = pk.code(lcm_key)
         if lcm_code == codes[i] + codes[j]:
-            run.events.append(SPairEvent(i, j, lcm_text, "skipped_coprime"))
+            run.events.append(SPairEvent(i, j, lcm_e, "skipped_coprime"))
             continue
         chain = False
         for k, code in enumerate(codes):
@@ -507,7 +505,7 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
                 chain = True
                 break
         if chain:
-            run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
+            run.events.append(SPairEvent(i, j, lcm_e, "skipped_chain"))
             continue
         r, steps = _reduce_terms(*_spair(gdata[i], gdata[j], lcm_key, pk), gdata, pk)
         if r:
@@ -517,9 +515,9 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
             m = len(gdata) - 1
             for t in range(m):
                 push(t, m)
-            run.events.append(SPairEvent(i, j, lcm_text, "new_generator", steps))
+            run.events.append(SPairEvent(i, j, lcm_e, "new_generator", steps))
         else:
-            run.events.append(SPairEvent(i, j, lcm_text, "reduced_to_zero", steps))
+            run.events.append(SPairEvent(i, j, lcm_e, "reduced_to_zero", steps))
 
     basis = tuple(_monic_polynomial(d, pk) for d in _interreduce(gdata, pk))
     run.basis = basis

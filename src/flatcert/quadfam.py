@@ -6,9 +6,9 @@ unipotent-times-diagonal chart for quadric degenerations, the
 cancelled-minor family ideal J over that chart, fiber evaluation, the torus
 symmetry that contracts the chart onto the most special point, the primary
 decomposition of the special monomial ideal, nonzerodivisor checks, the
-global equations of the graph over a fixed conic, and the flatness
-certificate comparing every fiber's Hilbert polynomial to the closed form
-chi_graph(n).
+equations of the complete-conics graph as polynomial identities, and the
+flatness certificate comparing every fiber's Hilbert polynomial to the
+closed form chi_graph(n).
 
 Index conventions: variable names are 1-based (x1..x{n+1}), Python
 containers 0-based.  A chart point is a pair (u, d) with u unipotent lower
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import prod
 from random import Random
 from typing import Iterable, Sequence
 
@@ -648,184 +648,66 @@ def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiMonomial]) -> bo
     return avoids
 
 
-# --- global equations over a fixed conic ---
+# --- equations of the complete-conics graph ---
 
-@dataclass
-class ConicReport:
-    identity_ok: bool
-    sampling_skipped: bool
-    base_point: tuple | None
-    points_checked: int
-    points_skipped: int
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "identity_ok": self.identity_ok,
-            "sampling_skipped": self.sampling_skipped,
-            "base_point": [fraction_to_json(v) for v in self.base_point] if self.base_point else None,
-            "points_checked": self.points_checked,
-            "points_skipped": self.points_skipped,
-            "passed": self.passed,
-        }
+def _bilinear(z: list[list[BiPolynomial]], p: Sequence[BiPolynomial],
+              q: Sequence[BiPolynomial]) -> BiPolynomial:
+    """B(p, q) = p z q^T; Q(p, p) = B(p, p) is the conic's quadratic form."""
+    return sum(p[i] * z[i][j] * q[j] for i in range(3) for j in range(3))
 
 
-def conic_matrix_identity_symbolic() -> bool:
-    """3 z adj(z) == trace(z adj(z)) I for a symmetric 3x3 of indeterminates."""
-    names = ("z11", "z12", "z13", "z22", "z23", "z33")
-    uni = VariableUniverse.standard(2, params=names)
-    v = uni.variable
-    z = [[v("z11"), v("z12"), v("z13")],
-         [v("z12"), v("z22"), v("z23")],
-         [v("z13"), v("z23"), v("z33")]]
-    w = mat_adjugate(z)
+def conic_parametrization(z: list[list[BiPolynomial]], b: Sequence[BiPolynomial],
+                          q: Sequence[BiPolynomial]) -> list[BiPolynomial]:
+    """x(q) = Q(q,q) b - 2 B(b,q) q: for b on the conic, the second point
+    where the line through b and q meets it."""
+    qq, bq = _bilinear(z, q, q), _bilinear(z, b, q)
+    return [qq * b[k] - bq * q[k] * 2 for k in range(3)]
+
+
+def _adjugate_identity(z: list[list[BiPolynomial]], w: list[list[BiPolynomial]]) -> bool:
+    """z w = det(z) I."""
+    det = mat_det(z)
     zw = mat_mul(z, w)
-    trace = zw[0][0] + zw[1][1] + zw[2][2]
-    for i in range(3):
-        for j in range(3):
-            lhs = zw[i][j] * 3
-            rhs = trace if i == j else uni.zero()
-            if lhs != rhs:
-                return False
-    return True
+    return all(zw[i][j] == (det if i == j else 0) for i in range(3) for j in range(3))
 
 
-def _quadric_value(z: SymmetricMatrixQ, p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i in range(z.size):
-        for j in range(z.size):
-            total += z.entries[i][j] * p[i] * q[j]
-    return total
+def _graph_minors_vanish(z: list[list[BiPolynomial]], w: list[list[BiPolynomial]],
+                         x: Sequence[BiPolynomial]) -> bool:
+    """With y = x z, every 2x2 minor of the rows x and y w is zero."""
+    (yw,) = mat_mul(mat_mul([x], z), w)
+    return all(x[i] * yw[j] == x[j] * yw[i] for i, j in combinations(range(3), 2))
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...] | None:
-    """The primitive integer multiple of vec whose first nonzero entry is
-    positive; None for the zero vector."""
-    denom = lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
-    g = gcd(*ints)
-    if g == 0:
-        return None
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+def conic_graph_identities() -> dict[str, bool]:
+    """The equations of the graph x -> x z of the complete conic (z, adj z),
+    proved as polynomial identities in Q[z11..z33, x1..x3, b1..b3, q1..q3]
+    for the symmetric 3x3 matrix z of indeterminates:
 
+    - adjugate: z adj(z) = det(z) I;
+    - graph_minors: with y = x z, the 2x2 minors of (x, y adj(z)) are zero,
+      since y adj(z) = det(z) x;
+    - parametrization: Q(x(q), x(q)) = Q(q,q)^2 Q(b,b) for the x(q) of
+      `conic_parametrization`, so every x(q) is on the conic when b is.
 
-CONIC_ENTRY_BOUND = 5
-CONIC_SEARCH_HEIGHT = 12
-CONIC_MAX_TRIES = 500
-
-
-def find_rational_point(z: SymmetricMatrixQ,
-                        height: int = CONIC_SEARCH_HEIGHT) -> tuple[int, ...] | None:
-    """First primitive integer point on x z x^T = 0, scanning by height.
-
-    Height h is the shell max(|a|, |b|, |c|) = h, walked in (a, b, c)
-    lexicographic order; the quadric is evaluated in integers after
-    clearing z's denominators.
+    Each holds for every conic, point and base point at once, so nothing
+    is drawn or sampled.
     """
-    denom = lcm(*(v.denominator for row in z.entries for v in row))
-    q = [[int(v * denom) for v in row] for row in z.entries]
-    for h in range(1, height + 1):
-        for a in range(-h, h + 1):
-            for b in range(-h, h + 1):
-                # on the shell's faces |a| = h or |b| = h every c fits; else |c| = h
-                cs = range(-h, h + 1) if h in (abs(a), abs(b)) else (-h, h)
-                ab = q[0][0] * a * a + 2 * q[0][1] * a * b + q[1][1] * b * b
-                lin = 2 * (q[0][2] * a + q[1][2] * b)
-                for cc in cs:
-                    if ab + cc * (lin + q[2][2] * cc) == 0 and gcd(a, b, cc) == 1:
-                        return (a, b, cc)
-    return None
-
-
-def _vector_matrix(v: Sequence[Fraction], m: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    return [sum((v[k] * m[k][j] for k in range(len(v))), Fraction(0)) for j in range(len(m[0]))]
-
-
-def _two_by_n_minors_zero(r1: Sequence[Fraction], r2: Sequence[Fraction]) -> bool:
-    for i, j in combinations(range(len(r1)), 2):
-        if r1[i] * r2[j] - r1[j] * r2[i] != 0:
-            return False
-    return True
-
-
-def conic_global_equations_check(z: SymmetricMatrixQ, samples: int = 20,
-                                 seed: int = 0) -> ConicReport:
-    """Check the graph equations of a fixed smooth conic.
-
-    (a) the matrix identity 3 z w = trace(z w) I with w = adj(z), exactly;
-    (b) on sampled rational points x of the conic, with y = x.z: the
-    incidence x.y = 0 and the 2x2 minors of (x, y.w) vanish.  Conics with
-    no rational point within CONIC_SEARCH_HEIGHT skip (b) and report that.
-    """
-    if z.size != 3:
-        raise ValueError("conic checks are for 3x3 matrices")
-    if not z.is_nondegenerate():
-        raise NondegeneracyRequiredError("the conic must be smooth: det(z) != 0")
-
-    z_rows = [list(r) for r in z.entries]
-    w_rows = mat_adjugate(z_rows)
-    zw = mat_mul(z_rows, w_rows)
-    trace = zw[0][0] + zw[1][1] + zw[2][2]
-    identity_ok = all(
-        3 * zw[i][j] == (trace if i == j else Fraction(0))
-        for i in range(3) for j in range(3))
-
-    base = find_rational_point(z)
-    if base is None:
-        return ConicReport(identity_ok, True, None, 0, 0, identity_ok)
-
-    rng = Random(seed)
-    base_f = tuple(Fraction(v) for v in base)
-    seen: set[tuple[int, ...]] = {_primitive(base_f)}
-    checked = 0
-    skipped = 0
-    all_ok = True
-    attempts = 0
-    while checked < samples and attempts < samples * 40:
-        attempts += 1
-        q = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
-        if all(v == 0 for v in q):
-            skipped += 1
-            continue
-        qq = _quadric_value(z, q, q)
-        if qq == 0:
-            skipped += 1
-            continue
-        pq = _quadric_value(z, base_f, q)
-        x = tuple(qq * base_f[k] - 2 * pq * q[k] for k in range(3))
-        prim = _primitive(x)
-        if prim is None or prim in seen:
-            skipped += 1
-            continue
-        seen.add(prim)
-        xf = tuple(Fraction(v) for v in prim)
-        y = _vector_matrix(xf, z_rows)
-        on_conic = sum((xf[k] * y[k] for k in range(3)), Fraction(0)) == 0
-        yw = _vector_matrix(y, w_rows)
-        ok = on_conic and _two_by_n_minors_zero(xf, yw)
-        all_ok = all_ok and ok
-        checked += 1
-    passed = identity_ok and all_ok and checked > 0
-    return ConicReport(identity_ok, False, base, checked, skipped, passed)
-
-
-def random_conic_with_rational_point(rng: Random) -> tuple[SymmetricMatrixQ, int]:
-    """A random smooth integer conic that provably has a rational point;
-    returns the number of draws it took."""
-    for tries in range(1, CONIC_MAX_TRIES + 1):
-        vals = [rng.randint(-CONIC_ENTRY_BOUND, CONIC_ENTRY_BOUND) for _ in range(6)]
-        z = SymmetricMatrixQ.from_rows([
-            [vals[0], vals[1], vals[2]],
-            [vals[1], vals[3], vals[4]],
-            [vals[2], vals[4], vals[5]],
-        ])
-        if not z.is_nondegenerate():
-            continue
-        if find_rational_point(z) is not None:
-            return z, tries
-    raise RuntimeError(f"no isotropic smooth conic found in {CONIC_MAX_TRIES} draws")
+    z_names = [f"z{i}{j}" for i in range(1, 4) for j in range(i, 4)]
+    bq_names = [f"{c}{k}" for c in "bq" for k in range(1, 4)]
+    uni = VariableUniverse.standard(2, params=z_names + bq_names)
+    v = uni.variable
+    z = [[v(f"z{min(i, j)}{max(i, j)}") for j in range(1, 4)] for i in range(1, 4)]
+    x = [v(name) for name in uni.x_names]
+    b = [v(f"b{k}") for k in range(1, 4)]
+    q = [v(f"q{k}") for k in range(1, 4)]
+    w = mat_adjugate(z)
+    xq = conic_parametrization(z, b, q)
+    qq = _bilinear(z, q, q)
+    return {
+        "adjugate": _adjugate_identity(z, w),
+        "graph_minors": _graph_minors_vanish(z, w, x),
+        "parametrization": _bilinear(z, xq, xq) == qq * qq * _bilinear(z, b, b),
+    }
 
 
 # --- the flatness certificate ---

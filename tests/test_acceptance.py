@@ -21,8 +21,7 @@ from flatcert import (
     PlaneCurvePair,
     SymmetricMatrixQ,
     chi_graph,
-    conic_global_equations_check,
-    conic_matrix_identity_symbolic,
+    conic_graph_identities,
     diagonal_ideal,
     family_ideal_J,
     flatness_certificate,
@@ -35,13 +34,13 @@ from flatcert import (
     nonzerodivisor_check,
     primary_intersection_check,
     random_chart_point,
-    random_conic_with_rational_point,
     run_xi_trials,
     special_fiber_ideal,
     torus_action_check,
     xi_formula,
     xy_universe,
 )
+from flatcert import quadfam
 from flatcert.cli import main as cli_main
 from flatcert.hilbert import (
     METHOD_INITIAL,
@@ -212,19 +211,21 @@ def test_ac08_xi_formula_trials():
                   "; ".join(outcomes) + " [fit is 2*d0*d1 t - d0*d1*(d0+d1-4)/2]")
 
 
-def test_ac09_conic_global_equations():
-    """Adjugate identity symbolically, then rational-point sampling."""
-    assert conic_matrix_identity_symbolic()
-    rng = random.Random(17)
-    total = 0
-    for _ in range(5):
-        conic, _tries = random_conic_with_rational_point(rng)
-        rep = conic_global_equations_check(conic, samples=4, seed=rng.randrange(10**6))
-        assert rep.passed and rep.identity_ok
-        total += rep.points_checked
-    assert total >= 20
+def test_ac09_conic_global_equations(monkeypatch):
+    """The graph equations of the complete conic as three polynomial
+    identities; with the factor 2 of the parametrization made 1, the
+    parametrization identity must fail."""
+    assert conic_graph_identities() == {"adjugate": True, "graph_minors": True,
+                                        "parametrization": True}
+
+    def factor_one(z, b, q):
+        qq, bq = quadfam._bilinear(z, q, q), quadfam._bilinear(z, b, q)
+        return [qq * b[k] - bq * q[k] for k in range(3)]
+
+    monkeypatch.setattr(quadfam, "conic_parametrization", factor_one)
+    assert not conic_graph_identities()["parametrization"]
     assert report(9, "conic global equations", True,
-                  f"identity symbolic; {total} sampled points on 5 conics")
+                  "3 identities over Q[z, x, b, q]; the factor-1 parametrization fails")
 
 
 def test_ac10_determinism():
@@ -245,12 +246,9 @@ def test_ac10_determinism():
     ]
     for argv in pairs:
         assert capture(argv) == capture(argv), argv
-    proc1 = subprocess.run([sys.executable, "-m", "flatcert", "conic-equations",
-                            "--samples", "3", "--conics", "2", "--seed", "5"],
-                           capture_output=True)
-    proc2 = subprocess.run([sys.executable, "-m", "flatcert", "conic-equations",
-                            "--samples", "3", "--conics", "2", "--seed", "5"],
-                           capture_output=True)
+    argv = [sys.executable, "-m", "flatcert", "verify-groebner", "--n", "2", "--seed", "5"]
+    proc1 = subprocess.run(argv, capture_output=True)
+    proc2 = subprocess.run(argv, capture_output=True)
     assert proc1.stdout == proc2.stdout and proc1.returncode == proc2.returncode == 0
     json.loads(proc1.stdout)
     assert report(10, "determinism", True,

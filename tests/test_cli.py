@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from flatcert import ChartPoint, evaluate_family_at, family_ideal_J
+from flatcert import ChartPoint, cli, evaluate_family_at, family_ideal_J, quadfam
 from flatcert.cli import MAX_COUNT, MAX_N, MAX_T, main, parse_ideal_file
 from flatcert.hilbert import MAX_MACAULAY_ENTRIES
 
@@ -202,14 +203,18 @@ def test_torus_check():
     assert rep["report"]["numeric"]["passed"]
 
 
-def test_conic_equations():
-    code, text = run(["conic-equations", "--samples", "4", "--conics", "2", "--seed", "1"])
+def test_conic_equations(monkeypatch):
+    def refuse(seed=None):
+        raise AssertionError("conic-equations drew a random number")
+
+    monkeypatch.setattr(cli, "Random", refuse)
+    monkeypatch.setattr(quadfam, "Random", refuse)
+    code, text = run(["conic-equations", "--seed", "0"])
     assert code == 0
-    rep = json.loads(text)["report"]
-    assert rep["symbolic_identity"] and rep["passed"]
-    assert len(rep["conics"]) == 2
-    assert all(c["identity_ok"] for c in rep["conics"])
-    assert rep["total_points_checked"] == sum(c["points_checked"] for c in rep["conics"])
+    assert json.loads(text)["config"] == {}
+    assert json.loads(text)["report"] == {"adjugate": True, "graph_minors": True,
+                                          "parametrization": True, "passed": True}
+    assert run(["conic-equations", "--seed", "7"]) == (code, text)
 
 
 def test_primary_check():
@@ -237,8 +242,7 @@ GOLDEN = {
     "flatness_n3_seed0": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0"], 0),
     "flatness_n3_seed0_drop1": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0",
                                  "--corrupt", "drop-generator:1"], 1),
-    "conic_equations_seed1": (["conic-equations", "--samples", "4", "--conics", "2",
-                               "--seed", "1"], 0),
+    "conic_equations": (["conic-equations"], 0),
     "primary_check_n3": (["primary-check", "--n", "3"], 0),
     "hilbert_fiber_n2_ones": (["hilbert", "tests/data/fiber_n2_ones.ideal", "--method", "both",
                                "--t-max", "8"], 0),
@@ -318,6 +322,10 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         assert run([command, "--n", str(MAX_N + 1)]) == (3, "")
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument --n: must be <= {MAX_N}" in last, last
+    # conic-equations has no sampling options left
+    assert run(["conic-equations", "--samples", "4"]) == (3, "")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["flatcert: error: unrecognized arguments: --samples 4"], err
     # xi-trials' default t_max, d0 + d1 + 5, meets MAX_T as --t-max does
     assert run(["xi-trials", str(MAX_T - 5), "1", "--trials", "1"]) == (3, "")
     err = capsys.readouterr().err.strip().splitlines()
@@ -351,15 +359,9 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         (["hilbert", ideal_file, "--t-max", str(MAX_T + 1)], "--t-max"),
         (["verify-flatness", "--t-max", "10" * 30], "--t-max"),
         (["hilbert", ideal_file, "--method", "bogus"], "--method"),
-        (["conic-equations", "--conics", "0"], "--conics"),
-        (["conic-equations", "--conics", "-1"], "--conics"),
-        (["conic-equations", "--samples", "0"], "--samples"),
         (["xi-trials", "2", "2", "--trials", "0"], "--trials"),
         (["xi-trials", "1", "1", "--trials", str(MAX_COUNT + 1)], "--trials"),
         (["xi-trials", "1", "1", "--trials", "1000000000"], "--trials"),
-        (["conic-equations", "--samples", str(MAX_COUNT + 1), "--conics", "1"], "--samples"),
-        (["conic-equations", "--samples", "1000000000", "--conics", "1"], "--samples"),
-        (["conic-equations", "--conics", str(MAX_COUNT + 1)], "--conics"),
         (["xi-trials", "2", "2", "--t-max", "2"], "--t-max"),
         (["xi-trials", "0", "2"], "d0"),
         (["xi-trials", "1", "x"], "d1"),
@@ -380,3 +382,14 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["symbolic"]["passed"]
+
+
+def test_make_ideal_files_runs_from_a_bare_checkout(tmp_path):
+    script = Path(__file__).parent.parent / "scripts" / "make_ideal_files.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "ideals"
+    proc = subprocess.run([sys.executable, str(script), "--out-dir", str(out)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    ideal = parse_ideal_file(str(out / "special_fiber_n2.ideal"))
+    assert ideal.universe.n == 2 and len(ideal.generators) == 4

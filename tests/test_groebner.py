@@ -357,9 +357,8 @@ def reference_buchberger(gens, order):
         pending.remove(best)
         i, j = best
         lcm = monomial_lcm(lms[i], lms[j])
-        lcm_text = uni.monomial_text(lcm)
         if lcm == monomial_mul(lms[i], lms[j]):
-            run.events.append(SPairEvent(i, j, lcm_text, "skipped_coprime"))
+            run.events.append(SPairEvent(i, j, lcm, "skipped_coprime"))
             continue
         chain = False
         for k in range(len(G)):
@@ -371,7 +370,7 @@ def reference_buchberger(gens, order):
                 chain = True
                 break
         if chain:
-            run.events.append(SPairEvent(i, j, lcm_text, "skipped_chain"))
+            run.events.append(SPairEvent(i, j, lcm, "skipped_chain"))
             continue
         s = reference_spolynomial(G[i], G[j], keyf)
         r, steps = reference_reduce_terms(s.terms, reference_gdata(G, keyf), keyf)
@@ -381,9 +380,9 @@ def reference_buchberger(gens, order):
             lms.append(leading_term(g_new, keyf)[0])
             m = len(G) - 1
             pending.update((t, m) for t in range(m))
-            run.events.append(SPairEvent(i, j, lcm_text, "new_generator", steps))
+            run.events.append(SPairEvent(i, j, lcm, "new_generator", steps))
         else:
-            run.events.append(SPairEvent(i, j, lcm_text, "reduced_to_zero", steps))
+            run.events.append(SPairEvent(i, j, lcm, "reduced_to_zero", steps))
     basis = tuple(reference_interreduce(G, keyf))
     run.basis = basis
     return basis, run

@@ -4,8 +4,8 @@ Any ideal file or points file either parses, or raises an error that the
 command line reports on one line with exit code 3 (`cli.USAGE_ERRORS`).
 A --t-max past `cli.MAX_T`, or one whose rank-oracle matrix is past
 `hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way, and so does a
---trials, --samples or --conics past `cli.MAX_COUNT`.  No Hilbert function
-is computed, and no trial or sample run, here.
+--trials past `cli.MAX_COUNT`.  No Hilbert function is computed, and no
+trial run, here.
 """
 
 import contextlib
@@ -137,8 +137,7 @@ def test_t_max_beyond_its_budget_exits_3(argv, t_max):
 # --- large counts ---
 
 _COUNT_OPTIONS = st.sampled_from([
-    ["xi-trials", "1", "1", "--trials"], ["xi-trials", "2", "2", "--trials"],
-    ["conic-equations", "--conics", "1", "--samples"], ["conic-equations", "--conics"]])
+    ["xi-trials", "1", "1", "--trials"], ["xi-trials", "2", "2", "--trials"]])
 
 
 @given(_COUNT_OPTIONS, st.integers(min_value=MAX_COUNT + 1, max_value=10**30))

@@ -1,8 +1,10 @@
 """The quadric family: charts, fibers, torus action, and flatness."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -19,14 +21,12 @@ from flatcert import (
     chi_graph,
     closed_orbit_limit_check,
     component_primes,
-    conic_global_equations_check,
-    conic_matrix_identity_symbolic,
+    conic_graph_identities,
     diagonal_ideal,
     evaluate_family_at,
     family_ideal_J,
     family_universe,
     fiber_matrix,
-    find_rational_point,
     flatness_certificate,
     gauss_graph_ideal,
     incidence_form,
@@ -39,12 +39,12 @@ from flatcert import (
     primed_coordinates,
     proportionality_ratio,
     random_chart_point,
-    random_conic_with_rational_point,
     random_torus_element,
     special_fiber_ideal,
     torus_action_check,
     xy_universe,
 )
+from flatcert.cli import main as cli_main
 
 
 # --- value types ---
@@ -301,72 +301,43 @@ def test_nonzerodivisor_desk_values():
     assert nonzerodivisor_check(uni.parse("y1"), mons)
 
 
-# --- conic helpers ---
+# --- the complete-conics graph ---
 
 def test_conic_matrix_identity():
-    assert conic_matrix_identity_symbolic()
+    assert conic_graph_identities() == {"adjugate": True, "graph_minors": True,
+                                        "parametrization": True}
 
 
-def test_rational_point_search():
-    assert find_rational_point(SymmetricMatrixQ.diagonal((1, 1, -1))) == (-1, 0, -1)
-    # x^2 + y^2 + z^2 = 0 has no real point at all
-    assert find_rational_point(SymmetricMatrixQ.diagonal((1, 1, 1))) is None
+def _flip_one_cofactor(check):
+    def flipped(z, w):
+        w = [list(row) for row in w]
+        w[0][1] = -w[0][1]
+        return check(z, w)
+    return flipped
 
 
-def _cube_scan(z, height):
-    """Reference search: the whole cube [-h, h]^3 at every height, keeping
-    only its shell, in Fraction arithmetic."""
-    m = [list(row) for row in z.entries]
-    for h in range(1, height + 1):
-        for a in range(-h, h + 1):
-            for b in range(-h, h + 1):
-                for c in range(-h, h + 1):
-                    if max(abs(a), abs(b), abs(c)) != h or gcd(gcd(a, b), c) != 1:
-                        continue
-                    v = (Fraction(a), Fraction(b), Fraction(c))
-                    if sum(m[i][j] * v[i] * v[j] for i in range(3) for j in range(3)) == 0:
-                        return (a, b, c)
-    return None
+def _parametrization_with_factor_one(z, b, q):
+    qq, bq = quadfam._bilinear(z, q, q), quadfam._bilinear(z, b, q)
+    return [qq * b[k] - bq * q[k] for k in range(3)]
 
 
-def test_rational_point_search_matches_cube_scan():
-    rng = random.Random(11)
-    conics = [SymmetricMatrixQ.diagonal((1, 1, 1)),
-              SymmetricMatrixQ.diagonal((1, 1, -1)),
-              SymmetricMatrixQ.from_rows([[Fraction(1, 2), Fraction(1, 3), 0],
-                                          [Fraction(1, 3), -1, Fraction(-1, 5)],
-                                          [0, Fraction(-1, 5), Fraction(3, 7)]])]
-    for _ in range(16):
-        v = [Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(6)]
-        conics.append(SymmetricMatrixQ.from_rows([[v[0], v[1], v[2]],
-                                                  [v[1], v[3], v[4]],
-                                                  [v[2], v[4], v[5]]]))
-    found = [find_rational_point(z, 5) for z in conics]
-    assert found == [_cube_scan(z, 5) for z in conics]
-    assert found[0] is None and found[1] == (-1, 0, -1)
-    assert any(p is None for p in found[3:]) and any(p is not None for p in found[3:])
-    assert find_rational_point(conics[0]) is None  # the full default height
+_graph_minors_vanish = quadfam._graph_minors_vanish
+# identity -> the quadfam name to patch and its broken stand-in
+CONIC_MUTATIONS = {
+    "adjugate": ("_adjugate_identity", _flip_one_cofactor(quadfam._adjugate_identity)),
+    "graph_minors": ("_graph_minors_vanish", lambda z, w, x: _graph_minors_vanish(z, z, x)),
+    "parametrization": ("conic_parametrization", _parametrization_with_factor_one),
+}
 
 
-def test_conic_global_equations():
-    report = conic_global_equations_check(SymmetricMatrixQ.diagonal((1, 1, -1)),
-                                          samples=6, seed=0)
-    assert report.identity_ok and report.passed
-    assert report.base_point == (-1, 0, -1)
-    assert report.points_checked == 6 and not report.sampling_skipped
-    # pointless conic: identity still holds, sampling skipped
-    empty = conic_global_equations_check(SymmetricMatrixQ.diagonal((1, 1, 1)))
-    assert empty.passed and empty.sampling_skipped and empty.points_checked == 0
-    with pytest.raises(NondegeneracyRequiredError):
-        conic_global_equations_check(SymmetricMatrixQ.diagonal((1, 1, 0)))
-
-
-def test_random_conic_is_reproducible():
-    a, tries_a = random_conic_with_rational_point(random.Random(5))
-    b, tries_b = random_conic_with_rational_point(random.Random(5))
-    assert a == b and tries_a == tries_b
-    assert a.is_nondegenerate()
-    assert find_rational_point(a) is not None
+@pytest.mark.parametrize("identity", sorted(CONIC_MUTATIONS))
+def test_a_mutated_conic_identity_fails(identity, monkeypatch):
+    monkeypatch.setattr(quadfam, *CONIC_MUTATIONS[identity])
+    assert conic_graph_identities() == {name: name != identity for name in CONIC_MUTATIONS}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["conic-equations"]) == 1
+    assert json.loads(out.getvalue())["report"]["passed"] is False
 
 
 # --- flatness certificates ---
