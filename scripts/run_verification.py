@@ -2,10 +2,12 @@
 """Run every CLI verification suite and summarize the exit codes.
 
 Each suite has an expected exit code.  Most suites must pass (0); the
-xi-trials run at degrees (2,2) is expected to exit 1 because the computed
-fibers fit the Koszul count 8t, not the closed formula 4t (see README),
-the two negative controls to exit 1, and the n=4 chart fiber at t=5 to
-exit 3 because its rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES.
+xi-trials runs at degrees (2,2) and (3,3) are expected to exit 1 because
+the computed fibers fit the Koszul count, with leading coefficient
+2*d0*d1, not the closed formula (see README), the two negative controls
+to exit 1, the n=4 chart fiber at t=5 to exit 3 because its rank-oracle
+matrix is over hilbert.MAX_MACAULAY_ENTRIES, and xi-trials at (6,6) to
+exit 3 because d0*d1 is over cli.MAX_DEGREE_PRODUCT.
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -96,6 +98,10 @@ def main() -> int:
             ("xi trials (1,1)",
              ["xi-trials", "1", "1", "--trials", str(trials),
               "--seed", str(args.seed)], 0),
+            ("xi trials (3,3): known formula gap",
+             ["xi-trials", "3", "3", "--trials", "2", "--seed", str(args.seed)], 1),
+            ("xi trials (6,6): over the degree budget",
+             ["xi-trials", "6", "6", "--seed", str(args.seed)], 3),
         ]
         if not args.skip_slow:
             suites.append(

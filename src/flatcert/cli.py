@@ -73,9 +73,12 @@ MAX_N = 8
 # hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
 MAX_T = 100
 # Input budget on --trials, checked before any seed is drawn.  At 1000,
-# xi-trials 2 2 took 25 s; the xi degrees stay open (20 trials at (3, 3)
-# took 80 s).
+# xi-trials 2 2 takes 4 s; 20 trials at (3, 3) take 0.6 s.
 MAX_COUNT = 1000
+# Input budget on the xi degrees, d0*d1, checked before any trial is drawn.
+# xi-trials D0 D1 --trials 1 takes 0.2 s at (3, 3), 0.3 s at (4, 4), 0.6-0.9 s
+# at (4, 5) and 2-3 s at (5, 5) and (6, 4), but one trial at (6, 6) takes 76 s.
+MAX_DEGREE_PRODUCT = 25
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,10 +273,11 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
 
 
 def _run_xi_trials(args: argparse.Namespace) -> Outcome:
+    # the budget also keeps the default t_max, d0 + d1 + 5, at most 31
+    if args.d0 * args.d1 > MAX_DEGREE_PRODUCT:
+        raise ValueError(f"xi-trials: d0*d1 = {args.d0 * args.d1} is over "
+                         f"MAX_DEGREE_PRODUCT = {MAX_DEGREE_PRODUCT}")
     t_max = default_t_max(args.d0, args.d1) if args.t_max is None else args.t_max
-    if t_max > MAX_T:  # an explicit --t-max is bounded by argparse
-        raise ValueError(f"xi-trials: the default t_max d0 + d1 + 5 = {t_max} is over "
-                         f"MAX_T = {MAX_T}")
     report = run_xi_trials(args.d0, args.d1, args.trials, args.seed, t_max, args.method)
     lines = [
         f"xi-trials d0={args.d0} d1={args.d1} trials={args.trials} seed={args.seed}",

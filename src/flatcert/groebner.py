@@ -3,9 +3,12 @@ and Hilbert-series numerators of monomial quotients, with the dimension.
 
 Determinism notes.  Reduction always rewrites the largest reducible term by
 the first applicable divisor in the basis's stored order.  Completion
-selects the pending S-pair with the smallest lcm in the active order, ties
-broken lexicographically on the generator index pair; pairs are skipped by
-the coprimality criterion and the chain criterion.  Verification
+selects the pending S-pair whose lcm has the smallest x/y total degree
+(parameters count 0), then the smallest lcm in the active order, then the
+lexicographically smallest generator index pair; pairs are skipped by the
+coprimality criterion and the chain criterion.  The selection rule fixes
+only the audit trail: the reduced basis of an ideal under an order is
+unique, so it does not depend on the rule.  Verification
 (is_groebner_basis) reduces every S-pair with no skipping and reports the
 reduction chain lengths, so certificates are reproducible run to run.
 
@@ -475,22 +478,27 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
     gdata = _gdata(gens, pk)
     lms = [pk.unpack(d[1]) for d in gdata]
     codes = [d[0] for d in gdata]
-    # Pairs pop by (key of the lcm, (i, j)): the smallest lcm first, ties
-    # broken on the index pair.  `pending` holds the pairs not yet popped,
-    # which is what the chain criterion asks about.
-    heap: list[tuple[int, tuple[int, int], Exponents]] = []
+    # Pairs pop by (x/y degree of the lcm, key of the lcm, (i, j)): the
+    # normal strategy (Buchberger 1985), which on input homogeneous in x/y
+    # is also the sugar strategy (Giovini et al. 1991).  Under lex, ordering
+    # by the key alone runs high-degree pairs first and can blow up.  The
+    # reduced basis does not depend on the selection; only the audit trail
+    # does.  `pending` holds the pairs not yet popped, which is what the
+    # chain criterion asks about.
+    nxy = pk.universe.num_xy
+    heap: list[tuple[int, int, tuple[int, int], Exponents]] = []
     pending: set[tuple[int, int]] = set()
 
     def push(i: int, j: int) -> None:
         lcm_e = monomial_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (pk.pack(lcm_e), (i, j), lcm_e))
+        heapq.heappush(heap, (sum(lcm_e[:nxy]), pk.pack(lcm_e), (i, j), lcm_e))
         pending.add((i, j))
 
     for i, j in combinations(range(len(gdata)), 2):
         push(i, j)
 
     while heap:
-        lcm_key, best, lcm_e = heapq.heappop(heap)
+        _, lcm_key, best, lcm_e = heapq.heappop(heap)
         pending.remove(best)
         i, j = best
         lcm_code = pk.code(lcm_key)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from flatcert import ChartPoint, cli, evaluate_family_at, family_ideal_J, quadfam
-from flatcert.cli import MAX_COUNT, MAX_N, MAX_T, main, parse_ideal_file
+from flatcert.cli import MAX_COUNT, MAX_DEGREE_PRODUCT, MAX_N, MAX_T, main, parse_ideal_file
+from flatcert.flagcut import default_t_max
 from flatcert.hilbert import MAX_MACAULAY_ENTRIES
 
 SPECIAL_N2 = """# special fiber monomials plus the incidence form
@@ -326,10 +327,15 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
     assert run(["conic-equations", "--samples", "4"]) == (3, "")
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["flatcert: error: unrecognized arguments: --samples 4"], err
-    # xi-trials' default t_max, d0 + d1 + 5, meets MAX_T as --t-max does
-    assert run(["xi-trials", str(MAX_T - 5), "1", "--trials", "1"]) == (3, "")
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"MAX_T = {MAX_T}" in err[0], err
+    # xi degrees past their budget: refused before any trial is drawn, so
+    # xi-trials' default t_max, d0 + d1 + 5, never passes MAX_T
+    for d0, d1 in [(6, 6), (5, 6), (MAX_T - 5, 1)]:
+        assert run(["xi-trials", str(d0), str(d1), "--trials", "1"]) == (3, "")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"flatcert: xi-trials: d0*d1 = {d0 * d1} is over "
+                       f"MAX_DEGREE_PRODUCT = {MAX_DEGREE_PRODUCT}"], err
+    assert max(default_t_max(d, MAX_DEGREE_PRODUCT // d)
+               for d in range(1, MAX_DEGREE_PRODUCT + 1)) <= MAX_T
     # a rank-oracle matrix past its budget: refused before any elimination
     n4_chart = str(Path(__file__).parent / "data" / "fiber_n4_chart.ideal")
     for argv, shape in [

@@ -4,7 +4,8 @@ Any ideal file or points file either parses, or raises an error that the
 command line reports on one line with exit code 3 (`cli.USAGE_ERRORS`).
 A --t-max past `cli.MAX_T`, or one whose rank-oracle matrix is past
 `hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way, and so does a
---trials past `cli.MAX_COUNT`.  No Hilbert function is computed, and no
+--trials past `cli.MAX_COUNT`, and xi degrees whose product is past
+`cli.MAX_DEGREE_PRODUCT`.  No Hilbert function is computed, and no
 trial run, here.
 """
 
@@ -19,6 +20,7 @@ from hypothesis import given, strategies as st
 from flatcert import ChartPoint, Ideal
 from flatcert.cli import (
     MAX_COUNT,
+    MAX_DEGREE_PRODUCT,
     MAX_N,
     MAX_T,
     USAGE_ERRORS,
@@ -144,6 +146,15 @@ _COUNT_OPTIONS = st.sampled_from([
 def test_count_beyond_its_budget_exits_3(argv, count):
     code, err = exit_code_and_stderr([*argv, str(count)])
     assert code == 3 and f"argument {argv[-1]}: must be <= {MAX_COUNT}" in err[-1], err
+
+
+@given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**30))
+def test_xi_degrees_beyond_their_budget_exit_3(d0, d1):
+    if d0 * d1 <= MAX_DEGREE_PRODUCT:
+        d1 = MAX_DEGREE_PRODUCT // d0 + 1
+    code, err = exit_code_and_stderr(["xi-trials", str(d0), str(d1), "--trials", "1"])
+    assert code == 3 and err == [f"flatcert: xi-trials: d0*d1 = {d0 * d1} is over "
+                                 f"MAX_DEGREE_PRODUCT = {MAX_DEGREE_PRODUCT}"], err
 
 
 # the n=2 rank-oracle matrices pass MAX_MACAULAY_ENTRIES from t = 13
