@@ -90,8 +90,8 @@ def main() -> int:
             ("negative control, short table",
              ["verify-flatness", "--n", "2", "--t-max", "3",
               "--corrupt", "drop-generator:1"], 1),
-            ("torus equivariance",
-             ["torus-check", "--n", "2", "--seed", str(args.seed)], 0),
+            ("torus equivariance n=2", ["torus-check", "--n", "2"], 0),
+            ("torus equivariance n=4", ["torus-check", "--n", "4"], 0),
             ("conic equations", ["conic-equations"], 0),
             ("primary structure",
              ["primary-check", "--n", "4"], 0),

@@ -19,7 +19,6 @@ from .polyring import (
     monomials_of_bidegree,
     parse_polynomial,
     polynomial_text,
-    proportionality_ratio,
 )
 from .groebner import (
     DEFAULT_ORDER,
@@ -58,7 +57,6 @@ from .quadfam import (
     FlatnessReport,
     NondegeneracyRequiredError,
     SymmetricMatrixQ,
-    TorusElement,
     TorusReport,
     apply_corruption,
     closed_orbit_limit_check,
@@ -77,7 +75,6 @@ from .quadfam import (
     primary_intersection_check,
     primed_coordinates,
     random_chart_point,
-    random_torus_element,
     special_fiber_ideal,
     torus_action_check,
     xy_universe,

@@ -352,24 +352,6 @@ class BiPolynomial:
         return BiPolynomial(target, _canonical=out)
 
 
-def proportionality_ratio(f: BiPolynomial, g: BiPolynomial) -> Fraction | None:
-    """The rational q with f == q*g, or None if no such q exists (g nonzero)."""
-    if g.universe != f.universe:
-        raise UniverseMismatchError("cannot compare across universes")
-    if g.is_zero():
-        raise ValueError("proportionality against the zero polynomial")
-    if f.is_zero():
-        return Fraction(0)
-    if f.terms.keys() != g.terms.keys():
-        return None
-    e0 = next(iter(f.terms))
-    q = f.terms[e0] / g.terms[e0]
-    for e, c in f.terms.items():
-        if c != q * g.terms[e]:
-            return None
-    return q
-
-
 # --- text format ---
 
 def polynomial_text(f: BiPolynomial) -> str:

@@ -17,10 +17,11 @@ u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T, and d = 0 is allowed
 (degenerate quadrics are the point of the construction).
 
 The torus (Q*)^n acts by one weight table, `torus_weights`: each x, y, u
-and d variable is multiplied by a monomial in c1..cn.  The symbolic check
+and d variable is multiplied by a monomial in c1..cn.  The torus check
 proves each generator of J semi-invariant by giving all its monomials one
-weight; the numeric check, the conjugation law and the closed-orbit limit
-read the same table.
+weight; the conjugation law and the closed-orbit limit read the same table.
+Each is a statement about every chart point and every c at once, so
+nothing is drawn or sampled.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 from random import Random
 from typing import Iterable, Sequence
 
@@ -54,7 +54,6 @@ from .polyring import (
     BiPolynomial,
     Exponents,
     VariableUniverse,
-    proportionality_ratio,
 )
 from .util import (
     fraction_from_json,
@@ -222,33 +221,6 @@ class ChartPoint:
         return f"(u=[{rows}], d=({ds}))"
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """c in (Q*)^n acting on the chart and on both coordinate blocks."""
-
-    c: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        c = tuple(Fraction(v) for v in self.c)
-        object.__setattr__(self, "c", c)
-        if any(v == 0 for v in c):
-            raise ValueError("torus entries must be nonzero")
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
-    def gamma(self, j: int) -> Fraction:
-        """Diagonal entry j (1-based) of the induced matrix: c1*...*c{j-1}."""
-        out = Fraction(1)
-        for k in range(j - 1):
-            out *= self.c[k]
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {"c": [fraction_to_json(v) for v in self.c]}
-
-
 # --- ideal constructions ---
 
 def diagonal_ideal(n: int) -> Ideal:
@@ -305,16 +277,14 @@ def _unipotent_matrix(uni: VariableUniverse, n: int) -> list[list[BiPolynomial]]
 
 
 def _unipotent_inverse(mat: list[list[BiPolynomial]], uni: VariableUniverse) -> list[list[BiPolynomial]]:
+    """Forward substitution on mat * inv = I, for mat unipotent lower triangular:
+    inv[i][j] = -sum_{k=j}^{i-1} mat[i][k] * inv[k][j]."""
     m = len(mat)
-    nil = [[mat[i][j] if i != j else uni.zero() for j in range(m)] for i in range(m)]
-    acc = [[uni.one() if i == j else uni.zero() for j in range(m)] for i in range(m)]
-    power = nil
-    sign = -1
-    for _ in range(1, m):
-        acc = [[acc[i][j] + power[i][j] * sign for j in range(m)] for i in range(m)]
-        power = mat_mul(power, nil)
-        sign = -sign
-    return acc
+    inv = [[uni.one() if i == j else uni.zero() for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i):
+            inv[i][j] = -sum((mat[i][k] * inv[k][j] for k in range(j, i)), uni.zero())
+    return inv
 
 
 def primed_coordinates(uni: VariableUniverse, n: int) -> tuple[list[BiPolynomial], list[BiPolynomial]]:
@@ -392,29 +362,20 @@ def random_chart_point(n: int, rng: Random, degenerate: bool = False) -> ChartPo
     return ChartPoint.from_strict_lower(rows, d)
 
 
-def random_torus_element(n: int, rng: Random) -> TorusElement:
-    nonzero = [v for v in range(-9, 10) if v != 0]
-    return TorusElement(tuple(Fraction(rng.choice(nonzero)) for _ in range(n)))
-
-
 # --- torus action ---
 
 @dataclass
 class TorusReport:
-    mode: str  # symbolic | numeric
     n: int
     passed: bool
     generator_scalars: list[str]
     param_law_ok: bool
-    c: dict | None = None
-    point: dict | None = None
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode, "n": self.n, "passed": self.passed,
+            "n": self.n, "passed": self.passed,
             "generator_scalars": self.generator_scalars,
             "param_law_ok": self.param_law_ok,
-            "c": self.c, "point": self.point,
         }
 
 
@@ -453,24 +414,14 @@ def _laurent_c_text(exps: Sequence[int]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def torus_action_check(n: int, point: ChartPoint | None = None,
-                       c: TorusElement | None = None) -> TorusReport:
+def torus_action_check(n: int) -> TorusReport:
     """Each generator of J, pushed through the torus action, must come back
     as a nonzero scalar times itself, and the action on the chart must be
     conjugation of the fiber matrix by G = diag(gamma_1, ..., gamma_{n+1}).
 
-    Symbolic mode (point and c omitted) proves the scalar is a monomial in
-    c: every monomial of a generator has the same weight.  Numeric mode
-    moves a chart point and reports the rational scalar per generator.
+    Proved from the weight table: every monomial of a generator has the
+    same weight, so the scalar is that c-monomial.
     """
-    if (point is None) != (c is None):
-        raise ValueError("give both a point and a torus element, or neither")
-    if point is None:
-        return _torus_check_symbolic(n)
-    return _torus_check_numeric(n, point, c)
-
-
-def _torus_check_symbolic(n: int) -> TorusReport:
     J = family_ideal_J(n)
     table = torus_weights(n)
     columns = [table[name] for name in J.universe.names]
@@ -490,48 +441,7 @@ def _torus_check_symbolic(n: int) -> TorusReport:
         diag = tuple(a + b for a, b in zip(diag, table[f"d{k}"]))
         law_ok = law_ok and diag == tuple(2 * e for e in gamma[k])
     passed = law_ok and "not proportional" not in scalars
-    return TorusReport("symbolic", n, passed, scalars, law_ok)
-
-
-def _torus_check_numeric(n: int, point: ChartPoint, c: TorusElement) -> TorusReport:
-    if point.n != n or c.n != n:
-        raise ValueError("point and torus element must match n")
-    table = torus_weights(n)
-
-    def scale(name: str) -> Fraction:
-        return prod((v ** e for v, e in zip(c.c, table[name])), start=Fraction(1))
-
-    moved_u = [[point.u[i][j] * scale(f"u{i + 1}_{j + 1}") if i > j else point.u[i][j]
-                for j in range(n + 1)] for i in range(n + 1)]
-    moved_d = [point.d[k] * scale(f"d{k + 1}") for k in range(n)]
-    moved = ChartPoint(tuple(tuple(row) for row in moved_u), tuple(moved_d))
-
-    J = family_ideal_J(n)
-    base = [g.substitute(_point_assignment(point)) for g in J.generators]
-    at_moved = [g.substitute(_point_assignment(moved)) for g in J.generators]
-    uni0 = base[0].universe
-    scales = [scale(name) for name in uni0.names]
-
-    scalars: list[str] = []
-    passed = True
-    for g_moved, g_base in zip(at_moved, base):
-        # g_moved(c.x, c.y): rescale each term by its x/y variables
-        rescaled = BiPolynomial(uni0, {e: coeff * prod(map(pow, scales, e))
-                                       for e, coeff in g_moved.terms.items()})
-        ratio = proportionality_ratio(rescaled, g_base)
-        if ratio is None or ratio == 0:
-            passed = False
-            scalars.append("not proportional")
-        else:
-            scalars.append(str(ratio))
-
-    # conjugation law, numerically: the moved fiber matrix is G * matrix * G
-    gammas = [c.gamma(j) for j in range(1, n + 2)]
-    a, b = fiber_matrix(point).entries, fiber_matrix(moved).entries
-    law_ok = all(b[i][j] == gammas[i] * a[i][j] * gammas[j]
-                 for i in range(n + 1) for j in range(n + 1))
-    return TorusReport("numeric", n, passed and law_ok, scalars, law_ok,
-                       c=c.to_json_dict(), point=point.to_json_dict())
+    return TorusReport(n, passed, scalars, law_ok)
 
 
 def _point_assignment(point: ChartPoint) -> dict[str, Fraction]:
@@ -544,16 +454,14 @@ def _point_assignment(point: ChartPoint) -> dict[str, Fraction]:
     return out
 
 
-def closed_orbit_limit_check(n: int, point: ChartPoint) -> bool:
-    """Scaling a chart point by the torus and sending every c_k -> 0 must
-    land on (I, 0): each nonzero chart coordinate must be moved by a
+def closed_orbit_limit_check(n: int) -> bool:
+    """Scaling any chart point by the torus and sending every c_k -> 0 must
+    land on (I, 0): every chart coordinate u_ij and d_k must be moved by a
     nonconstant c-monomial with no negative exponent (the unipotent
     diagonal stays 1 and is not moved)."""
-    if point.n != n:
-        raise ValueError("point does not match n")
     table = torus_weights(n)
     return all(min(table[name]) >= 0 and max(table[name]) > 0
-               for name, v in _point_assignment(point).items() if v)
+               for name in _d_names(n) + _u_names(n))
 
 
 # --- primary structure of the special monomial ideal ---
