@@ -66,7 +66,7 @@ def main() -> int:
         files = ideal_files(tmp)
         suites: list[tuple[str, list[str], int]] = [
             ("groebner certificate",
-             ["verify-groebner", "--n", "3", "--seed", str(args.seed)], 0),
+             ["verify-groebner", "--n", "3"], 0),
             ("hilbert: minors n=2",
              ["hilbert", str(files["diagonal_n2"]), "--method", "both"], 0),
             ("hilbert: special fiber n=2",

@@ -70,7 +70,6 @@ from .quadfam import (
     flatness_certificate,
     gauss_graph_ideal,
     incidence_form,
-    minimal_primes_of_monomial_ideal,
     nonzerodivisor_check,
     primary_intersection_check,
     primed_coordinates,

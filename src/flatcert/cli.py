@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from random import Random
 
 from .groebner import (
     DEFAULT_ORDER,
     DimensionUndefinedError,
     Ideal,
-    MonomialOrderSpec,
     ideal_dimension,
     is_groebner_basis,
     leading_monomial,
@@ -63,9 +63,10 @@ EXIT_CODES = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCL
 USAGE_ERRORS = (ValueError, OSError, KeyError)  # main reports these with EXIT_USAGE
 # Input budget: the largest projective dimension n accepted by --n and by an
 # ideal file's header.  Every suite, script and benchmark runs n <= 8.  At
-# n = 8 on a 2-core VM, verify-flatness --t-max 9 takes 4.6 s, torus-check
-# 1.3 s, primary-check 1.1 s and verify-groebner 0.25 s; past it the cost
-# roughly triples per step (torus-check: 4.0 s at n = 9, 11.7 s at n = 10).
+# n = 8 on a 2-core VM, as subprocesses, verify-flatness --t-max 9 takes
+# 4.9 s, torus-check 0.7 s, primary-check 0.17 s and verify-groebner 0.12 s;
+# past it torus-check roughly triples per step (in-process: 0.37 s at n = 8,
+# 1.2 s at n = 9, 4.2 s at n = 10).
 MAX_N = 8
 # Input budget on --t-max: every tabulated t is held in memory, so a huge
 # value would exhaust it before any other check runs.  The suites, scripts
@@ -202,35 +203,36 @@ def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
     return report.verdict, config, report.to_json_dict(), lines
 
 
-def _sampled_orders(n: int, seed: int) -> list[MonomialOrderSpec]:
-    uni = xy_universe(n)
-    rng = Random(seed)
-    orders = [DEFAULT_ORDER, MonomialOrderSpec("grevlex")]
-    for _ in range(3):
-        perm = list(uni.x_names + uni.y_names)
-        rng.shuffle(perm)
-        orders.append(MonomialOrderSpec("lex", tuple(perm)))
-    return orders
-
-
 def _run_verify_groebner(args: argparse.Namespace) -> Outcome:
-    ideal = diagonal_ideal(args.n)
-    results = []
-    all_ok = True
-    for order in _sampled_orders(args.n, args.seed):
-        ok, cert = is_groebner_basis(list(ideal.generators), order)
-        all_ok = all_ok and ok
-        results.append({"order": order.to_json_dict(), "passed": ok,
-                        "s_pairs": len(cert.spairs)})
-    lines = [f"groebner n={args.n}: 2x2 minors over {len(results)} orders"]
-    for row in results:
-        kind = row["order"]["kind"]
-        lines.append(f"  {kind}{' (permuted)' if row['order'].get('variable_permutation') else ''}:"
-                     f" {_verdict(row['passed'])} ({row['s_pairs']} S-pairs)")
-    lines.append(f"verdict: {_verdict(all_ok)}")
-    config = {"n": args.n, "seed": args.seed}
-    report = {"n": args.n, "orders": results, "passed": all_ok}
-    return _verdict(all_ok), config, report, lines
+    """The 2x2 minors of [x; y] are a Groebner basis under every term order,
+    proved by one certificate and one look at leading terms:
+
+    - under lex the S-pairs of the minors reduce to zero;
+    - under lex the minor (i, j), i < j, has leading term x_i y_j.
+
+    Fix a term order and say i precedes j when x_i y_j leads x_i y_j - x_j y_i.
+    This is a total order on the indices, transitive because a term order is
+    multiplicative and cancellative.  Permuting the x and y indices together,
+    so that this order becomes 1 < ... < n+1, maps the minors to +-minors and
+    carries their leading terms {x_i y_j : i precedes j} onto the lex leading
+    terms {x_a y_b : a < b}, which generate the lex initial ideal by the
+    certificate.  So <LT(minors)> lies in the initial ideal and has the
+    Hilbert function of S/I, as the initial ideal does: the two are equal.
+    Maximal minors form a universal Groebner basis (Sturmfels and Zelevinsky,
+    "Maximal minors and their leading terms", Adv. Math. 98, 1993).
+    """
+    ideal = diagonal_ideal(args.n)  # the minors (i, j), i < j, in that order
+    ok, cert = is_groebner_basis(list(ideal.generators), DEFAULT_ORDER)
+    leads_ok = ([str(leading_monomial(g, DEFAULT_ORDER)) for g in ideal.generators]
+                == [f"x{i}*y{j}" for i, j in combinations(range(1, args.n + 2), 2)])
+    passed = ok and leads_ok
+    lines = [f"groebner n={args.n}: 2x2 minors, one certificate for every term order",
+             f"  lex S-pairs reduce to zero: {_verdict(ok)} ({len(cert.spairs)} S-pairs)",
+             f"  lex leading term of minor (i, j) is x_i*y_j: {_verdict(leads_ok)}",
+             f"verdict: {_verdict(passed)}"]
+    report = {"n": args.n, "order": DEFAULT_ORDER.to_json_dict(), "s_pairs": len(cert.spairs),
+              "groebner": ok, "lex_leading_terms": leads_ok, "passed": passed}
+    return _verdict(passed), {"n": args.n}, report, lines
 
 
 def _run_hilbert(args: argparse.Namespace) -> Outcome:
@@ -321,12 +323,15 @@ def _run_conic_equations(args: argparse.Namespace) -> Outcome:
 
 def _run_primary_check(args: argparse.Namespace) -> Outcome:
     intersection_ok = primary_intersection_check(args.n)
+    # the intersection identity shows these are the minimal primes: they are
+    # distinct and all of one size, so none contains another
+    primes = component_primes(args.n)
     special = special_fiber_ideal(args.n)  # the monomials x_i y_j (i < j), then x.y
-    monomials = [leading_monomial(g) for g in special.generators if len(g.terms) == 1]
-    nzd_ok = nonzerodivisor_check(incidence_form(special.universe), monomials)
+    monomials = [g for g in special.generators if len(g.terms) == 1]
+    nzd_ok = nonzerodivisor_check(incidence_form(special.universe), monomials, primes)
     passed = intersection_ok and nzd_ok
     report = {"n": args.n, "intersection_identity": intersection_ok,
-              "component_primes": [list(p) for p in component_primes(args.n)],
+              "component_primes": [list(p) for p in primes],
               "trace_form_nonzerodivisor": nzd_ok, "passed": passed}
     lines = [f"primary-check n={args.n}",
              f"  <x_i y_j : i<j> = intersection of {args.n + 1} primes:"
@@ -362,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", default=None, help="JSON file of extra chart points")
 
     p = sub.add_parser("verify-groebner", parents=[common],
-                       help="minors of [x;y] as a Groebner basis over sampled orders")
+                       help="minors of [x;y] as a Groebner basis under every term order")
     p.set_defaults(run=_run_verify_groebner)
     p.add_argument("--n", type=dimension, default=2)
 

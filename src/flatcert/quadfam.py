@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .groebner import (
     DimensionUndefinedError,
@@ -50,7 +50,6 @@ from .hilbert import (
     tabulate_diagonal,
 )
 from .polyring import (
-    BiMonomial,
     BiPolynomial,
     Exponents,
     VariableUniverse,
@@ -427,8 +426,11 @@ def torus_action_check(n: int) -> TorusReport:
     columns = [table[name] for name in J.universe.names]
     scalars: list[str] = []
     for g in J.generators:
-        weights = {tuple(sum(e * w[k] for e, w in zip(exps, columns)) for k in range(n))
-                   for exps in g.terms}
+        weights = set()
+        for exps in g.terms:
+            # a term has few nonzero exponents among its 2n+2 + n(n+3)/2 variables
+            present = [(e, columns[v]) for v, e in enumerate(exps) if e]
+            weights.add(tuple(sum(e * w[k] for e, w in present) for k in range(n)))
         scalars.append(_laurent_c_text(weights.pop()) if len(weights) == 1
                        else "not proportional")
 
@@ -499,41 +501,19 @@ def primary_intersection_check(n: int) -> bool:
     return sorted(inter) == sorted(lhs)
 
 
-def minimal_primes_of_monomial_ideal(universe: VariableUniverse,
-                                     monomials: Iterable[BiMonomial]) -> list[tuple[str, ...]]:
-    """Minimal primes of a squarefree monomial ideal: minimal covers of the
-    generator supports, by subset enumeration (desk scale)."""
-    supports = []
-    for m in monomials:
-        if any(e > 1 for e in m.exponents):
-            raise ValueError("minimal primes implemented for squarefree monomial ideals only")
-        supports.append(frozenset(i for i, e in enumerate(m.exponents) if e))
-    if not supports:
-        return []
-    nv = universe.num_vars
-    covers: list[set[int]] = []
-    for size in range(nv + 1):
-        for combo in combinations(range(nv), size):
-            s = set(combo)
-            if any(kept <= s for kept in covers):
-                continue
-            if all(sup & s for sup in supports):
-                covers.append(s)
-    return [tuple(universe.names[i] for i in sorted(s)) for s in covers]
-
-
-def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiMonomial]) -> bool:
-    """True iff f avoids every minimal prime of the (squarefree) monomial
-    ideal M.  Cross-checked exactly: f is a nonzerodivisor on S/M iff the
-    Hilbert-series numerators satisfy K(M + f) = K(M) * (1 - s^deg f), in
-    every bidegree.  The two methods must agree."""
+def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiPolynomial],
+                         primes: Sequence[tuple[str, ...]]) -> bool:
+    """True iff f avoids every prime in `primes`, the minimal primes of the
+    squarefree monomial ideal M generated by `monomials`.  Cross-checked
+    exactly: f is a nonzerodivisor on S/M iff the Hilbert-series numerators
+    satisfy K(M + f) = K(M) * (1 - s^deg f), in every bidegree.  The two
+    methods must agree, so a prime list that changes the answer raises."""
     uni = f.universe
     if f.is_zero():
         return False
     deg = f.bidegree()
     if deg is None:
         raise NonBihomogeneousError(f)
-    primes = minimal_primes_of_monomial_ideal(uni, monomials)
 
     def in_prime(prime: tuple[str, ...]) -> bool:
         positions = [uni.index[name] for name in prime]
@@ -544,11 +524,10 @@ def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiMonomial]) -> bo
 
     avoids = not any(in_prime(p) for p in primes)
 
-    gens = [m.as_polynomial() for m in monomials]
-    base = Ideal(uni, gens).series_numerator()
+    base = Ideal(uni, monomials).series_numerator()
     expected = dict(base)
     _subtract_shifted(expected, base, deg)
-    identity = (Ideal(uni, gens + [f]).series_numerator()
+    identity = (Ideal(uni, [*monomials, f]).series_numerator()
                 == {key: c for key, c in expected.items() if c})
     if identity != avoids:
         raise RuntimeError("prime avoidance and the Hilbert-series numerators disagree; "

@@ -21,6 +21,7 @@ from flatcert import (
     PlaneCurvePair,
     SymmetricMatrixQ,
     chi_graph,
+    component_primes,
     conic_graph_identities,
     diagonal_ideal,
     family_ideal_J,
@@ -29,7 +30,6 @@ from flatcert import (
     gauss_graph_ideal,
     incidence_form,
     is_groebner_basis,
-    leading_monomial,
     methods_agree,
     nonzerodivisor_check,
     primary_intersection_check,
@@ -162,9 +162,10 @@ def test_ac07_primary_structure():
     for n in (1, 2, 3, 4):
         assert primary_intersection_check(n), n
     ideal = special_fiber_ideal(2)
-    mons = [leading_monomial(g) for g in ideal.generators if len(g.terms) == 1]
-    assert nonzerodivisor_check(incidence_form(ideal.universe), mons)
-    assert not nonzerodivisor_check(ideal.universe.parse("x1"), mons)
+    mons = [g for g in ideal.generators if len(g.terms) == 1]
+    primes = component_primes(2)
+    assert nonzerodivisor_check(incidence_form(ideal.universe), mons, primes)
+    assert not nonzerodivisor_check(ideal.universe.parse("x1"), mons, primes)
     assert report(7, "primary structure", True,
                   "intersection identity n<=4; x.y avoids every minimal prime")
 

@@ -8,11 +8,21 @@ import re
 import subprocess
 import sys
 import threading
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from flatcert import ChartPoint, cli, evaluate_family_at, family_ideal_J, quadfam
+from flatcert import (
+    ChartPoint,
+    Ideal,
+    cli,
+    diagonal_ideal,
+    evaluate_family_at,
+    family_ideal_J,
+    quadfam,
+    xy_universe,
+)
 from flatcert.cli import MAX_COUNT, MAX_DEGREE_PRODUCT, MAX_N, MAX_T, main, parse_ideal_file
 from flatcert.flagcut import default_t_max
 from flatcert.hilbert import MAX_MACAULAY_ENTRIES
@@ -173,12 +183,49 @@ def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_verify_groebner():
-    code, text = run(["verify-groebner", "--n", "2"])
+def test_verify_groebner(monkeypatch):
+    def refuse(seed=None):
+        raise AssertionError("verify-groebner drew a random number")
+
+    monkeypatch.setattr(cli, "Random", refuse)
+    monkeypatch.setattr(quadfam, "Random", refuse)
+    code, text = run(["verify-groebner", "--n", "2", "--seed", "0"])
     assert code == 0
     rep = json.loads(text)
-    assert rep["report"]["passed"]
-    assert len(rep["report"]["orders"]) >= 3
+    assert rep["config"] == {"n": 2}
+    assert rep["report"] == {"n": 2, "order": {"kind": "lex", "variable_permutation": None},
+                             "s_pairs": 3, "groebner": True, "lex_leading_terms": True,
+                             "passed": True}
+    assert run(["verify-groebner", "--n", "2", "--seed", "7"]) == (code, text)
+
+
+def _plus_minor(n):
+    """The minors of [x; y] with x1*y2 - x2*y1 made x1*y2 + x2*y1: the lex
+    leading term stays x1*y2, but an S-pair leaves a nonzero remainder."""
+    uni = xy_universe(n)
+    return Ideal(uni, [uni.parse("x1*y2 + x2*y1"), *diagonal_ideal(n).generators[1:]])
+
+
+def _y_reversed_minors(n):
+    """The minors of [x; y] with the y indices reversed: a Groebner basis (a
+    variable permutation of the minors), but with lex leading terms
+    x_i*y_{n+2-j} in place of x_i*y_j."""
+    uni = xy_universe(n)
+    return Ideal(uni, [uni.parse(f"x{i}*y{n + 2 - j} - x{j}*y{n + 2 - i}")
+                       for i, j in combinations(range(1, n + 2), 2)])
+
+
+@pytest.mark.parametrize("mutant,failing", [(_plus_minor, "groebner"),
+                                            (_y_reversed_minors, "lex_leading_terms")],
+                         ids=["plus-minor", "y-reversed"])
+def test_verify_groebner_fails_each_check_alone(mutant, failing, monkeypatch):
+    monkeypatch.setattr(cli, "diagonal_ideal", mutant)
+    code, text = run(["verify-groebner", "--n", "2"])
+    assert code == 1
+    rep = json.loads(text)["report"]
+    assert rep["passed"] is False
+    assert {rep["groebner"], rep["lex_leading_terms"]} == {True, False}
+    assert rep[failing] is False
 
 
 def test_xi_trials_lines_pass():
@@ -262,7 +309,7 @@ GOLDEN = {
                          "--t-max", "8"], 0),
     "torus_check_n2": (["torus-check", "--n", "2"], 0),
     "torus_check_n3": (["torus-check", "--n", "3"], 0),
-    "verify_groebner_n3_seed0": (["verify-groebner", "--n", "3", "--seed", "0"], 0),
+    "verify_groebner_n3": (["verify-groebner", "--n", "3"], 0),
     "torus_check_n4": (["torus-check", "--n", "4"], 0),
 }
 

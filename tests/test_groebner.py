@@ -54,8 +54,8 @@ UNI = xy_universe(2)
 
 
 def order_for(label, universe):
-    """lex, grevlex, or lex on seeded shuffled x/y variables, as
-    verify-groebner samples them: "lex_permuted" shuffles with seed 1 and
+    """lex, grevlex, or lex on seeded shuffled x/y variables, like the
+    orders AC1 samples: "lex_permuted" shuffles with seed 1 and
     "lex_shuffle<k>" with seed k.  (On the n=3 fiber seed 0 gives y1 > x2 >
     y2 > x3 > x1 > x4 > y4 > y3, and seed 2 y2 > x4 > y1 > x2 > x3 > y3 >
     y4 > x1: see AUDIT_CASES.)"""

@@ -29,8 +29,6 @@ from flatcert import (
     flatness_certificate,
     gauss_graph_ideal,
     incidence_form,
-    leading_monomial,
-    minimal_primes_of_monomial_ideal,
     nonzerodivisor_check,
     normal_form,
     polynomial_text,
@@ -249,17 +247,13 @@ def test_torus_checks_reject_the_trivial_action(monkeypatch):
 # --- primary structure of the special fiber ---
 
 def test_component_primes_and_minimal_primes():
+    # with the intersection identity, distinct primes of one size that
+    # contain one another nowhere are exactly the minimal primes
     assert component_primes(2) == [("y2", "y3"), ("x1", "y3"), ("x1", "x2")]
-    ideal = special_fiber_ideal(2)
-    mons = [leading_monomial(g) for g in ideal.generators if len(g.terms) == 1]
-    got = minimal_primes_of_monomial_ideal(ideal.universe, mons)
-    assert sorted(got) == sorted(tuple(sorted(p)) for p in component_primes(2))
-
-
-def test_minimal_primes_rejects_nonsquarefree():
-    uni = xy_universe(1)
-    with pytest.raises(ValueError):
-        minimal_primes_of_monomial_ideal(uni, [leading_monomial(uni.parse("x1^2"))])
+    for n in range(1, 9):
+        primes = [set(p) for p in component_primes(n)]
+        assert len(primes) == n + 1 and {len(p) for p in primes} == {n}
+        assert all(not p <= q for p in primes for q in primes if p is not q), n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -267,15 +261,28 @@ def test_primary_intersection(n):
     assert primary_intersection_check(n)
 
 
+def _special_monomials(n):
+    return [g for g in special_fiber_ideal(n).generators if len(g.terms) == 1]
+
+
 def test_nonzerodivisor_desk_values():
-    ideal = special_fiber_ideal(2)
-    uni = ideal.universe
-    mons = [leading_monomial(g) for g in ideal.generators if len(g.terms) == 1]
-    assert nonzerodivisor_check(incidence_form(uni), mons)
-    assert not nonzerodivisor_check(uni.parse("x1"), mons)
-    assert not nonzerodivisor_check(uni.parse("y3"), mons)
-    assert nonzerodivisor_check(uni.parse("x3"), mons)
-    assert nonzerodivisor_check(uni.parse("y1"), mons)
+    uni = xy_universe(2)
+    mons, primes = _special_monomials(2), component_primes(2)
+    assert nonzerodivisor_check(incidence_form(uni), mons, primes)
+    assert not nonzerodivisor_check(uni.parse("x1"), mons, primes)
+    assert not nonzerodivisor_check(uni.parse("y3"), mons, primes)
+    assert nonzerodivisor_check(uni.parse("x3"), mons, primes)
+    assert nonzerodivisor_check(uni.parse("y1"), mons, primes)
+
+
+def test_nonzerodivisor_check_raises_on_a_wrong_prime_list():
+    # without P_0 = <y2, y3>, y2 avoids the primes left (y3 would not: it is
+    # in P_1 = <x1, y3>), but y2 * x1 is in M, and the numerators see it
+    uni = xy_universe(2)
+    mons, primes = _special_monomials(2), component_primes(2)
+    assert not nonzerodivisor_check(uni.parse("y2"), mons, primes)
+    with pytest.raises(RuntimeError, match="disagree"):
+        nonzerodivisor_check(uni.parse("y2"), mons, primes[1:])
 
 
 # --- the complete-conics graph ---
