@@ -6,8 +6,11 @@ xi-trials runs at degrees (2,2) and (3,3) are expected to exit 1 because
 the computed fibers fit the Koszul count, with leading coefficient
 2*d0*d1, not the closed formula (see README), the two negative controls
 to exit 1, the n=4 chart fiber at t=5 to exit 3 because its rank-oracle
-matrix is over hilbert.MAX_MACAULAY_ENTRIES, and xi-trials at (6,6) to
-exit 3 because d0*d1 is over cli.MAX_DEGREE_PRODUCT.
+matrix is over hilbert.MAX_MACAULAY_ENTRIES, xi-trials at (6,6) to
+exit 3 because d0*d1 is over cli.MAX_DEGREE_PRODUCT, and the hilbert run
+on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table up to t_max
+sees that generator; its dimension is read without a dense list of 10^8
+coefficients.
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -33,6 +36,8 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
     from make_ideal_files import ideal_file_text
 
+    uni = xy_universe(2)
+
     # a chart point with coefficients of heights 3..8, so that the rank
     # oracle's elimination meets pivots other than +-1
     chart = ChartPoint.from_strict_lower([[-6], [8, 4]], [7, -3])
@@ -42,7 +47,8 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     out = {}
     for name, ideal in [("diagonal_n2", diagonal_ideal(2)),
                         ("special_fiber_n2", special_fiber_ideal(2)),
-                        ("unit_n2", Ideal(xy_universe(2), [xy_universe(2).one()])),
+                        ("unit_n2", Ideal(uni, [uni.one()])),
+                        ("huge_exponent_n2", Ideal(uni, [uni.parse("x1^100000000*y1")])),
                         ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
                         ("chart_fiber_n4", evaluate_family_at(family_ideal_J(4), chart_n4))]:
         path = tmp / f"{name}.ideal"
@@ -77,10 +83,14 @@ def main() -> int:
              ["hilbert", str(files["chart_fiber_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=4, rank oracle over its matrix budget",
              ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
+            ("hilbert: x1^100000000*y1 n=2, no table sees the generator",
+             ["hilbert", str(files["huge_exponent_n2"])], 2),
             ("flatness n=1",
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",
              ["verify-flatness", "--n", "2", "--seed", str(args.seed)], 0),
+            ("flatness n=4, the flatness-gb benchmark item",
+             ["verify-flatness", "--n", "4", "--t-max", "6", "--seed", str(args.seed)], 0),
             ("flatness n=2, rank oracle",
              ["verify-flatness", "--n", "2", "--method", "rank", "--seed", str(args.seed)], 0),
             ("negative control",

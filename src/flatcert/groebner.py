@@ -39,8 +39,8 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
-from math import gcd, lcm
+from itertools import combinations, count
+from math import comb, gcd, lcm
 from operator import add, itemgetter, le, lshift, neg
 from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
 
@@ -649,18 +649,17 @@ def _require_bihomogeneous(ideal: Ideal) -> None:
 def ideal_dimension(ideal: Ideal) -> int:
     """Dimension of the ideal's zero set in P^n x P^n: the Krull dimension of
     S/in(I), the pole order at s = 1 of K(s, s) / (1-s)^(2n+2) (Hilbert-Serre),
-    less 2 for the two projective scalings."""
-    numerator = ideal.series_numerator()
-    coeffs = [0] * (max((a + b for a, b in numerator), default=0) + 1)
-    for (a, b), c in numerator.items():
-        coeffs[a + b] += c
-    if not any(coeffs):
+    less 2 for the two projective scalings.  The order of K(s, s) = sum c_m s^m
+    at s = 1 is the first k with K^(k)(1) / k! = sum c_m C(m, k) nonzero; the
+    coefficients are summed by total degree m into a dict, so the cost does
+    not grow with the exponents."""
+    coeffs: dict[int, int] = {}
+    for (a, b), c in ideal.series_numerator().items():
+        coeffs[a + b] = coeffs.get(a + b, 0) + c
+    if not any(coeffs.values()):
         raise DimensionUndefinedError("the ideal is the whole ring")
-    divisions = 0
-    while not sum(coeffs):  # K(1) = 0: divide by (1 - s)
-        coeffs = list(accumulate(coeffs))[:-1]
-        divisions += 1
-    return ideal.universe.num_xy - divisions - 2
+    order = next(k for k in count() if sum(c * comb(m, k) for m, c in coeffs.items()))
+    return ideal.universe.num_xy - order - 2
 
 
 # --- monomial ideal utilities ---

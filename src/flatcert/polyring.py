@@ -12,7 +12,14 @@ per variable, x-block then y-block then parameter block) to nonzero
 ``Fraction`` coefficients.  The zero polynomial is the empty map, and a
 polynomial is canonical by construction: no zero coefficients are stored
 and equality is plain map equality.  All arithmetic is exact; nothing in
-this package touches floating point.
+this package touches floating point, and the scalars it accepts are ``int``
+and ``Fraction`` only (``bool`` and ``float`` raise ``TypeError``).
+
+Substitution evaluates in integers: the terms are grouped by their exponents
+at the assigned variables, each group's value is computed once as an integer
+fraction, and every output monomial is summed as an integer over one common
+denominator, so that a ``Fraction`` is built only per result term.  Nothing
+is cached from one call to the next.
 
 The text format round-trips bit-exactly: ``str`` orders terms by descending
 exponent tuple (equivalently, lex with x1 > ... > x{n+1} > y1 > ... >
@@ -26,6 +33,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add, itemgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -42,6 +51,17 @@ class UnknownVariableError(ValueError):
 
 class ParseError(ValueError):
     """Malformed polynomial text."""
+
+
+def _is_rational(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _rational(value, what: str) -> Rational:
+    """The value itself if it is an int or Fraction; TypeError otherwise."""
+    if not _is_rational(value):
+        raise TypeError(f"{what} must be an int or Fraction, not {type(value).__name__}")
+    return value
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -114,7 +134,7 @@ class VariableUniverse:
         return self.constant(1)
 
     def constant(self, q: Rational) -> "BiPolynomial":
-        q = Fraction(q)
+        q = Fraction(_rational(q, "a constant"))
         if not q:
             return self.zero()
         return BiPolynomial(self, _canonical={(0,) * self.num_vars: q})
@@ -187,7 +207,7 @@ class BiPolynomial:
                 raise ValueError(f"exponent tuple of length {len(e)}, universe has {nv} variables")
             if any(v < 0 for v in e):
                 raise ValueError("exponents must be nonnegative")
-            c = acc.get(e, Fraction(0)) + Fraction(coeff)
+            c = acc.get(e, Fraction(0)) + Fraction(_rational(coeff, "a coefficient"))
             if c:
                 acc[e] = c
             else:
@@ -223,7 +243,7 @@ class BiPolynomial:
                 f"universes differ: {self.universe.names} vs {other.universe.names}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = self.universe.constant(other)
         if not isinstance(other, BiPolynomial):
             return NotImplemented
@@ -247,7 +267,7 @@ class BiPolynomial:
         return BiPolynomial(self.universe, _canonical={e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = self.universe.constant(other)
         if not isinstance(other, BiPolynomial):
             return NotImplemented
@@ -257,7 +277,7 @@ class BiPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             q = Fraction(other)
             if not q:
                 return self.universe.zero()
@@ -269,7 +289,7 @@ class BiPolynomial:
         out: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = out.get(e)
                 if v is None:
                     out[e] = c1 * c2
@@ -284,7 +304,7 @@ class BiPolynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             q = Fraction(other)
             if not q:
                 raise ZeroDivisionError("division of a polynomial by zero")
@@ -292,7 +312,7 @@ class BiPolynomial:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_rational(other):
             other = self.universe.constant(other)
         if not isinstance(other, BiPolynomial):
             return NotImplemented
@@ -309,47 +329,65 @@ class BiPolynomial:
     # --- substitution ---
 
     def substitute(self, assignment: Mapping[str, Rational]) -> "BiPolynomial":
-        """Evaluate named variables at rationals, in one pass over the terms.
+        """Evaluate named variables at rationals.
 
         Assigned parameter variables disappear from the result's universe;
         assigned x/y variables keep their slots with exponent 0.
         Substituting into an x/y variable may break bihomogeneity; the
         caller can consult bidegree() on the result.
+
+        The evaluation is in integers.  Terms are grouped by their pattern,
+        the exponents of the assigned variables; each pattern's value is
+        computed once per call as an integer fraction num/den.  Each output
+        monomial then sums integer numerators over the common denominator
+        lcm(coefficient denominators) * lcm(pattern denominators), and one
+        Fraction is built per result term.  Nothing is cached across calls.
         """
         uni = self.universe
-        values: dict[int, Fraction] = {}
+        values: dict[int, tuple[int, int]] = {}
         for name, val in assignment.items():
             i = uni.index.get(name)
             if i is None:
                 raise UnknownVariableError(name)
-            if not isinstance(val, (int, Fraction)):
-                raise TypeError(f"value for {name} must be a rational, not {type(val).__name__}")
-            values[i] = Fraction(val)
+            values[i] = _rational(val, f"the value for {name}").as_integer_ratio()
         if not values:
             return self
 
         params = tuple(p for p in uni.param_names if uni.index[p] not in values)
         target = uni if len(params) == len(uni.param_names) else VariableUniverse(
             uni.n, uni.x_names, uni.y_names, params)
-        keep = [*range(uni.num_xy), *(uni.index[p] for p in params)]
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            for i, v in values.items():
-                if exps[i]:
-                    coeff *= v ** exps[i]
-            if not coeff:
-                continue
-            e = tuple(0 if i in values else exps[i] for i in keep)
-            c = out.get(e)
-            if c is None:
-                out[e] = coeff
-                continue
-            c += coeff
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return BiPolynomial(target, _canonical=out)
+        # Both getters read an exponent tuple padded with one 0 at index nv:
+        # assigned x/y slots read it, and it keeps the pattern a tuple even
+        # when one variable is assigned.
+        nv = uni.num_vars
+        output_exps = itemgetter(*(nv if i in values else i for i in range(uni.num_xy)),
+                                 *(uni.index[p] for p in params))
+        pattern_of = itemgetter(*values, nv)
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        groups: dict[Exponents, list[tuple[Exponents, int]]] = {}
+        for exps, c in self.terms.items():
+            padded = exps + (0,)
+            groups.setdefault(pattern_of(padded), []).append(
+                (output_exps(padded), c.numerator * (scale // c.denominator)))
+
+        ratios = []
+        for pattern, members in groups.items():
+            num = den = 1
+            for (p, q), e in zip(values.values(), pattern):
+                if e:
+                    num *= p ** e
+                    den *= q ** e
+            ratios.append((num, den, members))
+        common = lcm(*(den for _, den, _ in ratios))
+        sums: dict[Exponents, int] = {}
+        for num, den, members in ratios:
+            weight = num * (common // den)
+            for e, a in members:
+                sums[e] = sums.get(e, 0) + a * weight
+        total = scale * common
+        # v == 0 for a cancelled sum and for a monomial whose patterns all have value 0
+        return BiPolynomial(target, _canonical={
+            e: Fraction(v, total) for e, v in sums.items() if v})
 
 
 # --- text format ---

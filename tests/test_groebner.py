@@ -1,5 +1,6 @@
 """Monomial orders, Buchberger, and basis certification."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -243,6 +244,19 @@ def test_ideal_dimension_matches_subset_enumeration(case):
             ideal_dimension(ideal)
     else:
         assert ideal_dimension(ideal) == want
+
+
+def test_ideal_dimension_is_cheap_at_huge_exponents():
+    # the numerator K = 1 - s^(10^8 + 1) is summed sparsely: no list of
+    # 10^8 coefficients, and its order at s = 1 is 1
+    f = BiPolynomial(UNI, {(10 ** 8, 0, 0, 1, 0, 0): 1})
+    tracemalloc.start()
+    try:
+        assert ideal_dimension(Ideal(UNI, [f])) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ideal_requires_a_generator():

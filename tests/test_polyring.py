@@ -1,6 +1,7 @@
 """Ring arithmetic, parsing, and bidegree bookkeeping."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from flatcert import (
     ParseError,
     UniverseMismatchError,
     UnknownVariableError,
+    VariableUniverse,
     family_ideal_J,
     family_universe,
     monomials_of_bidegree,
@@ -19,6 +21,7 @@ from flatcert import (
     xy_universe,
 )
 from flatcert.groebner import monomial_divides
+from flatcert.quadfam import ChartPoint, _point_assignment, evaluate_family_at, random_chart_point
 
 UNI = xy_universe(2)
 
@@ -150,6 +153,126 @@ def test_substitute_in_steps_equals_substitute_at_once(values):
         at_once = g.substitute({**d, **u})
         assert at_once.universe.param_names == ()
         assert g.substitute(d).substitute(u) == at_once
+
+
+def test_scalars_are_ints_and_fractions_only():
+    fam = family_universe(1)
+    f = fam.parse("d1*x1*y1 + x2*y2")
+    e = (1, 0, 0, 1, 0, 0)
+    for bad in (True, False, 0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            f.substitute({"d1": bad})
+        with pytest.raises(TypeError):
+            BiPolynomial(UNI, {e: bad})
+        with pytest.raises(TypeError):
+            UNI.constant(bad)
+        with pytest.raises(TypeError):
+            f + bad
+        with pytest.raises(TypeError):
+            f * bad
+        assert f != bad
+    assert BiPolynomial(UNI, {e: 3}) == UNI.parse("3*x1*y1")
+    assert UNI.constant(Fraction(1, 2)) == UNI.parse("1/2")
+
+
+def reference_substitute(f, assignment):
+    """(terms, universe) of f.substitute(assignment) by the Fraction loop the
+    integer kernel replaced: each coefficient times v**e for every assigned
+    variable, then accumulated term by term."""
+    uni = f.universe
+    values = {uni.index[name]: Fraction(v) for name, v in assignment.items()}
+    params = tuple(p for p in uni.param_names if uni.index[p] not in values)
+    target = uni if len(params) == len(uni.param_names) else VariableUniverse(
+        uni.n, uni.x_names, uni.y_names, params)
+    keep = [*range(uni.num_xy), *(uni.index[p] for p in params)]
+    out = {}
+    for exps, coeff in f.terms.items():
+        for i, v in values.items():
+            if exps[i]:
+                coeff *= v ** exps[i]
+        if not coeff:
+            continue
+        e = tuple(0 if i in values else exps[i] for i in keep)
+        c = out.get(e)
+        if c is None:
+            out[e] = coeff
+            continue
+        c += coeff
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out, target
+
+
+def assert_matches_reference(f, assignment):
+    g = f.substitute(assignment)
+    terms, universe = reference_substitute(f, assignment)
+    assert g.terms == terms
+    assert g.universe == universe
+    return g
+
+
+FAM2 = family_universe(2)
+# denominators 1..5 and the value 0, which kills every term it divides
+_small_values = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                          st.integers(min_value=1, max_value=5))
+_assignments = st.dictionaries(st.sampled_from(FAM2.names), _small_values, min_size=1)
+
+
+@given(poly_strategy(FAM2, max_terms=8), _assignments)
+def test_substitute_matches_reference_loop(f, assignment):
+    # partial assignments of parameters and of x/y variables alike
+    assert_matches_reference(f, assignment)
+
+
+@given(poly_strategy(FAM2), poly_strategy(FAM2), _small_values, _assignments)
+def test_substitute_cancellation_matches_reference_loop(p, q, v, rest):
+    # p * (d1 - v) vanishes at d1 = v, term by term after expansion
+    f = p * (FAM2.variable("d1") - v) + q
+    assignment = {**rest, "d1": v}
+    g = assert_matches_reference(f, assignment)
+    assert g == q.substitute(assignment)
+    if q.is_zero():
+        assert g.is_zero()
+
+
+def test_substitute_to_zero_keeps_the_target_universe():
+    fam = family_universe(1)
+    f = fam.parse("d1^2*x1*y2 - 4*x1*y2 + u2_1*d1*x2*y1 + 2*u2_1*x2*y1")
+    g = assert_matches_reference(f, {"d1": Fraction(-2)})
+    assert g.is_zero()
+    assert g.universe.param_names == ("u2_1",)
+    h = assert_matches_reference(f, {"d1": Fraction(-2, 3), "x1": Fraction(1, 2)})
+    assert polynomial_text(h) == "4/3*x2*y1*u2_1 - 16/9*y2"
+
+
+# the n=4 chart point of scripts/run_verification.py, with denominators 2..4
+CHART_N4 = ChartPoint.from_strict_lower(
+    [["3"], ["-4", "5/3"], ["7", "-3", "4"], ["5/2", "-6", "3", "-8"]], ["3", "-7/4", "5", "9"])
+
+
+def _rational_chart_point(n, rng):
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(i)]
+            for i in range(1, n + 1)]
+    d = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)]
+    return ChartPoint.from_strict_lower(rows, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_family_fibers_match_reference_loop(n):
+    J = family_ideal_J(n)
+    points = [random_chart_point(n, Random(seed)) for seed in range(2)]
+    points += [random_chart_point(n, Random(n), degenerate=True),
+               ChartPoint.special(n), _rational_chart_point(n, Random(n))]
+    if n == 4:
+        points.append(CHART_N4)
+    for point in points:
+        assignment = _point_assignment(point)
+        want = [reference_substitute(g, assignment) for g in J.generators]
+        want = [(terms, uni) for terms, uni in want if terms]
+        fiber = evaluate_family_at(J, point)
+        assert [(g.terms, g.universe) for g in fiber.generators] == want
 
 
 def test_universe_mismatch_rejected():
