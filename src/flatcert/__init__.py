@@ -16,7 +16,6 @@ from .polyring import (
     UniverseMismatchError,
     UnknownVariableError,
     VariableUniverse,
-    monomials_of_bidegree,
     parse_polynomial,
     polynomial_text,
 )
@@ -81,8 +80,8 @@ from .quadfam import (
 from .flagcut import (
     PlaneCurvePair,
     XiTrialsReport,
+    fermat_pair,
     gamma_curve_ideal,
-    random_plane_curve,
     run_xi_trials,
 )
 

@@ -4,7 +4,8 @@ Exit codes partition outcomes: 0 the checked property holds, 1 it fails
 mathematically, 2 the run was inconclusive (a Hilbert table too short, or
 not settled, within --t-max), 3 usage or input error.  Reports are
 byte-identical given the same arguments and seed: no timestamps, sorted
-JSON keys, and every fiber and trial run in order.
+JSON keys, and every fiber run in order.  Only verify-flatness reads
+--seed, to draw its two chart points when --points is not given.
 """
 
 from __future__ import annotations
@@ -73,12 +74,10 @@ MAX_N = 8
 # and benchmark run t <= 8; the rank route meets its own budget,
 # hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
 MAX_T = 100
-# Input budget on --trials, checked before any seed is drawn.  At 1000,
-# xi-trials 2 2 takes 4 s; 20 trials at (3, 3) take 0.6 s.
-MAX_COUNT = 1000
-# Input budget on the xi degrees, d0*d1, checked before any trial is drawn.
-# xi-trials D0 D1 --trials 1 takes 0.2 s at (3, 3), 0.3 s at (4, 4), 0.6-0.9 s
-# at (4, 5) and 2-3 s at (5, 5) and (6, 4), but one trial at (6, 6) takes 76 s.
+# Input budget on the xi degrees, d0*d1, checked before the witness is built.
+# In-process on a 2-core VM, run_xi_trials takes at most 0.12 s on each of the
+# 87 pairs under it (the slowest is (25, 1); (5, 5) takes 0.006 s), and past
+# it 0.015 s at (10, 10) and 0.5 s at (40, 1).
 MAX_DEGREE_PRODUCT = 25
 
 
@@ -280,18 +279,21 @@ def _run_xi_trials(args: argparse.Namespace) -> Outcome:
         raise ValueError(f"xi-trials: d0*d1 = {args.d0 * args.d1} is over "
                          f"MAX_DEGREE_PRODUCT = {MAX_DEGREE_PRODUCT}")
     t_max = default_t_max(args.d0, args.d1) if args.t_max is None else args.t_max
-    report = run_xi_trials(args.d0, args.d1, args.trials, args.seed, t_max, args.method)
+    report = run_xi_trials(args.d0, args.d1, t_max, args.method)
+    fit = report.polynomial if report.polynomial is not None else "did not stabilize"
     lines = [
-        f"xi-trials d0={args.d0} d1={args.d1} trials={args.trials} seed={args.seed}",
-        f"  xi_formula expectation: {report.xi_expected}"
-        f" -> {report.xi_matches}/{args.trials} match",
-        f"  koszul count expectation: {report.koszul_expected}"
-        f" -> {report.koszul_matches}/{args.trials} match",
-        f"  retries: {report.total_retries}",
+        f"xi-trials d0={args.d0} d1={args.d1}: the Koszul count of every curve pair,"
+        " on one witness",
+        f"  witness f0 = {report.witness.f0}, f1 = {report.witness.f1}",
+        f"  numerator = (1 - s1^{args.d0})(1 - s2^{args.d1})(1 - s1*s2):"
+        f" {_verdict(report.numerator_identity)}",
+        f"  fit up to t={t_max}: {fit}",
+        f"  xi_formula {report.xi_expected}: {'match' if report.xi_match else 'miss'}",
+        f"  koszul count {report.koszul_expected}:"
+        f" {'match' if report.koszul_match else 'miss'}",
         f"verdict: {report.verdict}",
     ]
-    config = {"d0": args.d0, "d1": args.d1, "trials": args.trials, "seed": args.seed,
-              "method": args.method}
+    config = {"d0": args.d0, "d1": args.d1, "t_max": t_max, "method": args.method}
     return report.verdict, config, report.to_json_dict(), lines
 
 
@@ -346,7 +348,6 @@ def build_parser() -> _Parser:
     positive = _int_in_range(1)
     dimension = _int_in_range(1, MAX_N)
     t_max = _int_in_range(3, MAX_T)
-    count = _int_in_range(1, MAX_COUNT)
     parser = _Parser(prog="flatcert", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -380,11 +381,13 @@ def build_parser() -> _Parser:
                    help="initial_ideal_count | rank_oracle | both")
 
     p = sub.add_parser("xi-trials", parents=[common],
-                       help="random curve pairs on F2 vs the xi closed form")
+                       help="the Koszul count of every curve pair on F2, from one"
+                            " witness, vs the xi closed form")
     p.set_defaults(run=_run_xi_trials)
     p.add_argument("d0", type=positive)
     p.add_argument("d1", type=positive)
-    p.add_argument("--trials", type=count, default=20)
+    # accepted and ignored, as --seed is here: bench/workloads.py passes both
+    p.add_argument("--trials", type=positive, default=1)
     p.add_argument("--t-max", type=t_max, default=None)
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)
 

@@ -1,24 +1,40 @@
 """Curves on the point-line incidence variety F2 in P2 x P2*.
 
 Gamma_f = (f0 x f1) cut into F2, where f0 is a plane curve in the x-block
-and f1 a curve of the dual plane in the y-block.  The module measures the
-diagonal Hilbert polynomial of Gamma_f two ways, against two closed forms
-from the hilbert module: xi_formula(d0, d1) and koszul_hilbert_polynomial,
-the exact count from the Koszul resolution of (f0, f1, x.y).
+and f1 a curve of the dual plane in the y-block.
 
-The two closed forms agree at (1,1) and share their constant term, but the
-leading coefficients differ: xi_formula says d0+d1, the Koszul count says
-2*d0*d1.  run_xi_trials reports the observed polynomial against both so
-the discrepancy is data, not a crash.
+Theorem: for any nonzero f0 in Q[x1, x2, x3] of degree d0 and f1 in
+Q[y1, y2, y3] of degree d1, x.y, f0, f1 is a regular sequence.
+
+- S/<x.y> is a domain, since x.y is a quadric of rank 6, and f0, of
+  bidegree (d0, 0), is not a multiple of x.y.  So f0 is a nonzerodivisor.
+- S/<x.y, f0> is a complete intersection, so it has no embedded primes.
+  Each minimal prime is the ideal of {(p, H) : p in V(g), p in H} for a
+  factor g of f0; the cone x = 0 has too small a dimension to be a
+  component.  Every line H meets the curve V(g), so that set maps onto P2*,
+  and f1 vanishes on none of them.
+
+So the bigraded Hilbert series numerator of S/<x.y, f0, f1> is the Koszul
+product (1 - s1^d0)(1 - s2^d1)(1 - s1 s2) for every pair (Bayer and
+Stillman, "Computation of Hilbert functions", 1992), and its diagonal
+Hilbert polynomial is koszul_hilbert_polynomial(d0, d1) =
+2 d0 d1 t - d0 d1 (d0 + d1 - 4) / 2.  One witness per (d0, d1) therefore
+stands for every pair: run_xi_trials takes the Fermat pair, checks its
+numerator against the Koszul product exactly, and fits the diagonal
+polynomial from a Hilbert table as the referee.
+
+The xi gap: xi_formula(d0, d1) = (d0 + d1) t - d0 d1 (d0 + d1 - 4) / 2
+shares the Koszul count's constant term, but its leading coefficient is
+d0 + d1 against 2 d0 d1.  d0 + d1 = 2 d0 d1 forces
+(2 d0 - 1)(2 d1 - 1) = 1, so d0 = d1 = 1: xi_formula is right at (1,1)
+and wrong at every other pair, for all degrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from random import Random
+from dataclasses import dataclass
 
-from .groebner import Ideal, ideal_dimension
+from .groebner import Ideal, _product_numerator, ideal_dimension
 from .hilbert import (
     METHOD_INITIAL,
     HilbertPolynomialQ,
@@ -28,10 +44,8 @@ from .hilbert import (
     tabulate_diagonal,
     xi_formula,
 )
-from .polyring import BiPolynomial, VariableUniverse, monomials_of_bidegree, polynomial_text
+from .polyring import BiPolynomial, polynomial_text
 from .quadfam import incidence_form, xy_universe
-
-CURVE_COEFF_BOUND = 9
 
 
 @dataclass(frozen=True)
@@ -65,124 +79,68 @@ def gamma_curve_ideal(pair: PlaneCurvePair) -> Ideal:
     return Ideal(uni, [pair.f0, pair.f1, incidence_form(uni)])
 
 
-def random_plane_curve(degree: int, rng: Random, block: str = "x",
-                       universe: VariableUniverse | None = None) -> BiPolynomial:
-    """A random nonzero form of the given degree, pure in one block."""
-    if block not in ("x", "y"):
-        raise ValueError("block must be 'x' or 'y'")
-    if universe is None:
-        universe = xy_universe(2)
-    bidegree = (degree, 0) if block == "x" else (0, degree)
-    while True:
-        terms = {}
-        for mono in monomials_of_bidegree(universe, *bidegree):
-            coeff = rng.randint(-CURVE_COEFF_BOUND, CURVE_COEFF_BOUND)
-            if coeff:
-                terms[mono.exponents] = Fraction(coeff)
-        if terms:
-            return BiPolynomial(universe, terms)
+def fermat_pair(d0: int, d1: int) -> PlaneCurvePair:
+    """The witness: x1^d0 + x2^d0 + x3^d0 and y1^d1 + y2^d1 + y3^d1."""
+    uni = xy_universe(2)
 
+    def fermat(names: tuple[str, ...], degree: int) -> BiPolynomial:
+        return BiPolynomial(uni, {tuple(degree if v == name else 0 for v in uni.names): 1
+                                  for name in names})
 
-@dataclass
-class TrialRecord:
-    index: int
-    seed: int
-    f0: str
-    f1: str
-    # always empty, as total_retries is always 0: a trial is one draw (schema 1 field)
-    retries: list[str] = field(default_factory=list)
-    polynomial: HilbertPolynomialQ | None = None
-    xi_match: bool = False
-    koszul_match: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "f0": self.f0,
-            "f1": self.f1,
-            "retries": self.retries,
-            "polynomial": self.polynomial.to_json_dict() if self.polynomial else None,
-            "xi_match": self.xi_match,
-            "koszul_match": self.koszul_match,
-        }
+    return PlaneCurvePair(fermat(uni.x_names, d0), fermat(uni.y_names, d1))
 
 
 @dataclass
 class XiTrialsReport:
+    """The Fermat witness at (d0, d1): its numerator against the Koszul
+    product, and its fitted diagonal polynomial (None when the table is too
+    short to fix it) against xi_formula and the Koszul count."""
+
     d0: int
     d1: int
-    trials: int
-    seed: int
+    witness: PlaneCurvePair
+    numerator_identity: bool
+    polynomial: HilbertPolynomialQ | None
     xi_expected: HilbertPolynomialQ
     koszul_expected: HilbertPolynomialQ
-    records: list[TrialRecord]
+    total_retries = 0  # nothing is redrawn; bench/tracing.py's _retries hook reads it
 
     @property
-    def xi_matches(self) -> int:
-        return sum(1 for r in self.records if r.xi_match)
+    def xi_match(self) -> bool:
+        return self.polynomial == self.xi_expected
 
     @property
-    def koszul_matches(self) -> int:
-        return sum(1 for r in self.records if r.koszul_match)
-
-    @property
-    def total_retries(self) -> int:
-        return sum(len(r.retries) for r in self.records)
-
-    @property
-    def passed(self) -> bool:
-        """Spec semantics: every trial must match xi_formula."""
-        return all(r.xi_match for r in self.records)
+    def koszul_match(self) -> bool:
+        return self.polynomial == self.koszul_expected
 
     @property
     def verdict(self) -> str:
-        """FAIL when a fitted trial misses xi_formula, INCONCLUSIVE when a
-        trial's table fixes no polynomial, PASS otherwise."""
-        if any(r.polynomial is not None and not r.xi_match for r in self.records):
+        """FAIL when the numerator identity fails or the fit misses
+        xi_formula, INCONCLUSIVE when the table fixes no polynomial, PASS
+        otherwise."""
+        if not self.numerator_identity or (self.polynomial is not None and not self.xi_match):
             return "FAIL"
-        if any(r.polynomial is None for r in self.records):
-            return "INCONCLUSIVE"
-        return "PASS"
+        return "INCONCLUSIVE" if self.polynomial is None else "PASS"
 
     def to_json_dict(self) -> dict:
+        # one record, the witness, in the list where schema 1 kept its trials
+        record = {
+            "f0": polynomial_text(self.witness.f0),
+            "f1": polynomial_text(self.witness.f1),
+            "numerator_identity": self.numerator_identity,
+            "polynomial": None if self.polynomial is None else self.polynomial.to_json_dict(),
+            "xi_match": self.xi_match,
+            "koszul_match": self.koszul_match,
+        }
         return {
             "d0": self.d0, "d1": self.d1,
-            "trials": self.trials, "seed": self.seed,
             "xi_expected": self.xi_expected.to_json_dict(),
             "koszul_expected": self.koszul_expected.to_json_dict(),
-            "records": [r.to_json_dict() for r in self.records],
-            "xi_matches": self.xi_matches,
-            "koszul_matches": self.koszul_matches,
-            "total_retries": self.total_retries,
-            "passed": self.passed,
+            "records": [record],
+            "xi_matches": int(self.xi_match),
+            "koszul_matches": int(self.koszul_match),
+            "passed": self.verdict == "PASS",
         }
-
-
-def _run_one_trial(index: int, trial_seed: int, d0: int, d1: int, t_max: int,
-                   method: str, xi: HilbertPolynomialQ,
-                   koszul: HilbertPolynomialQ) -> TrialRecord:
-    """One draw.  f0 and f1 live in disjoint variable blocks, and no curve
-    times dual curve lies inside F2, so (f0, f1, x.y) is a regular sequence
-    for every draw: the curve has dimension 1 and the Koszul table, and a
-    redraw could not change the result."""
-    rng = Random(trial_seed)
-    uni = xy_universe(2)
-    f0 = random_plane_curve(d0, rng, "x", uni)
-    f1 = random_plane_curve(d1, rng, "y", uni)
-    record = TrialRecord(index, trial_seed, polynomial_text(f0), polynomial_text(f1))
-    # one Ideal: the table reuses the basis the dimension check built
-    ideal = gamma_curve_ideal(PlaneCurvePair(f0, f1))
-    dim = ideal_dimension(ideal)
-    table = tabulate_diagonal(ideal, range(t_max + 1), method)
-    try:
-        poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
-    except NoStabilizationError:
-        return record
-    record.polynomial = poly
-    record.xi_match = poly == xi
-    record.koszul_match = poly == koszul
-    return record
 
 
 def default_t_max(d0: int, d1: int) -> int:
@@ -190,20 +148,22 @@ def default_t_max(d0: int, d1: int) -> int:
     return d0 + d1 + 5
 
 
-def run_xi_trials(d0: int, d1: int, trials: int = 20, seed: int = 0,
-                  t_max: int | None = None, method: str = METHOD_INITIAL) -> XiTrialsReport:
-    """Sample random curve pairs and compare Gamma_f's Hilbert polynomial
-    to xi_formula(d0, d1) and to the Koszul count.  Each trial is one draw
-    from its own seeded stream; a table too short to fix the polynomial
-    leaves that trial's polynomial None."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def run_xi_trials(d0: int, d1: int, t_max: int | None = None,
+                  method: str = METHOD_INITIAL) -> XiTrialsReport:
+    """Check the theorem of the module docstring on the Fermat witness at
+    (d0, d1): its numerator must be the Koszul product, and its table, fitted
+    up to t_max, is compared with xi_formula and the Koszul count."""
     if t_max is None:
         t_max = default_t_max(d0, d1)
-    xi = xi_formula(d0, d1)
-    koszul = koszul_hilbert_polynomial(d0, d1)
-    master = Random(seed)
-    trial_seeds = [master.getrandbits(32) for _ in range(trials)]
-    records = [_run_one_trial(idx, ts, d0, d1, t_max, method, xi, koszul)
-               for idx, ts in enumerate(trial_seeds)]
-    return XiTrialsReport(d0, d1, trials, seed, xi, koszul, records)
+    witness = fermat_pair(d0, d1)
+    # one Ideal: the numerator, the dimension and the table share one basis
+    ideal = gamma_curve_ideal(witness)
+    identity = ideal.series_numerator() == _product_numerator([(d0, 0), (0, d1), (1, 1)])
+    dim = ideal_dimension(ideal)
+    table = tabulate_diagonal(ideal, range(t_max + 1), method)
+    try:
+        poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
+    except NoStabilizationError:
+        poly = None
+    return XiTrialsReport(d0, d1, witness, identity, poly,
+                          xi_formula(d0, d1), koszul_hilbert_polynomial(d0, d1))

@@ -690,11 +690,12 @@ def _subtract_shifted(acc: Numerator, other: Numerator, deg: tuple[int, int]) ->
 
 
 def _product_numerator(degrees: Iterable[tuple[int, int]]) -> Numerator:
-    """prod (1 - s^deg): the numerator of pairwise coprime generators."""
+    """prod (1 - s^deg): the numerator of pairwise coprime generators, with
+    no zero coefficients, so that equal numerators compare equal."""
     out: Numerator = {(0, 0): 1}
     for deg in degrees:
         _subtract_shifted(out, dict(out), deg)
-    return out
+    return {key: c for key, c in out.items() if c}
 
 
 def _series_numerator(lead: Iterable[Exponents], k: int) -> Numerator:
@@ -713,6 +714,6 @@ def _series_numerator(lead: Iterable[Exponents], k: int) -> Numerator:
         return _product_numerator(deg(e) for e in gens)
     out: Numerator = {(0, 0): 1}
     for r, m in enumerate(gens):
-        colon = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens[:r]]
+        colon = [tuple([a - b if a > b else 0 for a, b in zip(g, m)]) for g in gens[:r]]
         _subtract_shifted(out, _series_numerator(colon, k), deg(m))
     return {key: c for key, c in out.items() if c}

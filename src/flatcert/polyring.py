@@ -494,7 +494,3 @@ def iter_exponents_of_bidegree(universe: VariableUniverse, a: int, b: int) -> It
         for yb in _compositions(b, k):
             yield xa + yb + tail
 
-
-def monomials_of_bidegree(universe: VariableUniverse, a: int, b: int) -> list[BiMonomial]:
-    """All monomials of bidegree (a, b); C(a+n,n)*C(b+n,n) of them."""
-    return [BiMonomial(universe, e) for e in iter_exponents_of_bidegree(universe, a, b)]

@@ -53,6 +53,7 @@ from .polyring import (
     BiPolynomial,
     Exponents,
     VariableUniverse,
+    _rational,
 )
 from .util import (
     fraction_from_json,
@@ -107,7 +108,8 @@ class SymmetricMatrixQ:
 
     def __post_init__(self) -> None:
         m = len(self.entries)
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(Fraction(_rational(v, "a matrix entry")) for v in row)
+                     for row in self.entries)
         object.__setattr__(self, "entries", rows)
         for row in rows:
             if len(row) != m:
@@ -119,7 +121,7 @@ class SymmetricMatrixQ:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "SymmetricMatrixQ":
-        return SymmetricMatrixQ(tuple(tuple(Fraction(v) for v in r) for r in rows))
+        return SymmetricMatrixQ(tuple(tuple(r) for r in rows))
 
     @staticmethod
     def identity(size: int) -> "SymmetricMatrixQ":
@@ -129,7 +131,7 @@ class SymmetricMatrixQ:
     def diagonal(values: Sequence) -> "SymmetricMatrixQ":
         m = len(values)
         return SymmetricMatrixQ.from_rows(
-            [[Fraction(values[i]) if i == j else Fraction(0) for j in range(m)] for i in range(m)])
+            [[values[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
     @property
     def size(self) -> int:
@@ -153,8 +155,8 @@ class ChartPoint:
     d: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        u = tuple(tuple(Fraction(v) for v in row) for row in self.u)
-        d = tuple(Fraction(v) for v in self.d)
+        u = tuple(tuple(Fraction(_rational(v, "a chart entry")) for v in row) for row in self.u)
+        d = tuple(Fraction(_rational(v, "a chart entry")) for v in self.d)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", d)
         m = len(d) + 1
@@ -176,11 +178,10 @@ class ChartPoint:
         m = len(d) + 1
         if len(rows) != m - 1 or any(len(r) != i + 1 for i, r in enumerate(rows)):
             raise ValueError("need rows of lengths 1..n below the diagonal")
-        full = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        full = [[int(i == j) for j in range(m)] for i in range(m)]
         for i, row in enumerate(rows, start=1):
-            for j, v in enumerate(row):
-                full[i][j] = Fraction(v)
-        return ChartPoint(tuple(tuple(r) for r in full), tuple(Fraction(v) for v in d))
+            full[i][:i] = row
+        return ChartPoint(tuple(tuple(r) for r in full), tuple(d))
 
     @staticmethod
     def special(n: int) -> "ChartPoint":

@@ -3,7 +3,7 @@
 Run with `pytest -v tests/test_acceptance.py`; each test prints
 "AC<k> <name>: PASS|FAIL - detail".  AC8 asserts the gap between the
 closed xi formula and the curves actually computed: the formula matches at
-(1,1) only, and every fiber fits 2*d0*d1 t - d0*d1*(d0+d1-4)/2.
+(1,1) only, and every curve fits 2*d0*d1 t - d0*d1*(d0+d1-4)/2.
 """
 
 import json
@@ -18,7 +18,6 @@ import pytest
 from flatcert import (
     HilbertPolynomialQ,
     MonomialOrderSpec,
-    PlaneCurvePair,
     SymmetricMatrixQ,
     chi_graph,
     component_primes,
@@ -171,8 +170,9 @@ def test_ac07_primary_structure():
 
 
 def test_ac08_xi_formula_trials():
-    """Random-pair trials: every fiber fits the curve's Hilbert polynomial,
-    and xi_formula misses it beyond (1,1) by an exact degree gap.
+    """The Fermat witness: its numerator is the Koszul product, so every
+    curve pair fits the curve's Hilbert polynomial (flagcut's theorem), and
+    xi_formula misses it beyond (1,1) by an exact degree gap.
 
     With H1, H2 the hyperplane classes of P2 x P2* (H1^2 H2^2 = 1), the
     curve C = {f0=0} . {f1=0} . {x.y=0} has deg O(1,1)|C =
@@ -180,36 +180,31 @@ def test_ac08_xi_formula_trials():
     K_C = O(d0-2, d1-2)|C, chi(O_C) = -d0*d1*(d0+d1-4)/2.  The closed
     formula xi = (d0+d1)t - d0*d1*(d0+d1-4)/2 has the same constant term
     but leading coefficient d0+d1, so it matches only at (1,1).  The
-    reports still measure every trial against xi_formula.
+    report still measures the witness against xi_formula.
     """
-    uni = xy_universe(2)
     outcomes = []
     for d0, d1 in [(1, 1), (1, 2), (2, 2)]:
         curve = HilbertPolynomialQ.from_coefficients(
             [Fraction(-d0 * d1 * (d0 + d1 - 4), 2), 2 * d0 * d1])
         xi = xi_formula(d0, d1)
-        rep = run_xi_trials(d0, d1, trials=20, seed=0)
-        fits = [r.polynomial for r in rep.records]
-        assert len(fits) == 20
-        assert all(p == curve for p in fits), (d0, d1, [str(p) for p in fits])
-        assert rep.koszul_matches == 20
+        rep = run_xi_trials(d0, d1)
+        assert rep.numerator_identity
+        assert rep.polynomial == curve, (d0, d1, str(rep.polynomial))
+        assert rep.koszul_match
         # the miss is only in the degree coefficient
         assert xi.coefficients[0] == curve.coefficients[0]
         assert curve.coefficients[1] - xi.coefficients[1] == 2 * d0 * d1 - (d0 + d1)
         if (d0, d1) == (1, 1):
-            assert rep.xi_matches == 20 and rep.passed
+            assert rep.xi_match and rep.verdict == "PASS"
         else:
-            assert rep.xi_matches == 0 and not rep.passed
-            # the Groebner-free rank oracle refits the first sampled pair
-            first = rep.records[0]
-            pair = PlaneCurvePair(uni.parse(first.f0), uni.parse(first.f1))
-            table = tabulate_diagonal(gamma_curve_ideal(pair), range(7), METHOD_RANK)
+            assert not rep.xi_match and rep.verdict == "FAIL"
+            # the Groebner-free rank oracle refits the witness
+            table = tabulate_diagonal(gamma_curve_ideal(rep.witness), range(7), METHOD_RANK)
             assert interpolate_hilbert_polynomial(table, dim_bound=1) == curve
-        outcomes.append(
-            f"({d0},{d1}) fit={curve} on 20/20 xi={xi} on {rep.xi_matches}/20"
-        )
+        outcomes.append(f"({d0},{d1}) fit={curve} xi={xi} {'match' if rep.xi_match else 'miss'}")
     assert report(8, "xi formula trials", True,
-                  "; ".join(outcomes) + " [fit is 2*d0*d1 t - d0*d1*(d0+d1-4)/2]")
+                  "; ".join(outcomes) + " [numerator = Koszul product;"
+                  " fit is 2*d0*d1 t - d0*d1*(d0+d1-4)/2]")
 
 
 def test_ac09_conic_global_equations(monkeypatch):

@@ -1,26 +1,25 @@
-"""Curves cut on the flag threefold and the degree-formula trials."""
+"""Curves cut on the flag threefold and the Koszul count of the xi witness."""
 
 import json
-import random
 
 import pytest
 
-from flatcert import groebner
+from flatcert import flagcut, groebner
 from flatcert import (
     METHOD_RANK,
     Ideal,
     PlaneCurvePair,
+    fermat_pair,
     gamma_curve_ideal,
     ideal_dimension,
     incidence_form,
     koszul_hilbert_polynomial,
-    random_plane_curve,
     run_xi_trials,
     xi_formula,
     xy_universe,
 )
 from flatcert.cli import main
-from flatcert.flagcut import CURVE_COEFF_BOUND
+from flatcert.groebner import _product_numerator
 from flatcert.hilbert import (
     bigraded_hilbert_function,
     interpolate_hilbert_polynomial,
@@ -95,54 +94,95 @@ def test_koszul_and_xi_share_constant_term(d0, d1):
     assert koszul_hilbert_polynomial(d0, d1).evaluate(0) == xi_formula(d0, d1).evaluate(0)
 
 
-def test_random_curves_respect_block_and_degree():
-    rng = random.Random(4)
-    f = random_plane_curve(3, rng, block="x")
-    assert f.bidegree() == (3, 0)
-    g = random_plane_curve(2, rng, block="y")
-    assert g.bidegree() == (0, 2)
-    assert all(abs(c) <= CURVE_COEFF_BOUND for c in g.terms.values())
-    with pytest.raises(ValueError):
-        random_plane_curve(2, rng, block="z")
-
-
-def test_random_curves_are_reproducible():
-    a = random_plane_curve(2, random.Random(9))
-    b = random_plane_curve(2, random.Random(9))
-    assert a == b
-
-
 def test_swap_symmetry():
-    rng = random.Random(12)
-    pair = PlaneCurvePair(random_plane_curve(1, rng), random_plane_curve(2, rng, block="y"))
-    # the same curve with the two plane factors exchanged: f1 read in x, f0 in y
+    # a (1,2) pair once drawn at random, and the same curve with the two
+    # plane factors exchanged: f1 read in x, f0 in y
+    pair = PlaneCurvePair(
+        UNI.parse("6*x1 - x2 + 7*x3"),
+        UNI.parse("2*y1^2 - 5*y1*y2 + 3*y1*y3 - 9*y2^2 + 2*y2*y3 + 6*y3^2"))
     swapped = PlaneCurvePair(
         UNI.parse("2*x1^2 - 5*x1*x2 + 3*x1*x3 - 9*x2^2 + 2*x2*x3 + 6*x3^2"),
         UNI.parse("6*y1 - y2 + 7*y3"))
-    assert pair.f0 == UNI.parse("6*x1 - x2 + 7*x3")
-    assert pair.f1 == UNI.parse("2*y1^2 - 5*y1*y2 + 3*y1*y3 - 9*y2^2 + 2*y2*y3 + 6*y3^2")
     assert swapped.degrees == (2, 1)
     # same Hilbert polynomial, the (1,2) Koszul count 4t+1
     assert str(fit_gamma(pair)) == str(fit_gamma(swapped)) == "4t+1"
 
 
+def koszul_product(d0, d1):
+    """(1 - s1^d0)(1 - s2^d1)(1 - s1 s2) expanded term by term, zero
+    coefficients dropped; written out apart from the library's product."""
+    out = {}
+    for a0, b0, c0 in [(0, 0, 1), (d0, 0, -1)]:
+        for a1, b1, c1 in [(0, 0, 1), (0, d1, -1)]:
+            for a2, b2, c2 in [(0, 0, 1), (1, 1, -1)]:
+                key = (a0 + a1 + a2, b0 + b1 + b2)
+                out[key] = out.get(key, 0) + c0 * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def test_fermat_witness_has_the_koszul_numerator():
+    pairs = [(d0, d1) for d0 in range(1, 26) for d1 in range(1, 26) if d0 * d1 <= 25]
+    assert len(pairs) == 87
+    for d0, d1 in pairs + [(10, 10)]:
+        witness = fermat_pair(d0, d1)
+        assert witness.degrees == (d0, d1)
+        numerator = gamma_curve_ideal(witness).series_numerator()
+        assert numerator == koszul_product(d0, d1), (d0, d1, numerator)
+    # (1,1): the s1*s2 terms cancel, and no zero coefficient is kept
+    assert koszul_product(1, 1) == {(0, 0): 1, (1, 0): -1, (0, 1): -1,
+                                    (2, 1): 1, (1, 2): 1, (2, 2): -1}
+
+
+def test_n1_control_is_not_the_koszul_product():
+    # at n = 1, x.y = x1*y1 + x2*y2 lies in <x1, y2>: x.y, x1, y2 is not a
+    # regular sequence, and the numerator is (1 - s1)(1 - s2) alone
+    uni = xy_universe(1)
+    ideal = Ideal(uni, [incidence_form(uni), uni.parse("x1"), uni.parse("y2")])
+    numerator = ideal.series_numerator()
+    assert numerator == {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1}
+    assert numerator != koszul_product(1, 1)
+    assert numerator != _product_numerator([(1, 0), (0, 1), (1, 1)])
+
+
+def test_xi_equals_the_koszul_count_only_at_1_1():
+    # d0 + d1 = 2*d0*d1 forces (2*d0 - 1)(2*d1 - 1) = 1
+    for d0 in range(1, 31):
+        for d1 in range(1, 31):
+            same = xi_formula(d0, d1) == koszul_hilbert_polynomial(d0, d1)
+            assert same == (d0 == d1 == 1), (d0, d1)
+            assert same == ((2 * d0 - 1) * (2 * d1 - 1) == 1)
+
+
 def test_trials_on_lines_confirm_the_closed_formula():
-    report = run_xi_trials(1, 1, trials=4, seed=0)
-    assert report.passed
-    assert report.xi_matches == 4 and report.koszul_matches == 4
-    assert str(report.xi_expected) == "2t+1"
-    assert all(r.retries == [] for r in report.records)
+    report = run_xi_trials(1, 1)
+    assert report.numerator_identity
+    assert report.verdict == "PASS"
+    assert report.xi_match and report.koszul_match
+    assert str(report.xi_expected) == str(report.polynomial) == "2t+1"
+    assert report.to_json_dict()["xi_matches"] == 1
 
 
 def test_trials_on_conics_report_the_discrepancy():
-    report = run_xi_trials(2, 2, trials=2, seed=0)
-    # every sampled fiber fits the Koszul count, never the closed formula
-    assert report.koszul_matches == 2
-    assert report.xi_matches == 0
-    assert not report.passed
-    assert str(report.koszul_expected) == "8t"
+    report = run_xi_trials(2, 2)
+    # the witness fits the Koszul count, never the closed formula
+    assert report.numerator_identity
+    assert report.koszul_match and not report.xi_match
+    assert report.verdict == "FAIL"
+    assert str(report.koszul_expected) == str(report.polynomial) == "8t"
     assert str(report.xi_expected) == "4t"
-    assert all(str(r.polynomial) == "8t" for r in report.records)
+    assert str(report.witness.f0) == "x1^2 + x2^2 + x3^2"
+    assert str(report.witness.f1) == "y1^2 + y2^2 + y3^2"
+
+
+def test_numerator_mismatch_fails_even_where_xi_fits(monkeypatch):
+    # drop the (1,1) factor from the expected product: the identity fails
+    # and the verdict is FAIL, although the fit still matches xi at (1,1)
+    monkeypatch.setattr(flagcut, "_product_numerator",
+                        lambda degrees: _product_numerator(degrees[:2]))
+    report = run_xi_trials(1, 1)
+    assert not report.numerator_identity and report.xi_match
+    assert report.verdict == "FAIL"
+    assert main(["xi-trials", "1", "1"]) == 1
 
 
 @pytest.fixture()
@@ -160,31 +200,31 @@ def buchberger_calls(monkeypatch):
 
 
 def test_one_completion_per_draw(buchberger_calls):
-    report = run_xi_trials(2, 2, trials=2, seed=0)
-    # the dimension check and the Hilbert table share one basis per draw
-    assert len(buchberger_calls) == report.trials + report.total_retries
+    run_xi_trials(2, 2)
+    # the numerator, the dimension check and the Hilbert table share one basis
+    assert len(buchberger_calls) == 1
 
 
 def test_short_table_is_one_draw_per_trial_and_inconclusive(buchberger_calls, capsys):
-    # t = 0..3 cannot fix the (1,3) curve's polynomial: no trial redraws
+    # t = 0..3 cannot fix the (1,3) curve's polynomial, whatever --trials says
     assert main(["xi-trials", "1", "3", "--t-max", "3", "--trials", "3"]) == 2
     report = json.loads(capsys.readouterr().out)["report"]
-    assert len(buchberger_calls) == 3
-    assert [r["polynomial"] for r in report["records"]] == [None] * 3
-    assert report["total_retries"] == 0 and not report["passed"]
+    assert len(buchberger_calls) == 1
+    assert [r["polynomial"] for r in report["records"]] == [None]
+    assert report["records"][0]["numerator_identity"] and not report["passed"]
 
 
 def test_trials_are_deterministic_and_worker_independent():
-    a = run_xi_trials(1, 2, trials=3, seed=5)
-    b = run_xi_trials(1, 2, trials=3, seed=5)
+    a = run_xi_trials(1, 2)
+    b = run_xi_trials(1, 2)
     assert a.to_json_dict() == b.to_json_dict()
-    assert [r.seed for r in a.records] == [r.seed for r in b.records]
+    assert a.witness == b.witness == fermat_pair(1, 2)
 
 
 def test_trials_json_shape():
-    report = run_xi_trials(1, 1, trials=2, seed=1)
-    d = report.to_json_dict()
-    assert d["d0"] == 1 and d["trials"] == 2
-    assert len(d["records"]) == 2
-    rec = d["records"][0]
-    assert {"index", "seed", "f0", "f1", "polynomial", "xi_match", "koszul_match"} <= set(rec)
+    d = run_xi_trials(1, 1).to_json_dict()
+    assert sorted(d) == ["d0", "d1", "koszul_expected", "koszul_matches", "passed",
+                         "records", "xi_expected", "xi_matches"]
+    assert d["d0"] == 1 and len(d["records"]) == 1
+    assert sorted(d["records"][0]) == ["f0", "f1", "koszul_match", "numerator_identity",
+                                       "polynomial", "xi_match"]

@@ -25,10 +25,8 @@ from flatcert import (
     ideal_dimension,
     is_groebner_basis,
     leading_monomial,
-    monomials_of_bidegree,
     normal_form,
     random_chart_point,
-    random_plane_curve,
     special_fiber_ideal,
     spolynomial,
     xy_universe,
@@ -50,6 +48,7 @@ from flatcert.groebner import (
     monomial_lcm,
     monomial_mul,
 )
+from flatcert.polyring import iter_exponents_of_bidegree
 
 UNI = xy_universe(2)
 
@@ -266,7 +265,7 @@ def test_ideal_requires_a_generator():
 
 def test_monomial_intersection_and_minimalization():
     uni = xy_universe(1)
-    a = [m.exponents for m in monomials_of_bidegree(uni, 1, 1)]
+    a = list(iter_exponents_of_bidegree(uni, 1, 1))
     # <all degree (1,1) monomials> meet <x1^2>, then minimalized
     b = [uni.parse("x1^2").terms_sorted()[0][0]]
     meet = intersect_monomial_exponents(a, b)
@@ -411,6 +410,17 @@ def reference_buchberger(gens, order):
     return basis, run
 
 
+def random_plane_curve(degree, rng, block, universe):
+    """A nonzero form pure in one block, coefficients drawn from [-9, 9] in
+    iter_exponents_of_bidegree's order until one is nonzero: the xi curves
+    the library used to sample, so the xi22 inputs keep their values."""
+    bidegree = (degree, 0) if block == "x" else (0, degree)
+    while True:
+        terms = {e: rng.randint(-9, 9) for e in iter_exponents_of_bidegree(universe, *bidegree)}
+        if any(terms.values()):
+            return BiPolynomial(universe, terms)
+
+
 def xi_pair_generators(seed):
     rng = Random(seed)
     uni = xy_universe(2)
@@ -450,7 +460,7 @@ def test_audit_trail_matches_reference_loop(name, label):
 
 def random_polynomial(rng, universe, bidegree, num_terms):
     """Bihomogeneous, with coefficients p/q, |p| <= 50 and q in 1..12."""
-    monomials = [m.exponents for m in monomials_of_bidegree(universe, *bidegree)]
+    monomials = list(iter_exponents_of_bidegree(universe, *bidegree))
     picked = rng.sample(monomials, min(num_terms, len(monomials)))
     return BiPolynomial(universe, {
         e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 12))

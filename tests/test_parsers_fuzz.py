@@ -3,10 +3,9 @@
 Any ideal file or points file either parses, or raises an error that the
 command line reports on one line with exit code 3 (`cli.USAGE_ERRORS`).
 A --t-max past `cli.MAX_T`, or one whose rank-oracle matrix is past
-`hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way, and so does a
---trials past `cli.MAX_COUNT`, and xi degrees whose product is past
-`cli.MAX_DEGREE_PRODUCT`.  No Hilbert function is computed, and no
-trial run, here.
+`hilbert.MAX_MACAULAY_ENTRIES`, exits 3 the same way, and so do xi
+degrees whose product is past `cli.MAX_DEGREE_PRODUCT`.  No Hilbert
+function is computed, and no xi witness built, here.
 """
 
 import contextlib
@@ -19,7 +18,6 @@ from hypothesis import given, strategies as st
 
 from flatcert import ChartPoint, Ideal
 from flatcert.cli import (
-    MAX_COUNT,
     MAX_DEGREE_PRODUCT,
     MAX_N,
     MAX_T,
@@ -136,17 +134,7 @@ def test_t_max_beyond_its_budget_exits_3(argv, t_max):
     assert code == 3 and f"argument --t-max: must be <= {MAX_T}" in err[-1], err
 
 
-# --- large counts ---
-
-_COUNT_OPTIONS = st.sampled_from([
-    ["xi-trials", "1", "1", "--trials"], ["xi-trials", "2", "2", "--trials"]])
-
-
-@given(_COUNT_OPTIONS, st.integers(min_value=MAX_COUNT + 1, max_value=10**30))
-def test_count_beyond_its_budget_exits_3(argv, count):
-    code, err = exit_code_and_stderr([*argv, str(count)])
-    assert code == 3 and f"argument {argv[-1]}: must be <= {MAX_COUNT}" in err[-1], err
-
+# --- large xi degrees ---
 
 @given(st.integers(min_value=1, max_value=10**30), st.integers(min_value=1, max_value=10**30))
 def test_xi_degrees_beyond_their_budget_exit_3(d0, d1):

@@ -71,6 +71,18 @@ def test_chart_point_constructors_and_json():
     assert ChartPoint.from_json_dict(made.to_json_dict()) == made
 
 
+def test_value_types_refuse_float_and_bool():
+    # exact rationals only, as in the ring: 0.1 is not 1/10
+    for make in [lambda: ChartPoint.from_strict_lower([[True]], [Fraction(1, 10)]),
+                 lambda: ChartPoint.from_strict_lower([[1]], [0.1]),
+                 lambda: ChartPoint(((1, 0), (0.5, 1)), (1,)),
+                 lambda: SymmetricMatrixQ.from_rows([[1, 0], [0, 2.0]]),
+                 lambda: SymmetricMatrixQ.diagonal((1, False)),
+                 lambda: SymmetricMatrixQ(((1, "2"), ("2", 1)))]:
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_chart_point_rejects_bad_shapes():
     with pytest.raises(ValueError):
         ChartPoint.from_strict_lower([[Fraction(1), Fraction(2)]], [Fraction(1)])
@@ -283,6 +295,18 @@ def test_nonzerodivisor_check_raises_on_a_wrong_prime_list():
     assert not nonzerodivisor_check(uni.parse("y2"), mons, primes)
     with pytest.raises(RuntimeError, match="disagree"):
         nonzerodivisor_check(uni.parse("y2"), mons, primes[1:])
+
+
+def test_nonzerodivisor_on_coprime_generators():
+    # <x1, y2, x2*y1> has pairwise coprime generators, and its numerator
+    # (1 - s1)(1 - s2)(1 - s1*s2) has a cancelled s1*s2 term, which must not
+    # be kept as a zero coefficient when the numerators are compared
+    uni = xy_universe(1)
+    f, mons = uni.parse("x2*y1"), [uni.parse("x1"), uni.parse("y2")]
+    assert Ideal(uni, [*mons, f]).series_numerator() == {
+        (0, 0): 1, (1, 0): -1, (0, 1): -1, (2, 1): 1, (1, 2): 1, (2, 2): -1}
+    assert nonzerodivisor_check(f, mons, [("x1", "y2")])
+    assert not nonzerodivisor_check(uni.parse("x1*y1"), mons, [("x1", "y2")])
 
 
 # --- the complete-conics graph ---
