@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Run every CLI verification suite and summarize the exit codes.
 
-Each suite has an expected exit code.  Most suites must pass (0); the
+Each suite has an expected exit code.  Most suites must pass (0), among
+them the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
+latter up to t = 8 by both methods as in the rank-referee benchmark; the
 xi-trials runs at degrees (2,2) and (3,3) are expected to exit 1 because
 the Fermat witness fits the Koszul count, with leading coefficient
 2*d0*d1, not the closed formula, which matches only at (1,1) (see
@@ -43,8 +45,10 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     uni = xy_universe(2)
 
     # a chart point with coefficients of heights 3..8, so that the rank
-    # oracle's elimination meets pivots other than +-1
+    # oracle's elimination meets pivots other than +-1, and a degenerate one
+    # with d1 = 0, the other half of the rank-referee benchmark's mix
     chart = ChartPoint.from_strict_lower([[-6], [8, 4]], [7, -3])
+    chart_degenerate = ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7])
     # an n=4 chart point whose rank-oracle matrix at t=5 is over budget
     chart_n4 = ChartPoint.from_strict_lower(
         [[3], [-4, Fraction(5, 3)], [7, -3, 4], [Fraction(5, 2), -6, 3, -8]],
@@ -55,6 +59,8 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
                         ("unit_n2", Ideal(uni, [uni.one()])),
                         ("huge_exponent_n2", Ideal(uni, [uni.parse("x1^100000000*y1")])),
                         ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
+                        ("degenerate_fiber_n2",
+                         evaluate_family_at(family_ideal_J(2), chart_degenerate)),
                         ("chart_fiber_n4", evaluate_family_at(family_ideal_J(4), chart_n4))]:
         path = tmp / f"{name}.ideal"
         path.write_text(ideal_file_text(name, ideal.universe.n, ideal.generators),
@@ -83,6 +89,9 @@ def main() -> int:
              ["hilbert", str(files["unit_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=2",
              ["hilbert", str(files["chart_fiber_n2"]), "--method", "both"], 0),
+            ("hilbert: chart fiber n=2 with d1 = 0, t <= 8",
+             ["hilbert", str(files["degenerate_fiber_n2"]), "--method", "both",
+              "--t-max", "8"], 0),
             ("hilbert: chart fiber n=4, rank oracle over its matrix budget",
              ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
             ("hilbert: x1^100000000*y1 n=2, no table sees the generator",

@@ -50,10 +50,12 @@ def normalize_method(method: str) -> str:
 
 # Budget of the rank route: the largest Macaulay matrix, as rows x columns,
 # that tabulate_diagonal will eliminate.  The largest that the tests, the
-# benchmark and scripts/run_verification.py build is the n=3 special fiber
-# at t=6, 9897 x 7056 (7.0e7 entries, 0.25 s); the n=4 chart fiber at t=5,
-# 24760 x 15876 (3.9e8), ran for minutes past 900 MB.  Cost follows shape
-# only roughly (3.5e7 entries at n=4, t=4 take 43 s), so this is a size
+# benchmark and scripts/run_verification.py build is 9897 x 7056 (7.0e7
+# entries), at n=3 and t=6.  Its cost is set by coefficient growth, not by
+# its shape: the special fiber's takes 0.13 s and a chart fiber's, with
+# |u|, |d| up to 9, 26 s (CPython 3.11, one core).  The n=4 chart fiber of
+# tests/data takes 27 s at t=4, 7180 x 4900 (3.5e7), and at t=5,
+# 24760 x 15876 (3.9e8), ran for minutes past 900 MB.  So this is a size
 # budget, not a time limit.
 MAX_MACAULAY_ENTRIES = 10**8
 
@@ -322,18 +324,33 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     m*g_r = (m'*g_r)*g_q - (m'*(g_q - LT(g_q)))*g_r, rows of g_q plus rows
     m''*g_r with m'' < m, and induction on (r, m) keeps the rank.  Lazard
     (EUROCAL 1983); the F5 criterion of Faugere (ISSAC 2002).
+
+    Columns are keyed by exponent tuples packed into one int, digits in
+    radix max(i, j) + 1, so the column of e*m is that of pack(e) + pack(m):
+    the sum adds digit by digit and no digit carries.  e*m has bidegree
+    (i, j), so each of its exponents is at most max(i, j), and
+    _require_bihomogeneous has refused parameter variables, whose
+    exponents the bidegree would not bound.  So each key is the numeral of
+    one exponent tuple, and distinct columns get distinct keys.
     """
     uni = ideal.universe
-    cols: dict[Exponents, int] = {}
-    for e in iter_exponents_of_bidegree(uni, i, j):
-        cols[e] = len(cols)
+    base = max(i, j) + 1
+
+    def pack(e: Exponents) -> int:
+        key = 0
+        for x in e:
+            key = key * base + x
+        return key
+
+    cols = {pack(e): c for c, e in enumerate(iter_exponents_of_bidegree(uni, i, j))}
     rows: list[dict[int, int]] = []
     leads: list[Exponents] = []
     for (a, b), lead, int_terms in _echelon_generators(ideal):
+        terms = [(pack(e), v) for e, v in int_terms.items()]
         for m in iter_exponents_of_bidegree(uni, i - a, j - b):
             if not any(monomial_divides(p, m) for p in leads):
-                rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v
-                             for e, v in int_terms.items()})
+                pm = pack(m)
+                rows.append({cols[pe + pm]: v for pe, v in terms})
         leads.append(lead)
     return len(cols) - sparse_integer_rank(rows)
 

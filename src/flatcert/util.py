@@ -102,12 +102,19 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
     """Rank of a sparse integer matrix by fraction-free elimination.
 
     Rows are dicts column -> nonzero integer; the caller's dicts are not
-    changed.  Pivots favor short rows and thin columns.  With g = gcd(pv, v),
-    each target row becomes +-((pv/g)*row - (v/g)*pivot) in place, touching
-    only the pivot row's columns; a row scaled by |pv/g| > 1 is divided by
-    its content afterwards, so all arithmetic stays in Z.  Scaling keeps a
-    row's support, so fill-in and pivot order do not depend on it.
-    Deterministic.
+    changed.  A column that only one active row holds is a free pivot: no
+    combination of the other rows reaches it, so that row leaves and adds 1
+    to the rank without touching any other row.  Such columns go on a
+    stack after loading, when a free pivot's row leaves, and after each
+    elimination step, whose leaving row and cancelled entries shrink
+    columns; the stack is drained before each elimination step (structured
+    Gaussian elimination, LaMacchia and Odlyzko 1990).  An elimination
+    step takes the shortest active row and its thinnest column.  With
+    g = gcd(pv, v), each target row becomes +-((pv/g)*row - (v/g)*pivot)
+    in place, touching only the pivot row's columns; a row scaled by
+    |pv/g| > 1 is divided by its content afterwards, so all arithmetic
+    stays in Z.  Scaling keeps a row's support, so fill-in and pivot order
+    do not depend on it.  Deterministic.
     """
     active: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -125,9 +132,23 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
         for c in r:
             col_rows.setdefault(c, set()).add(rid)
         heapq.heappush(heap, (len(r), rid))
+    singles = [c for c, rids in col_rows.items() if len(rids) == 1]
 
     rank = 0
-    while heap:
+    while True:
+        while singles:
+            rids = col_rows[singles.pop()]
+            if len(rids) != 1:
+                continue  # stale: the column gained a row or lost its last
+            rid = rids.pop()
+            rank += 1
+            for c in active.pop(rid):
+                rids = col_rows[c]
+                rids.discard(rid)
+                if len(rids) == 1:
+                    singles.append(c)
+        if not heap:
+            return rank
         nnz, rid = heapq.heappop(heap)
         row = active.get(rid)
         if row is None or len(row) != nnz:
@@ -174,4 +195,6 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
                     for c in vrow:
                         vrow[c] //= g
             heapq.heappush(heap, (len(vrow), vid))
-    return rank
+        # the step changed no row sets but those of the pivot row's columns:
+        # its leaving and each cancellation only shrink them, fill-in grows them
+        singles += [c for c, _ in rest if len(col_rows[c]) == 1]

@@ -33,7 +33,7 @@ from flatcert import (
 )
 from flatcert import groebner, hilbert
 from flatcert.cli import parse_ideal_file
-from flatcert.groebner import _integer_terms, monomial_mul
+from flatcert.groebner import _integer_terms, monomial_divides, monomial_mul
 from flatcert.hilbert import (
     MAX_MACAULAY_ENTRIES,
     MacaulayBudgetError,
@@ -206,6 +206,55 @@ def test_pruned_rank_oracle_matches_unpruned_builder(n, seed, monkeypatch):
             assert value == bigraded_hilbert_function(ideal, i, j, METHOD_INITIAL), (i, j)
             if i == j:
                 assert rank_matrix_shape(ideal, i)[0] == kept[-1]
+
+
+def tuple_keyed_rows(ideal, i, j):
+    """The rank oracle's rows with columns keyed by exponent tuples: the
+    column of e*m is looked up by the tuple sum, term by term."""
+    uni = ideal.universe
+    cols = {}
+    for e in iter_exponents_of_bidegree(uni, i, j):
+        cols[e] = len(cols)
+    rows, leads = [], []
+    for (a, b), lead, int_terms in hilbert._echelon_generators(ideal):
+        for m in iter_exponents_of_bidegree(uni, i - a, j - b):
+            if not any(monomial_divides(p, m) for p in leads):
+                rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v
+                             for e, v in int_terms.items()})
+        leads.append(lead)
+    return rows
+
+
+def _oracle_rows(ideal, i, j, monkeypatch):
+    captured = []
+    monkeypatch.setattr(hilbert, "sparse_integer_rank", lambda rows: captured.append(rows) or 0)
+    hilbert._rank_oracle_value(ideal, i, j)
+    (rows,) = captured
+    return [list(row.items()) for row in rows]
+
+
+@pytest.mark.parametrize("n, seed", [(1, s) for s in range(5)] + [(2, s) for s in range(5)])
+def test_packed_columns_give_the_tuple_keyed_rows(n, seed, monkeypatch):
+    # every (i, j) up to 3, so (0, j), (i, 0) and off-diagonal pieces too;
+    # rows and their entries must come out in the same order
+    ideal = random_bihomogeneous_ideal(n, Random(seed))
+    for i in range(4):
+        for j in range(4):
+            expected = [list(row.items()) for row in tuple_keyed_rows(ideal, i, j)]
+            assert _oracle_rows(ideal, i, j, monkeypatch) == expected, (i, j)
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (4, 1), (1, 4), (2, 6), (5, 5)])
+def test_packed_columns_reach_the_radix_edge(i, j, monkeypatch):
+    # x1*y1 is a term of a generator of the chart fiber, and its multiple
+    # x1^(i-1)*y1^(j-1) has the column x1^i*y1^j, whose largest exponent
+    # is max(i, j): the largest digit the radix max(i, j) + 1 allows.  At
+    # (1, 1) a radix of max(i, j) would be 1 and merge distinct columns.
+    ideal = parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal"))
+    rows = _oracle_rows(ideal, i, j, monkeypatch)
+    assert rows == [list(row.items()) for row in tuple_keyed_rows(ideal, i, j)]
+    edge = list(iter_exponents_of_bidegree(ideal.universe, i, j)).index((i, 0, 0, j, 0, 0))
+    assert any(c == edge for row in rows for c, _ in row)
 
 
 def test_rank_route_refuses_matrices_over_the_budget():

@@ -7,11 +7,12 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flatcert import hilbert
+from flatcert import hilbert, util
 from flatcert.cli import parse_ideal_file
 from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
@@ -128,6 +129,82 @@ def test_sparse_rank_matches_dense(seed):
     assert sparse_integer_rank(rows) == dense_rank(rows, ncols)
 
 
+def planted_sparse_rows(rng):
+    """random_sparse_rows with structure planted for the singleton pass:
+    columns that one row holds from the start; triples x = p + a*e_c,
+    y = k*x + w, z = b*e_c + z' that leave column c to z alone once y is
+    reduced by x; and duplicated or proportional rows.  Shuffled."""
+    rows, ncols = random_sparse_rows(rng)
+
+    def nonzero():
+        return rng.choice([-1, 1]) * rng.randint(1, 9)
+
+    def random_row(width):
+        return {c: nonzero() for c in rng.sample(range(width), rng.randint(0, min(4, width)))}
+
+    for row in rng.sample(rows, rng.randint(0, len(rows))):
+        row[ncols] = nonzero()
+        ncols += 1
+    for _ in range(rng.randint(0, 3)):
+        c = ncols
+        ncols += 1
+        x = {**rng.choice(rows), c: nonzero()}
+        k, w = nonzero(), random_row(c)
+        y = {col: k * x.get(col, 0) + w.get(col, 0) for col in x.keys() | w.keys()}
+        rows += [x, {col: v for col, v in y.items() if v}, {**random_row(c), c: nonzero()}]
+    for row in rng.sample(rows, rng.randint(0, min(3, len(rows)))):
+        k = rng.choice([1, -1, 2, -3, 5])
+        rows.append({col: k * v for col, v in row.items()})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sparse_rank_matches_dense_on_planted_singletons(seed):
+    rows, ncols = planted_sparse_rows(random.Random(seed))
+    assert sparse_integer_rank(rows) == dense_rank(rows, ncols)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sparse_rank_ignores_row_order(seed):
+    rng = random.Random(seed)
+    rows, _ = planted_sparse_rows(rng)
+    assert sparse_integer_rank(rng.sample(rows, len(rows))) == sparse_integer_rank(rows)
+
+
+def rank_and_row_updates(rows, monkeypatch):
+    """The rank, and how many row updates the kernel made that left a row
+    nonzero: each one pushes that row back on the heap, after the one push
+    per nonzero row at load."""
+    pushes = []
+
+    def heappush(heap, item):
+        pushes.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(util, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+    rank = sparse_integer_rank(rows)
+    return rank, len(pushes) - sum(1 for row in rows if any(row.values()))
+
+
+@pytest.mark.parametrize("rows, rank, updates", [
+    # column 2 is the long row's alone from the start, so it goes first
+    # and leaves column 0 to the short row: no row is ever updated
+    ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}], 2, 0),
+    # the first row pivots on column 2 and updates the second to {0: 5},
+    # cancelling column 1 there; that leaves column 1 to the third row,
+    # which then goes without updating {0: 5}
+    ([{1: 2, 2: 3}, {0: 5, 1: 4, 2: 6}, {0: 1, 1: 7}], 3, 1),
+    # the first row pivots on column 0: the proportional second row
+    # cancels to zero and leaves, the fourth becomes {1: 2, 2: 1}; the third
+    # pivots on column 1 and leaves column 2 to the fourth, {2: -1}
+    ([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3, 2),
+], ids=["from-the-start", "after-a-cancellation", "proportional"])
+def test_singleton_columns_pivot_without_row_updates(rows, rank, updates, monkeypatch):
+    assert rank_and_row_updates(rows, monkeypatch) == (rank, updates)
+    assert reference_sparse_rank(rows) == dense_rank(rows, 3) == rank
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_sparse_rank_leaves_input_unchanged(seed):
     rows, _ = random_sparse_rows(random.Random(seed))
@@ -147,15 +224,19 @@ def _macaulay_matrices(ideal, ts, monkeypatch):
     return captured
 
 
-@pytest.mark.parametrize("point, t_max", [
-    (ChartPoint.from_strict_lower([[4], [-6, 8]], [3, 7]), 5),
-    (ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7]), 5),
-    (ChartPoint.from_strict_lower([[3], [-5, 2], [4, -7, 6]], [2, -9, 5]), 3),
-], ids=["n2", "n2-degenerate", "n3"])
-def test_sparse_rank_matches_reference_on_macaulay_matrices(point, t_max, monkeypatch):
+# the n=2 points have the rank-referee benchmark's heights, |u| (4, 6, 8)
+# and |d| (3, 7), and the t8 cases its largest t
+@pytest.mark.parametrize("point, ts", [
+    (ChartPoint.from_strict_lower([[4], [-6, 8]], [3, 7]), range(1, 6)),
+    (ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7]), range(1, 6)),
+    (ChartPoint.from_strict_lower([[3], [-5, 2], [4, -7, 6]], [2, -9, 5]), range(1, 4)),
+    (ChartPoint.from_strict_lower([[4], [-6, 8]], [3, 7]), [8]),
+    (ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7]), [8]),
+], ids=["n2", "n2-degenerate", "n3", "n2-t8", "n2-degenerate-t8"])
+def test_sparse_rank_matches_reference_on_macaulay_matrices(point, ts, monkeypatch):
     fiber = evaluate_family_at(family_ideal_J(point.n), point)
-    matrices = _macaulay_matrices(fiber, range(1, t_max + 1), monkeypatch)
-    assert len(matrices) == t_max
+    matrices = _macaulay_matrices(fiber, ts, monkeypatch)
+    assert len(matrices) == len(ts)
     for rows in matrices:
         assert sparse_integer_rank(rows) == reference_sparse_rank(rows)
 
