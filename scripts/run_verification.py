@@ -4,18 +4,20 @@
 Each suite has an expected exit code.  Most suites must pass (0), among
 them the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
 latter up to t = 8 by both methods as in the rank-referee benchmark; the
-xi-trials runs at degrees (2,2) and (3,3) are expected to exit 1 because
-the Fermat witness fits the Koszul count, with leading coefficient
-2*d0*d1, not the closed formula, which matches only at (1,1) (see
-README), the two negative controls to exit 1, the n=4 chart fiber at t=5
-to exit 3 because its rank-oracle matrix is over
-hilbert.MAX_MACAULAY_ENTRIES, xi-trials at (1,3) with --t-max 3 to exit 2
-because that table is too short to fix the curve's polynomial, xi-trials
-at (6,6) to exit 3 because d0*d1 is over cli.MAX_DEGREE_PRODUCT, and the
-hilbert run on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table
-up to t_max sees that generator; its dimension is read without a dense
-list of 10^8 coefficients.  xi-trials reads no seed, so its suites pass
-none; --seed is handed to the verify-flatness suites only.
+xi-trials runs at degrees (2,2), (3,3), (25,1) and (1,25) are expected to
+exit 1 because the Fermat witness fits the Koszul count, with leading
+coefficient 2*d0*d1, not the closed formula, which matches only at (1,1)
+(see README); (25,1) and (1,25) are the longest Koszul tables under
+cli.MAX_DEGREE_PRODUCT, t = 0..31.  The two negative controls are
+expected to exit 1, the n=4 chart fiber at t=5 to exit 3 because its
+rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES, xi-trials at
+(1,3) with --t-max 3 to exit 2 because that table is too short to fix the
+curve's polynomial, xi-trials at (6,6) to exit 3 because d0*d1 is over
+cli.MAX_DEGREE_PRODUCT, and the hilbert run on x1^100000000*y1 to exit 2
+(INCONCLUSIVE) because no table up to t_max sees that generator; its
+dimension is read without a dense list of 10^8 coefficients.  xi-trials
+reads no seed, so its suites pass none; --seed is handed to the
+verify-flatness suites only.
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -119,6 +121,10 @@ def main() -> int:
             ("xi witness (1,1): the closed formula holds", ["xi-trials", "1", "1"], 0),
             ("xi witness (2,2): known formula gap", ["xi-trials", "2", "2"], 1),
             ("xi witness (3,3): known formula gap", ["xi-trials", "3", "3"], 1),
+            ("xi witness (25,1): the longest table under the degree budget",
+             ["xi-trials", "25", "1"], 1),
+            ("xi witness (1,25): the longest table under the degree budget",
+             ["xi-trials", "1", "25"], 1),
             ("xi witness (1,3), t <= 3: too short a table",
              ["xi-trials", "1", "3", "--t-max", "3"], 2),
             ("xi witness (6,6): over the degree budget", ["xi-trials", "6", "6"], 3),

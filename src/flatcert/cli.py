@@ -11,6 +11,7 @@ JSON keys, and every fiber run in order.  Only verify-flatness reads
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -344,7 +345,10 @@ def _run_primary_check(args: argparse.Namespace) -> Outcome:
     return _verdict(passed), config, report, lines
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: main reuses it, and parse_args
+    returns a fresh Namespace on every call."""
     positive = _int_in_range(1)
     dimension = _int_in_range(1, MAX_N)
     t_max = _int_in_range(3, MAX_T)

@@ -29,7 +29,7 @@ from .groebner import (  # NonBihomogeneousError is re-exported from here
     _series_numerator,
     monomial_divides,
 )
-from .polyring import Exponents, iter_exponents_of_bidegree
+from .polyring import Exponents, Rational, _rational, iter_exponents_of_bidegree
 from .util import parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
@@ -91,29 +91,16 @@ def _poly_trim(c: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c)
 
 
-def _poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _poly_scale(a: Sequence[Fraction], q: Fraction) -> list[Fraction]:
-    return [v * q for v in a]
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, v in enumerate(a):
         for j, w in enumerate(b):
             out[i + j] += v * w
     return out
 
 
-def _poly_eval(coeffs: Sequence[Fraction], t: Fraction | int) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs: Sequence[Rational], t: Rational) -> Rational:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
@@ -133,11 +120,11 @@ class HilbertPolynomialQ:
     @staticmethod
     def from_coefficients(coeffs: Iterable[Fraction | int],
                           stabilization_threshold: int | None = None) -> "HilbertPolynomialQ":
-        c = [Fraction(v) for v in coeffs]
+        c = [Fraction(_rational(v, "a coefficient")) for v in coeffs]
         return HilbertPolynomialQ(_poly_trim(c), stabilization_threshold)
 
     def evaluate(self, t: int) -> Fraction:
-        return _poly_eval(self.coefficients, t)
+        return Fraction(_poly_eval(self.coefficients, t))
 
     @property
     def degree(self) -> int:
@@ -187,12 +174,13 @@ class HilbertPolynomialQ:
 
 # --- Hilbert functions from series numerators ---
 
-def _binomial_in_t(n: int, slope: int, shift: int) -> list[Fraction]:
-    """Coefficients of C(slope*t + shift, n) as a polynomial in t."""
-    out = [Fraction(1)]
+def _binomial_in_t(n: int, slope: int, shift: int) -> list[int]:
+    """Integer coefficients of n! * C(slope*t + shift, n), the product of
+    slope*t + shift - n + i over i = 1..n."""
+    out = [1]
     for i in range(1, n + 1):
-        out = _poly_mul(out, [Fraction(shift - n + i), Fraction(slope)])
-    return _poly_scale(out, Fraction(1, factorial(n)))
+        out = _int_poly_mul(out, [shift - n + i, slope])
+    return out
 
 
 def _numerator_value(numerator: Numerator, k: int, i: int, j: int) -> int:
@@ -201,15 +189,24 @@ def _numerator_value(numerator: Numerator, k: int, i: int, j: int) -> int:
                for (a, b), c in numerator.items() if a <= i and b <= j)
 
 
-def _diagonal_polynomial(numerator: Numerator, k: int) -> list[Fraction]:
+def _diagonal_polynomial(numerator: Numerator, k: int) -> tuple[list[int], int]:
     """The polynomial that HF(t, t) equals for t >= max(a, b) - k + 1 over
-    the numerator's terms: _numerator_value with C(t-a+k-1, k-1) as a
-    polynomial in t."""
-    total: list[Fraction] = []
+    the numerator's terms, as integer coefficients over ((k-1)!)^2:
+    _numerator_value with C(t-a+k-1, k-1) as a polynomial in t.
+
+    With P_s = (k-1)! * C(t+s, k-1), that is the sum over a of
+    P_(k-1-a) * (sum over b of c_ab * P_(k-1-b)), each P_s built once."""
+    p = {s: _binomial_in_t(k - 1, 1, s) for s in {k - 1 - x for ab in numerator for x in ab}}
+    inner: dict[int, list[int]] = {}  # a -> sum over b of c_ab * P_(k-1-b)
     for (a, b), c in numerator.items():
-        term = _poly_mul(_binomial_in_t(k - 1, 1, k - 1 - a), _binomial_in_t(k - 1, 1, k - 1 - b))
-        total = _poly_add(total, _poly_scale(term, Fraction(c)))
-    return total
+        acc = inner.setdefault(a, [0] * k)
+        for d, v in enumerate(p[k - 1 - b]):
+            acc[d] += c * v
+    total = [0] * (2 * k - 1) if inner else []
+    for a, acc in inner.items():
+        for d, v in enumerate(_int_poly_mul(p[k - 1 - a], acc)):
+            total[d] += v
+    return total, factorial(k - 1) ** 2
 
 
 # --- closed forms ---
@@ -221,7 +218,8 @@ def chi_graph(n: int) -> HilbertPolynomialQ:
         raise ValueError("n must be >= 1")
     a = _binomial_in_t(n, 2, n)
     b = _binomial_in_t(n, 2, n - 2)
-    return HilbertPolynomialQ.from_coefficients(_poly_add(a, _poly_scale(b, Fraction(-1))))
+    return HilbertPolynomialQ.from_coefficients(
+        [Fraction(x - y, factorial(n)) for x, y in zip(a, b)])
 
 
 def xi_formula(d0: int, d1: int) -> HilbertPolynomialQ:
@@ -250,8 +248,8 @@ def koszul_hilbert_polynomial(d0: int, d1: int) -> HilbertPolynomialQ:
     """
     if d0 < 1 or d1 < 1:
         raise ValueError("degrees must be positive")
-    numerator = _product_numerator([(d0, 0), (0, d1), (1, 1)])
-    return HilbertPolynomialQ.from_coefficients(_diagonal_polynomial(numerator, 3),
+    num, den = _diagonal_polynomial(_product_numerator([(d0, 0), (0, d1), (1, 1)]), 3)
+    return HilbertPolynomialQ.from_coefficients([Fraction(c, den) for c in num],
                                                 stabilization_threshold=d0 + d1 + 2)
 
 
@@ -345,11 +343,13 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     cols = {pack(e): c for c, e in enumerate(iter_exponents_of_bidegree(uni, i, j))}
     rows: list[dict[int, int]] = []
     leads: list[Exponents] = []
+    multipliers: dict[tuple[int, int], list[tuple[Exponents, int]]] = {}  # by bidegree
     for (a, b), lead, int_terms in _echelon_generators(ideal):
         terms = [(pack(e), v) for e, v in int_terms.items()]
-        for m in iter_exponents_of_bidegree(uni, i - a, j - b):
+        if (a, b) not in multipliers:
+            multipliers[a, b] = [(m, pack(m)) for m in iter_exponents_of_bidegree(uni, i - a, j - b)]
+        for m, pm in multipliers[a, b]:
             if not any(monomial_divides(p, m) for p in leads):
-                pm = pack(m)
                 rows.append({cols[pe + pm]: v for pe, v in terms})
         leads.append(lead)
     return len(cols) - sparse_integer_rank(rows)
@@ -398,18 +398,25 @@ def methods_agree(ideal: Ideal, ts: Iterable[int]) -> bool:
 
 # --- interpolation ---
 
-def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
-    total = [Fraction(0)]
-    for i, (ti, vi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = 1
-        for j, (tj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [Fraction(-tj), Fraction(1)])
-            denom *= ti - tj
-        total = _poly_add(total, _poly_scale(basis, Fraction(vi, denom)))
-    return total
+def _newton(points: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The polynomial of degree < len(points) through values at consecutive
+    t0, t0+1, .., t0+m, as integer coefficients over m!: Newton's forward
+    differences, f(t) = sum over k of D^k f(t0) * C(t - t0, k), with
+    m! * C(t - t0, k) = (m!/k!) * (t - t0)(t - t0 - 1)..(t - t0 - k + 1)."""
+    t0 = points[0][0]
+    if [t for t, _ in points] != list(range(t0, t0 + len(points))):
+        raise ValueError(f"Newton interpolation needs consecutive points, got {points}")
+    m = len(points) - 1
+    diffs = [v for _, v in points]
+    falling = [1]  # k! * C(t - t0, k)
+    num = [0] * (m + 1)
+    for k in range(m + 1):
+        scale = diffs[0] * (factorial(m) // factorial(k))
+        for d, v in enumerate(falling):
+            num[d] += scale * v
+        falling = _int_poly_mul(falling, [-t0 - k, 1])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return num, factorial(m)
 
 
 def interpolate_hilbert_polynomial(table: HilbertFunctionTable,
@@ -439,20 +446,20 @@ def interpolate_hilbert_polynomial(table: HilbertFunctionTable,
         raise NoStabilizationError(
             f"need at least dim_bound+3 = {need} consecutive trailing samples, have {len(run)}")
 
-    fit_pts = [(t, table.values[t]) for t in run[-(dim_bound + 1):]]
-    coeffs = _poly_trim(_lagrange(fit_pts))
+    num, den = _newton([(t, table.values[t]) for t in run[-(dim_bound + 1):]])
 
     matched: list[int] = []
     residuals: dict[int, tuple[int, Fraction]] = {}
     for t in reversed(run):
-        pred = _poly_eval(coeffs, t)
-        if pred == table.values[t]:
+        pred = _poly_eval(num, t)
+        if pred == table.values[t] * den:
             matched.append(t)
         else:
-            residuals[t] = (table.values[t], pred)
+            residuals[t] = (table.values[t], Fraction(pred, den))
             break
     if len(matched) < dim_bound + 2:
         raise NoStabilizationError(
             f"table does not stabilize onto a degree<={dim_bound} polynomial", residuals)
 
-    return HilbertPolynomialQ(coeffs, stabilization_threshold=min(matched))
+    return HilbertPolynomialQ.from_coefficients([Fraction(c, den) for c in num],
+                                                stabilization_threshold=min(matched))

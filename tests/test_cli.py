@@ -452,6 +452,37 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         assert f"argument {name}:" in last, (argv, last)
 
 
+def test_reused_parser_keeps_no_state(capsys):
+    # main parses every argv with one parser: options, errors and --help of
+    # one call must not reach the next
+    first = ["xi-trials", "2", "2"]
+    code, report = run(first)
+    assert code == 1 and json.loads(report)["command"] == "xi-trials"
+    text = run([*first, "--format", "text"])
+    assert text[0] == 1 and text[1].startswith("xi-trials d0=2 d1=2")
+    assert run([*first, "--format", "text", "--t-max", "2"]) == (3, "")
+    code_help, usage = run(["--help"])
+    assert code_help == 0 and usage.startswith("usage: flatcert")
+    capsys.readouterr()
+    assert run(first) == (code, report)
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    outputs = {run(["xi-trials", "1", "1"]) for _ in range(20)}
+    assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+    # the top-level parser; each subcommand's parser is a _Parser too
+    assert built.count("flatcert") == 1
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "flatcert", "torus-check", "--n", "1"],

@@ -1,6 +1,7 @@
 """Hilbert functions two ways, interpolation, and the closed forms."""
 
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 from random import Random
 
@@ -389,6 +390,103 @@ def test_interpolation_flags_nonstabilizing_fit():
     assert exc.value.residuals
 
 
+# --- the integer closed forms and fit against Fraction references ---
+
+def _ref_poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] += v
+    return out
+
+
+def _ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, v in enumerate(a):
+        for j, w in enumerate(b):
+            out[i + j] += v * w
+    return out
+
+
+def _ref_binomial_in_t(n, slope, shift):
+    """C(slope*t + shift, n) in Fraction coefficients."""
+    out = [Fraction(1)]
+    for i in range(1, n + 1):
+        out = _ref_poly_mul(out, [Fraction(shift - n + i), Fraction(slope)])
+    return [v * Fraction(1, factorial(n)) for v in out]
+
+
+def _ref_diagonal_polynomial(numerator, k):
+    """sum c_ab C(t-a+k-1, k-1) C(t-b+k-1, k-1), term by term in Fractions."""
+    total = []
+    for (a, b), c in numerator.items():
+        term = _ref_poly_mul(_ref_binomial_in_t(k - 1, 1, k - 1 - a),
+                             _ref_binomial_in_t(k - 1, 1, k - 1 - b))
+        total = _ref_poly_add(total, [v * c for v in term])
+    return total
+
+
+def _ref_lagrange(points):
+    total = [Fraction(0)]
+    for i, (ti, vi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = 1
+        for j, (tj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = _ref_poly_mul(basis, [Fraction(-tj), Fraction(1)])
+            denom *= ti - tj
+        total = _ref_poly_add(total, [v * Fraction(vi, denom) for v in basis])
+    return total
+
+
+@given(st.integers(2, 5),
+       st.dictionaries(st.tuples(st.integers(0, 8), st.integers(0, 8)), st.integers(-50, 50),
+                       max_size=8))
+@example(3, {})
+@example(3, {(0, 0): 1, (2, 0): -1, (0, 2): -1, (1, 1): -1, (3, 1): 1, (1, 3): 1, (2, 2): 1,
+             (3, 3): -1})  # the Koszul product at (2, 2)
+def test_diagonal_polynomial_matches_the_fraction_reference(k, numerator):
+    num, den = hilbert._diagonal_polynomial(numerator, k)
+    assert den == factorial(k - 1) ** 2
+    assert [Fraction(c, den) for c in num] == _ref_diagonal_polynomial(numerator, k)
+    start = max((max(a, b) for a, b in numerator), default=0)
+    for t in range(start, start + 2 * k):
+        assert Fraction(hilbert._poly_eval(num, t), den) == hilbert._numerator_value(
+            numerator, k, t, t), t
+
+
+@given(st.integers(0, 6), st.integers(-3, 3), st.integers(-9, 9))
+def test_binomial_in_t_matches_the_fraction_reference(n, slope, shift):
+    assert [Fraction(c, factorial(n)) for c in hilbert._binomial_in_t(n, slope, shift)] == (
+        _ref_binomial_in_t(n, slope, shift))
+
+
+def test_chi_graph_is_the_difference_of_two_binomials():
+    for n in range(1, 17):
+        poly = chi_graph(n)
+        assert poly.degree == n - 1
+        for t in range(1, 3 * n + 1):
+            assert poly.evaluate(t) == comb(2 * t + n, n) - comb(2 * t - 2 + n, n), (n, t)
+
+
+@given(st.integers(-20, 20), st.lists(st.integers(-1000, 1000), min_size=1, max_size=8))
+@example(-3, [7])  # a single point
+def test_newton_matches_the_reference_lagrange(t0, values):
+    points = [(t0 + i, v) for i, v in enumerate(values)]
+    num, den = hilbert._newton(points)
+    assert den == factorial(len(points) - 1)
+    assert [Fraction(c, den) for c in num] == _ref_lagrange(points)
+
+
+@pytest.mark.parametrize("points", [[(0, 1), (2, 3)], [(1, 0), (0, 0)], [(4, 1), (4, 1)],
+                                    [(0, 0), (1, 1), (3, 9)]])
+def test_newton_refuses_points_that_are_not_consecutive(points):
+    with pytest.raises(ValueError, match="consecutive"):
+        hilbert._newton(points)
+
+
 def test_polynomial_type_basics():
     p = HilbertPolynomialQ.from_coefficients([1, 4])
     assert str(p) == "4t+1"
@@ -400,6 +498,15 @@ def test_polynomial_type_basics():
     assert d["coefficients"] == ["1", "4"]
     zero = HilbertPolynomialQ.from_coefficients([])
     assert str(zero) == "0" and zero.degree == -1
+
+
+@pytest.mark.parametrize("bad", [0.1, True, "1", None])
+def test_polynomial_coefficients_are_int_or_fraction(bad):
+    # a float would be read as its binary expansion, a bool as 0 or 1
+    with pytest.raises(TypeError, match="a coefficient must be an int or Fraction"):
+        HilbertPolynomialQ.from_coefficients([bad, 1])
+    assert HilbertPolynomialQ.from_coefficients([Fraction(1, 2), 3]).coefficients == (
+        Fraction(1, 2), Fraction(3))
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
