@@ -3,11 +3,13 @@
 
 Each suite has an expected exit code.  Most suites must pass (0), among
 them the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
-latter up to t = 8 by both methods as in the rank-referee benchmark; the
-xi-trials runs at degrees (2,2), (3,3), (25,1) and (1,25) are expected to
-exit 1 because the Fermat witness fits the Koszul count, with leading
-coefficient 2*d0*d1, not the closed formula, which matches only at (1,1)
-(see README); (25,1) and (1,25) are the longest Koszul tables under
+latter up to t = 8 by both methods as in the rank-referee benchmark, and
+the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
+beside a projective_dimension of 1 (that value only bounds the degree; see
+groebner.ideal_dimension); the xi-trials runs at degrees (2,2), (3,3),
+(25,1) and (1,25) are expected to exit 1 because the Fermat witness fits
+the Koszul count, with leading coefficient 2*d0*d1, not the closed
+formula, which matches only at (1,1) (see README); (25,1) and (1,25) are the longest Koszul tables under
 cli.MAX_DEGREE_PRODUCT, t = 0..31.  The two negative controls are
 expected to exit 1, the n=4 chart fiber at t=5 to exit 3 because its
 rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES, xi-trials at
@@ -59,6 +61,8 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     for name, ideal in [("diagonal_n2", diagonal_ideal(2)),
                         ("special_fiber_n2", special_fiber_ideal(2)),
                         ("unit_n2", Ideal(uni, [uni.one()])),
+                        ("irrelevant_x_n2",
+                         Ideal(uni, [uni.variable(name) for name in uni.x_names])),
                         ("huge_exponent_n2", Ideal(uni, [uni.parse("x1^100000000*y1")])),
                         ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
                         ("degenerate_fiber_n2",
@@ -89,6 +93,8 @@ def main() -> int:
              ["hilbert", str(files["special_fiber_n2"]), "--method", "both"], 0),
             ("hilbert: unit ideal n=2, polynomial 0",
              ["hilbert", str(files["unit_n2"]), "--method", "both"], 0),
+            ("hilbert: <x1, x2, x3>, empty in P2 x P2*",
+             ["hilbert", str(files["irrelevant_x_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=2",
              ["hilbert", str(files["chart_fiber_n2"]), "--method", "both"], 0),
             ("hilbert: chart fiber n=2 with d1 = 0, t <= 8",

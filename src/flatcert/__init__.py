@@ -10,7 +10,6 @@ comparing every fiber against the closed form chi_graph(n).
 """
 
 from .polyring import (
-    BiMonomial,
     BiPolynomial,
     ParseError,
     UniverseMismatchError,
@@ -23,14 +22,12 @@ from .groebner import (
     DEFAULT_ORDER,
     BuchbergerRun,
     DimensionUndefinedError,
-    GroebnerCertificate,
     Ideal,
     MonomialOrderSpec,
     NonBihomogeneousError,
     buchberger,
     ideal_dimension,
     is_groebner_basis,
-    leading_monomial,
     leading_term,
     normal_form,
     spolynomial,
@@ -38,7 +35,6 @@ from .groebner import (
 from .hilbert import (
     METHOD_INITIAL,
     METHOD_RANK,
-    HilbertFunctionTable,
     HilbertPolynomialQ,
     NoStabilizationError,
     bigraded_hilbert_function,

@@ -23,7 +23,7 @@ from .groebner import (
     Ideal,
     ideal_dimension,
     is_groebner_basis,
-    leading_monomial,
+    leading_term,
 )
 from .hilbert import (
     METHOD_INITIAL,
@@ -53,7 +53,6 @@ from .quadfam import (
     random_chart_point,
     special_fiber_ideal,
     torus_action_check,
-    xy_universe,
 )
 
 SCHEMA_VERSION = 1
@@ -222,15 +221,17 @@ def _run_verify_groebner(args: argparse.Namespace) -> Outcome:
     "Maximal minors and their leading terms", Adv. Math. 98, 1993).
     """
     ideal = diagonal_ideal(args.n)  # the minors (i, j), i < j, in that order
-    ok, cert = is_groebner_basis(list(ideal.generators), DEFAULT_ORDER)
-    leads_ok = ([str(leading_monomial(g, DEFAULT_ORDER)) for g in ideal.generators]
+    uni = ideal.universe
+    ok, spairs = is_groebner_basis(list(ideal.generators), DEFAULT_ORDER)
+    keyf = DEFAULT_ORDER.key_function(uni)
+    leads_ok = ([uni.monomial_text(leading_term(g, keyf)[0]) for g in ideal.generators]
                 == [f"x{i}*y{j}" for i, j in combinations(range(1, args.n + 2), 2)])
     passed = ok and leads_ok
     lines = [f"groebner n={args.n}: 2x2 minors, one certificate for every term order",
-             f"  lex S-pairs reduce to zero: {_verdict(ok)} ({len(cert.spairs)} S-pairs)",
+             f"  lex S-pairs reduce to zero: {_verdict(ok)} ({len(spairs)} S-pairs)",
              f"  lex leading term of minor (i, j) is x_i*y_j: {_verdict(leads_ok)}",
              f"verdict: {_verdict(passed)}"]
-    report = {"n": args.n, "order": DEFAULT_ORDER.to_json_dict(), "s_pairs": len(cert.spairs),
+    report = {"n": args.n, "order": DEFAULT_ORDER.to_json_dict(), "s_pairs": len(spairs),
               "groebner": ok, "lex_leading_terms": leads_ok, "passed": passed}
     return _verdict(passed), {"n": args.n}, report, lines
 
@@ -240,12 +241,12 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
     methods = ([METHOD_INITIAL, METHOD_RANK] if args.method == "both"
                else [normalize_method(args.method)])
     # the rank route first: an input over its budget is refused before any work
-    tables = {m: tabulate_diagonal(ideal, range(args.t_max + 1), m) for m in reversed(methods)}
+    tables = {m: tabulate_diagonal(ideal, args.t_max, m) for m in reversed(methods)}
     disagreements = []
     if len(tables) == 2:
-        a, b = (tables[m].values for m in methods)
+        a, b = (tables[m] for m in methods)
         disagreements = [{"t": t, methods[0]: a[t], methods[1]: b[t]}
-                         for t in sorted(a) if a[t] != b[t]]
+                         for t in range(len(a)) if a[t] != b[t]]
     table = tables[methods[0]]
     try:
         dim = ideal_dimension(ideal)
@@ -258,14 +259,14 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
     report = {
         "file": args.ideal_file,
         "method": args.method,
-        "table": table.to_json_rows(),
+        "table": [{"t": t, "value": v, "method": methods[0]} for t, v in enumerate(table)],
         "projective_dimension": dim,
         "polynomial": poly.to_json_dict() if poly else None,
         "methods_disagree": disagreements,
     }
     lines = [f"hilbert {args.ideal_file} (method={args.method})"]
-    for t in sorted(table.values):
-        lines.append(f"  t={t}: {table.values[t]}")
+    for t, v in enumerate(table):
+        lines.append(f"  t={t}: {v}")
     lines.append(f"polynomial: {poly if poly is not None else 'did not stabilize'}")
     if disagreements:
         lines.append(f"METHODS DISAGREE on {len(disagreements)} rows")

@@ -160,7 +160,7 @@ def run_xi_trials(d0: int, d1: int, t_max: int | None = None,
     ideal = gamma_curve_ideal(witness)
     identity = ideal.series_numerator() == _product_numerator([(d0, 0), (0, d1), (1, 1)])
     dim = ideal_dimension(ideal)
-    table = tabulate_diagonal(ideal, range(t_max + 1), method)
+    table = tabulate_diagonal(ideal, t_max, method)
     try:
         poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
     except NoStabilizationError:

@@ -9,8 +9,10 @@ lexicographically smallest generator index pair; pairs are skipped by the
 coprimality criterion and the chain criterion.  The selection rule fixes
 only the audit trail: the reduced basis of an ideal under an order is
 unique, so it does not depend on the rule.  Verification
-(is_groebner_basis) reduces every S-pair with no skipping and reports the
-reduction chain lengths, so certificates are reproducible run to run.
+(is_groebner_basis) reduces every S-pair with no skipping and returns one
+plain record per pair with its reduction chain length, so certificates are
+reproducible run to run.  Initial ideals are exponent tuples too:
+`Ideal.initial_ideal()` returns the minimal leading exponents, descending.
 
 Parameter variables compare below all x/y variables in every order, so
 leading terms are taken with respect to x/y content when chart parameters
@@ -45,7 +47,6 @@ from operator import add, itemgetter, le, lshift, neg
 from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
 
 from .polyring import (
-    BiMonomial,
     BiPolynomial,
     Exponents,
     UniverseMismatchError,
@@ -147,12 +148,6 @@ def leading_term(f: BiPolynomial, keyf: OrderKey) -> tuple[Exponents, Fraction]:
         raise ValueError("the zero polynomial has no leading term")
     e = max(f.terms, key=keyf)
     return e, f.terms[e]
-
-
-def leading_monomial(f: BiPolynomial, order: MonomialOrderSpec | None = None) -> BiMonomial:
-    keyf = _resolve(order).key_function(f.universe)
-    e, _ = leading_term(f, keyf)
-    return BiMonomial(f.universe, e)
 
 
 # --- packed monomials ---
@@ -532,22 +527,11 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
     return basis, run
 
 
-@dataclass
-class GroebnerCertificate:
-    """Exhaustive S-pair verification: every pair, its lcm, its chain length."""
-
-    order: MonomialOrderSpec
-    passed: bool
-    spairs: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order.to_json_dict(), "passed": self.passed, "spairs": self.spairs}
-
-
 def is_groebner_basis(basis: Sequence[BiPolynomial],
-                      order: MonomialOrderSpec | None = None) -> tuple[bool, GroebnerCertificate]:
-    """Reduce every S-pair of `basis`; no criteria, no shortcuts."""
-    order = _resolve(order)
+                      order: MonomialOrderSpec | None = None) -> tuple[bool, list[dict]]:
+    """Reduce every S-pair of `basis`; no criteria, no shortcuts.  Returns
+    (passed, spairs): one record {"pair", "lcm", "reduction_steps",
+    "remainder_zero"} per pair i < j, and passed when every remainder is zero."""
     basis = list(basis)
     if not basis:
         raise ValueError("need at least one basis element")
@@ -566,9 +550,8 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
                 "remainder_zero": not r,
             })
         return spairs
-    spairs = _packed(run, basis[0].universe, order)
-    passed = all(sp["remainder_zero"] for sp in spairs)
-    return passed, GroebnerCertificate(order=order, passed=passed, spairs=spairs)
+    spairs = _packed(run, basis[0].universe, _resolve(order))
+    return all(sp["remainder_zero"] for sp in spairs), spairs
 
 
 # --- ideals ---
@@ -583,8 +566,9 @@ class NonBihomogeneousError(ValueError):
 
 class Ideal:
     """A finitely generated bihomogeneous ideal with its reduced basis under
-    DEFAULT_ORDER and its `series_numerator()`, each computed on first use and
-    cached.  The Hilbert function and `ideal_dimension` both read the numerator.
+    DEFAULT_ORDER, that basis's leading exponent tuples (`initial_ideal()`)
+    and its `series_numerator()`, each computed on first use and cached.
+    The Hilbert function and `ideal_dimension` both read the numerator.
 
     Other orders go through `buchberger(generators, order)` directly.
     """
@@ -604,22 +588,24 @@ class Ideal:
                 raise ValueError("zero generator")
         self.universe = universe
         self.generators = gens
-        self._computed: tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]] | None = None
+        self._computed: tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]] | None = None
         self._numerator: Numerator | None = None
 
-    def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[BiMonomial, ...]]:
+    def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]]:
         if self._computed is None:
             basis, _ = buchberger(self.generators, DEFAULT_ORDER)
             keyf = DEFAULT_ORDER.key_function(self.universe)
             lead = sorted((leading_term(g, keyf)[0] for g in basis), reverse=True)
-            self._computed = (basis, tuple(BiMonomial(self.universe, e) for e in lead))
+            self._computed = (basis, tuple(lead))
         return self._computed
 
     def groebner_basis(self) -> tuple[BiPolynomial, ...]:
         return self._basis_and_initial()[0]
 
-    def initial_ideal(self) -> tuple[BiMonomial, ...]:
-        """Minimal monomial generators of the ideal of leading terms."""
+    def initial_ideal(self) -> tuple[Exponents, ...]:
+        """Minimal generators of the ideal of leading terms, as exponent
+        tuples in descending order: the leading exponents of the reduced
+        basis under DEFAULT_ORDER."""
         return self._basis_and_initial()[1]
 
     def series_numerator(self) -> Numerator:
@@ -627,8 +613,7 @@ class Ideal:
         the generators are validated before any basis is computed."""
         if self._numerator is None:
             _require_bihomogeneous(self)
-            self._numerator = _series_numerator(
-                (m.exponents for m in self.initial_ideal()), self.universe.n + 1)
+            self._numerator = _series_numerator(self.initial_ideal(), self.universe.n + 1)
         return self._numerator
 
     def __repr__(self) -> str:
@@ -647,12 +632,22 @@ def _require_bihomogeneous(ideal: Ideal) -> None:
 
 
 def ideal_dimension(ideal: Ideal) -> int:
-    """Dimension of the ideal's zero set in P^n x P^n: the Krull dimension of
-    S/in(I), the pole order at s = 1 of K(s, s) / (1-s)^(2n+2) (Hilbert-Serre),
-    less 2 for the two projective scalings.  The order of K(s, s) = sum c_m s^m
-    at s = 1 is the first k with K^(k)(1) / k! = sum c_m C(m, k) nonzero; the
+    """dim S/in(I) - 2 (= dim S/I - 2): the Krull dimension of S/in(I), the
+    pole order at s = 1 of K(s, s) / (1-s)^(2n+2) (Hilbert-Serre), less 2 for
+    the two projective scalings.  The order of K(s, s) = sum c_m s^m at s = 1
+    is the first k with K^(k)(1) / k! = sum c_m C(m, k) nonzero; the
     coefficients are summed by total degree m into a dict, so the cost does
-    not grow with the exponents."""
+    not grow with the exponents.
+
+    This is the dimension of the zero set in P^n x P^n unless every
+    top-dimensional component lies in x = 0 or y = 0; then it is too large
+    (<x1, x2, x3> at n = 2, empty in P2 x P2*, gives 1).  It always bounds
+    the degree of the diagonal Hilbert polynomial: the standard monomials
+    split into pieces u*Q[F] with |F| <= dim S/in(I), and a piece whose F
+    holds p x- and q y-variables counts C(t-a+p-1, p-1) * C(t-b+q-1, q-1)
+    on the diagonal, degree p+q-2, or eventually 0 when p or q is 0.  So it
+    is a sound dim_bound for interpolate_hilbert_polynomial, whose fit of
+    degree at most the bound recovers any polynomial of lower degree."""
     coeffs: dict[int, int] = {}
     for (a, b), c in ideal.series_numerator().items():
         coeffs[a + b] = coeffs.get(a + b, 0) + c

@@ -10,6 +10,10 @@ span), lists their bidegree-(i,j) multiples minus the rows that the Koszul
 syzygies g_i*g_j = g_j*g_i make redundant, and computes the exact rank of
 that Macaulay matrix by sparse fraction-free elimination.  The second route
 is the referee for the first throughout the test suite.
+
+A table is a plain list: `tabulate_diagonal(ideal, t_max)` returns
+[HF(t, t) for t = 0..t_max], and `interpolate_hilbert_polynomial` reads
+position t as the value at t.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .groebner import (  # NonBihomogeneousError is re-exported from here
+from .groebner import (
     Ideal,
-    NonBihomogeneousError,
     Numerator,
     _integer_terms,
     _product_numerator,
@@ -365,29 +368,17 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
     return _numerator_value(ideal.series_numerator(), ideal.universe.n + 1, i, j)
 
 
-@dataclass
-class HilbertFunctionTable:
-    """Sampled diagonal values t -> dim, tagged with the route that made them."""
-
-    values: dict[int, int]
-    method: str = METHOD_INITIAL
-
-    def to_json_rows(self) -> list[dict]:
-        return [{"t": t, "value": self.values[t], "method": self.method}
-                for t in sorted(self.values)]
-
-
-def tabulate_diagonal(ideal: Ideal, ts: Iterable[int],
-                      method: str = METHOD_INITIAL) -> HilbertFunctionTable:
-    ts = sorted(set(int(t) for t in ts))
+def tabulate_diagonal(ideal: Ideal, t_max: int, method: str = METHOD_INITIAL) -> list[int]:
+    """[HF(t, t) for t = 0..t_max] by the chosen route.  The rank route first
+    refuses a t_max whose Macaulay matrix is over MAX_MACAULAY_ENTRIES."""
     method = normalize_method(method)
-    if method == METHOD_RANK and ts:
-        rows, cols = rank_matrix_shape(ideal, ts[-1])
+    if method == METHOD_RANK:
+        rows, cols = rank_matrix_shape(ideal, t_max)
         if rows * cols > MAX_MACAULAY_ENTRIES:
-            raise MacaulayBudgetError(ts[-1], rows, cols)
+            raise MacaulayBudgetError(t_max, rows, cols)
     # serial; parallel_map stays only because bench/tracing.py traces this call
-    vals = parallel_map(lambda t: bigraded_hilbert_function(ideal, t, t, method), ts)
-    return HilbertFunctionTable(dict(zip(ts, vals)), method)
+    return parallel_map(lambda t: bigraded_hilbert_function(ideal, t, t, method),
+                        range(t_max + 1))
 
 
 def methods_agree(ideal: Ideal, ts: Iterable[int]) -> bool:
@@ -398,16 +389,13 @@ def methods_agree(ideal: Ideal, ts: Iterable[int]) -> bool:
 
 # --- interpolation ---
 
-def _newton(points: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """The polynomial of degree < len(points) through values at consecutive
-    t0, t0+1, .., t0+m, as integer coefficients over m!: Newton's forward
+def _newton(t0: int, values: Sequence[int]) -> tuple[list[int], int]:
+    """The polynomial of degree < len(values) through values at t0, t0+1,
+    .., t0+m, as integer coefficients over m!: Newton's forward
     differences, f(t) = sum over k of D^k f(t0) * C(t - t0, k), with
     m! * C(t - t0, k) = (m!/k!) * (t - t0)(t - t0 - 1)..(t - t0 - k + 1)."""
-    t0 = points[0][0]
-    if [t for t, _ in points] != list(range(t0, t0 + len(points))):
-        raise ValueError(f"Newton interpolation needs consecutive points, got {points}")
-    m = len(points) - 1
-    diffs = [v for _, v in points]
+    m = len(values) - 1
+    diffs = values
     falling = [1]  # k! * C(t - t0, k)
     num = [0] * (m + 1)
     for k in range(m + 1):
@@ -419,47 +407,39 @@ def _newton(points: list[tuple[int, int]]) -> tuple[list[int], int]:
     return num, factorial(m)
 
 
-def interpolate_hilbert_polynomial(table: HilbertFunctionTable,
-                                   dim_bound: int) -> HilbertPolynomialQ:
-    """Fit the eventual polynomial of a sampled diagonal Hilbert function.
+def interpolate_hilbert_polynomial(table: Sequence[int], dim_bound: int) -> HilbertPolynomialQ:
+    """Fit the eventual polynomial of a diagonal Hilbert function sampled at
+    t = 0..len(table)-1.
 
-    Fits degree <= dim_bound through the trailing samples, walks backwards
-    to find where the table starts agreeing, and raises NoStabilizationError
-    (with the residual rows) if the trailing run of consecutive samples is
-    shorter than dim_bound+3 or its last dim_bound+2 samples never agree.
-    The fit interpolates integer values at consecutive integers, so it is
+    Fits degree <= dim_bound through the last dim_bound+1 samples, walks
+    backwards to find where the table starts agreeing, and raises
+    NoStabilizationError (with the residual rows) if the table is shorter
+    than dim_bound+3 or its last dim_bound+2 samples never agree.  The fit
+    interpolates integer values at consecutive integers, so it is
     integer-valued (Hartshorne, Algebraic Geometry, Prop. I.7.3).
     """
     if dim_bound < 0:
         dim_bound = 0
-    ts = sorted(table.values)
-    # trailing consecutive run
-    run: list[int] = []
-    for t in reversed(ts):
-        if not run or t == run[-1] - 1:
-            run.append(t)
-        else:
-            break
-    run.reverse()
     need = dim_bound + 3
-    if len(run) < need:
+    if len(table) < need:
         raise NoStabilizationError(
-            f"need at least dim_bound+3 = {need} consecutive trailing samples, have {len(run)}")
+            f"need at least dim_bound+3 = {need} consecutive trailing samples, have {len(table)}")
 
-    num, den = _newton([(t, table.values[t]) for t in run[-(dim_bound + 1):]])
+    t0 = len(table) - dim_bound - 1
+    num, den = _newton(t0, table[t0:])
 
-    matched: list[int] = []
+    # the fit points t0.. match by construction, so the walk starts below them
+    threshold = t0
     residuals: dict[int, tuple[int, Fraction]] = {}
-    for t in reversed(run):
+    for t in range(t0 - 1, -1, -1):
         pred = _poly_eval(num, t)
-        if pred == table.values[t] * den:
-            matched.append(t)
-        else:
-            residuals[t] = (table.values[t], Fraction(pred, den))
+        if pred != table[t] * den:
+            residuals[t] = (table[t], Fraction(pred, den))
             break
-    if len(matched) < dim_bound + 2:
+        threshold = t
+    if threshold == t0:
         raise NoStabilizationError(
             f"table does not stabilize onto a degree<={dim_bound} polynomial", residuals)
 
     return HilbertPolynomialQ.from_coefficients([Fraction(c, den) for c in num],
-                                                stabilization_threshold=min(matched))
+                                                stabilization_threshold=threshold)

@@ -159,33 +159,6 @@ class VariableUniverse:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class BiMonomial:
-    """One monomial of a universe, with its x/y bidegree."""
-
-    universe: VariableUniverse
-    exponents: Exponents
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) != self.universe.num_vars:
-            raise ValueError("exponent tuple length does not match the universe")
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be nonnegative")
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return self.universe.bidegree_of(self.exponents)
-
-    def as_polynomial(self) -> "BiPolynomial":
-        return BiPolynomial(self.universe, _canonical={self.exponents: Fraction(1)})
-
-    def __str__(self) -> str:
-        return self.universe.monomial_text(self.exponents) or "1"
-
-    def __repr__(self) -> str:
-        return f"BiMonomial({str(self)!r})"
-
-
 class BiPolynomial:
     """Sparse exact polynomial; treat instances as immutable."""
 

@@ -51,13 +51,11 @@ from .hilbert import (
 )
 from .polyring import (
     BiPolynomial,
-    Exponents,
     VariableUniverse,
     _rational,
 )
 from .util import (
     fraction_from_json,
-    fraction_identity,
     fraction_to_json,
     mat_adjugate,
     mat_det,
@@ -125,7 +123,7 @@ class SymmetricMatrixQ:
 
     @staticmethod
     def identity(size: int) -> "SymmetricMatrixQ":
-        return SymmetricMatrixQ.from_rows(fraction_identity(size))
+        return SymmetricMatrixQ.diagonal([1] * size)
 
     @staticmethod
     def diagonal(values: Sequence) -> "SymmetricMatrixQ":
@@ -480,26 +478,16 @@ def component_primes(n: int) -> list[tuple[str, ...]]:
 
 def primary_intersection_check(n: int) -> bool:
     """<x_i y_j : i < j> must equal the intersection of its component primes."""
-    uni = xy_universe(n)
-
-    def var_exps(name: str) -> Exponents:
-        e = [0] * uni.num_vars
-        e[uni.index[name]] = 1
-        return tuple(e)
-
-    lhs = []
-    for i, j in combinations(range(1, n + 2), 2):
-        e = [0] * uni.num_vars
-        e[uni.index[f"x{i}"]] = 1
-        e[uni.index[f"y{j}"]] = 1
-        lhs.append(tuple(e))
-    lhs = minimalize_monomial_exponents(lhs)
-
-    primes = component_primes(n)
-    inter = [var_exps(name) for name in primes[0]]
+    special = special_fiber_ideal(n)  # the monomials x_i y_j (i < j), then x.y
+    uni = special.universe
+    lhs = minimalize_monomial_exponents(
+        e for g in special.generators if len(g.terms) == 1 for e in g.terms)
+    primes = [[e for name in prime for e in uni.variable(name).terms]
+              for prime in component_primes(n)]
+    inter = primes[0]
     for prime in primes[1:]:
-        inter = intersect_monomial_exponents(inter, [var_exps(name) for name in prime])
-    return sorted(inter) == sorted(lhs)
+        inter = intersect_monomial_exponents(inter, prime)
+    return inter == lhs
 
 
 def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiPolynomial],
@@ -678,8 +666,8 @@ def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
         dim = ideal_dimension(fiber)
     except DimensionUndefinedError:
         dim = None
-    table = tabulate_diagonal(fiber, range(t_max + 1), method)
-    if dim is None and any(table.values.values()):
+    table = tabulate_diagonal(fiber, t_max, method)
+    if dim is None and any(table):
         return FiberCheck(index, point, None, None, False, "dimension undefined")
     try:
         poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim or 0, 0))

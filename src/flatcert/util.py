@@ -92,10 +92,6 @@ def mat_adjugate(a: Sequence[Sequence]) -> list[list]:
     return mat_transpose(cof)
 
 
-def fraction_identity(m: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-
-
 # --- sparse exact rank ---
 
 def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:

@@ -73,10 +73,10 @@ def test_ac01_groebner_certificate():
     for n in (1, 2, 3):
         gens = diagonal_ideal(n).generators
         for order in sampled_orders(seed=0, n=n):
-            ok, cert = is_groebner_basis(gens, order)
+            ok, spairs = is_groebner_basis(gens, order)
             assert ok, (n, order.kind, order.variable_permutation)
-            assert all(sp["remainder_zero"] for sp in cert.spairs)
-            checked += len(cert.spairs)
+            assert all(sp["remainder_zero"] for sp in spairs)
+            checked += len(spairs)
     assert report(1, "universal basis certificate", True,
                   f"n=1..3, 5 orders each, {checked} S-pairs reduced to zero")
 
@@ -104,7 +104,7 @@ def test_ac03_special_fiber_polynomial():
     rendered = []
     for n in (1, 2, 3):
         ideal = special_fiber_ideal(n)
-        table = tabulate_diagonal(ideal, range(n + 7))
+        table = tabulate_diagonal(ideal, n + 6)
         poly = interpolate_hilbert_polynomial(table, dim_bound=n - 1)
         assert poly == chi_graph(n), (n, str(poly))
         for t in range(3, 6):
@@ -199,7 +199,7 @@ def test_ac08_xi_formula_trials():
         else:
             assert not rep.xi_match and rep.verdict == "FAIL"
             # the Groebner-free rank oracle refits the witness
-            table = tabulate_diagonal(gamma_curve_ideal(rep.witness), range(7), METHOD_RANK)
+            table = tabulate_diagonal(gamma_curve_ideal(rep.witness), 6, METHOD_RANK)
             assert interpolate_hilbert_polynomial(table, dim_bound=1) == curve
         outcomes.append(f"({d0},{d1}) fit={curve} xi={xi} {'match' if rep.xi_match else 'miss'}")
     assert report(8, "xi formula trials", True,

@@ -32,7 +32,7 @@ UNI = xy_universe(2)
 def fit_gamma(pair, t_max=8, method=None):
     ideal = gamma_curve_ideal(pair)
     kwargs = {} if method is None else {"method": method}
-    table = tabulate_diagonal(ideal, range(t_max + 1), **kwargs)
+    table = tabulate_diagonal(ideal, t_max, **kwargs)
     return interpolate_hilbert_polynomial(table, dim_bound=1)
 
 

@@ -24,7 +24,6 @@ from flatcert import (
     gamma_curve_ideal,
     ideal_dimension,
     is_groebner_basis,
-    leading_monomial,
     normal_form,
     random_chart_point,
     special_fiber_ideal,
@@ -106,9 +105,9 @@ def test_buchberger_diagonal_n2():
     basis, run = buchberger(diagonal_ideal(2).generators)
     assert len(basis) == 3
     assert all(ev.action in ("reduced_to_zero", "skipped_coprime") for ev in run.events)
-    ok, cert = is_groebner_basis(basis)
-    assert ok and cert.passed
-    assert all(sp["remainder_zero"] for sp in cert.spairs)
+    ok, spairs = is_groebner_basis(basis)
+    assert ok
+    assert all(sp["remainder_zero"] for sp in spairs)
 
 
 def test_buchberger_adds_spolynomials_when_needed():
@@ -120,7 +119,7 @@ def test_buchberger_adds_spolynomials_when_needed():
     basis, run = buchberger([f, g])
     assert len(basis) > 2
     assert any(ev.action == "new_generator" for ev in run.events)
-    ok, cert = is_groebner_basis(basis)
+    ok, _ = is_groebner_basis(basis)
     assert ok
     # every generator reduces to zero against the basis
     assert normal_form(f, basis).is_zero()
@@ -162,17 +161,26 @@ def test_spolynomial_cancels_leading_terms():
 
 def test_initial_ideal_of_minors():
     init = diagonal_ideal(2).initial_ideal()
-    texts = sorted(repr(m) for m in init)
-    assert texts == [
-        "BiMonomial('x1*y2')",
-        "BiMonomial('x1*y3')",
-        "BiMonomial('x2*y3')",
-    ]
+    assert init == ((1, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1))
+    assert [UNI.monomial_text(e) for e in init] == ["x1*y2", "x1*y3", "x2*y3"]
+
+
+@pytest.mark.parametrize("n, seed", [(1, 0), (2, 1), (3, 2)])
+def test_initial_ideal_is_the_descending_lex_leads_of_the_basis(n, seed):
+    fiber = evaluate_family_at(family_ideal_J(n), random_chart_point(n, Random(seed), True))
+    for ideal in (fiber, special_fiber_ideal(n), diagonal_ideal(n)):
+        keyf = DEFAULT_ORDER.key_function(ideal.universe)
+        leads = [leading_term(g, keyf)[0] for g in ideal.groebner_basis()]
+        assert ideal.initial_ideal() == tuple(sorted(leads, reverse=True))
+        assert minimalize_monomial_exponents(leads) == list(ideal.initial_ideal())
 
 
 def test_leading_monomial_respects_order():
     f = UNI.parse("x1*y2 + x2*y1")
-    assert repr(leading_monomial(f, MonomialOrderSpec("lex"))) == "BiMonomial('x1*y2')"
+    for order, want in [(MonomialOrderSpec("lex"), "x1*y2"),
+                        (MonomialOrderSpec("lex", ("x2", "x1", "x3", "y1", "y2", "y3")), "x2*y1")]:
+        lead, _ = leading_term(f, order.key_function(UNI))
+        assert UNI.monomial_text(lead) == want
 
 
 def test_ideal_caches_one_basis(monkeypatch):
@@ -276,11 +284,16 @@ def test_monomial_intersection_and_minimalization():
 
 def test_certificate_reports_every_pair():
     basis, _ = buchberger(special_fiber_ideal(2).generators)
-    ok, cert = is_groebner_basis(basis)
-    assert ok
-    n = len(basis)
-    assert len(cert.spairs) == n * (n - 1) // 2
-    assert cert.order.kind == "lex"
+    uni = xy_universe(1)
+    not_a_basis = [uni.parse("x1*y1 + x2*y2"), uni.parse("x1*y2 - x2*y1")]
+    for gens, want in [(basis, True), (not_a_basis, False),
+                       (diagonal_ideal(3).generators, True)]:
+        ok, spairs = is_groebner_basis(gens)
+        assert ok is want
+        assert ok == all(sp["remainder_zero"] for sp in spairs)
+        assert [sp["pair"] for sp in spairs] == [list(p) for p in combinations(range(len(gens)), 2)]
+        assert all(set(sp) == {"pair", "lcm", "reduction_steps", "remainder_zero"}
+                   for sp in spairs)
 
 
 # --- the audit trail against a reference completion loop ---

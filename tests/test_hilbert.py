@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from flatcert import (
-    BiMonomial,
+    BiPolynomial,
     ChartPoint,
     HilbertPolynomialQ,
     Ideal,
@@ -24,10 +24,13 @@ from flatcert import (
     diagonal_ideal,
     evaluate_family_at,
     family_ideal_J,
+    fermat_pair,
+    gamma_curve_ideal,
     gauss_graph_ideal,
     ideal_dimension,
     interpolate_hilbert_polynomial,
     methods_agree,
+    random_chart_point,
     special_fiber_ideal,
     xi_formula,
     xy_universe,
@@ -147,7 +150,7 @@ def _monomial_ideals(draw):
 def test_numerator_matches_enumeration(case):
     n, exps = case
     uni = xy_universe(n)
-    ideal = Ideal(uni, [BiMonomial(uni, e).as_polynomial() for e in exps])
+    ideal = Ideal(uni, [BiPolynomial(uni, {e: 1}) for e in exps])
     for i in range(5):
         for j in range(5):
             assert bigraded_hilbert_function(ideal, i, j) == _enumerated_value(uni, exps, i, j)
@@ -181,7 +184,7 @@ def random_bihomogeneous_ideal(n, rng):
     for _ in range(rng.randint(3, 5)):
         monomials = list(iter_exponents_of_bidegree(uni, *rng.choice(_BIDEGREES)))
         picks = rng.sample(monomials, min(len(monomials), rng.randint(1, 4)))
-        gens.append(sum((BiMonomial(uni, e).as_polynomial()
+        gens.append(sum((BiPolynomial(uni, {e: 1})
                          * Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
                          for e in picks), uni.zero()))
     f, g = rng.sample(gens, 2)
@@ -264,9 +267,9 @@ def test_rank_route_refuses_matrices_over_the_budget():
     rows, cols = rank_matrix_shape(ideal, 5)
     assert (rows, cols) == (24760, 15876) and rows * cols > MAX_MACAULAY_ENTRIES
     with pytest.raises(MacaulayBudgetError, match="MAX_MACAULAY_ENTRIES"):
-        tabulate_diagonal(ideal, range(6), METHOD_RANK)
+        tabulate_diagonal(ideal, 5, METHOD_RANK)
     # the initial-ideal route has no Macaulay matrix to bound
-    assert tabulate_diagonal(ideal, range(6)).values[5] == chi_graph(4).evaluate(5)
+    assert tabulate_diagonal(ideal, 5)[5] == chi_graph(4).evaluate(5)
 
 
 def _strata(n):
@@ -330,14 +333,12 @@ def test_unchecked_ideal_raises_from_every_entry_point(kind, first):
 
 def test_tabulate_and_interpolate_recover_chi():
     ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
-    table = tabulate_diagonal(ideal, range(8))
-    assert table.values == {0: 1, 1: 5, 2: 9, 3: 13, 4: 17, 5: 21, 6: 25, 7: 29}
+    table = tabulate_diagonal(ideal, 7)
+    assert table == [1, 5, 9, 13, 17, 21, 25, 29]
     dim = ideal_dimension(ideal)
     poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
     assert poly == chi_graph(2)
     assert poly.stabilization_threshold == 0
-    rows = table.to_json_rows()
-    assert rows[0] == {"t": 0, "value": 1, "method": METHOD_INITIAL}
 
 
 def test_series_numerator_once_per_ideal(monkeypatch):
@@ -354,7 +355,7 @@ def test_series_numerator_once_per_ideal(monkeypatch):
     assert ideal_dimension(ideal) == 1
     once = len(calls)  # the recursion's calls for one numerator
     assert once > 0
-    assert tabulate_diagonal(ideal, range(8)).values[7] == 29
+    assert tabulate_diagonal(ideal, 7)[7] == 29
     assert len(calls) == once
     # nothing outlives the Ideal: the same generators in a new one recount
     assert bigraded_hilbert_function(Ideal(ideal.universe, ideal.generators), 1, 1) == 5
@@ -365,18 +366,18 @@ def test_interpolation_stability_on_corpus():
     # interpolate, then confirm the fit reproduces the table past the threshold
     for ideal in [special_fiber_ideal(1), special_fiber_ideal(2), diagonal_ideal(2)]:
         dim = ideal_dimension(ideal)
-        table = tabulate_diagonal(ideal, range(dim + 9))
+        table = tabulate_diagonal(ideal, dim + 8)
         poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
         assert poly.degree == dim
         thr = poly.stabilization_threshold
-        for t, v in table.values.items():
+        for t, v in enumerate(table):
             if t >= thr:
                 assert poly.evaluate(t) == v
 
 
 def test_interpolation_needs_enough_samples():
     ideal = special_fiber_ideal(2)
-    table = tabulate_diagonal(ideal, range(3))
+    table = tabulate_diagonal(ideal, 2)
     with pytest.raises(NoStabilizationError, match="need at least dim_bound\\+3 = 4"):
         interpolate_hilbert_polynomial(table, dim_bound=1)
 
@@ -384,7 +385,7 @@ def test_interpolation_needs_enough_samples():
 def test_interpolation_flags_nonstabilizing_fit():
     # a strictly linear table cannot match a degree-0 bound
     ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
-    table = tabulate_diagonal(ideal, range(8))
+    table = tabulate_diagonal(ideal, 7)
     with pytest.raises(NoStabilizationError) as exc:
         interpolate_hilbert_polynomial(table, dim_bound=0)
     assert exc.value.residuals
@@ -474,17 +475,144 @@ def test_chi_graph_is_the_difference_of_two_binomials():
 @given(st.integers(-20, 20), st.lists(st.integers(-1000, 1000), min_size=1, max_size=8))
 @example(-3, [7])  # a single point
 def test_newton_matches_the_reference_lagrange(t0, values):
-    points = [(t0 + i, v) for i, v in enumerate(values)]
-    num, den = hilbert._newton(points)
-    assert den == factorial(len(points) - 1)
-    assert [Fraction(c, den) for c in num] == _ref_lagrange(points)
+    num, den = hilbert._newton(t0, values)
+    assert den == factorial(len(values) - 1)
+    assert [Fraction(c, den) for c in num] == _ref_lagrange(
+        [(t0 + i, v) for i, v in enumerate(values)])
 
 
-@pytest.mark.parametrize("points", [[(0, 1), (2, 3)], [(1, 0), (0, 0)], [(4, 1), (4, 1)],
-                                    [(0, 0), (1, 1), (3, 9)]])
-def test_newton_refuses_points_that_are_not_consecutive(points):
-    with pytest.raises(ValueError, match="consecutive"):
-        hilbert._newton(points)
+def _reference_newton(points):
+    """Newton's forward differences over (t, value) points, which must be
+    consecutive in t: the fit of the dict-keyed tables, kept as the referee
+    of the list-based one."""
+    t0 = points[0][0]
+    if [t for t, _ in points] != list(range(t0, t0 + len(points))):
+        raise ValueError(f"Newton interpolation needs consecutive points, got {points}")
+    m = len(points) - 1
+    diffs = [v for _, v in points]
+    falling = [1]
+    num = [0] * (m + 1)
+    for k in range(m + 1):
+        scale = diffs[0] * (factorial(m) // factorial(k))
+        for d, v in enumerate(falling):
+            num[d] += scale * v
+        falling = hilbert._int_poly_mul(falling, [-t0 - k, 1])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return num, factorial(m)
+
+
+def reference_interpolation(values, dim_bound):
+    """The fit of a table given as a dict t -> value: it searches for the
+    trailing run of consecutive t, fits the run's last dim_bound + 1
+    samples and walks the run backwards."""
+    if dim_bound < 0:
+        dim_bound = 0
+    ts = sorted(values)
+    run = []
+    for t in reversed(ts):
+        if not run or t == run[-1] - 1:
+            run.append(t)
+        else:
+            break
+    run.reverse()
+    need = dim_bound + 3
+    if len(run) < need:
+        raise NoStabilizationError(
+            f"need at least dim_bound+3 = {need} consecutive trailing samples, have {len(run)}")
+    num, den = _reference_newton([(t, values[t]) for t in run[-(dim_bound + 1):]])
+    matched, residuals = [], {}
+    for t in reversed(run):
+        pred = hilbert._poly_eval(num, t)
+        if pred == values[t] * den:
+            matched.append(t)
+        else:
+            residuals[t] = (values[t], Fraction(pred, den))
+            break
+    if len(matched) < dim_bound + 2:
+        raise NoStabilizationError(
+            f"table does not stabilize onto a degree<={dim_bound} polynomial", residuals)
+    return HilbertPolynomialQ.from_coefficients([Fraction(c, den) for c in num],
+                                                stabilization_threshold=min(matched))
+
+
+@st.composite
+def _tables(draw):
+    """(table, dim_bound): an integer-valued polynomial of degree <= 4 (an
+    integer combination of C(t, k)) at t = 0..11 at most, with up to three
+    samples moved anywhere, the tail included."""
+    length = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
+    table = [sum(c * comb(t, k) for k, c in enumerate(coeffs)) for t in range(length)]
+    for _ in range(draw(st.integers(0, 3))):
+        table[draw(st.integers(0, length - 1))] += draw(st.integers(-5, 5))
+    return table, draw(st.integers(-1, 4))
+
+
+@given(_tables())
+@example(([1, 5, 9, 13, 17, 21, 25, 29], 1))  # chi_graph(2) from t = 0
+@example(([7, 3, 9, 13, 17], 1))  # settles at t = 2
+@example(([1, 5, 9, 13, 17], 4))  # too short for the bound
+def test_fit_matches_the_dict_reference(case):
+    table, dim_bound = case
+    try:
+        want = reference_interpolation(dict(enumerate(table)), dim_bound)
+    except NoStabilizationError as exc:
+        with pytest.raises(NoStabilizationError) as got:
+            interpolate_hilbert_polynomial(table, dim_bound)
+        assert str(got.value) == str(exc)
+        assert got.value.residuals == exc.residuals
+    else:
+        got = interpolate_hilbert_polynomial(table, dim_bound)
+        assert got.coefficients == want.coefficients
+        assert got.stabilization_threshold == want.stabilization_threshold
+
+
+@pytest.mark.parametrize("method", [METHOD_INITIAL, METHOD_RANK])
+def test_tabulate_diagonal_lists_t_0_to_t_max(method):
+    for ideal, t_max in [(special_fiber_ideal(2), 5), (diagonal_ideal(1), 0),
+                         (random_bihomogeneous_ideal(2, Random(3)), 4)]:
+        table = tabulate_diagonal(ideal, t_max, method)
+        assert len(table) == t_max + 1
+        assert table == [bigraded_hilbert_function(ideal, t, t, method)
+                         for t in range(t_max + 1)]
+
+
+def _polynomial_degree(ideal):
+    """The degree of the exact diagonal polynomial of the numerator, -1 for 0."""
+    num, _ = hilbert._diagonal_polynomial(ideal.series_numerator(), ideal.universe.n + 1)
+    return max((d for d, c in enumerate(num) if c), default=-1)
+
+
+@given(_monomial_ideals())
+@example((2, [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)]))  # <x1, x2, x3>
+@example((1, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))  # artinian
+def test_projective_dimension_bounds_the_polynomial_degree(case):
+    n, exps = case
+    uni = xy_universe(n)
+    ideal = Ideal(uni, [BiPolynomial(uni, {e: 1}) for e in exps])
+    degree = _polynomial_degree(ideal)
+    if degree >= 0:  # P = 0 for artinian quotients, where the value is -2
+        assert ideal_dimension(ideal) >= degree
+
+
+def _program_ideals():
+    out = []
+    for n in (2, 3, 4):
+        J = family_ideal_J(n)
+        rng = Random(n)
+        out += [(f"chart n={n}{' degenerate' * degenerate}",
+                 evaluate_family_at(J, random_chart_point(n, rng, degenerate)))
+                for degenerate in (False, True)]
+    for n in (1, 2, 3, 4):
+        out += [(f"special n={n}", special_fiber_ideal(n)), (f"diagonal n={n}", diagonal_ideal(n))]
+    for d0, d1 in [(1, 1), (2, 2), (5, 5), (25, 1), (1, 25)]:
+        out.append((f"fermat {d0},{d1}", gamma_curve_ideal(fermat_pair(d0, d1))))
+    return out
+
+
+def test_projective_dimension_is_the_polynomial_degree_on_program_ideals():
+    for label, ideal in _program_ideals():
+        assert ideal_dimension(ideal) == _polynomial_degree(ideal), label
 
 
 def test_polynomial_type_basics():
@@ -524,8 +652,8 @@ def test_normalize_method():
 
 def test_tabulate_diagonal_checks_the_method_up_front():
     ideal = special_fiber_ideal(1)
-    # an empty range must not hide a bad method, nor tag a table with it
-    for ts in ([], range(3)):
+    # an empty table must not hide a bad method
+    for t_max in (-1, 2):
         with pytest.raises(ValueError, match="unknown method"):
-            tabulate_diagonal(ideal, ts, "bogus")
-    assert tabulate_diagonal(ideal, [], "rank").method == METHOD_RANK
+            tabulate_diagonal(ideal, t_max, "bogus")
+    assert tabulate_diagonal(ideal, -1, "rank") == []
