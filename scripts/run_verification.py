@@ -2,7 +2,8 @@
 """Run every CLI verification suite and summarize the exit codes.
 
 Each suite has an expected exit code.  Most suites must pass (0), among
-them the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
+them verify-groebner at n=3 and at cli.MAX_N, the largest n it accepts,
+the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
 latter up to t = 8 by both methods as in the rank-referee benchmark, and
 the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
 beside a projective_dimension of 1 (that value only bounds the degree; see
@@ -76,6 +77,8 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
 
 
 def main() -> int:
+    from flatcert.cli import MAX_N
+
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
                         help="the seed of the verify-flatness suites' chart points")
@@ -87,6 +90,8 @@ def main() -> int:
         suites: list[tuple[str, list[str], int]] = [
             ("groebner certificate",
              ["verify-groebner", "--n", "3"], 0),
+            ("groebner certificate at MAX_N",
+             ["verify-groebner", "--n", str(MAX_N)], 0),
             ("hilbert: minors n=2",
              ["hilbert", str(files["diagonal_n2"]), "--method", "both"], 0),
             ("hilbert: special fiber n=2",

@@ -22,9 +22,8 @@ Arithmetic.  Inside `normal_form`, `spolynomial`, `buchberger` (with its
 interreduction) and `is_groebner_basis`, each monomial is one int
 (`_Packing`): one field per exponent, in the order's significance order,
 with a guard bit above each field.  Multiplying monomials adds their ints,
-comparing them compares monomials (for grevlex through a key that negates
-the reversed x/y fields), and a divides b exactly when b - a sets no guard
-bit.  Reduction runs fraction-free inside `_reduce_terms`: the
+comparing them compares monomials, and a divides b exactly when b - a sets
+no guard bit.  Reduction runs fraction-free inside `_reduce_terms`: the
 working polynomial is integers over one common denominator, each basis
 element is a primitive integer polynomial built once per basis, S-pairs are
 formed from the integer tails, and the leading term comes off a heap of
@@ -43,8 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
 from math import comb, gcd, lcm
-from operator import add, itemgetter, le, lshift, neg
-from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
+from operator import add, itemgetter, le, lshift
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .polyring import (
     BiPolynomial,
@@ -62,7 +61,7 @@ class DimensionUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialOrderSpec:
-    """A monomial order: kind plus an optional ordering of the x/y variables.
+    """A lex order, optionally on a reordering of the x/y variables.
 
     variable_permutation lists x/y variable names from most to least
     significant; None means the natural order x1 > ... > x{n+1} > y1 > ...
@@ -70,14 +69,9 @@ class MonomialOrderSpec:
     themselves by universe order.
     """
 
-    kind: str = "lex"
     variable_permutation: tuple[str, ...] | None = None
 
-    KINDS: ClassVar[tuple[str, ...]] = ("lex", "grevlex")
-
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown order kind {self.kind!r}; choose from {self.KINDS}")
         if self.variable_permutation is not None:
             object.__setattr__(self, "variable_permutation", tuple(self.variable_permutation))
 
@@ -104,27 +98,20 @@ class MonomialOrderSpec:
         """
         perm = self.permutation_indices(universe)
         nxy = universe.num_xy
-        if self.kind == "lex" and perm == tuple(range(nxy)):
+        if perm == tuple(range(nxy)):
             return tuple
-        if self.kind == "lex":
-            permuted = itemgetter(*perm)
+        permuted = itemgetter(*perm)
 
-            def key(e: Exponents) -> tuple:
-                return permuted(e) + e[nxy:]
-        else:  # grevlex
-            reversed_xy = itemgetter(*reversed(perm))
-
-            def key(e: Exponents) -> tuple:
-                xy = reversed_xy(e)
-                return (sum(xy),) + tuple(map(neg, xy)) + e[nxy:]
+        def key(e: Exponents) -> tuple:
+            return permuted(e) + e[nxy:]
         return key
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind,
+        return {"kind": "lex",
                 "variable_permutation": list(self.variable_permutation) if self.variable_permutation else None}
 
 
-DEFAULT_ORDER = MonomialOrderSpec("lex", None)
+DEFAULT_ORDER = MonomialOrderSpec()
 
 
 def _resolve(order: MonomialOrderSpec | None) -> MonomialOrderSpec:
@@ -159,60 +146,37 @@ class _FieldOverflow(Exception):
 class _Packing:
     """The monomials of one universe as ints, for one order and field width.
 
-    A monomial's code has one field per exponent, the most significant
-    first in the order's significance order: for lex the x/y variables in
-    `permutation_indices` order, then the parameters; for grevlex a total
-    x/y degree field, then the x/y variables in reversed order, then the
-    parameters.  Each field is `width` bits with a guard bit above it, kept
-    zero.  Codes of monomials add field by field, and a divides b exactly
-    when b - a has no guard bit set: a field of b smaller than a's borrows
-    from the guard bit above it.
-
-    The key of code c is c - 2*(c & rev), where rev covers grevlex's
-    reversed x/y fields (rev is 0 for lex, where key and code coincide).
-    It negates those fields, so comparing keys compares monomials, and it
-    stays additive.  The kernel keys its polynomials by key and forms a
-    code only to test divisibility or overflow.
+    A monomial's key has one field per exponent, the most significant first:
+    the x/y variables in `permutation_indices` order, then the parameters.
+    Each field is `width` bits with a guard bit above it, kept zero.  Keys
+    compare as the monomials do, add field by field as the monomials
+    multiply, and a divides b exactly when b - a has no guard bit set: a
+    field of b smaller than a's borrows from the guard bit above it.
     """
 
-    __slots__ = ("universe", "guard", "rev", "low", "_limit", "_shifts", "_total",
-                 "_fields", "_exponents")
+    __slots__ = ("universe", "guard", "_limit", "_shifts", "_fields", "_exponents")
 
     def __init__(self, universe: VariableUniverse, order: MonomialOrderSpec, width: int):
-        perm = order.permutation_indices(universe)
-        nxy = universe.num_xy
-        total = order.kind == "grevlex"
-        variables = (perm[::-1] if total else perm) + tuple(range(nxy, universe.num_vars))
+        params = tuple(range(universe.num_xy, universe.num_vars))
+        variables = order.permutation_indices(universe) + params
         stride = width + 1
-        self._shifts = tuple(range(stride * (len(variables) + total - 1), -1, -stride))
+        self._shifts = tuple(range(stride * (len(variables) - 1), -1, -stride))
         self.universe = universe
         self._limit = (1 << width) - 1
         self.guard = sum(1 << (s + width) for s in self._shifts)
-        self.rev = sum(self._limit << s for s in self._shifts[1:nxy + 1]) if total else 0
-        self.low = (1 << self._shifts[nxy]) - 1 if total else 0
-        self._total = nxy if total else 0
         self._fields = itemgetter(*variables)
-        self._exponents = itemgetter(*(variables.index(i) + total for i in range(len(variables))))
+        self._exponents = itemgetter(*map(variables.index, range(len(variables))))
 
     def pack(self, e: Exponents) -> int:
         """The key of e; raises _FieldOverflow if a field cannot hold it."""
         fields = self._fields(e)
-        if self._total:
-            fields = (sum(fields[:self._total]), *fields)
         if max(fields) > self._limit:
             raise _FieldOverflow
-        c = sum(map(lshift, fields, self._shifts))
-        return c - 2 * (c & self.rev)
-
-    def code(self, key: int) -> int:
-        """The code of a key: it adds 2*(c & rev) back, reading c & rev off
-        the bits that -key borrows into below the reversed fields."""
-        return key + 2 * ((self.low - key) & self.rev)
+        return sum(map(lshift, fields, self._shifts))
 
     def unpack(self, key: int) -> Exponents:
-        c = self.code(key)
         limit = self._limit
-        return self._exponents([(c >> s) & limit for s in self._shifts])
+        return self._exponents([(key >> s) & limit for s in self._shifts])
 
 
 @lru_cache(maxsize=32)
@@ -257,12 +221,12 @@ def _polynomial(terms: dict[int, Fraction], pk: _Packing) -> BiPolynomial:
     return BiPolynomial(pk.universe, _canonical={pk.unpack(k): c for k, c in terms.items()})
 
 
-# One record per basis element, built once: the code and the key of the
-# leading monomial, the element scaled to a primitive integer polynomial
-# with positive leading coefficient, split into that coefficient and its
-# tail, and the bitwise or of the tail's codes, which bounds every tail
-# field for the overflow test.
-_Divisor = tuple[int, int, int, tuple[tuple[int, int], ...], int]
+# One record per basis element, built once: the key of the leading
+# monomial, the element scaled to a primitive integer polynomial with
+# positive leading coefficient, split into that coefficient and its tail,
+# and the bitwise or of the tail's keys, which bounds every tail field for
+# the overflow test.
+_Divisor = tuple[int, int, tuple[tuple[int, int], ...], int]
 
 
 def _divisor(h: dict[int, int], pk: _Packing) -> _Divisor:
@@ -274,8 +238,8 @@ def _divisor(h: dict[int, int], pk: _Packing) -> _Divisor:
     tail = tuple((k, c // content) for k, c in h.items() if k != lm)
     bits = 0
     for k, _ in tail:
-        bits |= pk.code(k)
-    return pk.code(lm), lm, h[lm] // content, tail, bits
+        bits |= k
+    return lm, h[lm] // content, tail, bits
 
 
 def _gdata(basis: Sequence[BiPolynomial], pk: _Packing) -> list[_Divisor]:
@@ -283,7 +247,7 @@ def _gdata(basis: Sequence[BiPolynomial], pk: _Packing) -> list[_Divisor]:
 
 
 def _monic_polynomial(d: _Divisor, pk: _Packing) -> BiPolynomial:
-    _, lm, lc, tail, _ = d
+    lm, lc, tail, _ = d
     return _polynomial({lm: Fraction(1), **{k: Fraction(c, lc) for k, c in tail}}, pk)
 
 
@@ -306,7 +270,7 @@ def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
     heap = [-k for k in h]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    guard, rev, low = pk.guard, pk.rev, pk.low
+    guard = pk.guard
     r: dict[int, Fraction] = {}
     steps = 0
     while heap:
@@ -314,12 +278,11 @@ def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
         c = h.pop(lead, 0)
         if not c:
             continue
-        code = lead + 2 * ((low - lead) & rev) if rev else lead
-        for lm_code, lm, lc, tail, bits in gdata:
-            s = code - lm_code
-            if s & guard:
+        for lm, lc, tail, bits in gdata:
+            shift = lead - lm
+            if shift & guard:
                 continue
-            if (bits + s) & guard:
+            if (bits + shift) & guard:
                 raise _FieldOverflow
             g = gcd(c, lc)
             a, b = lc // g, c // g
@@ -327,7 +290,6 @@ def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
                 for e in h:
                     h[e] *= a
                 scale *= a
-            shift = lead - lm
             for e, gc in tail:
                 e += shift
                 v = h.get(e)
@@ -353,34 +315,45 @@ def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
     return r, steps
 
 
+def _universe(polys: Sequence[BiPolynomial],
+              universe: VariableUniverse | None = None) -> VariableUniverse:
+    """The one universe of polys (universe, if given), checked on entry to
+    the kernel: ValueError for no polynomials or a zero one,
+    UniverseMismatchError for a polynomial over another universe."""
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    uni = polys[0].universe if universe is None else universe
+    for k, g in enumerate(polys):
+        if g.universe != uni:
+            raise UniverseMismatchError(f"polynomial {k} lives over another universe")
+        if g.is_zero():
+            raise ValueError(f"polynomial {k} is the zero polynomial")
+    return uni
+
+
 def normal_form(f: BiPolynomial, basis: Sequence[BiPolynomial],
                 order: MonomialOrderSpec | None = None) -> BiPolynomial:
     """Deterministic full remainder of f modulo the listed polynomials."""
-    for g in basis:
-        if g.universe != f.universe:
-            raise UniverseMismatchError("basis and argument universes differ")
-        if g.is_zero():
-            raise ValueError("zero polynomial in reduction basis")
+    uni = _universe(basis, f.universe)
 
     def run(pk: _Packing) -> BiPolynomial:
         r, _ = _reduce_terms(*_packed_terms(f, pk), _gdata(basis, pk), pk)
         return _polynomial(r, pk)
-    return _packed(run, f.universe, _resolve(order))
+    return _packed(run, uni, _resolve(order))
 
 
 def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[int, int], int]:
     """The S-polynomial x^(L-lm p) p/lc p - x^(L-lm q) q/lc q, L the lcm of
     the leading monomials (lcm_key its key), as (h, scale).  The leading
     terms cancel by construction, so it is built from the two tails alone."""
-    lcm_code = pk.code(lcm_key)
-    lcp, lcq = p[2], q[2]
+    lcp, lcq = p[1], q[1]
     g = gcd(lcp, lcq)
     a, b = lcq // g, lcp // g
     h: dict[int, int] = {}
-    for (lm_code, lm, _, tail, bits), factor in ((p, a), (q, -b)):
-        if (bits + lcm_code - lm_code) & pk.guard:
-            raise _FieldOverflow
+    for (lm, _, tail, bits), factor in ((p, a), (q, -b)):
         shift = lcm_key - lm
+        if (bits + shift) & pk.guard:
+            raise _FieldOverflow
         for e, c in tail:
             e += shift
             v = h.get(e, 0) + factor * c
@@ -393,12 +366,14 @@ def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[i
 
 def spolynomial(f: BiPolynomial, g: BiPolynomial,
                 order: MonomialOrderSpec | None = None) -> BiPolynomial:
+    uni = _universe((f, g))
+
     def run(pk: _Packing) -> BiPolynomial:
         p, q = _gdata((f, g), pk)
-        lcm_key = pk.pack(monomial_lcm(pk.unpack(p[1]), pk.unpack(q[1])))
+        lcm_key = pk.pack(monomial_lcm(pk.unpack(p[0]), pk.unpack(q[0])))
         h, scale = _spair(p, q, lcm_key, pk)
         return _polynomial({k: Fraction(c, scale) for k, c in h.items()}, pk)
-    return _packed(run, f.universe, _resolve(order))
+    return _packed(run, uni, _resolve(order))
 
 
 # --- Buchberger completion ---
@@ -435,17 +410,17 @@ class BuchbergerRun:
 def _interreduce(gdata: list[_Divisor], pk: _Packing) -> list[_Divisor]:
     """Minimalize leading terms, then reduce every tail once."""
     minimal: list[_Divisor] = []
-    for d in sorted(gdata, key=itemgetter(1)):
+    for d in sorted(gdata, key=itemgetter(0)):
         if all((d[0] - m[0]) & pk.guard for m in minimal):
             minimal.append(d)
     # one pass suffices: reduction keeps every leading term, so a tail
     # reduced against them stays reduced when the others change
-    for i, (_, lm, lc, tail, _) in enumerate(minimal):
+    for i, (lm, lc, tail, _) in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         if others:
             r, _ = _reduce_terms({lm: lc, **dict(tail)}, 1, others, pk)
             minimal[i] = _divisor(_integer_terms(r)[0], pk)
-    minimal.sort(key=itemgetter(1))
+    minimal.sort(key=itemgetter(0))
     return minimal
 
 
@@ -454,14 +429,7 @@ def buchberger(gens: Sequence[BiPolynomial],
     """Reduced Groebner basis of <gens> plus the S-pair audit trail."""
     order = _resolve(order)
     gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    uni = gens[0].universe
-    for g in gens:
-        if g.universe != uni:
-            raise UniverseMismatchError("generators live over different universes")
-        if g.is_zero():
-            raise ValueError("zero generator")
+    uni = _universe(gens)
     return _packed(lambda pk: _complete(gens, order, pk), uni, order)
 
 
@@ -471,8 +439,8 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
     guard = pk.guard
     run = BuchbergerRun(order=order)
     gdata = _gdata(gens, pk)
-    lms = [pk.unpack(d[1]) for d in gdata]
-    codes = [d[0] for d in gdata]
+    keys = [d[0] for d in gdata]
+    lms = list(map(pk.unpack, keys))
     # Pairs pop by (x/y degree of the lcm, key of the lcm, (i, j)): the
     # normal strategy (Buchberger 1985), which on input homogeneous in x/y
     # is also the sugar strategy (Giovini et al. 1991).  Under lex, ordering
@@ -496,13 +464,12 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
         _, lcm_key, best, lcm_e = heapq.heappop(heap)
         pending.remove(best)
         i, j = best
-        lcm_code = pk.code(lcm_key)
-        if lcm_code == codes[i] + codes[j]:
+        if lcm_key == keys[i] + keys[j]:
             run.events.append(SPairEvent(i, j, lcm_e, "skipped_coprime"))
             continue
         chain = False
-        for k, code in enumerate(codes):
-            if (lcm_code - code) & guard or k == i or k == j:
+        for k, key in enumerate(keys):
+            if (lcm_key - key) & guard or k == i or k == j:
                 continue
             if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 chain = True
@@ -513,8 +480,8 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
         r, steps = _reduce_terms(*_spair(gdata[i], gdata[j], lcm_key, pk), gdata, pk)
         if r:
             gdata.append(_divisor(_integer_terms(r)[0], pk))
-            lms.append(pk.unpack(gdata[-1][1]))
-            codes.append(gdata[-1][0])
+            keys.append(gdata[-1][0])
+            lms.append(pk.unpack(keys[-1]))
             m = len(gdata) - 1
             for t in range(m):
                 push(t, m)
@@ -533,12 +500,11 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
     (passed, spairs): one record {"pair", "lcm", "reduction_steps",
     "remainder_zero"} per pair i < j, and passed when every remainder is zero."""
     basis = list(basis)
-    if not basis:
-        raise ValueError("need at least one basis element")
+    uni = _universe(basis)
 
     def run(pk: _Packing) -> list[dict]:
         gdata = _gdata(basis, pk)
-        lms = [pk.unpack(d[1]) for d in gdata]
+        lms = [pk.unpack(d[0]) for d in gdata]
         spairs = []
         for i, j in combinations(range(len(basis)), 2):
             lcm_e = monomial_lcm(lms[i], lms[j])
@@ -550,7 +516,7 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
                 "remainder_zero": not r,
             })
         return spairs
-    spairs = _packed(run, basis[0].universe, _resolve(order))
+    spairs = _packed(run, uni, _resolve(order))
     return all(sp["remainder_zero"] for sp in spairs), spairs
 
 

@@ -11,7 +11,8 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import pytest
 
@@ -29,6 +30,7 @@ from flatcert import (
     gauss_graph_ideal,
     incidence_form,
     is_groebner_basis,
+    leading_term,
     methods_agree,
     nonzerodivisor_check,
     primary_intersection_check,
@@ -55,30 +57,47 @@ def report(k, name, ok, detail):
     return ok
 
 
-def sampled_orders(seed=0, n=2, extra=3):
-    """lex, grevlex, and three seeded random variable permutations."""
+def joint_orders(n):
+    """The (n+1)! lex orders that permute the x and y indices together."""
+    return [MonomialOrderSpec(tuple(f"x{i}" for i in p) + tuple(f"y{i}" for i in p))
+            for p in permutations(range(1, n + 2))]
+
+
+def shuffled_orders(seed=0, n=2, extra=3):
+    """Lex orders on three seeded random permutations of the variables."""
     names = list(xy_universe(n).names)
-    orders = [MonomialOrderSpec("lex"), MonomialOrderSpec("grevlex")]
+    orders = []
     for k in range(extra):
         rng = random.Random(seed + k)
         perm = names[:]
         rng.shuffle(perm)
-        orders.append(MonomialOrderSpec("lex", variable_permutation=tuple(perm)))
+        orders.append(MonomialOrderSpec(tuple(perm)))
     return orders
 
 
 def test_ac01_groebner_certificate():
-    """Minors of [x;y] certify as a basis under every sampled order."""
-    checked = 0
+    """Minors of [x;y] certify as a basis under every lex order that permutes
+    x and y together and under three shuffled-name lex orders.  Every term
+    order gives the minors the leading terms of one of the joint orders
+    (see cli._run_verify_groebner), and the joint orders give (n+1)!
+    pairwise distinct sets, so every configuration is checked."""
+    checked = orders = 0
     for n in (1, 2, 3):
-        gens = diagonal_ideal(n).generators
-        for order in sampled_orders(seed=0, n=n):
+        ideal = diagonal_ideal(n)
+        gens = ideal.generators
+        joint = joint_orders(n)
+        leads = {frozenset(leading_term(g, order.key_function(ideal.universe))[0] for g in gens)
+                 for order in joint}
+        assert len(leads) == len(joint) == factorial(n + 1)
+        for order in joint + shuffled_orders(seed=0, n=n):
             ok, spairs = is_groebner_basis(gens, order)
-            assert ok, (n, order.kind, order.variable_permutation)
+            assert ok, (n, order.variable_permutation)
             assert all(sp["remainder_zero"] for sp in spairs)
             checked += len(spairs)
+            orders += 1
     assert report(1, "universal basis certificate", True,
-                  f"n=1..3, 5 orders each, {checked} S-pairs reduced to zero")
+                  f"n=1..3, all 2+6+24 joint x/y lex orders and 3 shuffled ones each"
+                  f" ({orders} orders), {checked} S-pairs reduced to zero")
 
 
 def test_ac02_diagonal_hilbert_identity():

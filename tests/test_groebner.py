@@ -15,6 +15,7 @@ from flatcert import (
     VariableUniverse,
     PlaneCurvePair,
     DimensionUndefinedError,
+    UniverseMismatchError,
     Ideal,
     MonomialOrderSpec,
     buchberger,
@@ -53,20 +54,20 @@ UNI = xy_universe(2)
 
 
 def order_for(label, universe):
-    """lex, grevlex, or lex on seeded shuffled x/y variables, like the
-    orders AC1 samples: "lex_permuted" shuffles with seed 1 and
+    """lex, or lex on seeded shuffled x/y variables, like the shuffled
+    orders AC1 checks: "lex_permuted" shuffles with seed 1 and
     "lex_shuffle<k>" with seed k.  (On the n=3 fiber seed 0 gives y1 > x2 >
     y2 > x3 > x1 > x4 > y4 > y3, and seed 2 y2 > x4 > y1 > x2 > x3 > y3 >
     y4 > x1: see AUDIT_CASES.)"""
-    if label in MonomialOrderSpec.KINDS:
-        return MonomialOrderSpec(label)
+    if label == "lex":
+        return DEFAULT_ORDER
     seed = 1 if label == "lex_permuted" else int(label.removeprefix("lex_shuffle"))
     names = list(universe.x_names + universe.y_names)
     Random(seed).shuffle(names)
-    return MonomialOrderSpec("lex", tuple(names))
+    return MonomialOrderSpec(tuple(names))
 
 
-ORDER_LABELS = [*MonomialOrderSpec.KINDS, "lex_permuted"]
+ORDER_LABELS = ["lex", "lex_permuted"]
 ORDERS = [order_for(label, UNI) for label in ORDER_LABELS]
 
 
@@ -177,8 +178,8 @@ def test_initial_ideal_is_the_descending_lex_leads_of_the_basis(n, seed):
 
 def test_leading_monomial_respects_order():
     f = UNI.parse("x1*y2 + x2*y1")
-    for order, want in [(MonomialOrderSpec("lex"), "x1*y2"),
-                        (MonomialOrderSpec("lex", ("x2", "x1", "x3", "y1", "y2", "y3")), "x2*y1")]:
+    for order, want in [(MonomialOrderSpec(), "x1*y2"),
+                        (MonomialOrderSpec(("x2", "x1", "x3", "y1", "y2", "y3")), "x2*y1")]:
         lead, _ = leading_term(f, order.key_function(UNI))
         assert UNI.monomial_text(lead) == want
 
@@ -197,9 +198,9 @@ def test_ideal_caches_one_basis(monkeypatch):
     assert ideal.initial_ideal() and ideal.groebner_basis() is b1
     assert calls == [DEFAULT_ORDER]
     # other orders go through buchberger itself
-    grevlex = MonomialOrderSpec("grevlex")
-    b3, _ = buchberger(ideal.generators, grevlex)
-    ok, _ = is_groebner_basis(b3, grevlex)
+    permuted = order_for("lex_permuted", ideal.universe)
+    b3, _ = buchberger(ideal.generators, permuted)
+    ok, _ = is_groebner_basis(b3, permuted)
     assert ok
 
 
@@ -282,6 +283,29 @@ def test_monomial_intersection_and_minimalization():
     assert rendered == ["x1^2*y1", "x1^2*y2"]
 
 
+# The kernel's entry points, each called on f and a second polynomial g.
+ENTRY_POINTS = {
+    "buchberger": lambda f, g: buchberger([f, g]),
+    "is_groebner_basis": lambda f, g: is_groebner_basis([f, g]),
+    "normal_form": lambda f, g: normal_form(f, [f, g]),
+    "spolynomial": spolynomial,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_check_their_polynomials(entry):
+    call = ENTRY_POINTS[entry]
+    uni = xy_universe(1)
+    f = uni.parse("x1*y1 + x2*y2")
+    # a parameter the kernel would drop, and another dimension
+    for other in (VariableUniverse.standard(1, ("a",)).parse("x1*y2 + a*x2*y1"),
+                  xy_universe(2).parse("x1*y2 - x2*y1")):
+        with pytest.raises(UniverseMismatchError):
+            call(f, other)
+    with pytest.raises(ValueError, match="polynomial 1 is the zero polynomial"):
+        call(f, uni.zero())
+
+
 def test_certificate_reports_every_pair():
     basis, _ = buchberger(special_fiber_ideal(2).generators)
     uni = xy_universe(1)
@@ -300,8 +324,6 @@ def test_certificate_reports_every_pair():
 
 def reference_key(order, uni):
     """The order key as a per-term Python function, natural lex included."""
-    if order.kind != "lex":
-        return order.key_function(uni)
     perm = order.permutation_indices(uni)
     nxy = uni.num_xy
     return lambda e: tuple(e[i] for i in perm) + e[nxy:]
@@ -525,7 +547,7 @@ def test_guard_bits_test_divisibility(label, a, b, divisible):
     pk, _ = packing_for(label)
     if divisible:
         b = monomial_lcm(a, b)
-    assert (not (pk.code(pk.pack(b)) - pk.code(pk.pack(a))) & pk.guard) == monomial_divides(a, b)
+    assert (not (pk.pack(b) - pk.pack(a)) & pk.guard) == monomial_divides(a, b)
 
 
 @pytest.mark.parametrize("label", ORDER_LABELS)
@@ -533,16 +555,14 @@ def test_guard_bits_test_divisibility(label, a, b, divisible):
 def test_pack_then_unpack_is_the_identity(label, a):
     pk, _ = packing_for(label)
     assert pk.unpack(pk.pack(a)) == a
-    assert pk.code(pk.pack(a)) & pk.guard == 0
+    assert pk.pack(a) & pk.guard == 0
 
 
 @pytest.mark.parametrize("label", ORDER_LABELS)
 @given(a=exponent_strategy(PUNI, 4), b=exponent_strategy(PUNI, 4))
-def test_packed_keys_and_codes_add(label, a, b):
+def test_packed_keys_add(label, a, b):
     pk, _ = packing_for(label)
-    ab = monomial_mul(a, b)
-    assert pk.pack(a) + pk.pack(b) == pk.pack(ab)
-    assert pk.code(pk.pack(a)) + pk.code(pk.pack(b)) == pk.code(pk.pack(ab))
+    assert pk.pack(a) + pk.pack(b) == pk.pack(monomial_mul(a, b))
 
 
 # Exponents past the initial field width (at most 63): in an input (130
@@ -568,14 +588,11 @@ def test_field_overflow_matches_reference_loop(name, label):
 
 
 def test_packed_fields_never_wrap():
-    # lex only: under grevlex a reduction step never raises the degree
     uni = xy_universe(1)
     keyf = reference_key(DEFAULT_ORDER, uni)
     pk = _packing(uni, DEFAULT_ORDER, _INITIAL_WIDTH)
     with pytest.raises(_FieldOverflow):
         pk.pack((0, 0, 0, 130))
-    with pytest.raises(_FieldOverflow):  # grevlex's total-degree field
-        _packing(uni, MonomialOrderSpec("grevlex"), _INITIAL_WIDTH).pack((40, 40, 0, 0))
     f, g = uni.parse("x1^8*y1 + y2"), uni.parse("x1 - x2^8")
     with pytest.raises(_FieldOverflow):
         _reduce_terms(*_packed_terms(f, pk), _gdata([g], pk), pk)
@@ -594,5 +611,5 @@ def test_natural_lex_key_is_the_exponent_tuple():
     e = (2, 0, 1, 0, 3, 1)
     assert key(e) is e
     assert key(e) == reference_key(DEFAULT_ORDER, uni)(e)
-    permuted = MonomialOrderSpec("lex", ("y1", "x1", "x2", "x3", "y2", "y3"))
+    permuted = MonomialOrderSpec(("y1", "x1", "x2", "x3", "y2", "y3"))
     assert permuted.key_function(uni)(e) == (0, 2, 0, 1, 3, 1)
