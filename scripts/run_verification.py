@@ -16,9 +16,11 @@ expected to exit 1, the n=4 chart fiber at t=5 to exit 3 because its
 rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES, xi-trials at
 (1,3) with --t-max 3 to exit 2 because that table is too short to fix the
 curve's polynomial, xi-trials at (6,6) to exit 3 because d0*d1 is over
-cli.MAX_DEGREE_PRODUCT, and the hilbert run on x1^100000000*y1 to exit 2
-(INCONCLUSIVE) because no table up to t_max sees that generator; its
-dimension is read without a dense list of 10^8 coefficients.  xi-trials
+cli.MAX_DEGREE_PRODUCT, verify-flatness on a --points file nested 100000
+deep to exit 3 because that is a usage error, not a traceback, and the
+hilbert run on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table
+up to t_max sees that generator; its dimension is read without a dense
+list of 10^8 coefficients.  xi-trials
 reads no seed, so its suites pass none; --seed is handed to the
 verify-flatness suites only.
 flatcert is imported from this checkout's src/, here and in every suite.
@@ -87,6 +89,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         files = ideal_files(tmp)
+        deep_points = tmp / "deep_points.json"
+        deep_points.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
         suites: list[tuple[str, list[str], int]] = [
             ("groebner certificate",
              ["verify-groebner", "--n", "3"], 0),
@@ -124,6 +128,8 @@ def main() -> int:
             ("negative control, short table",
              ["verify-flatness", "--n", "2", "--t-max", "3",
               "--corrupt", "drop-generator:1"], 1),
+            ("flatness n=2, points file nested 100000 deep",
+             ["verify-flatness", "--n", "2", "--points", str(deep_points)], 3),
             ("torus equivariance n=2", ["torus-check", "--n", "2"], 0),
             ("torus equivariance n=4", ["torus-check", "--n", "4"], 0),
             ("conic equations", ["conic-equations"], 0),

@@ -23,12 +23,10 @@ from .groebner import (
     BuchbergerRun,
     DimensionUndefinedError,
     Ideal,
-    MonomialOrderSpec,
     NonBihomogeneousError,
     buchberger,
     ideal_dimension,
     is_groebner_basis,
-    leading_term,
     normal_form,
     spolynomial,
 )

@@ -23,7 +23,7 @@ from .groebner import (
     Ideal,
     ideal_dimension,
     is_groebner_basis,
-    leading_term,
+    order_json,
 )
 from .hilbert import (
     METHOD_INITIAL,
@@ -75,9 +75,10 @@ MAX_N = 8
 # hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
 MAX_T = 100
 # Input budget on the xi degrees, d0*d1, checked before the witness is built.
-# In-process on a 2-core VM, run_xi_trials takes at most 0.12 s on each of the
-# 87 pairs under it (the slowest is (25, 1); (5, 5) takes 0.006 s), and past
-# it 0.015 s at (10, 10) and 0.5 s at (40, 1).
+# In-process on a 2-core Intel Xeon VM, run_xi_trials takes at most 0.19 s on
+# each of the 87 pairs under it (the slowest are (20..25, 1), 0.10-0.19 s;
+# (5, 5) takes 0.005 s), and past it 0.014 s at (10, 10) and 0.6-0.74 s at
+# (40, 1).
 MAX_DEGREE_PRODUCT = 25
 
 
@@ -134,7 +135,12 @@ def _method_or_both(text: str) -> str:
 
 def _load_points_file(path: str) -> list[ChartPoint]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # caught here, not in USAGE_ERRORS, so that a recursion bug
+            # elsewhere still ends in a traceback
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     rows = data.get("points") if isinstance(data, dict) else data
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a list of chart points or {{'points': [...]}}")
@@ -223,15 +229,15 @@ def _run_verify_groebner(args: argparse.Namespace) -> Outcome:
     ideal = diagonal_ideal(args.n)  # the minors (i, j), i < j, in that order
     uni = ideal.universe
     ok, spairs = is_groebner_basis(list(ideal.generators), DEFAULT_ORDER)
-    keyf = DEFAULT_ORDER.key_function(uni)
-    leads_ok = ([uni.monomial_text(leading_term(g, keyf)[0]) for g in ideal.generators]
+    # under natural lex the leading exponent is the largest exponent tuple
+    leads_ok = ([uni.monomial_text(max(g.terms)) for g in ideal.generators]
                 == [f"x{i}*y{j}" for i, j in combinations(range(1, args.n + 2), 2)])
     passed = ok and leads_ok
     lines = [f"groebner n={args.n}: 2x2 minors, one certificate for every term order",
              f"  lex S-pairs reduce to zero: {_verdict(ok)} ({len(spairs)} S-pairs)",
              f"  lex leading term of minor (i, j) is x_i*y_j: {_verdict(leads_ok)}",
              f"verdict: {_verdict(passed)}"]
-    report = {"n": args.n, "order": DEFAULT_ORDER.to_json_dict(), "s_pairs": len(spairs),
+    report = {"n": args.n, "order": order_json(DEFAULT_ORDER), "s_pairs": len(spairs),
               "groebner": ok, "lex_leading_terms": leads_ok, "passed": passed}
     return _verdict(passed), {"n": args.n}, report, lines
 

@@ -14,9 +14,14 @@ plain record per pair with its reduction chain length, so certificates are
 reproducible run to run.  Initial ideals are exponent tuples too:
 `Ideal.initial_ideal()` returns the minimal leading exponents, descending.
 
-Parameter variables compare below all x/y variables in every order, so
-leading terms are taken with respect to x/y content when chart parameters
-are still symbolic.
+Orders.  The kernel is lex-only, so an order is its variable permutation:
+a tuple of x/y variable names, most significant first, or None
+(`DEFAULT_ORDER`) for natural lex, x1 > ... > x{n+1} > y1 > ... > y{n+1}.
+`_Packing` is the one reader of a permutation.  Under natural lex the
+leading exponent of a polynomial g is `max(g.terms)`, since tuples compare
+lexicographically.  Parameter variables compare below all x/y variables in
+every order, so leading terms are taken with respect to x/y content when
+chart parameters are still symbolic.
 
 Arithmetic.  Inside `normal_form`, `spolynomial`, `buchberger` (with its
 interreduction) and `is_groebner_basis`, each monomial is one int
@@ -42,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count
 from math import comb, gcd, lcm
-from operator import add, itemgetter, le, lshift
+from operator import itemgetter, le, lshift
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .polyring import (
@@ -52,70 +57,37 @@ from .polyring import (
     VariableUniverse,
 )
 
-OrderKey = Callable[[Exponents], tuple]
-
 
 class DimensionUndefinedError(ValueError):
     """Dimension was requested for the whole ring (the ideal contains a unit)."""
 
 
-@dataclass(frozen=True)
-class MonomialOrderSpec:
-    """A lex order, optionally on a reordering of the x/y variables.
+# x/y variable names, most significant first, or None for natural lex
+# (see "Orders" above)
+Order = tuple[str, ...] | None
 
-    variable_permutation lists x/y variable names from most to least
-    significant; None means the natural order x1 > ... > x{n+1} > y1 > ...
-    > y{n+1}.  Parameters always compare below every x/y variable, among
-    themselves by universe order.
-    """
-
-    variable_permutation: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.variable_permutation is not None:
-            object.__setattr__(self, "variable_permutation", tuple(self.variable_permutation))
-
-    def permutation_indices(self, universe: VariableUniverse) -> tuple[int, ...]:
-        nxy = universe.num_xy
-        if self.variable_permutation is None:
-            return tuple(range(nxy))
-        idx = []
-        for name in self.variable_permutation:
-            i = universe.index.get(name)
-            if i is None or universe.is_param_index(i):
-                raise ValueError(f"{name!r} is not an x/y variable of this universe")
-            idx.append(i)
-        if sorted(idx) != list(range(nxy)):
-            raise ValueError("variable_permutation must list every x/y variable exactly once")
-        return tuple(idx)
-
-    def key_function(self, universe: VariableUniverse) -> OrderKey:
-        """Additive key; comparing keys compares monomials.
-
-        Natural lex (the default order) compares exponent tuples as they
-        are, so its key is `tuple`, which returns a tuple argument itself
-        without a Python-level call per term.
-        """
-        perm = self.permutation_indices(universe)
-        nxy = universe.num_xy
-        if perm == tuple(range(nxy)):
-            return tuple
-        permuted = itemgetter(*perm)
-
-        def key(e: Exponents) -> tuple:
-            return permuted(e) + e[nxy:]
-        return key
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "lex",
-                "variable_permutation": list(self.variable_permutation) if self.variable_permutation else None}
+DEFAULT_ORDER: Order = None
 
 
-DEFAULT_ORDER = MonomialOrderSpec()
+def order_json(order: Order) -> dict:
+    """The report form of an order; a permutation prints as a list."""
+    return {"kind": "lex", "variable_permutation": None if order is None else list(order)}
 
 
-def _resolve(order: MonomialOrderSpec | None) -> MonomialOrderSpec:
-    return DEFAULT_ORDER if order is None else order
+def _permutation_indices(universe: VariableUniverse, order: Order) -> tuple[int, ...]:
+    """The indices of the x/y variables of `order`, most significant first."""
+    nxy = universe.num_xy
+    if order is None:
+        return tuple(range(nxy))
+    idx = []
+    for name in order:
+        i = universe.index.get(name)
+        if i is None or i >= nxy:
+            raise ValueError(f"{name!r} is not an x/y variable of this universe")
+        idx.append(i)
+    if sorted(idx) != list(range(nxy)):
+        raise ValueError("variable_permutation must list every x/y variable exactly once")
+    return tuple(idx)
 
 
 # --- monomial helpers on raw exponent tuples ---
@@ -123,18 +95,8 @@ def _resolve(order: MonomialOrderSpec | None) -> MonomialOrderSpec:
 def monomial_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
-def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
-
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
-
-
-def leading_term(f: BiPolynomial, keyf: OrderKey) -> tuple[Exponents, Fraction]:
-    if not f.terms:
-        raise ValueError("the zero polynomial has no leading term")
-    e = max(f.terms, key=keyf)
-    return e, f.terms[e]
 
 
 # --- packed monomials ---
@@ -147,7 +109,7 @@ class _Packing:
     """The monomials of one universe as ints, for one order and field width.
 
     A monomial's key has one field per exponent, the most significant first:
-    the x/y variables in `permutation_indices` order, then the parameters.
+    the x/y variables in `_permutation_indices` order, then the parameters.
     Each field is `width` bits with a guard bit above it, kept zero.  Keys
     compare as the monomials do, add field by field as the monomials
     multiply, and a divides b exactly when b - a has no guard bit set: a
@@ -156,9 +118,9 @@ class _Packing:
 
     __slots__ = ("universe", "guard", "_limit", "_shifts", "_fields", "_exponents")
 
-    def __init__(self, universe: VariableUniverse, order: MonomialOrderSpec, width: int):
+    def __init__(self, universe: VariableUniverse, order: Order, width: int):
         params = tuple(range(universe.num_xy, universe.num_vars))
-        variables = order.permutation_indices(universe) + params
+        variables = _permutation_indices(universe, order) + params
         stride = width + 1
         self._shifts = tuple(range(stride * (len(variables) - 1), -1, -stride))
         self.universe = universe
@@ -180,7 +142,7 @@ class _Packing:
 
 
 @lru_cache(maxsize=32)
-def _packing(universe: VariableUniverse, order: MonomialOrderSpec, width: int) -> _Packing:
+def _packing(universe: VariableUniverse, order: Order, width: int) -> _Packing:
     return _Packing(universe, order, width)
 
 
@@ -192,9 +154,12 @@ _T = TypeVar("_T")
 
 
 def _packed(run: Callable[[_Packing], _T], universe: VariableUniverse,
-            order: MonomialOrderSpec) -> _T:
+            order: Order) -> _T:
     """run(packing), at the first width from _INITIAL_WIDTH up, doubling,
-    where no exponent overflows its field."""
+    where no exponent overflows its field.  A permutation given as a list
+    is taken as a tuple, the hashable form the `_packing` cache needs."""
+    if order is not None:
+        order = tuple(order)
     width = _INITIAL_WIDTH
     while True:
         try:
@@ -332,14 +297,14 @@ def _universe(polys: Sequence[BiPolynomial],
 
 
 def normal_form(f: BiPolynomial, basis: Sequence[BiPolynomial],
-                order: MonomialOrderSpec | None = None) -> BiPolynomial:
+                order: Order = DEFAULT_ORDER) -> BiPolynomial:
     """Deterministic full remainder of f modulo the listed polynomials."""
     uni = _universe(basis, f.universe)
 
     def run(pk: _Packing) -> BiPolynomial:
         r, _ = _reduce_terms(*_packed_terms(f, pk), _gdata(basis, pk), pk)
         return _polynomial(r, pk)
-    return _packed(run, uni, _resolve(order))
+    return _packed(run, uni, order)
 
 
 def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[int, int], int]:
@@ -365,7 +330,7 @@ def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[i
 
 
 def spolynomial(f: BiPolynomial, g: BiPolynomial,
-                order: MonomialOrderSpec | None = None) -> BiPolynomial:
+                order: Order = DEFAULT_ORDER) -> BiPolynomial:
     uni = _universe((f, g))
 
     def run(pk: _Packing) -> BiPolynomial:
@@ -373,7 +338,7 @@ def spolynomial(f: BiPolynomial, g: BiPolynomial,
         lcm_key = pk.pack(monomial_lcm(pk.unpack(p[0]), pk.unpack(q[0])))
         h, scale = _spair(p, q, lcm_key, pk)
         return _polynomial({k: Fraction(c, scale) for k, c in h.items()}, pk)
-    return _packed(run, uni, _resolve(order))
+    return _packed(run, uni, order)
 
 
 # --- Buchberger completion ---
@@ -395,13 +360,13 @@ class SPairEvent:
 class BuchbergerRun:
     """Audit trail of one completion: per-pair events and the reduced basis."""
 
-    order: MonomialOrderSpec
+    order: Order
     events: list[SPairEvent] = field(default_factory=list)
     basis: tuple[BiPolynomial, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
-            "order": self.order.to_json_dict(),
+            "order": order_json(self.order),
             "events": [ev.to_json_dict(self.basis[0].universe) for ev in self.events],
             "basis": [str(g) for g in self.basis],
         }
@@ -425,15 +390,14 @@ def _interreduce(gdata: list[_Divisor], pk: _Packing) -> list[_Divisor]:
 
 
 def buchberger(gens: Sequence[BiPolynomial],
-               order: MonomialOrderSpec | None = None) -> tuple[tuple[BiPolynomial, ...], BuchbergerRun]:
+               order: Order = DEFAULT_ORDER) -> tuple[tuple[BiPolynomial, ...], BuchbergerRun]:
     """Reduced Groebner basis of <gens> plus the S-pair audit trail."""
-    order = _resolve(order)
     gens = list(gens)
     uni = _universe(gens)
     return _packed(lambda pk: _complete(gens, order, pk), uni, order)
 
 
-def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
+def _complete(gens: list[BiPolynomial], order: Order,
               pk: _Packing) -> tuple[tuple[BiPolynomial, ...], BuchbergerRun]:
     """`buchberger` under one packing."""
     guard = pk.guard
@@ -495,7 +459,7 @@ def _complete(gens: list[BiPolynomial], order: MonomialOrderSpec,
 
 
 def is_groebner_basis(basis: Sequence[BiPolynomial],
-                      order: MonomialOrderSpec | None = None) -> tuple[bool, list[dict]]:
+                      order: Order = DEFAULT_ORDER) -> tuple[bool, list[dict]]:
     """Reduce every S-pair of `basis`; no criteria, no shortcuts.  Returns
     (passed, spairs): one record {"pair", "lcm", "reduction_steps",
     "remainder_zero"} per pair i < j, and passed when every remainder is zero."""
@@ -516,7 +480,7 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
                 "remainder_zero": not r,
             })
         return spairs
-    spairs = _packed(run, uni, _resolve(order))
+    spairs = _packed(run, uni, order)
     return all(sp["remainder_zero"] for sp in spairs), spairs
 
 
@@ -560,8 +524,8 @@ class Ideal:
     def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]]:
         if self._computed is None:
             basis, _ = buchberger(self.generators, DEFAULT_ORDER)
-            keyf = DEFAULT_ORDER.key_function(self.universe)
-            lead = sorted((leading_term(g, keyf)[0] for g in basis), reverse=True)
+            # natural lex compares exponent tuples as they are
+            lead = sorted((max(g.terms) for g in basis), reverse=True)
             self._computed = (basis, tuple(lead))
         return self._computed
 

@@ -118,9 +118,6 @@ class VariableUniverse:
     def num_xy(self) -> int:
         return 2 * (self.n + 1)
 
-    def is_param_index(self, i: int) -> bool:
-        return i >= self.num_xy
-
     def bidegree_of(self, exps: Exponents) -> tuple[int, int]:
         k = self.n + 1
         return (sum(exps[:k]), sum(exps[k:2 * k]))

@@ -185,6 +185,19 @@ def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_deeply_nested_points_file_exits_3(tmp_path, capsys):
+    # deeper than the JSON decoder's recursion allows: a usage error, where
+    # a RecursionError from anywhere else still ends in a traceback
+    path = tmp_path / "points.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out = run(["verify-flatness", "--n", "2", "--points", str(path)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not issubclass(RecursionError, cli.USAGE_ERRORS)
+
+
 def test_verify_groebner(monkeypatch):
     def refuse(seed=None):
         raise AssertionError("verify-groebner drew a random number")

@@ -1,8 +1,10 @@
 """Monomial orders, Buchberger, and basis certification."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from random import Random
 
 import pytest
@@ -17,7 +19,6 @@ from flatcert import (
     DimensionUndefinedError,
     UniverseMismatchError,
     Ideal,
-    MonomialOrderSpec,
     buchberger,
     diagonal_ideal,
     evaluate_family_at,
@@ -42,11 +43,10 @@ from flatcert.groebner import (
     _reduce_terms,
     _spair,
     intersect_monomial_exponents,
-    leading_term,
     minimalize_monomial_exponents,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
+    order_json,
 )
 from flatcert.polyring import iter_exponents_of_bidegree
 
@@ -64,11 +64,29 @@ def order_for(label, universe):
     seed = 1 if label == "lex_permuted" else int(label.removeprefix("lex_shuffle"))
     names = list(universe.x_names + universe.y_names)
     Random(seed).shuffle(names)
-    return MonomialOrderSpec(tuple(names))
+    return tuple(names)
 
 
 ORDER_LABELS = ["lex", "lex_permuted"]
-ORDERS = [order_for(label, UNI) for label in ORDER_LABELS]
+
+
+def monomial_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def reference_key(order, uni):
+    """The order as a per-term Python key, natural lex included, read from
+    the permutation by name here and not by the kernel's code."""
+    names = uni.x_names + uni.y_names if order is None else order
+    perm = [uni.names.index(name) for name in names]
+    nxy = uni.num_xy
+    return lambda e: tuple(e[i] for i in perm) + e[nxy:]
+
+
+def reference_lead(f, keyf):
+    """(exponents, coefficient) of the leading term of f under keyf."""
+    e = max(f.terms, key=keyf)
+    return e, f.terms[e]
 
 
 def exponent_strategy(universe=UNI, max_exp=3):
@@ -77,18 +95,18 @@ def exponent_strategy(universe=UNI, max_exp=3):
     )
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=ORDER_LABELS)
+@pytest.mark.parametrize("label", ORDER_LABELS)
 @given(a=exponent_strategy(), b=exponent_strategy(), c=exponent_strategy())
-def test_order_respects_multiplication(order, a, b, c):
-    key = order.key_function(UNI)
+def test_order_respects_multiplication(label, a, b, c):
+    key = _packing(UNI, order_for(label, UNI), _INITIAL_WIDTH).pack
     if key(a) < key(b):
         assert key(monomial_mul(a, c)) < key(monomial_mul(b, c))
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=ORDER_LABELS)
+@pytest.mark.parametrize("label", ORDER_LABELS)
 @given(a=exponent_strategy())
-def test_order_has_one_as_minimum(order, a):
-    key = order.key_function(UNI)
+def test_order_has_one_as_minimum(label, a):
+    key = _packing(UNI, order_for(label, UNI), _INITIAL_WIDTH).pack
     one = tuple(0 for _ in UNI.names)
     if a != one:
         assert key(one) < key(a)
@@ -127,8 +145,9 @@ def test_buchberger_adds_spolynomials_when_needed():
     assert normal_form(g, basis).is_zero()
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=ORDER_LABELS)
-def test_buchberger_terminates_under_every_order(order):
+@pytest.mark.parametrize("label", ORDER_LABELS)
+def test_buchberger_terminates_under_every_order(label):
+    order = order_for(label, UNI)
     basis, _ = buchberger(special_fiber_ideal(2).generators, order)
     ok, _ = is_groebner_basis(basis, order)
     assert ok
@@ -170,18 +189,31 @@ def test_initial_ideal_of_minors():
 def test_initial_ideal_is_the_descending_lex_leads_of_the_basis(n, seed):
     fiber = evaluate_family_at(family_ideal_J(n), random_chart_point(n, Random(seed), True))
     for ideal in (fiber, special_fiber_ideal(n), diagonal_ideal(n)):
-        keyf = DEFAULT_ORDER.key_function(ideal.universe)
-        leads = [leading_term(g, keyf)[0] for g in ideal.groebner_basis()]
+        keyf = reference_key(DEFAULT_ORDER, ideal.universe)
+        leads = [reference_lead(g, keyf)[0] for g in ideal.groebner_basis()]
         assert ideal.initial_ideal() == tuple(sorted(leads, reverse=True))
         assert minimalize_monomial_exponents(leads) == list(ideal.initial_ideal())
 
 
 def test_leading_monomial_respects_order():
     f = UNI.parse("x1*y2 + x2*y1")
-    for order, want in [(MonomialOrderSpec(), "x1*y2"),
-                        (MonomialOrderSpec(("x2", "x1", "x3", "y1", "y2", "y3")), "x2*y1")]:
-        lead, _ = leading_term(f, order.key_function(UNI))
+    for order, want in [(None, "x1*y2"), (("x2", "x1", "x3", "y1", "y2", "y3"), "x2*y1")]:
+        pk = _packing(UNI, order, _INITIAL_WIDTH)
+        lead = pk.unpack(max(_packed_terms(f, pk)[0]))
         assert UNI.monomial_text(lead) == want
+
+
+def test_order_is_a_permutation_of_the_xy_variables():
+    f, g = UNI.parse("x1*y2 + x2*y1"), UNI.parse("x2*y3 - x3*y2")
+    names = ["y1", "x1", "x2", "x3", "y2", "y3"]
+    assert buchberger([f, g], names)[0] == buchberger([f, g], tuple(names))[0]
+    puni = VariableUniverse.standard(2, ("a",))
+    fa = puni.parse("a*x1*y2 + x2*y1")
+    for bad, message in [(names[:-1], "exactly once"), (names + ["y3"], "exactly once"),
+                         (names[:-1] + ["z"], "not an x/y variable"),
+                         (names[:-1] + ["a"], "not an x/y variable")]:
+        with pytest.raises(ValueError, match=message):
+            normal_form(fa, [fa], bad)
 
 
 def test_ideal_caches_one_basis(monkeypatch):
@@ -322,20 +354,13 @@ def test_certificate_reports_every_pair():
 
 # --- the audit trail against a reference completion loop ---
 
-def reference_key(order, uni):
-    """The order key as a per-term Python function, natural lex included."""
-    perm = order.permutation_indices(uni)
-    nxy = uni.num_xy
-    return lambda e: tuple(e[i] for i in perm) + e[nxy:]
-
-
 def monic(f, keyf):
-    _, lc = leading_term(f, keyf)
+    _, lc = reference_lead(f, keyf)
     return f if lc == 1 else f / lc
 
 
 def reference_gdata(basis, keyf):
-    return [(*leading_term(g, keyf), g.terms) for g in basis]
+    return [(*reference_lead(g, keyf), g.terms) for g in basis]
 
 
 def reference_reduce_terms(terms, gdata, keyf):
@@ -368,7 +393,7 @@ def reference_reduce_terms(terms, gdata, keyf):
 
 def reference_spolynomial(f, g, keyf):
     """The S-polynomial by BiPolynomial multiplication and subtraction."""
-    (lmf, lcf), (lmg, lcg) = leading_term(f, keyf), leading_term(g, keyf)
+    (lmf, lcf), (lmg, lcg) = reference_lead(f, keyf), reference_lead(g, keyf)
     lcm = monomial_lcm(lmf, lmg)
     mf = BiPolynomial(f.universe, {tuple(a - b for a, b in zip(lcm, lmf)): 1 / lcf})
     mg = BiPolynomial(g.universe, {tuple(a - b for a, b in zip(lcm, lmg)): 1 / lcg})
@@ -378,9 +403,9 @@ def reference_spolynomial(f, g, keyf):
 def reference_interreduce(basis, keyf):
     """Minimalize leading terms, then reduce tails until nothing changes."""
     minimal = []
-    for g in sorted(basis, key=lambda g: keyf(leading_term(g, keyf)[0])):
-        lm = leading_term(g, keyf)[0]
-        if not any(monomial_divides(leading_term(h, keyf)[0], lm) for h in minimal):
+    for g in sorted(basis, key=lambda g: keyf(reference_lead(g, keyf)[0])):
+        lm = reference_lead(g, keyf)[0]
+        if not any(monomial_divides(reference_lead(h, keyf)[0], lm) for h in minimal):
             minimal.append(monic(g, keyf))
     changed = True
     while changed:
@@ -392,7 +417,7 @@ def reference_interreduce(basis, keyf):
                 rp = monic(BiPolynomial(g.universe, _canonical=r), keyf)
                 if rp != g:
                     minimal[i], changed = rp, True
-    return sorted(minimal, key=lambda g: keyf(leading_term(g, keyf)[0]))
+    return sorted(minimal, key=lambda g: keyf(reference_lead(g, keyf)[0]))
 
 
 def reference_buchberger(gens, order):
@@ -402,7 +427,7 @@ def reference_buchberger(gens, order):
     keyf = reference_key(order, uni)
     run = BuchbergerRun(order=order)
     G = [monic(g, keyf) for g in gens]
-    lms = [leading_term(g, keyf)[0] for g in G]
+    lms = [reference_lead(g, keyf)[0] for g in G]
 
     def selection(ij):
         lcm = monomial_lcm(lms[ij[0]], lms[ij[1]])
@@ -434,7 +459,7 @@ def reference_buchberger(gens, order):
         if r:
             g_new = monic(BiPolynomial(uni, _canonical=r), keyf)
             G.append(g_new)
-            lms.append(leading_term(g_new, keyf)[0])
+            lms.append(reference_lead(g_new, keyf)[0])
             m = len(G) - 1
             pending.update((t, m) for t in range(m))
             run.events.append(SPairEvent(i, j, lcm, "new_generator", steps))
@@ -505,7 +530,7 @@ def random_polynomial(rng, universe, bidegree, num_terms):
 @pytest.mark.parametrize("label", ORDER_LABELS)
 def test_normal_form_matches_reference_kernel(label):
     order = order_for(label, UNI)
-    keyf = order.key_function(UNI)
+    keyf = reference_key(order, UNI)
     pk = _packing(UNI, order, _INITIAL_WIDTH)
     steps_seen = 0
     for seed in range(40):
@@ -530,7 +555,7 @@ PUNI = VariableUniverse.standard(2, ("a", "b"))  # parameters get fields too
 
 def packing_for(label):
     order = order_for(label, PUNI)
-    return _packing(PUNI, order, _INITIAL_WIDTH), order.key_function(PUNI)
+    return _packing(PUNI, order, _INITIAL_WIDTH), reference_key(order, PUNI)
 
 
 @pytest.mark.parametrize("label", ORDER_LABELS)
@@ -605,11 +630,22 @@ def test_packed_fields_never_wrap():
     assert spolynomial(p, q) == reference_spolynomial(p, q, keyf) == uni.parse("-x2^110 - x1^59*y1")
 
 
-def test_natural_lex_key_is_the_exponent_tuple():
+def test_packed_fields_follow_the_permutation():
     uni = xy_universe(2)
-    key = DEFAULT_ORDER.key_function(uni)
     e = (2, 0, 1, 0, 3, 1)
-    assert key(e) is e
-    assert key(e) == reference_key(DEFAULT_ORDER, uni)(e)
-    permuted = MonomialOrderSpec(("y1", "x1", "x2", "x3", "y2", "y3"))
-    assert permuted.key_function(uni)(e) == (0, 2, 0, 1, 3, 1)
+    for order, fields in [(None, e),
+                          (("y1", "x1", "x2", "x3", "y2", "y3"), (0, 2, 0, 1, 3, 1))]:
+        pk = _packing(uni, order, _INITIAL_WIDTH)
+        stride = _INITIAL_WIDTH + 1
+        assert pk.pack(e) == sum(f << (stride * (len(fields) - 1 - k))
+                                 for k, f in enumerate(fields))
+
+
+def test_order_renders_as_json():
+    gens = diagonal_ideal(1).generators
+    perm = ("y1", "y2", "x1", "x2")
+    for order, text in [(perm, '["y1", "y2", "x1", "x2"]'), (None, "null")]:
+        want = '{"kind": "lex", "variable_permutation": %s}' % text
+        _, run = buchberger(gens, order)
+        assert json.dumps(run.to_json_dict()["order"]) == want
+        assert json.dumps(order_json(order)) == want

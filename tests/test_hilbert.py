@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 from pathlib import Path
 from random import Random
 
@@ -37,7 +38,7 @@ from flatcert import (
 )
 from flatcert import groebner, hilbert
 from flatcert.cli import parse_ideal_file
-from flatcert.groebner import _integer_terms, monomial_divides, monomial_mul
+from flatcert.groebner import _integer_terms, monomial_divides
 from flatcert.hilbert import (
     MAX_MACAULAY_ENTRIES,
     MacaulayBudgetError,
@@ -168,7 +169,7 @@ def unpruned_rank_value(ideal, i, j):
         a, b = g.bidegree()
         ints, _ = _integer_terms(g.terms)
         for m in iter_exponents_of_bidegree(uni, i - a, j - b):
-            rows.append({cols[monomial_mul(e, m)]: v for e, v in ints.items()})
+            rows.append({cols[tuple(map(add, e, m))]: v for e, v in ints.items()})
     return len(cols) - sparse_integer_rank(rows)
 
 
