@@ -3,6 +3,7 @@
 
 Each suite has an expected exit code.  Most suites must pass (0), among
 them verify-groebner at n=3 and at cli.MAX_N, the largest n it accepts,
+verify-flatness at n=1, 2, 4 and at cli.MAX_N (t <= 9),
 the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
 latter up to t = 8 by both methods as in the rank-referee benchmark, and
 the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
@@ -119,6 +120,8 @@ def main() -> int:
              ["verify-flatness", "--n", "2", "--seed", str(args.seed)], 0),
             ("flatness n=4, the flatness-gb benchmark item",
              ["verify-flatness", "--n", "4", "--t-max", "6", "--seed", str(args.seed)], 0),
+            ("flatness n=8 at MAX_N",
+             ["verify-flatness", "--n", str(MAX_N), "--t-max", "9", "--seed", str(args.seed)], 0),
             ("flatness n=2, rank oracle",
              ["verify-flatness", "--n", "2", "--method", "rank", "--seed", str(args.seed)], 0),
             ("negative control",

@@ -25,6 +25,7 @@ from .groebner import (
     Ideal,
     NonBihomogeneousError,
     buchberger,
+    chart_order,
     ideal_dimension,
     is_groebner_basis,
     normal_form,

@@ -65,19 +65,19 @@ USAGE_ERRORS = (ValueError, OSError, KeyError)  # main reports these with EXIT_U
 # Input budget: the largest projective dimension n accepted by --n and by an
 # ideal file's header.  Every suite, script and benchmark runs n <= 8.  At
 # n = 8 on a 2-core VM, as subprocesses, verify-flatness --t-max 9 takes
-# 4.9 s, torus-check 0.7 s, primary-check 0.17 s and verify-groebner 0.12 s;
-# past it torus-check roughly triples per step (in-process: 0.37 s at n = 8,
-# 1.2 s at n = 9, 4.2 s at n = 10).
+# 1.4 s, torus-check 0.8 s, primary-check 0.16-0.27 s and verify-groebner
+# 0.13-0.15 s; past it torus-check roughly triples per step (in-process:
+# 0.4-0.6 s at n = 8, 1.2-1.6 s at n = 9, 3.2-4.2 s at n = 10).
 MAX_N = 8
 # Input budget on --t-max: every tabulated t is held in memory, so a huge
 # value would exhaust it before any other check runs.  The suites, scripts
-# and benchmark run t <= 8; the rank route meets its own budget,
+# and benchmark run t <= 9; the rank route meets its own budget,
 # hilbert.MAX_MACAULAY_ENTRIES, from t = 13 on the n=2 fibers.
 MAX_T = 100
 # Input budget on the xi degrees, d0*d1, checked before the witness is built.
-# In-process on a 2-core Intel Xeon VM, run_xi_trials takes at most 0.19 s on
-# each of the 87 pairs under it (the slowest are (20..25, 1), 0.10-0.19 s;
-# (5, 5) takes 0.005 s), and past it 0.014 s at (10, 10) and 0.6-0.74 s at
+# In-process on a 2-core Intel Xeon VM, run_xi_trials takes at most 0.17 s on
+# each of the 87 pairs under it (the slowest are (20..25, 1), 0.06-0.17 s;
+# (5, 5) takes 0.002 s), and past it 0.003 s at (10, 10) and 0.6-0.7 s at
 # (40, 1).
 MAX_DEGREE_PRODUCT = 25
 

@@ -19,7 +19,9 @@ from flatcert import (
     DimensionUndefinedError,
     UniverseMismatchError,
     Ideal,
+    apply_corruption,
     buchberger,
+    chart_order,
     diagonal_ideal,
     evaluate_family_at,
     family_ideal_J,
@@ -54,20 +56,22 @@ UNI = xy_universe(2)
 
 
 def order_for(label, universe):
-    """lex, or lex on seeded shuffled x/y variables, like the shuffled
-    orders AC1 checks: "lex_permuted" shuffles with seed 1 and
-    "lex_shuffle<k>" with seed k.  (On the n=3 fiber seed 0 gives y1 > x2 >
-    y2 > x3 > x1 > x4 > y4 > y3, and seed 2 y2 > x4 > y1 > x2 > x3 > y3 >
-    y4 > x1: see AUDIT_CASES.)"""
+    """lex, the chart order every `Ideal` completes under, or lex on seeded
+    shuffled x/y variables, like the shuffled orders AC1 checks:
+    "lex_permuted" shuffles with seed 1 and "lex_shuffle<k>" with seed k.
+    (On the n=3 fiber seed 0 gives y1 > x2 > y2 > x3 > x1 > x4 > y4 > y3,
+    and seed 2 y2 > x4 > y1 > x2 > x3 > y3 > y4 > x1: see AUDIT_CASES.)"""
     if label == "lex":
         return DEFAULT_ORDER
+    if label == "chart":
+        return chart_order(universe)
     seed = 1 if label == "lex_permuted" else int(label.removeprefix("lex_shuffle"))
     names = list(universe.x_names + universe.y_names)
     Random(seed).shuffle(names)
     return tuple(names)
 
 
-ORDER_LABELS = ["lex", "lex_permuted"]
+ORDER_LABELS = ["lex", "lex_permuted", "chart"]
 
 
 def monomial_mul(a, b):
@@ -189,7 +193,7 @@ def test_initial_ideal_of_minors():
 def test_initial_ideal_is_the_descending_lex_leads_of_the_basis(n, seed):
     fiber = evaluate_family_at(family_ideal_J(n), random_chart_point(n, Random(seed), True))
     for ideal in (fiber, special_fiber_ideal(n), diagonal_ideal(n)):
-        keyf = reference_key(DEFAULT_ORDER, ideal.universe)
+        keyf = reference_key(chart_order(ideal.universe), ideal.universe)
         leads = [reference_lead(g, keyf)[0] for g in ideal.groebner_basis()]
         assert ideal.initial_ideal() == tuple(sorted(leads, reverse=True))
         assert minimalize_monomial_exponents(leads) == list(ideal.initial_ideal())
@@ -228,12 +232,98 @@ def test_ideal_caches_one_basis(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counting)
     b1 = ideal.groebner_basis()
     assert ideal.initial_ideal() and ideal.groebner_basis() is b1
-    assert calls == [DEFAULT_ORDER]
+    assert calls == [chart_order(ideal.universe)]
     # other orders go through buchberger itself
     permuted = order_for("lex_permuted", ideal.universe)
     b3, _ = buchberger(ideal.generators, permuted)
     ok, _ = is_groebner_basis(b3, permuted)
     assert ok
+
+
+def special_fiber_initial_ideal(uni):
+    """<x1y1, x_i y_j (i < j), x_k y_k^2 (k >= 2)>, descending."""
+    m = uni.n + 1
+    gens = []
+    for i in range(m):
+        for j in range(i, m):
+            e = [0] * uni.num_xy
+            e[i] = 1
+            e[m + j] = 2 if i == j > 0 else 1
+            gens.append(tuple(e))
+    return tuple(sorted(gens, reverse=True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_fibers_share_the_special_fibers_initial_ideal(n):
+    # phi_u keeps every leading term under chart_order, so a fiber completes
+    # along the special fiber's path; a corrupted fiber does not
+    J = family_ideal_J(n)
+    want = special_fiber_initial_ideal(xy_universe(n))
+    assert special_fiber_ideal(n).initial_ideal() == want
+    for seed in range(4):
+        point = random_chart_point(n, Random(seed), degenerate=seed % 2 == 1)
+        assert evaluate_family_at(J, point).initial_ideal() == want, seed
+    corrupted = apply_corruption(J, "drop-generator:1")
+    for seed in range(2):
+        point = random_chart_point(n, Random(seed), degenerate=seed % 2 == 1)
+        assert evaluate_family_at(corrupted, point).initial_ideal() != want, seed
+
+
+def chart_change(f, u):
+    """phi_u(f): x_j -> sum_i u[i][j] x_i and y_j -> sum_i v[j][i] y_i,
+    v = u^-1 by forward substitution, for u lower unipotent."""
+    uni = f.universe
+    m = uni.n + 1
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(i):
+            v[i][j] = -sum(u[i][k] * v[k][j] for k in range(j, i))
+    xs = [uni.variable(name) for name in uni.x_names]
+    ys = [uni.variable(name) for name in uni.y_names]
+    images = ([sum((u[i][j] * xs[i] for i in range(m)), uni.zero()) for j in range(m)]
+              + [sum((v[j][i] * ys[i] for i in range(m)), uni.zero()) for j in range(m)])
+    out = uni.zero()
+    for e, c in f.terms.items():
+        term = c * uni.one()
+        for image, k in zip(images, e):
+            for _ in range(k):
+                term = term * image
+        out = out + term
+    return out
+
+
+@st.composite
+def chart_changes(draw):
+    """(u, f): u lower unipotent with entries in [-3, 3], f bihomogeneous
+    with nonzero integer coefficients, n = 1..3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    uni = xy_universe(n)
+    entry = st.integers(min_value=-3, max_value=3)
+    u = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n + 1)]
+         for i in range(n + 1)]
+    bidegree = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    monomials = list(iter_exponents_of_bidegree(uni, *bidegree))
+    picked = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    coeff = st.integers(min_value=-5, max_value=5).filter(bool)
+    return u, BiPolynomial(uni, {e: draw(coeff) for e in picked})
+
+
+@given(chart_changes())
+def test_chart_change_keeps_the_leading_term_under_chart_order(case):
+    u, f = case
+    keyf = reference_key(chart_order(f.universe), f.universe)
+    assert reference_lead(chart_change(f, u), keyf) == reference_lead(f, keyf)
+
+
+def test_chart_change_can_move_the_leading_term_under_natural_lex():
+    # u21 = 1 sends y2 to y2 - y1, and natural lex puts y1 first
+    uni = xy_universe(1)
+    f, u = uni.parse("x1*y2"), [[1, 0], [1, 1]]
+    image = chart_change(f, u)
+    assert image == uni.parse("x1*y2 + x2*y2 - x1*y1 - x2*y1")
+    lex, chart = reference_key(DEFAULT_ORDER, uni), reference_key(chart_order(uni), uni)
+    assert reference_lead(image, lex) != reference_lead(f, lex)
+    assert reference_lead(image, chart) == reference_lead(f, chart)
 
 
 def test_ideal_dimension_desk_values():
