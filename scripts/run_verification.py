@@ -3,7 +3,8 @@
 
 Each suite has an expected exit code.  Most suites must pass (0), among
 them verify-groebner at n=3 and at cli.MAX_N, the largest n it accepts,
-verify-flatness at n=1, 2, 4 and at cli.MAX_N (t <= 9),
+verify-flatness at n=1, 2, 4 and at cli.MAX_N (t <= 9), and at n=4 on a
+--points file of two rational chart points, one of them with d1 = 0,
 the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
 latter up to t = 8 by both methods as in the rank-referee benchmark, and
 the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
@@ -33,6 +34,7 @@ The script exits 0 exactly when every suite matches its expectation.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +78,10 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
         path.write_text(ideal_file_text(name, ideal.universe.n, ideal.generators),
                         encoding="utf-8")
         out[name] = path
+    # chart_n4 and its copy with d1 = 0, as a --points file of rational points
+    points = [chart_n4, ChartPoint(chart_n4.rows, (0, *chart_n4.d[1:]))]
+    out["points_n4"] = tmp / "points_n4.json"
+    out["points_n4"].write_text(json.dumps([p.to_json_dict() for p in points]), encoding="utf-8")
     return out
 
 
@@ -120,6 +126,9 @@ def main() -> int:
              ["verify-flatness", "--n", "2", "--seed", str(args.seed)], 0),
             ("flatness n=4, the flatness-gb benchmark item",
              ["verify-flatness", "--n", "4", "--t-max", "6", "--seed", str(args.seed)], 0),
+            ("flatness n=4 on a points file: chart_n4 and its copy with d1 = 0",
+             ["verify-flatness", "--n", "4", "--t-max", "6", "--points", str(files["points_n4"])],
+             0),
             ("flatness n=8 at MAX_N",
              ["verify-flatness", "--n", str(MAX_N), "--t-max", "9", "--seed", str(args.seed)], 0),
             ("flatness n=2, rank oracle",

@@ -15,11 +15,12 @@ and equality is plain map equality.  All arithmetic is exact; nothing in
 this package touches floating point, and the scalars it accepts are ``int``
 and ``Fraction`` only (``bool`` and ``float`` raise ``TypeError``).
 
-Substitution evaluates in integers: the terms are grouped by their exponents
-at the assigned variables, each group's value is computed once as an integer
-fraction, and every output monomial is summed as an integer over one common
-denominator, so that a ``Fraction`` is built only per result term.  Nothing
-is cached from one call to the next.
+Substitution evaluates the whole parameter block at once, and its result
+lives over the plain x/y universe.  It works in integers: the terms are
+grouped by their parameter exponents, each group's value is computed once
+as an integer fraction, and every x/y monomial is summed as an integer over
+one common denominator, so that a ``Fraction`` is built only per result
+term.  Nothing is cached from one call to the next.
 
 The text format round-trips bit-exactly: ``str`` orders terms by descending
 exponent tuple (equivalently, lex with x1 > ... > x{n+1} > y1 > ... >
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, itemgetter
+from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
 Exponents = tuple[int, ...]
@@ -299,51 +300,38 @@ class BiPolynomial:
     # --- substitution ---
 
     def substitute(self, assignment: Mapping[str, Rational]) -> "BiPolynomial":
-        """Evaluate named variables at rationals.
+        """Evaluate every parameter at a rational; the result lives over the
+        plain x/y universe.
 
-        Assigned parameter variables disappear from the result's universe;
-        assigned x/y variables keep their slots with exponent 0.
-        Substituting into an x/y variable may break bihomogeneity; the
-        caller can consult bidegree() on the result.
-
-        The evaluation is in integers.  Terms are grouped by their pattern,
-        the exponents of the assigned variables; each pattern's value is
-        computed once per call as an integer fraction num/den.  Each output
-        monomial then sums integer numerators over the common denominator
-        lcm(coefficient denominators) * lcm(pattern denominators), and one
+        The assignment names exactly the parameters: any other name raises
+        UnknownVariableError, and a parameter left out raises ValueError.
+        The evaluation is in integers.  Terms are grouped by their
+        parameter exponents; each group's value is computed once per call
+        as an integer fraction num/den.  Each x/y monomial then sums
+        integer numerators over the common denominator
+        lcm(coefficient denominators) * lcm(group denominators), and one
         Fraction is built per result term.  Nothing is cached across calls.
         """
         uni = self.universe
-        values: dict[int, tuple[int, int]] = {}
-        for name, val in assignment.items():
-            i = uni.index.get(name)
-            if i is None:
-                raise UnknownVariableError(name)
-            values[i] = _rational(val, f"the value for {name}").as_integer_ratio()
-        if not values:
-            return self
-
-        params = tuple(p for p in uni.param_names if uni.index[p] not in values)
-        target = uni if len(params) == len(uni.param_names) else VariableUniverse(
-            uni.n, uni.x_names, uni.y_names, params)
-        # Both getters read an exponent tuple padded with one 0 at index nv:
-        # assigned x/y slots read it, and it keeps the pattern a tuple even
-        # when one variable is assigned.
-        nv = uni.num_vars
-        output_exps = itemgetter(*(nv if i in values else i for i in range(uni.num_xy)),
-                                 *(uni.index[p] for p in params))
-        pattern_of = itemgetter(*values, nv)
+        k = uni.num_xy
+        unknown = [name for name in assignment if uni.index.get(name, 0) < k]
+        missing = [p for p in uni.param_names if p not in assignment]
+        if unknown or missing:
+            raise (UnknownVariableError if unknown else ValueError)(
+                f"the assignment does not assign exactly the parameters "
+                f"({', '.join(uni.param_names)}): unknown {unknown}, missing {missing}")
+        values = [_rational(assignment[p], f"the value for {p}").as_integer_ratio()
+                  for p in uni.param_names]
         scale = lcm(*(c.denominator for c in self.terms.values()))
         groups: dict[Exponents, list[tuple[Exponents, int]]] = {}
         for exps, c in self.terms.items():
-            padded = exps + (0,)
-            groups.setdefault(pattern_of(padded), []).append(
-                (output_exps(padded), c.numerator * (scale // c.denominator)))
+            groups.setdefault(exps[k:], []).append(
+                (exps[:k], c.numerator * (scale // c.denominator)))
 
         ratios = []
         for pattern, members in groups.items():
             num = den = 1
-            for (p, q), e in zip(values.values(), pattern):
+            for (p, q), e in zip(values, pattern):
                 if e:
                     num *= p ** e
                     den *= q ** e
@@ -355,8 +343,8 @@ class BiPolynomial:
             for e, a in members:
                 sums[e] = sums.get(e, 0) + a * weight
         total = scale * common
-        # v == 0 for a cancelled sum and for a monomial whose patterns all have value 0
-        return BiPolynomial(target, _canonical={
+        # v == 0 for a cancelled sum and for a monomial whose groups all have value 0
+        return BiPolynomial(VariableUniverse(uni.n, uni.x_names, uni.y_names), _canonical={
             e: Fraction(v, total) for e, v in sums.items() if v})
 
 

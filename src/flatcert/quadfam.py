@@ -14,7 +14,9 @@ Index conventions: variable names are 1-based (x1..x{n+1}), Python
 containers 0-based.  A chart point is a pair (u, d) with u unipotent lower
 triangular and d the n diagonal ratios; it presents the quadric
 u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T, and d = 0 is allowed
-(degenerate quadrics are the point of the construction).
+(degenerate quadrics are the point of the construction).  A point stores
+only its parameter values: d, and the rows of u strictly below its unit
+diagonal, where row k (k = 1..n) holds u{k+1}_1, ..., u{k+1}_k.
 
 The torus (Q*)^n acts by one weight table, `torus_weights`: each x, y, u
 and d variable is multiplied by a monomial in c1..cn.  The torus check
@@ -147,25 +149,20 @@ class SymmetricMatrixQ:
 
 @dataclass(frozen=True)
 class ChartPoint:
-    """A point (u, d) of the chart: u unipotent lower triangular, d in Q^n."""
+    """A point (u, d) of the chart, stored as its parameter values: the rows
+    of u strictly below its unit diagonal, of lengths 1..n, and d in Q^n."""
 
-    u: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Fraction, ...], ...]
     d: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        u = tuple(tuple(Fraction(_rational(v, "a chart entry")) for v in row) for row in self.u)
+        rows = tuple(tuple(Fraction(_rational(v, "a chart entry")) for v in row)
+                     for row in self.rows)
         d = tuple(Fraction(_rational(v, "a chart entry")) for v in self.d)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "d", d)
-        m = len(d) + 1
-        if len(u) != m or any(len(row) != m for row in u):
-            raise ValueError("u must be (n+1) x (n+1) for n = len(d)")
-        for i in range(m):
-            if u[i][i] != 1:
-                raise ValueError("u must have unit diagonal")
-            for j in range(i + 1, m):
-                if u[i][j] != 0:
-                    raise ValueError("u must be lower triangular")
+        if len(rows) != len(d) or any(len(row) != i for i, row in enumerate(rows, start=1)):
+            raise ValueError("need rows of lengths 1..n below the diagonal")
 
     @property
     def n(self) -> int:
@@ -173,13 +170,7 @@ class ChartPoint:
 
     @staticmethod
     def from_strict_lower(rows: Sequence[Sequence], d: Sequence) -> "ChartPoint":
-        m = len(d) + 1
-        if len(rows) != m - 1 or any(len(r) != i + 1 for i, r in enumerate(rows)):
-            raise ValueError("need rows of lengths 1..n below the diagonal")
-        full = [[int(i == j) for j in range(m)] for i in range(m)]
-        for i, row in enumerate(rows, start=1):
-            full[i][:i] = row
-        return ChartPoint(tuple(tuple(r) for r in full), tuple(d))
+        return ChartPoint(rows, d)
 
     @staticmethod
     def special(n: int) -> "ChartPoint":
@@ -194,12 +185,9 @@ class ChartPoint:
     def is_nondegenerate(self) -> bool:
         return all(v != 0 for v in self.d)
 
-    def strict_lower_rows(self) -> list[list[Fraction]]:
-        return [[self.u[i][j] for j in range(i)] for i in range(1, self.n + 1)]
-
     def to_json_dict(self) -> dict:
         return {
-            "u": [[fraction_to_json(v) for v in row] for row in self.strict_lower_rows()],
+            "u": [[fraction_to_json(v) for v in row] for row in self.rows],
             "d": [fraction_to_json(v) for v in self.d],
         }
 
@@ -214,7 +202,7 @@ class ChartPoint:
         return ChartPoint.from_strict_lower(rows, d)
 
     def label(self) -> str:
-        rows = ";".join(",".join(str(v) for v in row) for row in self.strict_lower_rows())
+        rows = ";".join(",".join(str(v) for v in row) for row in self.rows)
         ds = ",".join(str(v) for v in self.d)
         return f"(u=[{rows}], d=({ds}))"
 
@@ -322,16 +310,9 @@ def family_ideal_J(n: int) -> Ideal:
 def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
     """Specialize all chart parameters of J at a point; the result lives in
     the plain x/y ring."""
-    uni = J.universe
-    assignment = _point_assignment(point)
-    if set(assignment) != set(uni.param_names):
-        raise ValueError(f"a chart point of n={point.n} does not assign exactly the "
-                         f"parameters of the ideal ({', '.join(uni.param_names)})")
-    gens = []
-    for g in J.generators:
-        h = g.substitute(assignment)
-        if not h.is_zero():
-            gens.append(h)
+    values = (*point.d, *(v for row in point.rows for v in row))
+    assignment = dict(zip(_d_names(point.n) + _u_names(point.n), values))
+    gens = [h for h in (g.substitute(assignment) for g in J.generators) if h]
     return Ideal(gens[0].universe, gens)
 
 
@@ -343,7 +324,7 @@ def fiber_matrix(point: ChartPoint) -> SymmetricMatrixQ:
         diag.append(diag[-1] * v)
     m = point.n + 1
     middle = [[diag[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    u = [list(row) for row in point.u]
+    u = [[*row, 1] + [0] * (point.n - i) for i, row in enumerate(((), *point.rows))]
     prod = mat_mul(mat_mul(u, middle), mat_transpose(u))
     return SymmetricMatrixQ.from_rows(prod)
 
@@ -443,16 +424,6 @@ def torus_action_check(n: int) -> TorusReport:
         law_ok = law_ok and diag == tuple(2 * e for e in gamma[k])
     passed = law_ok and "not proportional" not in scalars
     return TorusReport(n, passed, scalars, law_ok)
-
-
-def _point_assignment(point: ChartPoint) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
-    for k in range(1, point.n + 1):
-        out[f"d{k}"] = point.d[k - 1]
-    for i in range(2, point.n + 2):
-        for j in range(1, i):
-            out[f"u{i}_{j}"] = point.u[i - 1][j - 1]
-    return out
 
 
 def closed_orbit_limit_check(n: int) -> bool:

@@ -173,8 +173,10 @@ def test_verify_flatness_with_points_file(tmp_path):
     ([{"u": 3, "d": [1, 2]}], "chart point must be an object"),
     ({"pts": []}, "list of chart points"),
     ([{"u": [["1e2000000"], [1, -3]], "d": [1, 2]}], "'p/q' strings"),
+    # a point holds the rows below u's unit diagonal, not u itself
+    ([{"u": [[1, 0, 0], [2, 1, 0], [1, -3, 1]], "d": [1, 2]}], "rows of lengths 1..n"),
 ], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
-        "no-points-key", "exponent-notation"])
+        "no-points-key", "exponent-notation", "full-u"])
 def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
     path.write_text(json.dumps(body))

@@ -70,6 +70,13 @@ def test_chart_point_constructors_and_json():
     made = ChartPoint.from_strict_lower([[Fraction(3)], [Fraction(4), Fraction(-8)]],
                                         [Fraction(-1), Fraction(8)])
     assert ChartPoint.from_json_dict(made.to_json_dict()) == made
+    rng = random.Random(5)
+    for n in range(1, 6):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(i)]
+                for i in range(1, n + 1)]
+        d = [Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(n)]
+        rational = ChartPoint.from_strict_lower(rows, d)
+        assert ChartPoint.from_json_dict(rational.to_json_dict()) == rational
 
 
 def test_value_types_refuse_float_and_bool():
