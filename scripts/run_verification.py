@@ -6,7 +6,9 @@ them verify-groebner at n=3 and at cli.MAX_N, the largest n it accepts,
 verify-flatness at n=1, 2, 4 and at cli.MAX_N (t <= 9), and at n=4 on a
 --points file of two rational chart points, one of them with d1 = 0,
 the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
-latter up to t = 8 by both methods as in the rank-referee benchmark, and
+latter up to t = 8 by both methods as in the rank-referee benchmark, the
+one on an n=3 chart fiber up to t = 6, the largest rank-oracle matrix
+under hilbert.MAX_MACAULAY_ENTRIES that a suite builds, and
 the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
 beside a projective_dimension of 1 (that value only bounds the degree; see
 groebner.ideal_dimension); the xi-trials runs at degrees (2,2), (3,3),
@@ -59,6 +61,8 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     # with d1 = 0, the other half of the rank-referee benchmark's mix
     chart = ChartPoint.from_strict_lower([[-6], [8, 4]], [7, -3])
     chart_degenerate = ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7])
+    # an n=3 chart point with heights up to 9, ranked up to t=6
+    chart_n3 = ChartPoint.from_strict_lower([[3], [-5, 2], [4, -7, 6]], [2, -9, 5])
     # an n=4 chart point whose rank-oracle matrix at t=5 is over budget
     chart_n4 = ChartPoint.from_strict_lower(
         [[3], [-4, Fraction(5, 3)], [7, -3, 4], [Fraction(5, 2), -6, 3, -8]],
@@ -73,6 +77,7 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
                         ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
                         ("degenerate_fiber_n2",
                          evaluate_family_at(family_ideal_J(2), chart_degenerate)),
+                        ("chart_fiber_n3", evaluate_family_at(family_ideal_J(3), chart_n3)),
                         ("chart_fiber_n4", evaluate_family_at(family_ideal_J(4), chart_n4))]:
         path = tmp / f"{name}.ideal"
         path.write_text(ideal_file_text(name, ideal.universe.n, ideal.generators),
@@ -116,6 +121,8 @@ def main() -> int:
             ("hilbert: chart fiber n=2 with d1 = 0, t <= 8",
              ["hilbert", str(files["degenerate_fiber_n2"]), "--method", "both",
               "--t-max", "8"], 0),
+            ("hilbert: chart fiber n=3, t <= 6",
+             ["hilbert", str(files["chart_fiber_n3"]), "--method", "both", "--t-max", "6"], 0),
             ("hilbert: chart fiber n=4, rank oracle over its matrix budget",
              ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
             ("hilbert: x1^100000000*y1 n=2, no table sees the generator",

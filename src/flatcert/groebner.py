@@ -511,7 +511,8 @@ class NonBihomogeneousError(ValueError):
 class Ideal:
     """A finitely generated bihomogeneous ideal with its reduced basis under
     `chart_order`, that basis's leading exponent tuples (`initial_ideal()`)
-    and its `series_numerator()`, each computed on first use and cached.
+    and its `series_numerator()`, each computed on first use and cached,
+    as is what the rank oracle learns (`hilbert._RankState`).
     The Hilbert function and `ideal_dimension` both read the numerator,
     which is the same under every term order, so the order only sets the
     cost: a chart fiber completes along the special fiber's path under
@@ -520,7 +521,7 @@ class Ideal:
     Other orders go through `buchberger(generators, order)` directly.
     """
 
-    __slots__ = ("universe", "generators", "_computed", "_numerator")
+    __slots__ = ("universe", "generators", "_computed", "_numerator", "_rank_state")
 
     def __init__(self, universe: VariableUniverse, generators: Iterable[BiPolynomial]):
         gens = tuple(generators)
@@ -537,6 +538,7 @@ class Ideal:
         self.generators = gens
         self._computed: tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]] | None = None
         self._numerator: Numerator | None = None
+        self._rank_state: object | None = None  # filled by hilbert's rank oracle
 
     def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]]:
         if self._computed is None:

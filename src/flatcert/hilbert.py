@@ -6,10 +6,15 @@ bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), with
 K from `Ideal.series_numerator()` (the Bayer-Stillman recursion).
 Route two never touches a Groebner basis: it puts each bidegree's
 generators into reduced echelon form over Q (a change of basis of the same
-span), lists their bidegree-(i,j) multiples minus the rows that the Koszul
-syzygies g_i*g_j = g_j*g_i make redundant, and computes the exact rank of
-that Macaulay matrix by sparse fraction-free elimination.  The second route
-is the referee for the first throughout the test suite.
+span) and lists their bidegree-(i,j) multiples in signature order, minus
+the rows that the Koszul syzygies g_i*g_j = g_j*g_i make redundant and the
+multiples of rows that a lower level found in the span of the rows before
+them (the F5 rewritten criterion).  The exact rank of that Macaulay matrix
+comes from sparse fraction-free elimination that combines a row only with
+rows before it, so the same elimination names the rows to skip above.  The
+levels below (i, j) on its diagonal are computed first, and what they
+store is kept on the Ideal.  The second route is the referee for the first
+throughout the test suite.
 
 A table is a plain list: `tabulate_diagonal(ideal, t_max)` returns
 [HF(t, t) for t = 0..t_max], and `interpolate_hilbert_polynomial` reads
@@ -32,8 +37,8 @@ from .groebner import (
     _series_numerator,
     monomial_divides,
 )
-from .polyring import Exponents, Rational, _rational, iter_exponents_of_bidegree
-from .util import parallel_map, sparse_integer_rank
+from .polyring import Exponents, Rational, VariableUniverse, _rational, iter_exponents_of_bidegree
+from .util import dependent_rows, parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
 METHOD_RANK = "rank_oracle"
@@ -51,14 +56,17 @@ def normalize_method(method: str) -> str:
     return full
 
 
-# Budget of the rank route: the largest Macaulay matrix, as rows x columns,
-# that tabulate_diagonal will eliminate.  The largest that the tests, the
-# benchmark and scripts/run_verification.py build is 9897 x 7056 (7.0e7
-# entries), at n=3 and t=6.  Its cost is set by coefficient growth, not by
-# its shape: the special fiber's takes 0.13 s and a chart fiber's, with
-# |u|, |d| up to 9, 26 s (CPython 3.11, one core).  The n=4 chart fiber of
-# tests/data takes 27 s at t=4, 7180 x 4900 (3.5e7), and at t=5,
-# 24760 x 15876 (3.9e8), ran for minutes past 900 MB.  So this is a size
+# Budget of the rank route: the largest Macaulay matrix, as rows x columns
+# under Koszul pruning alone (rank_matrix_shape), that tabulate_diagonal
+# will eliminate.  The largest that the tests, the benchmark and
+# scripts/run_verification.py reach is 9897 x 7056 (7.0e7 entries), at n=3
+# and t=6.  Its cost is set by coefficient growth and by the rows that
+# still vanish, not by its shape: the table t <= 6 of the special fiber
+# takes 0.12 s and that of a chart fiber with |u|, |d| up to 9 takes
+# 0.55 s (CPython 3.11, one core of a 2-core host).  The n=4 chart fiber
+# of tests/data takes 12.9 s up to t=4, 7180 x 4900 (3.5e7).  At t=5,
+# 24760 x 15876 (3.9e8), the shortest-row kernel on Koszul-pruned rows ran
+# for minutes past 900 MB; the budget refuses it.  So this is a size
 # budget, not a time limit.
 MAX_MACAULAY_ENTRIES = 10**8
 
@@ -303,28 +311,79 @@ def _subtract_multiple(row: dict[Exponents, Fraction], c: Fraction,
 
 
 def rank_matrix_shape(ideal: Ideal, t: int) -> tuple[int, int]:
-    """(rows, columns) of the rank oracle's bidegree-(t,t) Macaulay matrix,
-    counted without building it: generator r keeps the multipliers outside
-    <LT(g_1), .., LT(g_(r-1))>, as many as the Hilbert function of that
-    monomial quotient counts."""
+    """(rows, columns) of the rank oracle's bidegree-(t,t) Macaulay matrix
+    under Koszul pruning alone, counted without building it: generator r
+    keeps the multipliers outside <LT(g_1), .., LT(g_(r-1))>, as many as
+    the Hilbert function of that monomial quotient counts.  The oracle
+    also skips rows for the signatures it has stored, so this is an upper
+    bound on the rows it builds."""
     k = ideal.universe.n + 1
     rows = 0
     leads: list[Exponents] = []
-    for (a, b), lead, _ in _echelon_generators(ideal):
+    for (a, b), lead, _ in _rank_state(ideal).generators:
         rows += _numerator_value(_series_numerator(leads, k), k, t - a, t - b)
         leads.append(lead)
     return rows, comb(t + k - 1, k - 1) ** 2
 
 
+class _RankState:
+    """What the rank oracle knows about one Ideal, kept on it: the echelon
+    generators, for each of them the signatures stored so far (multipliers
+    m with m*g_r in the span of the rows before it, valid at every
+    bidegree), and the values computed so far."""
+
+    __slots__ = ("generators", "signatures", "values")
+
+    def __init__(self, ideal: Ideal):
+        self.generators = _echelon_generators(ideal)
+        self.signatures: list[list[Exponents]] = [[] for _ in self.generators]
+        self.values: dict[tuple[int, int], int] = {}
+
+
+def _rank_state(ideal: Ideal) -> _RankState:
+    if ideal._rank_state is None:
+        ideal._rank_state = _RankState(ideal)
+    return ideal._rank_state
+
+
 def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     """dim of the bidegree-(i,j) piece of the quotient, Groebner-free.
 
-    The rows are the multiples m*g_r of the echelon generators, except
-    those with LT(g_q) | m for some q < r.  Such a row is redundant: with
-    m = m'*LT(g_q) and g_q monic, the Koszul identity g_q*g_r = g_r*g_q gives
-    m*g_r = (m'*g_r)*g_q - (m'*(g_q - LT(g_q)))*g_r, rows of g_q plus rows
-    m''*g_r with m'' < m, and induction on (r, m) keeps the rank.  Lazard
-    (EUROCAL 1983); the F5 criterion of Faugere (ISSAC 2002).
+    Walks the levels (i-k, j-k) upward from k = min(i, j) and computes the
+    ones not yet cached, so that each level starts from the signatures the
+    levels below it stored.  See `_rank_level`.
+    """
+    state = _rank_state(ideal)
+    for k in range(min(i, j), -1, -1):
+        level = (i - k, j - k)
+        if level not in state.values:
+            state.values[level] = _rank_level(ideal.universe, state, *level)
+    return state.values[i, j]
+
+
+def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int:
+    """dim of the bidegree-(i,j) piece as the column count minus the rank
+    of the Macaulay matrix of multiples m*g_r of the echelon generators.
+
+    Rows come in signature order: r ascending, then m ascending in lex,
+    the order whose maximum `_echelon_generators` takes as the leading
+    term.  Row (r, m) is skipped in two cases, and each skipped row lies in
+    the span of kept rows before it, by induction on that order, so the
+    rank is that of all multiples:
+    - LT(g_q) | m for some q < r.  With m = m'*LT(g_q) and g_q monic, the
+      Koszul identity g_q*g_r = g_r*g_q gives m*g_r = (m'*g_r)*g_q -
+      (m'*(g_q - LT(g_q)))*g_r: rows of g_q plus rows m''*g_r with
+      m'' < m.  Lazard (EUROCAL 1983); the F5 criterion of Faugere
+      (ISSAC 2002).
+    - m = w*m' for a stored signature m' of g_r.  m'*g_r is a combination
+      of rows before (r, m') at a lower level, and multiplying by w keeps
+      each of them before (r, w*m'), because lex is a monomial order.
+      This is the F5 rewritten criterion applied level by level to
+      Macaulay matrices, as in Matrix-F5 (Bardet, Faugere & Salvy, J.
+      Symbolic Comput. 70, 2015).
+    When the rank falls short of the row count, `dependent_rows` names the
+    rows in the span of the rows before them, and their multipliers are
+    stored as signatures.
 
     Columns are keyed by exponent tuples packed into one int, digits in
     radix max(i, j) + 1, so the column of e*m is that of pack(e) + pack(m):
@@ -334,7 +393,6 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     exponents the bidegree would not bound.  So each key is the numeral of
     one exponent tuple, and distinct columns get distinct keys.
     """
-    uni = ideal.universe
     base = max(i, j) + 1
 
     def pack(e: Exponents) -> int:
@@ -345,17 +403,26 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
 
     cols = {pack(e): c for c, e in enumerate(iter_exponents_of_bidegree(uni, i, j))}
     rows: list[dict[int, int]] = []
+    signatures: list[tuple[int, Exponents]] = []
     leads: list[Exponents] = []
     multipliers: dict[tuple[int, int], list[tuple[Exponents, int]]] = {}  # by bidegree
-    for (a, b), lead, int_terms in _echelon_generators(ideal):
+    for r, ((a, b), lead, int_terms) in enumerate(state.generators):
         terms = [(pack(e), v) for e, v in int_terms.items()]
         if (a, b) not in multipliers:
-            multipliers[a, b] = [(m, pack(m)) for m in iter_exponents_of_bidegree(uni, i - a, j - b)]
+            ascending = reversed(list(iter_exponents_of_bidegree(uni, i - a, j - b)))
+            multipliers[a, b] = [(m, pack(m)) for m in ascending]
+        skip = leads + state.signatures[r]
         for m, pm in multipliers[a, b]:
-            if not any(monomial_divides(p, m) for p in leads):
+            if not any(monomial_divides(p, m) for p in skip):
                 rows.append({cols[pe + pm]: v for pe, v in terms})
+                signatures.append((r, m))
         leads.append(lead)
-    return len(cols) - sparse_integer_rank(rows)
+    rank = sparse_integer_rank(rows)
+    if rank < len(rows):
+        for k in dependent_rows(rows):
+            r, m = signatures[k]
+            state.signatures[r].append(m)
+    return len(cols) - rank
 
 
 def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,

@@ -161,8 +161,11 @@ class ChartPoint:
         d = tuple(Fraction(_rational(v, "a chart entry")) for v in self.d)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "d", d)
-        if len(rows) != len(d) or any(len(row) != i for i, row in enumerate(rows, start=1)):
+        if any(len(row) != i for i, row in enumerate(rows, start=1)):
             raise ValueError("need rows of lengths 1..n below the diagonal")
+        if len(rows) != len(d):
+            raise ValueError(f"d has length {len(d)} but u has {len(rows)} rows below"
+                             " the diagonal; both must be n")
 
     @property
     def n(self) -> int:

@@ -95,29 +95,42 @@ def mat_adjugate(a: Sequence[Sequence]) -> list[list]:
 # --- sparse exact rank ---
 
 def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of a sparse integer matrix by fraction-free elimination.
+    """Rank of a sparse integer matrix; see `_eliminate`."""
+    return _eliminate(rows)[0]
+
+
+def dependent_rows(rows: Iterable[dict[int, int]]) -> list[int]:
+    """Ascending ids of the rows that lie in the span of the rows before
+    them: exactly those whose prefix does not gain rank; see `_eliminate`."""
+    return _eliminate(rows)[1]
+
+
+def _eliminate(rows: Iterable[dict[int, int]]) -> tuple[int, list[int]]:
+    """(rank, ascending ids of the rows that emptied) of a sparse integer
+    matrix, by fraction-free elimination.
 
     Rows are dicts column -> nonzero integer; the caller's dicts are not
-    changed.  A column that only one active row holds is a free pivot: no
-    combination of the other rows reaches it, so that row leaves and adds 1
-    to the rank without touching any other row.  Such columns go on a
-    stack after loading, when a free pivot's row leaves, and after each
-    elimination step, whose leaving row and cancelled entries shrink
-    columns; the stack is drained before each elimination step (structured
-    Gaussian elimination, LaMacchia and Odlyzko 1990).  An elimination
-    step takes the shortest active row and its thinnest column.  With
-    g = gcd(pv, v), each target row becomes +-((pv/g)*row - (v/g)*pivot)
-    in place, touching only the pivot row's columns; a row scaled by
-    |pv/g| > 1 is divided by its content afterwards, so all arithmetic
-    stays in Z.  Scaling keeps a row's support, so fill-in and pivot order
-    do not depend on it.  Deterministic.
+    changed.  Each step takes the column that the fewest active rows hold,
+    off a lazy heap of (count, column), and pivots on its earliest active
+    row, the one of lowest id.  So a row is only ever combined with rows
+    before it, and a row that empties, or was zero on input, lies in the
+    span of the rows before it.  There are as many such rows as the row
+    count exceeds the rank, and none of them raises the rank of its
+    prefix, so they are exactly the rows that do not.  A column that one
+    row holds pops first and costs no update.  With g = gcd(pv, v), each
+    target row becomes +-((pv/g)*row - (v/g)*pivot) in place, touching only
+    the pivot row's columns; a row scaled by |pv/g| > 1 is divided by its
+    content afterwards, so all arithmetic stays in Z.  Scaling keeps a
+    row's support, so fill-in and pivot order do not depend on it.
+    Deterministic.
     """
     active: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    heap: list[tuple[int, int]] = []
+    emptied: list[int] = []
     for rid, row in enumerate(rows):
         r = {c: v for c, v in row.items() if v}
         if not r:
+            emptied.append(rid)
             continue
         g = 0
         for v in r.values():
@@ -127,36 +140,29 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
         active[rid] = r
         for c in r:
             col_rows.setdefault(c, set()).add(rid)
-        heapq.heappush(heap, (len(r), rid))
-    singles = [c for c, rids in col_rows.items() if len(rids) == 1]
+    # every column an active row holds has its current count on the heap:
+    # a step changes the counts of the pivot row's columns only, and pushes
+    # them all afterwards, so an entry whose count is stale can be dropped
+    heap = [(len(rids), c) for c, rids in col_rows.items()]
+    heapq.heapify(heap)
 
     rank = 0
-    while True:
-        while singles:
-            rids = col_rows[singles.pop()]
-            if len(rids) != 1:
-                continue  # stale: the column gained a row or lost its last
-            rid = rids.pop()
-            rank += 1
-            for c in active.pop(rid):
-                rids = col_rows[c]
-                rids.discard(rid)
-                if len(rids) == 1:
-                    singles.append(c)
-        if not heap:
-            return rank
-        nnz, rid = heapq.heappop(heap)
-        row = active.get(rid)
-        if row is None or len(row) != nnz:
+    while heap:
+        count, pivot_col = heapq.heappop(heap)
+        rids = col_rows.get(pivot_col)
+        if rids is None or len(rids) != count:
             continue  # stale entry
-        del active[rid]
-        for c in row:
-            col_rows[c].discard(rid)
-        pivot_col = min(row, key=lambda c: (len(col_rows[c]), c))
+        del col_rows[pivot_col]
+        pid = min(rids)
+        row = active.pop(pid)
         pv = row[pivot_col]
         rank += 1
         rest = [(c, val) for c, val in row.items() if c != pivot_col]
-        for vid in col_rows.pop(pivot_col):
+        for c, _ in rest:
+            col_rows[c].discard(pid)
+        for vid in rids:
+            if vid == pid:
+                continue
             vrow = active[vid]
             vv = vrow.pop(pivot_col)
             g = gcd(pv, vv)
@@ -180,6 +186,7 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
                         col_rows[c].discard(vid)
             if not vrow:
                 del active[vid]
+                emptied.append(vid)
                 continue
             if scale != 1:
                 g = 0
@@ -190,7 +197,11 @@ def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
                 if g > 1:
                     for c in vrow:
                         vrow[c] //= g
-            heapq.heappush(heap, (len(vrow), vid))
-        # the step changed no row sets but those of the pivot row's columns:
-        # its leaving and each cancellation only shrink them, fill-in grows them
-        singles += [c for c, _ in rest if len(col_rows[c]) == 1]
+        for c, _ in rest:
+            rids = col_rows[c]
+            if rids:
+                heapq.heappush(heap, (len(rids), c))
+            else:
+                del col_rows[c]
+    emptied.sort()
+    return rank, emptied

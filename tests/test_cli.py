@@ -175,8 +175,9 @@ def test_verify_flatness_with_points_file(tmp_path):
     ([{"u": [["1e2000000"], [1, -3]], "d": [1, 2]}], "'p/q' strings"),
     # a point holds the rows below u's unit diagonal, not u itself
     ([{"u": [[1, 0, 0], [2, 1, 0], [1, -3, 1]], "d": [1, 2]}], "rows of lengths 1..n"),
+    ([{"u": [[1], [1, 2]], "d": [1]}], "d has length 1 but u has 2 rows"),
 ], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
-        "no-points-key", "exponent-notation", "full-u"])
+        "no-points-key", "exponent-notation", "full-u", "short-d"])
 def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
     path.write_text(json.dumps(body))

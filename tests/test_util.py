@@ -7,15 +7,15 @@ import random
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flatcert import hilbert, util
+from flatcert import hilbert
 from flatcert.cli import parse_ideal_file
 from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
+    dependent_rows,
     fraction_from_json,
     fraction_to_json,
     mat_adjugate,
@@ -45,8 +45,9 @@ def dense_rank(rows, width):
 
 
 def reference_sparse_rank(rows):
-    """Reference kernel with the same pivot rule: every update builds the
-    whole target row anew as pv*row - v*pivot and divides it by its content."""
+    """Reference kernel with another pivot rule, the shortest active row on
+    its column of fewest rows: every update builds the whole target row
+    anew as pv*row - v*pivot and divides it by its content."""
     active, col_rows, heap = {}, {}, []
     for rid, row in enumerate(rows):
         r = {c: v for c, v in row.items() if v}
@@ -130,7 +131,7 @@ def test_sparse_rank_matches_dense(seed):
 
 
 def planted_sparse_rows(rng):
-    """random_sparse_rows with structure planted for the singleton pass:
+    """random_sparse_rows with structure planted for columns of one row:
     columns that one row holds from the start; triples x = p + a*e_c,
     y = k*x + w, z = b*e_c + z' that leave column c to z alone once y is
     reduced by x; and duplicated or proportional rows.  Shuffled."""
@@ -172,37 +173,34 @@ def test_sparse_rank_ignores_row_order(seed):
     assert sparse_integer_rank(rng.sample(rows, len(rows))) == sparse_integer_rank(rows)
 
 
-def rank_and_row_updates(rows, monkeypatch):
-    """The rank, and how many row updates the kernel made that left a row
-    nonzero: each one pushes that row back on the heap, after the one push
-    per nonzero row at load."""
-    pushes = []
+@pytest.mark.parametrize("rows, dependent", [
+    # the shortest row, {2: 1}, is the difference of the two before it: the
+    # earliest row of column 0 pivots, so the third row empties, not the second
+    ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {2: 1}], [2]),
+    # a zero row on input, and a proportional row after its original
+    ([{}, {0: 2, 1: -4}, {1: 1, 2: 1}, {0: -3, 1: 6}], [0, 3]),
+    # column 2 is held by the last row alone and pops first, but the row
+    # that empties is still the one after the rows it is a combination of
+    ([{0: 1, 1: 2}, {1: 1, 2: 0}, {0: 1, 1: 3}, {0: 5, 2: 7}], [2]),
+], ids=["difference", "zero-and-proportional", "single-row-column-first"])
+def test_emptied_rows_lie_in_the_span_of_earlier_rows(rows, dependent):
+    assert dependent_rows(rows) == dependent
+    assert sparse_integer_rank(rows) == dense_rank(rows, 3) == len(rows) - len(dependent)
+    for k in range(len(rows)):
+        gained = dense_rank(rows[:k + 1], 3) - dense_rank(rows[:k], 3)
+        assert gained == (0 if k in dependent else 1), k
 
-    def heappush(heap, item):
-        pushes.append(item)
-        heapq.heappush(heap, item)
 
-    monkeypatch.setattr(util, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
-    rank = sparse_integer_rank(rows)
-    return rank, len(pushes) - sum(1 for row in rows if any(row.values()))
-
-
-@pytest.mark.parametrize("rows, rank, updates", [
-    # column 2 is the long row's alone from the start, so it goes first
-    # and leaves column 0 to the short row: no row is ever updated
-    ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}], 2, 0),
-    # the first row pivots on column 2 and updates the second to {0: 5},
-    # cancelling column 1 there; that leaves column 1 to the third row,
-    # which then goes without updating {0: 5}
-    ([{1: 2, 2: 3}, {0: 5, 1: 4, 2: 6}, {0: 1, 1: 7}], 3, 1),
-    # the first row pivots on column 0: the proportional second row
-    # cancels to zero and leaves, the fourth becomes {1: 2, 2: 1}; the third
-    # pivots on column 1 and leaves column 2 to the fourth, {2: -1}
-    ([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3, 2),
-], ids=["from-the-start", "after-a-cancellation", "proportional"])
-def test_singleton_columns_pivot_without_row_updates(rows, rank, updates, monkeypatch):
-    assert rank_and_row_updates(rows, monkeypatch) == (rank, updates)
-    assert reference_sparse_rank(rows) == dense_rank(rows, 3) == rank
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dependent_rows_are_the_rows_that_do_not_raise_the_prefix_rank(seed):
+    rng = random.Random(seed)
+    rows, _ = planted_sparse_rows(rng) if rng.random() < 0.5 else random_sparse_rows(rng)
+    dependent = dependent_rows(rows)
+    assert dependent == sorted(set(dependent))
+    for k in range(len(rows)):
+        prefix_gain = reference_sparse_rank(rows[:k + 1]) - reference_sparse_rank(rows[:k])
+        assert prefix_gain == (0 if k in dependent else 1), k
+    assert sparse_integer_rank(rows) == reference_sparse_rank(rows) == len(rows) - len(dependent)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -211,17 +209,21 @@ def test_sparse_rank_leaves_input_unchanged(seed):
     rows.append({0: 0, 1: 6, 2: -4})  # an explicit zero and a common factor
     before = copy.deepcopy(rows)
     sparse_integer_rank(rows)
+    dependent_rows(rows)
     assert rows == before
 
 
 def _macaulay_matrices(ideal, ts, monkeypatch):
-    """The rank oracle's matrices for an ideal at each diagonal t."""
+    """The rank oracle's matrix for an ideal at each diagonal t: the last
+    of the levels that the value at (t, t) computes."""
     captured = []
     monkeypatch.setattr(hilbert, "sparse_integer_rank",
                         lambda rows: captured.append(copy.deepcopy(rows)) or 0)
+    matrices = []
     for t in ts:
         hilbert.bigraded_hilbert_function(ideal, t, t, hilbert.METHOD_RANK)
-    return captured
+        matrices.append(captured[-1])
+    return matrices
 
 
 # the n=2 points have the rank-referee benchmark's heights, |u| (4, 6, 8)
@@ -243,12 +245,14 @@ def test_sparse_rank_matches_reference_on_macaulay_matrices(point, ts, monkeypat
 
 def test_pruned_macaulay_matrix_shape(monkeypatch):
     # at t=8 Koszul pruning keeps 2412 of the 4 * 1296 multiples m*g; at t=2
-    # the four generators, of distinct leading terms, lose 0+1+2+3 of 36
+    # the four generators, of distinct leading terms, lose 0+1+2+3 of 36.
+    # The signatures stored below t=8 skip all 420 rows that are dependent
+    # there, so the oracle builds 1992 rows of rank 1992
     ideal = parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal"))
     assert ([hilbert.rank_matrix_shape(ideal, t)[0] for t in range(9)]
             == [0, 4, 30, 102, 250, 510, 924, 1540, 2412])
     (rows,) = _macaulay_matrices(ideal, [8], monkeypatch)
-    assert len(rows) == 2412
+    assert len(rows) == 1992
     assert len({c for row in rows for c in row}) == 2025
     assert hilbert.rank_matrix_shape(ideal, 8) == (2412, 2025)
     assert sparse_integer_rank(rows) == reference_sparse_rank(rows) == 1992
