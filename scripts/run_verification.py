@@ -17,7 +17,10 @@ the Koszul count, with leading coefficient 2*d0*d1, not the closed
 formula, which matches only at (1,1) (see README); (25,1) and (1,25) are the longest Koszul tables under
 cli.MAX_DEGREE_PRODUCT, t = 0..31.  The two negative controls are
 expected to exit 1, the n=4 chart fiber at t=5 to exit 3 because its
-rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES, xi-trials at
+rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES, the same fiber
+at t=3 by both methods to exit 2 because its two tables agree (a
+disagreement exits 1) but are too short to fit a degree-3 polynomial,
+xi-trials at
 (1,3) with --t-max 3 to exit 2 because that table is too short to fix the
 curve's polynomial, xi-trials at (6,6) to exit 3 because d0*d1 is over
 cli.MAX_DEGREE_PRODUCT, verify-flatness on a --points file nested 100000
@@ -123,6 +126,8 @@ def main() -> int:
               "--t-max", "8"], 0),
             ("hilbert: chart fiber n=3, t <= 6",
              ["hilbert", str(files["chart_fiber_n3"]), "--method", "both", "--t-max", "6"], 0),
+            ("hilbert: chart fiber n=4, both routes agree up to t = 3",
+             ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "3"], 2),
             ("hilbert: chart fiber n=4, rank oracle over its matrix budget",
              ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
             ("hilbert: x1^100000000*y1 n=2, no table sees the generator",

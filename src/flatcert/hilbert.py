@@ -62,12 +62,12 @@ def normalize_method(method: str) -> str:
 # scripts/run_verification.py reach is 9897 x 7056 (7.0e7 entries), at n=3
 # and t=6.  Its cost is set by coefficient growth and by the rows that
 # still vanish, not by its shape: the table t <= 6 of the special fiber
-# takes 0.12 s and that of a chart fiber with |u|, |d| up to 9 takes
-# 0.55 s (CPython 3.11, one core of a 2-core host).  The n=4 chart fiber
-# of tests/data takes 12.9 s up to t=4, 7180 x 4900 (3.5e7).  At t=5,
-# 24760 x 15876 (3.9e8), the shortest-row kernel on Koszul-pruned rows ran
-# for minutes past 900 MB; the budget refuses it.  So this is a size
-# budget, not a time limit.
+# takes 0.10 s and that of a chart fiber with |u|, |d| up to 9 takes
+# 0.63 s (CPython 3.11, one core of a 2-core host).  The n=4 chart fiber
+# of tests/data takes 2.0 s up to t=3 and 5.8 s up to t=4, 7180 x 4900
+# (3.5e7).  At t=5, 24760 x 15876 (3.9e8), an earlier kernel (shortest-row
+# pivots on Koszul-pruned rows) ran for minutes past 900 MB; the budget
+# refuses it.  So this is a size budget, not a time limit.
 MAX_MACAULAY_ENTRIES = 10**8
 
 

@@ -3,7 +3,6 @@ arbitrary rings, and sparse fraction-free rank over the integers."""
 
 from __future__ import annotations
 
-import heapq
 import re
 from fractions import Fraction
 from math import gcd
@@ -107,101 +106,53 @@ def dependent_rows(rows: Iterable[dict[int, int]]) -> list[int]:
 
 def _eliminate(rows: Iterable[dict[int, int]]) -> tuple[int, list[int]]:
     """(rank, ascending ids of the rows that emptied) of a sparse integer
-    matrix, by fraction-free elimination.
+    matrix, by fraction-free elimination in row order (after Bareiss 1968).
 
     Rows are dicts column -> nonzero integer; the caller's dicts are not
-    changed.  Each step takes the column that the fewest active rows hold,
-    off a lazy heap of (count, column), and pivots on its earliest active
-    row, the one of lowest id.  So a row is only ever combined with rows
-    before it, and a row that empties, or was zero on input, lies in the
-    span of the rows before it.  There are as many such rows as the row
-    count exceeds the rank, and none of them raises the rank of its
-    prefix, so they are exactly the rows that do not.  A column that one
-    row holds pops first and costs no update.  With g = gcd(pv, v), each
-    target row becomes +-((pv/g)*row - (v/g)*pivot) in place, touching only
-    the pivot row's columns; a row scaled by |pv/g| > 1 is divided by its
-    content afterwards, so all arithmetic stays in Z.  Scaling keeps a
-    row's support, so fill-in and pivot order do not depend on it.
-    Deterministic.
+    changed.  Each row in turn cancels its lowest column against the pivot
+    row stored under it: with g = gcd(pv, v) it becomes (pv/g)*row -
+    (v/g)*pivot, divided by its content when scaled.  A row whose lowest
+    column has no pivot becomes that column's pivot; a row that empties,
+    or was zero on input, lies in the span of the rows before it.
     """
-    active: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     emptied: list[int] = []
     for rid, row in enumerate(rows):
         r = {c: v for c, v in row.items() if v}
-        if not r:
-            emptied.append(rid)
-            continue
-        g = 0
-        for v in r.values():
-            g = gcd(g, v)
-        if g > 1:
-            r = {c: v // g for c, v in r.items()}
-        active[rid] = r
-        for c in r:
-            col_rows.setdefault(c, set()).add(rid)
-    # every column an active row holds has its current count on the heap:
-    # a step changes the counts of the pivot row's columns only, and pushes
-    # them all afterwards, so an entry whose count is stale can be dropped
-    heap = [(len(rids), c) for c, rids in col_rows.items()]
-    heapq.heapify(heap)
-
-    rank = 0
-    while heap:
-        count, pivot_col = heapq.heappop(heap)
-        rids = col_rows.get(pivot_col)
-        if rids is None or len(rids) != count:
-            continue  # stale entry
-        del col_rows[pivot_col]
-        pid = min(rids)
-        row = active.pop(pid)
-        pv = row[pivot_col]
-        rank += 1
-        rest = [(c, val) for c, val in row.items() if c != pivot_col]
-        for c, _ in rest:
-            col_rows[c].discard(pid)
-        for vid in rids:
-            if vid == pid:
-                continue
-            vrow = active[vid]
-            vv = vrow.pop(pivot_col)
-            g = gcd(pv, vv)
-            scale, f = pv // g, vv // g
-            if scale < 0:  # negating the update keeps its support
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                _divide_content(r)
+                pivots[col] = r
+                break
+            pv, v = pivot[col], r[col]
+            g = gcd(pv, v)
+            scale, f = pv // g, v // g
+            if scale < 0:
                 scale, f = -scale, -f
             if scale != 1:
-                for c in vrow:
-                    vrow[c] *= scale
-            for c, val in rest:
-                old = vrow.get(c)
-                if old is None:
-                    vrow[c] = -f * val
-                    col_rows[c].add(vid)
+                for c in r:
+                    r[c] *= scale
+            for c, val in pivot.items():
+                nv = r.get(c, 0) - f * val
+                if nv:
+                    r[c] = nv
                 else:
-                    nv = old - f * val
-                    if nv:
-                        vrow[c] = nv
-                    else:
-                        del vrow[c]
-                        col_rows[c].discard(vid)
-            if not vrow:
-                del active[vid]
-                emptied.append(vid)
-                continue
+                    del r[c]
             if scale != 1:
-                g = 0
-                for v in vrow.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for c in vrow:
-                        vrow[c] //= g
-        for c, _ in rest:
-            rids = col_rows[c]
-            if rids:
-                heapq.heappush(heap, (len(rids), c))
-            else:
-                del col_rows[c]
-    emptied.sort()
-    return rank, emptied
+                _divide_content(r)
+        else:
+            emptied.append(rid)
+    return len(pivots), emptied
+
+
+def _divide_content(r: dict[int, int]) -> None:
+    g = 0
+    for v in r.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for c in r:
+            r[c] //= g

@@ -179,8 +179,9 @@ def test_sparse_rank_ignores_row_order(seed):
     ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {2: 1}], [2]),
     # a zero row on input, and a proportional row after its original
     ([{}, {0: 2, 1: -4}, {1: 1, 2: 1}, {0: -3, 1: 6}], [0, 3]),
-    # column 2 is held by the last row alone and pops first, but the row
-    # that empties is still the one after the rows it is a combination of
+    # the third row cancels column 0 against the first row and column 1
+    # against the second, and empties; the last row, the only one holding
+    # column 2, is reduced to that column and stores its pivot there
     ([{0: 1, 1: 2}, {1: 1, 2: 0}, {0: 1, 1: 3}, {0: 5, 2: 7}], [2]),
 ], ids=["difference", "zero-and-proportional", "single-row-column-first"])
 def test_emptied_rows_lie_in_the_span_of_earlier_rows(rows, dependent):
@@ -241,6 +242,7 @@ def test_sparse_rank_matches_reference_on_macaulay_matrices(point, ts, monkeypat
     assert len(matrices) == len(ts)
     for rows in matrices:
         assert sparse_integer_rank(rows) == reference_sparse_rank(rows)
+        assert len(rows) - len(dependent_rows(rows)) == reference_sparse_rank(rows)
 
 
 def test_pruned_macaulay_matrix_shape(monkeypatch):
