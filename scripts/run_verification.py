@@ -24,7 +24,9 @@ xi-trials at
 (1,3) with --t-max 3 to exit 2 because that table is too short to fix the
 curve's polynomial, xi-trials at (6,6) to exit 3 because d0*d1 is over
 cli.MAX_DEGREE_PRODUCT, verify-flatness on a --points file nested 100000
-deep to exit 3 because that is a usage error, not a traceback, and the
+deep to exit 3 because that is a usage error, not a traceback, the
+hilbert run on an ideal file line `x1*y2 x2*y1`, a minor missing its
+operator, to exit 3 because juxtaposed terms are not read as a sum, and the
 hilbert run on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table
 up to t_max sees that generator; its dimension is read without a dense
 list of 10^8 coefficients.  xi-trials
@@ -86,6 +88,9 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
         path.write_text(ideal_file_text(name, ideal.universe.n, ideal.generators),
                         encoding="utf-8")
         out[name] = path
+    # a minor with its '-' left out: juxtaposed terms are a parse error
+    out["juxtaposed_n2"] = tmp / "juxtaposed_n2.ideal"
+    out["juxtaposed_n2"].write_text("n 2\nx1*y2 x2*y1\n", encoding="utf-8")
     # chart_n4 and its copy with d1 = 0, as a --points file of rational points
     points = [chart_n4, ChartPoint(chart_n4.rows, (0, *chart_n4.d[1:]))]
     out["points_n4"] = tmp / "points_n4.json"
@@ -132,6 +137,8 @@ def main() -> int:
              ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
             ("hilbert: x1^100000000*y1 n=2, no table sees the generator",
              ["hilbert", str(files["huge_exponent_n2"])], 2),
+            ("hilbert: juxtaposed factors without an operator",
+             ["hilbert", str(files["juxtaposed_n2"])], 3),
             ("flatness n=1",
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",

@@ -49,8 +49,6 @@ from .quadfam import (
     ChartPoint,
     FiberCheck,
     FlatnessReport,
-    NondegeneracyRequiredError,
-    SymmetricMatrixQ,
     TorusReport,
     apply_corruption,
     closed_orbit_limit_check,

@@ -24,7 +24,7 @@ every order, so leading terms are taken with respect to x/y content when
 chart parameters are still symbolic.  `DEFAULT_ORDER` is the default of
 `buchberger`, `normal_form` and `is_groebner_basis`, but every `Ideal`
 completes under `chart_order`, x1 > ... > x{n+1} > y{n+1} > ... > y1.
-Under it the chart change x' = u.x, y' = u^-T.y (u lower unipotent) is
+Under it the chart change x' = u^T.x, y' = u^-1.y (u lower unipotent) is
 triangular: x'_j leads with x_j and y'_j with y_j, so it keeps every
 leading term, and a chart fiber completes along the special fiber's path
 to the same initial ideal, with fewer S-pairs than under natural lex.  No

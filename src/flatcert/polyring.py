@@ -390,6 +390,8 @@ def parse_polynomial(universe: VariableUniverse, text: str) -> BiPolynomial:
     acc: dict[Exponents, Fraction] = {}
     i = 0
     while i < len(tokens):
+        if i and tokens[i] not in "+-":
+            raise ParseError(f"expected '+' or '-' between terms, got {tokens[i]!r}")
         sign = 1
         while i < len(tokens) and tokens[i] in "+-":
             if tokens[i] == "-":

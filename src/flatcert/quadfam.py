@@ -1,9 +1,10 @@
 """The degenerating-quadrics family and everything needed to certify it flat.
 
 Contents: the determinantal ideal of the pointwise graph, its monomial
-special fiber, Gauss-graph ideals of fixed nondegenerate quadrics, the
-unipotent-times-diagonal chart for quadric degenerations, the
-cancelled-minor family ideal J over that chart, fiber evaluation, the torus
+special fiber, Gauss-graph ideals of quadrics with entries in Q or in a
+polynomial ring, the unipotent-times-diagonal chart for quadric
+degenerations and its symbolic quadric matrix, the cancelled-minor family
+ideal J over that chart, fiber evaluation, the torus
 symmetry that contracts the chart onto the most special point, the primary
 decomposition of the special monomial ideal, nonzerodivisor checks, the
 equations of the complete-conics graph as polynomial identities, and the
@@ -16,7 +17,9 @@ triangular and d the n diagonal ratios; it presents the quadric
 u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T, and d = 0 is allowed
 (degenerate quadrics are the point of the construction).  A point stores
 only its parameter values: d, and the rows of u strictly below its unit
-diagonal, where row k (k = 1..n) holds u{k+1}_1, ..., u{k+1}_k.
+diagonal, where row k (k = 1..n) holds u{k+1}_1, ..., u{k+1}_k.  Matrices
+are nested lists of rows, over Q or a polynomial ring alike, and are
+multiplied with util.mat_mul.
 
 The torus (Q*)^n acts by one weight table, `torus_weights`: each x, y, u
 and d variable is multiplied by a monomial in c1..cn.  The torus check
@@ -67,10 +70,6 @@ from .util import (
 )
 
 
-class NondegeneracyRequiredError(ValueError):
-    """A construction needed an invertible matrix and got a singular one."""
-
-
 # --- universes ---
 
 def xy_universe(n: int) -> VariableUniverse:
@@ -98,54 +97,7 @@ def incidence_form(universe: VariableUniverse) -> BiPolynomial:
     return total
 
 
-# --- rational data types ---
-
-@dataclass(frozen=True)
-class SymmetricMatrixQ:
-    """A symmetric matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.entries)
-        rows = tuple(tuple(Fraction(_rational(v, "a matrix entry")) for v in row)
-                     for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        for row in rows:
-            if len(row) != m:
-                raise ValueError("matrix must be square")
-        for i in range(m):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"not symmetric at ({i}, {j})")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "SymmetricMatrixQ":
-        return SymmetricMatrixQ(tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def identity(size: int) -> "SymmetricMatrixQ":
-        return SymmetricMatrixQ.diagonal([1] * size)
-
-    @staticmethod
-    def diagonal(values: Sequence) -> "SymmetricMatrixQ":
-        m = len(values)
-        return SymmetricMatrixQ.from_rows(
-            [[values[i] if i == j else 0 for j in range(m)] for i in range(m)])
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def determinant(self) -> Fraction:
-        return mat_det([list(r) for r in self.entries])
-
-    def is_nondegenerate(self) -> bool:
-        return self.determinant() != 0
-
-    def to_json_dict(self) -> dict:
-        return {"entries": [[fraction_to_json(v) for v in row] for row in self.entries]}
-
+# --- chart points ---
 
 @dataclass(frozen=True)
 class ChartPoint:
@@ -187,6 +139,11 @@ class ChartPoint:
 
     def is_nondegenerate(self) -> bool:
         return all(v != 0 for v in self.d)
+
+    def assignment(self) -> dict[str, Fraction]:
+        """The value of each chart parameter, keyed by its name."""
+        values = (*self.d, *(v for row in self.rows for v in row))
+        return dict(zip(_d_names(self.n) + _u_names(self.n), values))
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,23 +189,15 @@ def special_fiber_ideal(n: int) -> Ideal:
     return Ideal(uni, gens)
 
 
-def gauss_graph_ideal(a: SymmetricMatrixQ) -> Ideal:
+def gauss_graph_ideal(a: Sequence[Sequence], uni: VariableUniverse) -> Ideal:
     """Graph of x -> x.a over the quadric of a: incidence plus the 2x2
-    minors of the matrix with rows y and x.a.  Needs a nondegenerate."""
-    if not a.is_nondegenerate():
-        raise NondegeneracyRequiredError("gauss_graph_ideal needs an invertible matrix")
-    m = a.size
-    uni = VariableUniverse.standard(m - 1)
-    xs = [uni.variable(name) for name in uni.x_names]
+    minors of the matrix with rows y and x.a.  The square matrix a has
+    entries in Q or in the ring of uni; over an invertible a this is the
+    Gauss graph of the quadric, and nothing here checks invertibility."""
     ys = [uni.variable(name) for name in uni.y_names]
-    xa = []
-    for j in range(m):
-        acc = uni.zero()
-        for k in range(m):
-            acc = acc + xs[k] * a.entries[k][j]
-        xa.append(acc)
+    (xa,) = mat_mul([[uni.variable(name) for name in uni.x_names]], a)
     gens = [incidence_form(uni)]
-    for i, j in combinations(range(m), 2):
+    for i, j in combinations(range(len(xa)), 2):
         gens.append(ys[i] * xa[j] - ys[j] * xa[i])
     return Ideal(uni, gens)
 
@@ -277,22 +226,12 @@ def _unipotent_inverse(mat: list[list[BiPolynomial]], uni: VariableUniverse) -> 
 
 
 def primed_coordinates(uni: VariableUniverse, n: int) -> tuple[list[BiPolynomial], list[BiPolynomial]]:
-    """x'_j = sum_i u_ij x_i and y'_j = sum_i inv(u)_ji y_i."""
-    m = n + 1
+    """x' = u^T x and y' = u^{-1} y as column vectors: x'_j = sum_i u_ij x_i
+    and y'_j = sum_i inv(u)_ji y_i."""
     u = _unipotent_matrix(uni, n)
-    uinv = _unipotent_inverse(u, uni)
-    xs = [uni.variable(name) for name in uni.x_names]
-    ys = [uni.variable(name) for name in uni.y_names]
-    xp, yp = [], []
-    for j in range(m):
-        accx = uni.zero()
-        accy = uni.zero()
-        for i in range(m):
-            accx = accx + xs[i] * u[i][j]
-            accy = accy + uinv[j][i] * ys[i]
-        xp.append(accx)
-        yp.append(accy)
-    return xp, yp
+    (xp,) = mat_mul([[uni.variable(name) for name in uni.x_names]], u)
+    yp = mat_mul(_unipotent_inverse(u, uni), [[uni.variable(name)] for name in uni.y_names])
+    return xp, [y for (y,) in yp]
 
 
 def family_ideal_J(n: int) -> Ideal:
@@ -313,23 +252,21 @@ def family_ideal_J(n: int) -> Ideal:
 def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
     """Specialize all chart parameters of J at a point; the result lives in
     the plain x/y ring."""
-    values = (*point.d, *(v for row in point.rows for v in row))
-    assignment = dict(zip(_d_names(point.n) + _u_names(point.n), values))
+    assignment = point.assignment()
     gens = [h for h in (g.substitute(assignment) for g in J.generators) if h]
     return Ideal(gens[0].universe, gens)
 
 
-def fiber_matrix(point: ChartPoint) -> SymmetricMatrixQ:
-    """The symmetric matrix u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T
-    presented by a chart point."""
-    diag = [Fraction(1)]
-    for v in point.d:
-        diag.append(diag[-1] * v)
-    m = point.n + 1
-    middle = [[diag[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    u = [[*row, 1] + [0] * (point.n - i) for i, row in enumerate(((), *point.rows))]
-    prod = mat_mul(mat_mul(u, middle), mat_transpose(u))
-    return SymmetricMatrixQ.from_rows(prod)
+def fiber_matrix(n: int) -> list[list[BiPolynomial]]:
+    """The symmetric matrix A = u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T
+    over family_universe(n); a chart point presents A substituted there."""
+    uni = family_universe(n)
+    u = _unipotent_matrix(uni, n)
+    diag = [uni.one()]
+    for name in _d_names(n):
+        diag.append(diag[-1] * uni.variable(name))
+    scaled = [[entry * a for entry, a in zip(row, diag)] for row in u]
+    return mat_mul(scaled, mat_transpose(u))
 
 
 # --- random chart data ---

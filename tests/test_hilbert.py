@@ -18,7 +18,6 @@ from flatcert import (
     METHOD_RANK,
     NoStabilizationError,
     NonBihomogeneousError,
-    SymmetricMatrixQ,
     VariableUniverse,
     bigraded_hilbert_function,
     chi_graph,
@@ -50,6 +49,12 @@ from flatcert.polyring import iter_exponents_of_bidegree
 from flatcert.util import dependent_rows, sparse_integer_rank
 
 
+def identity_graph(n):
+    """The Gauss graph of the identity quadric x1^2 + ... + x{n+1}^2."""
+    return gauss_graph_ideal([[int(i == j) for j in range(n + 1)] for i in range(n + 1)],
+                             xy_universe(n))
+
+
 def test_chi_graph_closed_forms():
     assert [str(chi_graph(n)) for n in (1, 2, 3)] == ["2", "4t+1", "4t^2+4t+1"]
     assert chi_graph(2).evaluate(4) == 17
@@ -77,7 +82,7 @@ def test_xi_formula_rejects_nonpositive_degrees():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chi_matches_gauss_graph_hilbert_function(n):
     # identity quadric: the graph's diagonal Hilbert function lands on chi(n)
-    ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(n + 1))
+    ideal = identity_graph(n)
     poly = chi_graph(n)
     for t in range(1, 7):
         assert bigraded_hilbert_function(ideal, t, t) == poly.evaluate(t)
@@ -90,7 +95,7 @@ def test_methods_agree_on_corpus():
         special_fiber_ideal(3),
         diagonal_ideal(1),
         diagonal_ideal(2),
-        gauss_graph_ideal(SymmetricMatrixQ.identity(3)),
+        identity_graph(2),
     ]
     for ideal in corpus:
         assert methods_agree(ideal, range(7))
@@ -377,7 +382,7 @@ def test_unchecked_ideal_raises_from_every_entry_point(kind, first):
 
 
 def test_tabulate_and_interpolate_recover_chi():
-    ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
+    ideal = identity_graph(2)
     table = tabulate_diagonal(ideal, 7)
     assert table == [1, 5, 9, 13, 17, 21, 25, 29]
     dim = ideal_dimension(ideal)
@@ -395,7 +400,7 @@ def test_series_numerator_once_per_ideal(monkeypatch):
         return original(lead, k)
 
     monkeypatch.setattr(groebner, "_series_numerator", counting)
-    ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
+    ideal = identity_graph(2)
     # the dimension and the table read the same numerator
     assert ideal_dimension(ideal) == 1
     once = len(calls)  # the recursion's calls for one numerator
@@ -429,7 +434,7 @@ def test_interpolation_needs_enough_samples():
 
 def test_interpolation_flags_nonstabilizing_fit():
     # a strictly linear table cannot match a degree-0 bound
-    ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(3))
+    ideal = identity_graph(2)
     table = tabulate_diagonal(ideal, 7)
     with pytest.raises(NoStabilizationError) as exc:
         interpolate_hilbert_polynomial(table, dim_bound=0)

@@ -88,6 +88,10 @@ def test_parse_rejects_garbage():
         UNI.parse("x1**")
     with pytest.raises(ParseError):
         UNI.parse("x1 +")
+    # juxtaposed terms need an operator between them: no implied '+'
+    for text in ["x1 y1", "2 x1", "3 4", "x1*y2 x2*y1"]:
+        with pytest.raises(ParseError):
+            UNI.parse(text)
     with pytest.raises(UnknownVariableError):
         UNI.parse("x1*z9")
 

@@ -5,6 +5,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,6 @@ from flatcert import (
     ChartPoint,
     HilbertPolynomialQ,
     Ideal,
-    NondegeneracyRequiredError,
-    SymmetricMatrixQ,
     apply_corruption,
     bigraded_hilbert_function,
     chart_order,
@@ -46,18 +45,6 @@ from flatcert.util import mat_mul
 
 # --- value types ---
 
-def test_symmetric_matrix_validation():
-    with pytest.raises(ValueError):
-        SymmetricMatrixQ.from_rows([[1, 2], [3, 4]])
-    m = SymmetricMatrixQ.from_rows([[1, 2], [2, 5]])
-    assert m.determinant() == 1
-    assert m.is_nondegenerate()
-    assert not SymmetricMatrixQ.diagonal((1, 0, 1)).is_nondegenerate()
-    assert SymmetricMatrixQ.identity(3).to_json_dict() == {
-        "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    }
-
-
 def test_chart_point_constructors_and_json():
     sp = ChartPoint.special(2)
     assert sp.to_json_dict() == {"u": [[0], [0, 0]], "d": [0, 0]}
@@ -83,10 +70,7 @@ def test_value_types_refuse_float_and_bool():
     # exact rationals only, as in the ring: 0.1 is not 1/10
     for make in [lambda: ChartPoint.from_strict_lower([[True]], [Fraction(1, 10)]),
                  lambda: ChartPoint.from_strict_lower([[1]], [0.1]),
-                 lambda: ChartPoint(((1, 0), (0.5, 1)), (1,)),
-                 lambda: SymmetricMatrixQ.from_rows([[1, 0], [0, 2.0]]),
-                 lambda: SymmetricMatrixQ.diagonal((1, False)),
-                 lambda: SymmetricMatrixQ(((1, "2"), ("2", 1)))]:
+                 lambda: ChartPoint(((1, 0), (0.5, 1)), (1,))]:
         with pytest.raises(TypeError):
             make()
 
@@ -115,15 +99,10 @@ def test_diagonal_and_special_fiber_generators():
 
 
 def test_gauss_graph_identity_quadric():
-    ideal = gauss_graph_ideal(SymmetricMatrixQ.identity(2))
+    ideal = gauss_graph_ideal([[1, 0], [0, 1]], xy_universe(1))
     texts = [polynomial_text(g) for g in ideal.generators]
     assert texts == ["x1*y1 + x2*y2", "-x1*y2 + x2*y1"]
     assert bigraded_hilbert_function(ideal, 3, 3) == 2
-
-
-def test_gauss_graph_requires_smooth_quadric():
-    with pytest.raises(NondegeneracyRequiredError):
-        gauss_graph_ideal(SymmetricMatrixQ.diagonal((1, 0, 1)))
 
 
 # --- the family and its fibers ---
@@ -135,10 +114,13 @@ def test_family_ideal_n1_expansion():
         "x1*y1 + x2*y2",
         "-x1*y1*u2_1 + x1*y2 - x2*y1*d1 - x2*y1*u2_1^2 + x2*y2*u2_1",
     ]
+    # x' = u^T x and y' = u^{-1} y, as column vectors
+    assert [[polynomial_text(p) for p in v] for v in primed_coordinates(J.universe, 1)] == [
+        ["x1 + x2*u2_1", "x2"], ["y1", "-y1*u2_1 + y2"]]
 
 
 def test_family_generators_match_primed_coordinates():
-    # rebuild the cancelled minors from x' = u x, y' = (u^{-1})^T y directly
+    # rebuild the cancelled minors from x' = u^T x, y' = u^{-1} y directly
     uni = family_universe(2)
     xp, yp = primed_coordinates(uni, 2)
     inc = incidence_form(uni)
@@ -186,7 +168,7 @@ def test_fiber_agrees_with_gauss_graph(n):
     rng = random.Random(11)
     for point in [ChartPoint.all_ones(n), random_chart_point(n, rng)]:
         fiber = evaluate_family_at(family_ideal_J(n), point)
-        graph = gauss_graph_ideal(fiber_matrix(point))
+        graph = evaluate_family_at(gauss_graph_ideal(fiber_matrix(n), family_universe(n)), point)
         gbf, gbg = fiber.groebner_basis(), graph.groebner_basis()
         order = chart_order(fiber.universe)
         assert all(normal_form(g, gbg, order).is_zero() for g in fiber.generators)
@@ -202,16 +184,49 @@ def test_fiber_needs_a_point_of_the_same_n(point_n):
 
 
 def test_fiber_matrix_values():
-    assert fiber_matrix(ChartPoint.special(2)).to_json_dict() == {
-        "entries": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    }
-    assert fiber_matrix(ChartPoint.all_ones(2)) == SymmetricMatrixQ.identity(3)
+    def at(point):
+        return [[entry.substitute(point.assignment()) for entry in row]
+                for row in fiber_matrix(2)]
+
+    def diagonal(values):
+        return [[values[i] if i == j else 0 for j in range(3)] for i in range(3)]
+
+    assert at(ChartPoint.special(2)) == diagonal((1, 0, 0))
+    assert at(ChartPoint.all_ones(2)) == diagonal((1, 1, 1))
     # u = I leaves diag(1, d1, d1*d2): a zero ratio kills every later entry
     plain = [[0], [0, 0]]
-    assert fiber_matrix(ChartPoint.from_strict_lower(plain, [0, 5])) == \
-        SymmetricMatrixQ.diagonal((1, 0, 0))
-    assert fiber_matrix(ChartPoint.from_strict_lower(plain, [3, 4])) == \
-        SymmetricMatrixQ.diagonal((1, 3, 12))
+    assert at(ChartPoint.from_strict_lower(plain, [0, 5])) == diagonal((1, 0, 0))
+    assert at(ChartPoint.from_strict_lower(plain, [3, 4])) == diagonal((1, 3, 12))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gauss_graph_link_is_an_identity(n):
+    """Over d != 0, J is the Gauss graph of A = u diag(a) u^T with
+    a_j = d_1...d_{j-1}, as identities in Q[u, d][x, y]: with
+    P_ij = y'_i a_j x'_j - y'_j a_i x'_i, P_ij = -a_i J_ij, and P_ij is
+    the combination of the graph's minors G_kl by the 2x2 minors of u^{-1}."""
+    uni = family_universe(n)
+    J = family_ideal_J(n).generators
+    G = gauss_graph_ideal(fiber_matrix(n), uni).generators
+    assert J[0] == G[0] == incidence_form(uni)
+    xp, yp = primed_coordinates(uni, n)
+    uinv = quadfam._unipotent_inverse(quadfam._unipotent_matrix(uni, n), uni)
+    pairs = list(combinations(range(n + 1), 2))
+
+    def minors(a):
+        return [yp[i] * a[j] * xp[j] - yp[j] * a[i] * xp[i] for i, j in pairs]
+
+    a = [uni.one()]
+    for k in range(1, n + 1):
+        a.append(a[-1] * uni.variable(f"d{k}"))
+    P = minors(a)
+    assert P == [-a[i] * J[1 + p] for p, (i, _) in enumerate(pairs)]
+    for (i, j), p_ij in zip(pairs, P):
+        assert p_ij == sum((G[1 + q] * (uinv[i][k] * uinv[j][l] - uinv[i][l] * uinv[j][k])
+                            for q, (k, l) in enumerate(pairs)), uni.zero())
+    # negative control: one extra factor d1 in a_{n+1} breaks the first identity
+    bad = [*a[:-1], a[-1] * uni.variable("d1")]
+    assert minors(bad) != [-bad[i] * J[1 + p] for p, (i, _) in enumerate(pairs)]
 
 
 # --- torus action ---
