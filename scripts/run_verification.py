@@ -32,6 +32,10 @@ up to t_max sees that generator; its dimension is read without a dense
 list of 10^8 coefficients.  xi-trials
 reads no seed, so its suites pass none; --seed is handed to the
 verify-flatness suites only.
+A suite expected to exit 3 must also write exactly one non-empty line to
+stderr, the one-line contract for input errors; the juxtaposed-terms
+suite's line must start with its file's path and ":2:", the line of the
+bad generator.
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -178,6 +182,9 @@ def main() -> int:
             ("xi witness (6,6): over the degree budget", ["xi-trials", "6", "6"], 3),
         ]
 
+        # the start of the one stderr line of a suite expected to exit 3
+        stderr_starts = {"hilbert: juxtaposed factors without an operator":
+                         f"flatcert: {files['juxtaposed_n2']}:2:"}
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         failures = 0
@@ -190,6 +197,10 @@ def main() -> int:
             wall = time.perf_counter() - start
             total += wall
             ok = proc.returncode == expected
+            if expected == 3:
+                err = proc.stderr.splitlines()
+                ok = (ok and len(err) == 1 and bool(err[0].strip())
+                      and err[0].startswith(stderr_starts.get(label, "")))
             mark = "ok  " if ok else "BAD "
             note = "" if expected == 0 else f" (expected exit {expected})"
             print(f"{mark} exit={proc.returncode} {wall:6.2f} s{note}  {label}", flush=True)

@@ -372,11 +372,14 @@ class SPairEvent:
 
 @dataclass
 class BuchbergerRun:
-    """Audit trail of one completion: per-pair events and the reduced basis."""
+    """Audit trail of one completion: per-pair events, the reduced basis and
+    its leading exponents `initial`, the minimal generators of the initial
+    ideal in the basis's order, which the report form leaves out."""
 
     order: Order
     events: list[SPairEvent] = field(default_factory=list)
     basis: tuple[BiPolynomial, ...] = ()
+    initial: tuple[Exponents, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -467,9 +470,10 @@ def _complete(gens: list[BiPolynomial], order: Order,
         else:
             run.events.append(SPairEvent(i, j, lcm_e, "reduced_to_zero", steps))
 
-    basis = tuple(_monic_polynomial(d, pk) for d in _interreduce(gdata, pk))
-    run.basis = basis
-    return basis, run
+    minimal = _interreduce(gdata, pk)
+    run.basis = tuple(_monic_polynomial(d, pk) for d in minimal)
+    run.initial = tuple(pk.unpack(d[0]) for d in minimal)
+    return run.basis, run
 
 
 def is_groebner_basis(basis: Sequence[BiPolynomial],
@@ -542,13 +546,8 @@ class Ideal:
 
     def _basis_and_initial(self) -> tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]]:
         if self._computed is None:
-            order = chart_order(self.universe)
-            basis, _ = buchberger(self.generators, order)
-
-            def leads(pk: _Packing) -> list[Exponents]:
-                return [pk.unpack(max(map(pk.pack, g.terms))) for g in basis]
-            lead = sorted(_packed(leads, self.universe, order), reverse=True)
-            self._computed = (basis, tuple(lead))
+            basis, run = buchberger(self.generators, chart_order(self.universe))
+            self._computed = (basis, tuple(sorted(run.initial, reverse=True)))
         return self._computed
 
     def groebner_basis(self) -> tuple[BiPolynomial, ...]:

@@ -385,13 +385,12 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
     rows in the span of the rows before them, and their multipliers are
     stored as signatures.
 
-    Columns are keyed by exponent tuples packed into one int, digits in
-    radix max(i, j) + 1, so the column of e*m is that of pack(e) + pack(m):
-    the sum adds digit by digit and no digit carries.  e*m has bidegree
-    (i, j), so each of its exponents is at most max(i, j), and
-    _require_bihomogeneous has refused parameter variables, whose
-    exponents the bidegree would not bound.  So each key is the numeral of
-    one exponent tuple, and distinct columns get distinct keys.
+    The column of e*m is -(pack(e) + pack(m)), exponent tuples packed in
+    radix max(i, j) + 1.  e*m has bidegree (i, j) and no parameter variable
+    (_require_bihomogeneous refused them; the bidegree bounds none), so each
+    digit is at most max(i, j) and none carries.  Distinct monomials get
+    distinct columns, a row's lowest column, where the elimination cancels
+    first, is its lex-largest monomial, and there are C(i+n, n)*C(j+n, n).
     """
     base = max(i, j) + 1
 
@@ -401,7 +400,6 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
             key = key * base + x
         return key
 
-    cols = {pack(e): c for c, e in enumerate(iter_exponents_of_bidegree(uni, i, j))}
     rows: list[dict[int, int]] = []
     signatures: list[tuple[int, Exponents]] = []
     leads: list[Exponents] = []
@@ -414,7 +412,7 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
         skip = leads + state.signatures[r]
         for m, pm in multipliers[a, b]:
             if not any(monomial_divides(p, m) for p in skip):
-                rows.append({cols[pe + pm]: v for pe, v in terms})
+                rows.append({-(pe + pm): v for pe, v in terms})
                 signatures.append((r, m))
         leads.append(lead)
     rank = sparse_integer_rank(rows)
@@ -422,7 +420,7 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
         for k in dependent_rows(rows):
             r, m = signatures[k]
             state.signatures[r].append(m)
-    return len(cols) - rank
+    return comb(i + uni.n, uni.n) * comb(j + uni.n, uni.n) - rank
 
 
 def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,

@@ -15,12 +15,13 @@ and equality is plain map equality.  All arithmetic is exact; nothing in
 this package touches floating point, and the scalars it accepts are ``int``
 and ``Fraction`` only (``bool`` and ``float`` raise ``TypeError``).
 
-Substitution evaluates the whole parameter block at once, and its result
-lives over the plain x/y universe.  It works in integers: the terms are
-grouped by their parameter exponents, each group's value is computed once
-as an integer fraction, and every x/y monomial is summed as an integer over
-one common denominator, so that a ``Fraction`` is built only per result
-term.  Nothing is cached from one call to the next.
+Substitution evaluates the whole parameter block at once, from one value
+per parameter in ``param_names`` order, and its result lives over the
+plain x/y universe.  It works in integers: the terms are grouped by their
+parameter exponents, each group's value is computed once as an integer
+fraction, and every x/y monomial is summed as an integer over one common
+denominator, so that a ``Fraction`` is built only per result term.
+Nothing is cached from one call to the next.
 
 The text format round-trips bit-exactly: ``str`` orders terms by descending
 exponent tuple (equivalently, lex with x1 > ... > x{n+1} > y1 > ... >
@@ -47,7 +48,7 @@ class UniverseMismatchError(ValueError):
 
 
 class UnknownVariableError(ValueError):
-    """A substitution or parse referenced a variable the universe lacks."""
+    """A name or a parse referenced a variable the universe lacks."""
 
 
 class ParseError(ValueError):
@@ -299,12 +300,12 @@ class BiPolynomial:
 
     # --- substitution ---
 
-    def substitute(self, assignment: Mapping[str, Rational]) -> "BiPolynomial":
+    def substitute(self, values: Sequence[Rational]) -> "BiPolynomial":
         """Evaluate every parameter at a rational; the result lives over the
         plain x/y universe.
 
-        The assignment names exactly the parameters: any other name raises
-        UnknownVariableError, and a parameter left out raises ValueError.
+        `values` holds one int or Fraction per parameter, in `param_names`
+        order; another count raises ValueError, another type TypeError.
         The evaluation is in integers.  Terms are grouped by their
         parameter exponents; each group's value is computed once per call
         as an integer fraction num/den.  Each x/y monomial then sums
@@ -314,14 +315,11 @@ class BiPolynomial:
         """
         uni = self.universe
         k = uni.num_xy
-        unknown = [name for name in assignment if uni.index.get(name, 0) < k]
-        missing = [p for p in uni.param_names if p not in assignment]
-        if unknown or missing:
-            raise (UnknownVariableError if unknown else ValueError)(
-                f"the assignment does not assign exactly the parameters "
-                f"({', '.join(uni.param_names)}): unknown {unknown}, missing {missing}")
-        values = [_rational(assignment[p], f"the value for {p}").as_integer_ratio()
-                  for p in uni.param_names]
+        if len(values) != len(uni.param_names):
+            raise ValueError(f"need one value for each of the {len(uni.param_names)} parameters"
+                             f" ({', '.join(uni.param_names)}), got {len(values)}")
+        values = [_rational(v, f"the value for {p}").as_integer_ratio()
+                  for p, v in zip(uni.param_names, values)]
         scale = lcm(*(c.denominator for c in self.terms.values()))
         groups: dict[Exponents, list[tuple[Exponents, int]]] = {}
         for exps, c in self.terms.items():

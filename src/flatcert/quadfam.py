@@ -17,7 +17,9 @@ triangular and d the n diagonal ratios; it presents the quadric
 u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T, and d = 0 is allowed
 (degenerate quadrics are the point of the construction).  A point stores
 only its parameter values: d, and the rows of u strictly below its unit
-diagonal, where row k (k = 1..n) holds u{k+1}_1, ..., u{k+1}_k.  Matrices
+diagonal, where row k (k = 1..n) holds u{k+1}_1, ..., u{k+1}_k; d, then u
+by rows, is the parameter order of `family_universe(n)` and of
+`ChartPoint.parameters()`, what `BiPolynomial.substitute` takes.  Matrices
 are nested lists of rows, over Q or a polynomial ring alike, and are
 multiplied with util.mat_mul.
 
@@ -76,17 +78,10 @@ def xy_universe(n: int) -> VariableUniverse:
     return VariableUniverse.standard(n)
 
 
-def _d_names(n: int) -> list[str]:
-    return [f"d{k}" for k in range(1, n + 1)]
-
-
-def _u_names(n: int) -> list[str]:
-    return [f"u{i}_{j}" for i in range(2, n + 2) for j in range(1, i)]
-
-
 def family_universe(n: int) -> VariableUniverse:
-    """x/y plus the chart parameters d1..dn, u{i}_{j}."""
-    return VariableUniverse.standard(n, _d_names(n) + _u_names(n))
+    """x/y plus the chart parameters d1..dn, then u{i}_{j} by rows."""
+    return VariableUniverse.standard(n, [f"d{k}" for k in range(1, n + 1)] + [
+        f"u{i}_{j}" for i in range(2, n + 2) for j in range(1, i)])
 
 
 def incidence_form(universe: VariableUniverse) -> BiPolynomial:
@@ -137,13 +132,9 @@ class ChartPoint:
         """(I, (1,..,1)): the fiber is the graph over the smooth quadric sum x_i^2."""
         return ChartPoint.from_strict_lower([[0] * i for i in range(1, n + 1)], [1] * n)
 
-    def is_nondegenerate(self) -> bool:
-        return all(v != 0 for v in self.d)
-
-    def assignment(self) -> dict[str, Fraction]:
-        """The value of each chart parameter, keyed by its name."""
-        values = (*self.d, *(v for row in self.rows for v in row))
-        return dict(zip(_d_names(self.n) + _u_names(self.n), values))
+    def parameters(self) -> tuple[Fraction, ...]:
+        """The parameter values, in the order of family_universe(n)."""
+        return (*self.d, *(v for row in self.rows for v in row))
 
     def to_json_dict(self) -> dict:
         return {
@@ -251,19 +242,19 @@ def family_ideal_J(n: int) -> Ideal:
 
 def evaluate_family_at(J: Ideal, point: ChartPoint) -> Ideal:
     """Specialize all chart parameters of J at a point; the result lives in
-    the plain x/y ring."""
-    assignment = point.assignment()
-    gens = [h for h in (g.substitute(assignment) for g in J.generators) if h]
+    the plain x/y ring.  Generators that vanish there are dropped."""
+    values = point.parameters()
+    gens = [h for h in (g.substitute(values) for g in J.generators) if h]
     return Ideal(gens[0].universe, gens)
 
 
 def fiber_matrix(n: int) -> list[list[BiPolynomial]]:
     """The symmetric matrix A = u * diag(1, d1, d1*d2, ..., d1*...*dn) * u^T
-    over family_universe(n); a chart point presents A substituted there."""
+    over family_universe(n); a chart point presents A at its parameters()."""
     uni = family_universe(n)
     u = _unipotent_matrix(uni, n)
     diag = [uni.one()]
-    for name in _d_names(n):
+    for name in uni.param_names[:n]:
         diag.append(diag[-1] * uni.variable(name))
     scaled = [[entry * a for entry, a in zip(row, diag)] for row in u]
     return mat_mul(scaled, mat_transpose(u))
@@ -373,7 +364,7 @@ def closed_orbit_limit_check(n: int) -> bool:
     diagonal stays 1 and is not moved)."""
     table = torus_weights(n)
     return all(min(table[name]) >= 0 and max(table[name]) > 0
-               for name in _d_names(n) + _u_names(n))
+               for name in family_universe(n).param_names)
 
 
 # --- primary structure of the special monomial ideal ---

@@ -147,7 +147,7 @@ def test_ac04_flatness_certificate(n):
     assert result.expected == chi_graph(n)
     assert len(result.fibers) == 8
     assert all(fb.matches for fb in result.fibers)
-    degenerate = sum(1 for fb in result.fibers if not fb.point.is_nondegenerate())
+    degenerate = sum(1 for fb in result.fibers if not all(fb.point.d))
     assert degenerate >= 3
     assert report(4, f"flatness certificate n={n}", True,
                   f"8 fibers all fit {result.expected}")

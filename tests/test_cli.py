@@ -91,13 +91,20 @@ def test_hilbert_missing_file(tmp_path):
 
 def test_hilbert_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.ideal"
+    # an error in a generator names its line, comment and blank lines counted;
     # a params line is read as a generator too: ideal files have no parameters
-    for body, name in (("n 1\nx1*z9\n", "z9"), ("n 1\nparams a\nx1*y2\n", "params")):
+    for body, where, message in [
+        ("n 1\nx1*z9\n", 2, "unknown variable 'z9'"),
+        ("n 1\nparams a\nx1*y2\n", 2, "unknown variable 'params'"),
+        ("# a minor without its '-'\nn 2\n\nx1*y3 x3*y1\n", 4,
+         "expected '+' or '-' between terms, got 'x3'"),
+        ("n 1\nx1*y2\nx1*y1 - x1*y1  # cancels\n", 3, "zero generator"),
+    ]:
         path.write_text(body)
         code, _ = run(["hilbert", str(path)])
         assert code == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"flatcert: unknown variable {name!r}"], err
+        assert err == [f"flatcert: {path}:{where}: {message}"], err
 
 
 @pytest.mark.parametrize("header", ["n", "n two", "n 2.5", "n -1"])
@@ -167,24 +174,27 @@ def test_verify_flatness_with_points_file(tmp_path):
 
 
 @pytest.mark.parametrize("body, message", [
-    ({"points": [{"u": [["1/0"], [1, -3]], "d": [1, 2]}]}, "zero denominator"),
-    ({"points": 5}, "list of chart points"),
-    ([1], "chart point must be an object"),
-    ([{"u": 3, "d": [1, 2]}], "chart point must be an object"),
-    ({"pts": []}, "list of chart points"),
-    ([{"u": [["1e2000000"], [1, -3]], "d": [1, 2]}], "'p/q' strings"),
+    ({"points": [{"u": [["1/0"], [1, -3]], "d": [1, 2]}]}, "point 0: rational '1/0' has a zero"),
+    ({"points": 5}, "expected a list of chart points"),
+    ([1], "point 0: a chart point must be an object"),
+    ([{"u": 3, "d": [1, 2]}], "point 0: a chart point must be an object"),
+    ({"pts": []}, "expected a list of chart points"),
+    ([{"u": [["1e2000000"], [1, -3]], "d": [1, 2]}], "point 0: rationals must be"),
     # a point holds the rows below u's unit diagonal, not u itself
-    ([{"u": [[1, 0, 0], [2, 1, 0], [1, -3, 1]], "d": [1, 2]}], "rows of lengths 1..n"),
-    ([{"u": [[1], [1, 2]], "d": [1]}], "d has length 1 but u has 2 rows"),
+    ([{"u": [[1, 0, 0], [2, 1, 0], [1, -3, 1]], "d": [1, 2]}],
+     "point 0: need rows of lengths 1..n"),
+    ([{"u": [[1], [1, 2]], "d": [1]}], "point 0: d has length 1 but u has 2 rows"),
+    ([{"u": [[1], [1, 2]], "d": [1, 2]}, {"u": [[1], [1, 2]], "d": ["x"]}],
+     "point 1: rationals must be integers or 'p/q' strings, got 'x'"),
 ], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
-        "no-points-key", "exponent-notation", "full-u", "short-d"])
+        "no-points-key", "exponent-notation", "full-u", "short-d", "second-point"])
 def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
     path.write_text(json.dumps(body))
     code, out = run(["verify-flatness", "--n", "2", "--t-max", "4", "--points", str(path)])
     assert code == 3 and out == ""
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert err.startswith(f"flatcert: {path}: {message}") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -199,6 +209,17 @@ def test_deeply_nested_points_file_exits_3(tmp_path, capsys):
     assert "nested too deeply" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not issubclass(RecursionError, cli.USAGE_ERRORS)
+
+
+def test_a_key_error_is_a_bug_not_a_usage_error(monkeypatch):
+    # no reader of outside input raises KeyError, so main lets it through
+    def lookup_bug(n):
+        raise KeyError("d9")
+
+    monkeypatch.setattr(cli, "torus_action_check", lookup_bug)
+    assert not issubclass(KeyError, cli.USAGE_ERRORS)
+    with pytest.raises(KeyError, match="d9"):
+        cli.main(["torus-check", "--n", "2"])
 
 
 def test_verify_groebner(monkeypatch):

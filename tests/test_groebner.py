@@ -24,6 +24,7 @@ from flatcert import (
     chart_order,
     diagonal_ideal,
     evaluate_family_at,
+    fermat_pair,
     family_ideal_J,
     gamma_curve_ideal,
     ideal_dimension,
@@ -40,6 +41,7 @@ from flatcert.groebner import (
     SPairEvent,
     _FieldOverflow,
     _gdata,
+    _packed,
     _packed_terms,
     _packing,
     _reduce_terms,
@@ -197,6 +199,39 @@ def test_initial_ideal_is_the_descending_lex_leads_of_the_basis(n, seed):
         leads = [reference_lead(g, keyf)[0] for g in ideal.groebner_basis()]
         assert ideal.initial_ideal() == tuple(sorted(leads, reverse=True))
         assert minimalize_monomial_exponents(leads) == list(ideal.initial_ideal())
+
+
+def _initial_cases():
+    """Ideals whose initial ideal the completion reports: seeded chart
+    fibers, a fiber with generator 1 dropped, the (25, 1) xi witness, and
+    one generator whose exponent overflows the first packing width."""
+    cases = {}
+    for n in (1, 2, 3, 4):
+        for seed in range(2):
+            point = random_chart_point(n, Random(seed), degenerate=seed == 1)
+            cases[f"chart-n{n}-seed{seed}"] = lambda n=n, p=point: evaluate_family_at(
+                family_ideal_J(n), p)
+    cases["drop-generator-1"] = lambda: evaluate_family_at(
+        apply_corruption(family_ideal_J(2), "drop-generator:1"), random_chart_point(2, Random(0)))
+    cases["xi-witness-25-1"] = lambda: gamma_curve_ideal(fermat_pair(25, 1))
+    cases["wide-exponent"] = lambda: Ideal(UNI, [UNI.parse("x1^100000000*y1")])
+    return cases
+
+
+_INITIAL_CASES = _initial_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_INITIAL_CASES))
+def test_initial_ideal_is_the_packed_leads_of_the_basis(name):
+    # the referee packs every term of every basis element under chart_order
+    # and takes the largest key, at the first width that holds them
+    ideal = _INITIAL_CASES[name]()
+    basis = ideal.groebner_basis()
+
+    def leads(pk):
+        return [pk.unpack(max(map(pk.pack, g.terms))) for g in basis]
+    want = sorted(_packed(leads, ideal.universe, chart_order(ideal.universe)), reverse=True)
+    assert ideal.initial_ideal() == tuple(want)
 
 
 def test_leading_monomial_respects_order():

@@ -251,12 +251,13 @@ def test_rank_oracle_on_an_n3_chart_fiber(monkeypatch):
 
 
 def tuple_keyed_rows(ideal, i, j):
-    """The rank oracle's bidegree-(i,j) rows on a fresh Ideal, with columns
-    keyed by exponent tuples: the column of e*m is looked up by the tuple
-    sum, term by term.  Like the oracle it walks the levels (i-k, j-k)
-    upward, lists rows in signature order (generator, then multiplier
-    ascending), skips the Koszul multiples and those of stored signatures,
-    and stores the multipliers of the rows `dependent_rows` names."""
+    """The rank oracle's bidegree-(i,j) rows on a fresh Ideal, each entry
+    keyed by the exponent tuple of its monomial, the tuple sum of e and m.
+    Like the oracle it walks the levels (i-k, j-k) upward, lists rows in
+    signature order (generator, then multiplier ascending), skips the
+    Koszul multiples and those of stored signatures, and stores the
+    multipliers of the rows `dependent_rows` names, with the columns
+    numbered in descending lex."""
     uni = ideal.universe
     generators = hilbert._echelon_generators(ideal)
     stored = [[] for _ in generators]
@@ -269,14 +270,14 @@ def tuple_keyed_rows(ideal, i, j):
         for r, ((a, b), lead, int_terms) in enumerate(generators):
             for m in sorted(iter_exponents_of_bidegree(uni, li - a, lj - b)):
                 if not any(monomial_divides(p, m) for p in leads + stored[r]):
-                    rows.append({cols[tuple(x + y for x, y in zip(e, m))]: v
+                    rows.append({tuple(x + y for x, y in zip(e, m)): v
                                  for e, v in int_terms.items()})
                     signatures.append((r, m))
             leads.append(lead)
-        for row_id in dependent_rows(rows):
+        for row_id in dependent_rows([{cols[e]: v for e, v in row.items()} for row in rows]):
             r, m = signatures[row_id]
             stored[r].append(m)
-    return rows
+    return [list(row.items()) for row in rows]
 
 
 def _oracle_rows(ideal, i, j, monkeypatch):
@@ -284,7 +285,20 @@ def _oracle_rows(ideal, i, j, monkeypatch):
     captured = []
     monkeypatch.setattr(hilbert, "sparse_integer_rank", lambda rows: captured.append(rows) or 0)
     hilbert._rank_oracle_value(Ideal(ideal.universe, ideal.generators), i, j)
-    return [list(row.items()) for row in captured[-1]]
+    return captured[-1]
+
+
+def _decoded(rows, base, width):
+    """rows with each key -(e_1*base^(width-1) + .. + e_width) read back as
+    the exponent tuple e, entry order kept."""
+    def exponents(key):
+        digits = []
+        for _ in range(width):
+            key, digit = divmod(key, base)
+            digits.append(digit)
+        assert key == 0
+        return tuple(reversed(digits))
+    return [[(exponents(-key), v) for key, v in row.items()] for row in rows]
 
 
 @pytest.mark.parametrize("n, seed", [(1, s) for s in range(5)] + [(2, s) for s in range(5)])
@@ -294,8 +308,8 @@ def test_packed_columns_give_the_tuple_keyed_rows(n, seed, monkeypatch):
     ideal = random_bihomogeneous_ideal(n, Random(seed))
     for i in range(4):
         for j in range(4):
-            expected = [list(row.items()) for row in tuple_keyed_rows(ideal, i, j)]
-            assert _oracle_rows(ideal, i, j, monkeypatch) == expected, (i, j)
+            rows = _oracle_rows(ideal, i, j, monkeypatch)
+            assert _decoded(rows, max(i, j) + 1, 2 * n + 2) == tuple_keyed_rows(ideal, i, j), (i, j)
 
 
 @pytest.mark.parametrize("i, j", [(1, 1), (4, 1), (1, 4), (2, 6), (5, 5)])
@@ -305,10 +319,11 @@ def test_packed_columns_reach_the_radix_edge(i, j, monkeypatch):
     # is max(i, j): the largest digit the radix max(i, j) + 1 allows.  At
     # (1, 1) a radix of max(i, j) would be 1 and merge distinct columns.
     ideal = parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal"))
+    base = max(i, j) + 1
     rows = _oracle_rows(ideal, i, j, monkeypatch)
-    assert rows == [list(row.items()) for row in tuple_keyed_rows(ideal, i, j)]
-    edge = list(iter_exponents_of_bidegree(ideal.universe, i, j)).index((i, 0, 0, j, 0, 0))
-    assert any(c == edge for row in rows for c, _ in row)
+    assert _decoded(rows, base, 6) == tuple_keyed_rows(ideal, i, j)
+    edge = -(i * base**5 + j * base**2)  # x1^i*y1^j: digits (i, 0, 0, j, 0, 0)
+    assert any(edge in row for row in rows)
 
 
 def test_rank_route_refuses_matrices_over_the_budget():

@@ -48,15 +48,18 @@ from flatcert.util import mat_mul
 def test_chart_point_constructors_and_json():
     sp = ChartPoint.special(2)
     assert sp.to_json_dict() == {"u": [[0], [0, 0]], "d": [0, 0]}
-    assert not sp.is_nondegenerate()
+    assert not all(sp.d)
     ones = ChartPoint.all_ones(2)
-    assert ones.is_nondegenerate()
+    assert all(ones.d)
     assert ones.label() == "(u=[0;0,0], d=(1,1))"
     back = ChartPoint.from_json_dict(ones.to_json_dict())
     assert back == ones
     made = ChartPoint.from_strict_lower([[Fraction(3)], [Fraction(4), Fraction(-8)]],
                                         [Fraction(-1), Fraction(8)])
     assert ChartPoint.from_json_dict(made.to_json_dict()) == made
+    # d, then u by rows: the order of family_universe(2)'s parameters
+    assert made.parameters() == (-1, 8, 3, 4, -8)
+    assert family_universe(2).param_names == ("d1", "d2", "u2_1", "u3_1", "u3_2")
     rng = random.Random(5)
     for n in range(1, 6):
         rows = [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(i)]
@@ -85,8 +88,8 @@ def test_chart_point_rejects_bad_shapes():
 def test_random_points_are_reproducible():
     a = random_chart_point(2, random.Random(7))
     b = random_chart_point(2, random.Random(7))
-    assert a == b and a.is_nondegenerate()
-    assert random_chart_point(2, random.Random(1), degenerate=True).is_nondegenerate() is False
+    assert a == b and all(a.d)
+    assert not all(random_chart_point(2, random.Random(1), degenerate=True).d)
 
 
 # --- the three base ideals ---
@@ -179,13 +182,13 @@ def test_fiber_agrees_with_gauss_graph(n):
 
 @pytest.mark.parametrize("point_n", [2, 4])
 def test_fiber_needs_a_point_of_the_same_n(point_n):
-    with pytest.raises(ValueError, match="does not assign exactly"):
+    with pytest.raises(ValueError, match=r"one value for each of the 9 parameters \(d1, .*\), got"):
         evaluate_family_at(family_ideal_J(3), ChartPoint.all_ones(point_n))
 
 
 def test_fiber_matrix_values():
     def at(point):
-        return [[entry.substitute(point.assignment()) for entry in row]
+        return [[entry.substitute(point.parameters()) for entry in row]
                 for row in fiber_matrix(2)]
 
     def diagonal(values):
