@@ -26,8 +26,10 @@ curve's polynomial, xi-trials at (6,6) to exit 3 because d0*d1 is over
 cli.MAX_DEGREE_PRODUCT, verify-flatness on a --points file nested 100000
 deep to exit 3 because that is a usage error, not a traceback, the
 hilbert run on an ideal file line `x1*y2 x2*y1`, a minor missing its
-operator, to exit 3 because juxtaposed terms are not read as a sum, and the
-hilbert run on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table
+operator, to exit 3 because juxtaposed terms are not read as a sum, the
+hilbert run on a file with the header `n 0` and verify-flatness --n 2 on
+the n=4 points file to exit 3 because neither names a ring the command can
+use, and the hilbert run on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table
 up to t_max sees that generator; its dimension is read without a dense
 list of 10^8 coefficients.  xi-trials
 reads no seed, so its suites pass none; --seed is handed to the
@@ -35,7 +37,8 @@ verify-flatness suites only.
 A suite expected to exit 3 must also write exactly one non-empty line to
 stderr, the one-line contract for input errors; the juxtaposed-terms
 suite's line must start with its file's path and ":2:", the line of the
-bad generator.
+bad generator, the `n 0` suite's with its file's path, and the points
+suite's with its file's path and "point 0:".
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -95,6 +98,9 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     # a minor with its '-' left out: juxtaposed terms are a parse error
     out["juxtaposed_n2"] = tmp / "juxtaposed_n2.ideal"
     out["juxtaposed_n2"].write_text("n 2\nx1*y2 x2*y1\n", encoding="utf-8")
+    # a header naming no projective space
+    out["header_n0"] = tmp / "header_n0.ideal"
+    out["header_n0"].write_text("n 0\nx1*y2\n", encoding="utf-8")
     # chart_n4 and its copy with d1 = 0, as a --points file of rational points
     points = [chart_n4, ChartPoint(chart_n4.rows, (0, *chart_n4.d[1:]))]
     out["points_n4"] = tmp / "points_n4.json"
@@ -143,6 +149,7 @@ def main() -> int:
              ["hilbert", str(files["huge_exponent_n2"])], 2),
             ("hilbert: juxtaposed factors without an operator",
              ["hilbert", str(files["juxtaposed_n2"])], 3),
+            ("hilbert: header n 0", ["hilbert", str(files["header_n0"])], 3),
             ("flatness n=1",
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",
@@ -165,6 +172,8 @@ def main() -> int:
               "--corrupt", "drop-generator:1"], 1),
             ("flatness n=2, points file nested 100000 deep",
              ["verify-flatness", "--n", "2", "--points", str(deep_points)], 3),
+            ("verify-flatness: a points file of another n",
+             ["verify-flatness", "--n", "2", "--points", str(files["points_n4"])], 3),
             ("torus equivariance n=2", ["torus-check", "--n", "2"], 0),
             ("torus equivariance n=4", ["torus-check", "--n", "4"], 0),
             ("conic equations", ["conic-equations"], 0),
@@ -184,7 +193,10 @@ def main() -> int:
 
         # the start of the one stderr line of a suite expected to exit 3
         stderr_starts = {"hilbert: juxtaposed factors without an operator":
-                         f"flatcert: {files['juxtaposed_n2']}:2:"}
+                         f"flatcert: {files['juxtaposed_n2']}:2:",
+                         "hilbert: header n 0": f"flatcert: {files['header_n0']}:",
+                         "verify-flatness: a points file of another n":
+                         f"flatcert: {files['points_n4']}: point 0:"}
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         failures = 0

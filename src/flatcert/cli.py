@@ -133,11 +133,13 @@ def _method_or_both(text: str) -> str:
     return text
 
 
-def _load_points_file(path: str) -> list[ChartPoint]:
-    """Chart points from JSON; an error in one names its 0-based index."""
+def _load_points_file(path: str, n: int) -> list[ChartPoint]:
+    """Chart points of n from JSON; an error in one names its 0-based index."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             # caught here, not in USAGE_ERRORS, so that a recursion bug
             # elsewhere still ends in a traceback
@@ -148,6 +150,8 @@ def _load_points_file(path: str) -> list[ChartPoint]:
     for k, row in enumerate(rows):
         try:
             rows[k] = ChartPoint.from_json_dict(row)
+            if rows[k].n != n:
+                raise ValueError(f"a chart point of n = {rows[k].n}, expected n = {n}")
         except ValueError as exc:
             raise ValueError(f"{path}: point {k}: {exc}") from None
     return rows
@@ -159,19 +163,23 @@ def parse_ideal_file(path: str) -> Ideal:
     n = None
     gen_lines: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            head = line.split()
-            if head[0] == "n" and n is None and not gen_lines:
-                if len(head) != 2 or not head[1].isdecimal():
-                    raise ParseError(f"{path}: header must be 'n <int>', got {line!r}")
-                n = int(head[1])
-                if n > MAX_N:
-                    raise ParseError(f"{path}: n {n} exceeds the limit MAX_N = {MAX_N}")
-            else:
-                gen_lines.append((lineno, line))
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head = line.split()
+        if head[0] == "n" and n is None and not gen_lines:
+            if len(head) != 2 or not head[1].isdecimal():
+                raise ParseError(f"{path}: header must be 'n <int>', got {line!r}")
+            n = int(head[1])
+            if not 1 <= n <= MAX_N:
+                raise ParseError(f"{path}: n {n} is outside 1..MAX_N = {MAX_N}")
+        else:
+            gen_lines.append((lineno, line))
     if n is None:
         raise ParseError(f"{path}: missing 'n <int>' header line")
     uni = VariableUniverse.standard(n)
@@ -183,6 +191,8 @@ def parse_ideal_file(path: str) -> Ideal:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
         if not gens[-1]:
             raise ParseError(f"{path}:{lineno}: zero generator")
+        if gens[-1].bidegree() is None:
+            raise ParseError(f"{path}:{lineno}: generator is not bihomogeneous: {line}")
     if not gens:
         raise ParseError(f"{path}: no generators")
     return Ideal(uni, gens)
@@ -205,7 +215,7 @@ def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
                          f" for n = {args.n}, got {args.t_max}")
     rng = Random(args.seed)
     if args.points:
-        extra = _load_points_file(args.points)
+        extra = _load_points_file(args.points, args.n)
     else:
         extra = [random_chart_point(args.n, rng, degenerate=False),
                  random_chart_point(args.n, rng, degenerate=True)]

@@ -5,16 +5,16 @@ Route one reads the Hilbert function off the initial ideal (Groebner): the
 bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), with
 K from `Ideal.series_numerator()` (the Bayer-Stillman recursion).
 Route two never touches a Groebner basis: it puts each bidegree's
-generators into reduced echelon form over Q (a change of basis of the same
-span) and lists their bidegree-(i,j) multiples in signature order, minus
-the rows that the Koszul syzygies g_i*g_j = g_j*g_i make redundant and the
+generators into reduced echelon form (a change of basis of the same span)
+and lists their bidegree-(i,j) multiples in signature order, minus the
+rows that the Koszul syzygies g_i*g_j = g_j*g_i make redundant and the
 multiples of rows that a lower level found in the span of the rows before
-them (the F5 rewritten criterion).  The exact rank of that Macaulay matrix
-comes from sparse fraction-free elimination that combines a row only with
-rows before it, so the same elimination names the rows to skip above.  The
-levels below (i, j) on its diagonal are computed first, and what they
-store is kept on the Ideal.  The second route is the referee for the first
-throughout the test suite.
+them (the F5 rewritten criterion).  One sparse fraction-free kernel,
+`util._eliminate`, does both eliminations; it combines a row only with
+rows before it, so on the Macaulay matrix it gives the exact rank and
+names the rows to skip above.  The levels below (i, j) on its diagonal
+are computed first, and what they store is kept on the Ideal.  The second
+route is the referee for the first throughout the test suite.
 
 A table is a plain list: `tabulate_diagonal(ideal, t_max)` returns
 [HF(t, t) for t = 0..t_max], and `interpolate_hilbert_polynomial` reads
@@ -38,7 +38,7 @@ from .groebner import (
     monomial_divides,
 )
 from .polyring import Exponents, Rational, VariableUniverse, _rational, iter_exponents_of_bidegree
-from .util import dependent_rows, parallel_map, sparse_integer_rank
+from .util import dependent_rows, parallel_map, reduced_echelon_form, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
 METHOD_RANK = "rank_oracle"
@@ -271,43 +271,17 @@ _EchelonGenerator = tuple[tuple[int, int], Exponents, dict[Exponents, int]]
 
 
 def _echelon_generators(ideal: Ideal) -> list[_EchelonGenerator]:
-    """The reduced row echelon form over Q of each bidegree's generators,
-    bidegrees ascending and leading exponents descending within one.  Leading means largest exponent tuple
-    (lex, x1 > .. > y{n+1}), a monomial order.  Zero and dependent
-    generators drop out; the ideal, and every bidegree's span, are unchanged."""
-    groups: dict[tuple[int, int], list[dict[Exponents, Fraction]]] = {}
+    """Each bidegree's generators in reduced row echelon form, rows primitive
+    with a positive leading coefficient: bidegrees ascending, then leading
+    exponents, the largest exponent tuple (lex x1 > .. > y{n+1}, a monomial
+    order), descending.  Zero and dependent generators drop out; each
+    bidegree's span, and so the ideal, is unchanged."""
     _require_bihomogeneous(ideal)
+    groups: dict[tuple[int, int], list[dict[Exponents, int]]] = {}
     for g in ideal.generators:
-        groups.setdefault(g.bidegree(), []).append(g.terms)
-    out = []
-    for deg in sorted(groups):
-        basis: dict[Exponents, dict[Exponents, Fraction]] = {}  # monic, by leading exponents
-        for terms in groups[deg]:
-            row = dict(terms)
-            for lead, b in basis.items():
-                if lead in row:
-                    _subtract_multiple(row, row[lead], b)
-            if not row:
-                continue
-            lead = max(row)
-            row = {e: v / row[lead] for e, v in row.items()}
-            for b in basis.values():
-                if lead in b:
-                    _subtract_multiple(b, b[lead], row)
-            basis[lead] = row
-        out += [(deg, lead, _integer_terms(basis[lead])[0]) for lead in sorted(basis, reverse=True)]
-    return out
-
-
-def _subtract_multiple(row: dict[Exponents, Fraction], c: Fraction,
-                       other: dict[Exponents, Fraction]) -> None:
-    """row -= c * other in place, dropping zeros."""
-    for e, v in other.items():
-        nv = row.get(e, 0) - c * v
-        if nv:
-            row[e] = nv
-        else:
-            del row[e]
+        groups.setdefault(g.bidegree(), []).append(_integer_terms(g.terms)[0])
+    return [(deg, lead, row) for deg in sorted(groups)
+            for lead, row in sorted(reduced_echelon_form(groups[deg]).items(), reverse=True)]
 
 
 def rank_matrix_shape(ideal: Ideal, t: int) -> tuple[int, int]:
@@ -385,12 +359,12 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
     rows in the span of the rows before them, and their multipliers are
     stored as signatures.
 
-    The column of e*m is -(pack(e) + pack(m)), exponent tuples packed in
+    The column of e*m is pack(e) + pack(m), exponent tuples packed in
     radix max(i, j) + 1.  e*m has bidegree (i, j) and no parameter variable
     (_require_bihomogeneous refused them; the bidegree bounds none), so each
-    digit is at most max(i, j) and none carries.  Distinct monomials get
-    distinct columns, a row's lowest column, where the elimination cancels
-    first, is its lex-largest monomial, and there are C(i+n, n)*C(j+n, n).
+    digit is at most max(i, j) and none carries.  So the columns order the
+    monomials as lex does: a row's highest column, which the elimination
+    cancels first, is its leading monomial.  There are C(i+n, n)*C(j+n, n).
     """
     base = max(i, j) + 1
 
@@ -412,7 +386,7 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
         skip = leads + state.signatures[r]
         for m, pm in multipliers[a, b]:
             if not any(monomial_divides(p, m) for p in skip):
-                rows.append({-(pe + pm): v for pe, v in terms})
+                rows.append({pe + pm: v for pe, v in terms})
                 signatures.append((r, m))
         leads.append(lead)
     rank = sparse_integer_rank(rows)

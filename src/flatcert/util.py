@@ -1,5 +1,5 @@
 """Small shared utilities: rationals in JSON, tiny exact linear algebra over
-arbitrary rings, and sparse fraction-free rank over the integers."""
+arbitrary rings, and sparse fraction-free elimination over the integers."""
 
 from __future__ import annotations
 
@@ -91,68 +91,83 @@ def mat_adjugate(a: Sequence[Sequence]) -> list[list]:
     return mat_transpose(cof)
 
 
-# --- sparse exact rank ---
+# --- sparse exact elimination ---
 
-def sparse_integer_rank(rows: Iterable[dict[int, int]]) -> int:
+def sparse_integer_rank(rows: Iterable[dict[T, int]]) -> int:
     """Rank of a sparse integer matrix; see `_eliminate`."""
-    return _eliminate(rows)[0]
+    return len(_eliminate(rows)[0])
 
 
-def dependent_rows(rows: Iterable[dict[int, int]]) -> list[int]:
+def dependent_rows(rows: Iterable[dict[T, int]]) -> list[int]:
     """Ascending ids of the rows that lie in the span of the rows before
     them: exactly those whose prefix does not gain rank; see `_eliminate`."""
     return _eliminate(rows)[1]
 
 
-def _eliminate(rows: Iterable[dict[int, int]]) -> tuple[int, list[int]]:
-    """(rank, ascending ids of the rows that emptied) of a sparse integer
-    matrix, by fraction-free elimination in row order (after Bareiss 1968).
+def reduced_echelon_form(rows: Iterable[dict[T, int]]) -> dict[T, dict[T, int]]:
+    """The reduced row echelon form of the rows' span, keyed by leading
+    (highest) column, each row primitive with a positive leading entry:
+    `_eliminate`'s pivots, back-substituted from the lowest one up."""
+    pivots, _ = _eliminate(rows)
+    for col in sorted(pivots):
+        r = pivots[col]
+        for c in [c for c in r if c != col and c in pivots]:
+            _cancel(r, pivots[c], c)  # pivots[c] is reduced: it brings in no pivot column
+        g = gcd(*r.values()) if r[col] > 0 else -gcd(*r.values())
+        pivots[col] = {c: v // g for c, v in r.items()}
+    return pivots
 
-    Rows are dicts column -> nonzero integer; the caller's dicts are not
-    changed.  Each row in turn cancels its lowest column against the pivot
-    row stored under it: with g = gcd(pv, v) it becomes (pv/g)*row -
-    (v/g)*pivot, divided by its content when scaled.  A row whose lowest
-    column has no pivot becomes that column's pivot; a row that empties,
-    or was zero on input, lies in the span of the rows before it.
-    """
-    pivots: dict[int, dict[int, int]] = {}
+
+def _eliminate(rows: Iterable[dict[T, int]]) -> tuple[dict[T, dict[T, int]], list[int]]:
+    """(pivot rows keyed by their column, ascending ids of the rows that
+    emptied) of a sparse integer matrix, by fraction-free elimination in
+    row order (after Bareiss 1968).  Rows are dicts column -> nonzero
+    integer, columns of any ordered type; the caller's dicts are not
+    changed.  Each row in turn cancels its highest column against the
+    pivot stored under it.  A row whose highest column has no pivot becomes
+    its pivot, divided by its content; a row that empties, or was zero on
+    input, lies in the span of the rows before it."""
+    pivots: dict[T, dict[T, int]] = {}
     emptied: list[int] = []
     for rid, row in enumerate(rows):
         r = {c: v for c, v in row.items() if v}
         while r:
-            col = min(r)
+            col = max(r)
             pivot = pivots.get(col)
             if pivot is None:
                 _divide_content(r)
                 pivots[col] = r
                 break
-            pv, v = pivot[col], r[col]
-            g = gcd(pv, v)
-            scale, f = pv // g, v // g
-            if scale < 0:
-                scale, f = -scale, -f
-            if scale != 1:
-                for c in r:
-                    r[c] *= scale
-            for c, val in pivot.items():
-                nv = r.get(c, 0) - f * val
-                if nv:
-                    r[c] = nv
-                else:
-                    del r[c]
-            if scale != 1:
-                _divide_content(r)
+            _cancel(r, pivot, col)
         else:
             emptied.append(rid)
-    return len(pivots), emptied
+    return pivots, emptied
 
 
-def _divide_content(r: dict[int, int]) -> None:
-    g = 0
-    for v in r.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
+def _cancel(r: dict[T, int], pivot: dict[T, int], col: T) -> None:
+    """Clear column col of r against pivot in place: with g = gcd(pv, v) of
+    their entries there, r becomes (|pv|/g)*r - (sgn(pv)*v/g)*pivot,
+    divided by its content when scaled."""
+    pv, v = pivot[col], r[col]
+    g = gcd(pv, v)
+    scale, f = pv // g, v // g
+    if scale < 0:
+        scale, f = -scale, -f
+    if scale != 1:
+        for c in r:
+            r[c] *= scale
+    for c, val in pivot.items():
+        nv = r.get(c, 0) - f * val
+        if nv:
+            r[c] = nv
+        else:
+            del r[c]
+    if scale != 1:
+        _divide_content(r)
+
+
+def _divide_content(r: dict[T, int]) -> None:
+    g = gcd(*r.values())
     if g > 1:
         for c in r:
             r[c] //= g

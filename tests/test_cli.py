@@ -99,15 +99,20 @@ def test_hilbert_bad_file(tmp_path, capsys):
         ("# a minor without its '-'\nn 2\n\nx1*y3 x3*y1\n", 4,
          "expected '+' or '-' between terms, got 'x3'"),
         ("n 1\nx1*y2\nx1*y1 - x1*y1  # cancels\n", 3, "zero generator"),
+        ("n 2\nx1*y1 + x1\n", 2, "generator is not bihomogeneous: x1*y1 + x1"),
+        # a file that is not UTF-8 has no line to name
+        (b"\xff\xfen 1\nx1*y2\n", None,
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     ]:
-        path.write_text(body)
+        path.write_bytes(body if isinstance(body, bytes) else body.encode())
         code, _ = run(["hilbert", str(path)])
         assert code == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"flatcert: {path}:{where}: {message}"], err
+        location = str(path) if where is None else f"{path}:{where}"
+        assert err == [f"flatcert: {location}: {message}"], err
 
 
-@pytest.mark.parametrize("header", ["n", "n two", "n 2.5", "n -1"])
+@pytest.mark.parametrize("header", ["n", "n two", "n 2.5", "n -1", "n 0"])
 def test_hilbert_bad_header_exits_3(tmp_path, capsys, header):
     path = tmp_path / "header.ideal"
     path.write_text(f"{header}\nx1*y2\n")
@@ -186,11 +191,14 @@ def test_verify_flatness_with_points_file(tmp_path):
     ([{"u": [[1], [1, 2]], "d": [1]}], "point 0: d has length 1 but u has 2 rows"),
     ([{"u": [[1], [1, 2]], "d": [1, 2]}, {"u": [[1], [1, 2]], "d": ["x"]}],
      "point 1: rationals must be integers or 'p/q' strings, got 'x'"),
+    ([{"u": [[1]], "d": [1]}], "point 0: a chart point of n = 1, expected n = 2"),
+    (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0"),
 ], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
-        "no-points-key", "exponent-notation", "full-u", "short-d", "second-point"])
+        "no-points-key", "exponent-notation", "full-u", "short-d", "second-point",
+        "point-of-another-n", "not-utf-8"])
 def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
-    path.write_text(json.dumps(body))
+    path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
     code, out = run(["verify-flatness", "--n", "2", "--t-max", "4", "--points", str(path)])
     assert code == 3 and out == ""
     err = capsys.readouterr().err

@@ -19,6 +19,7 @@ from flatcert import (
     NoStabilizationError,
     NonBihomogeneousError,
     VariableUniverse,
+    apply_corruption,
     bigraded_hilbert_function,
     chi_graph,
     diagonal_ideal,
@@ -202,6 +203,73 @@ def random_bihomogeneous_ideal(n, rng):
     return Ideal(uni, gens)
 
 
+def reference_echelon_generators(ideal):
+    """`_echelon_generators` by the Fraction loop that the integer kernel
+    replaced: within a bidegree each generator, reduced by the monic rows
+    so far, becomes monic under its largest exponent tuple and reduces them
+    in turn; each row is then scaled to primitive integers."""
+    def subtract_multiple(row, c, other):
+        for e, v in other.items():
+            nv = row.get(e, 0) - c * v
+            if nv:
+                row[e] = nv
+            else:
+                del row[e]
+
+    groups = {}
+    for g in ideal.generators:
+        groups.setdefault(g.bidegree(), []).append(g.terms)
+    out = []
+    for deg in sorted(groups):
+        basis = {}
+        for terms in groups[deg]:
+            row = dict(terms)
+            for lead, b in basis.items():
+                if lead in row:
+                    subtract_multiple(row, row[lead], b)
+            if not row:
+                continue
+            lead = max(row)
+            row = {e: v / row[lead] for e, v in row.items()}
+            for b in basis.values():
+                if lead in b:
+                    subtract_multiple(b, b[lead], row)
+            basis[lead] = row
+        out += [(deg, lead, _integer_terms(basis[lead])[0]) for lead in sorted(basis, reverse=True)]
+    return out
+
+
+def _chart_fibers():
+    """Four seeded chart fibers for each n = 1..4, every other one with a d_i = 0."""
+    return [evaluate_family_at(family_ideal_J(n),
+                               random_chart_point(n, Random(seed), degenerate=seed % 2 == 1))
+            for n in range(1, 5) for seed in range(4)]
+
+
+def _dropped_generator_fibers():
+    """Every drop-generator:K fiber at n <= 3, at a seeded chart point."""
+    out = []
+    for n in range(1, 4):
+        J = family_ideal_J(n)
+        point = random_chart_point(n, Random(n))
+        out += [evaluate_family_at(apply_corruption(J, f"drop-generator:{k}"), point)
+                for k in range(len(J.generators))]
+    return out
+
+
+@pytest.mark.parametrize("ideals", [
+    _chart_fibers,
+    _dropped_generator_fibers,
+    lambda: [gamma_curve_ideal(fermat_pair(*d)) for d in [(2, 2), (3, 1), (1, 4), (5, 5)]],
+    lambda: [f(n) for n in range(1, 5) for f in (special_fiber_ideal, diagonal_ideal)],
+    lambda: [random_bihomogeneous_ideal(n, Random(seed)) for n in (1, 2, 3) for seed in range(15)],
+], ids=["chart-fibers", "drop-generator", "xi-witnesses", "special-and-diagonal", "random"])
+def test_echelon_generators_match_the_fraction_loop(ideals):
+    # equal row for row; dict equality leaves the order of terms aside
+    for ideal in ideals():
+        assert hilbert._echelon_generators(ideal) == reference_echelon_generators(ideal)
+
+
 @pytest.mark.parametrize("n, seed", [(1, s) for s in range(10)] + [(2, s) for s in range(10)])
 def test_pruned_rank_oracle_matches_unpruned_builder(n, seed, monkeypatch):
     ideal = random_bihomogeneous_ideal(n, Random(seed))
@@ -256,16 +324,13 @@ def tuple_keyed_rows(ideal, i, j):
     Like the oracle it walks the levels (i-k, j-k) upward, lists rows in
     signature order (generator, then multiplier ascending), skips the
     Koszul multiples and those of stored signatures, and stores the
-    multipliers of the rows `dependent_rows` names, with the columns
-    numbered in descending lex."""
+    multipliers of the rows `dependent_rows` names, with the exponent
+    tuples themselves as the columns."""
     uni = ideal.universe
     generators = hilbert._echelon_generators(ideal)
     stored = [[] for _ in generators]
     for k in range(min(i, j), -1, -1):
         li, lj = i - k, j - k
-        cols = {}
-        for e in iter_exponents_of_bidegree(uni, li, lj):
-            cols[e] = len(cols)
         rows, signatures, leads = [], [], []
         for r, ((a, b), lead, int_terms) in enumerate(generators):
             for m in sorted(iter_exponents_of_bidegree(uni, li - a, lj - b)):
@@ -274,7 +339,7 @@ def tuple_keyed_rows(ideal, i, j):
                                  for e, v in int_terms.items()})
                     signatures.append((r, m))
             leads.append(lead)
-        for row_id in dependent_rows([{cols[e]: v for e, v in row.items()} for row in rows]):
+        for row_id in dependent_rows(rows):
             r, m = signatures[row_id]
             stored[r].append(m)
     return [list(row.items()) for row in rows]
@@ -289,7 +354,7 @@ def _oracle_rows(ideal, i, j, monkeypatch):
 
 
 def _decoded(rows, base, width):
-    """rows with each key -(e_1*base^(width-1) + .. + e_width) read back as
+    """rows with each key e_1*base^(width-1) + .. + e_width read back as
     the exponent tuple e, entry order kept."""
     def exponents(key):
         digits = []
@@ -298,7 +363,7 @@ def _decoded(rows, base, width):
             digits.append(digit)
         assert key == 0
         return tuple(reversed(digits))
-    return [[(exponents(-key), v) for key, v in row.items()] for row in rows]
+    return [[(exponents(key), v) for key, v in row.items()] for row in rows]
 
 
 @pytest.mark.parametrize("n, seed", [(1, s) for s in range(5)] + [(2, s) for s in range(5)])
@@ -322,7 +387,7 @@ def test_packed_columns_reach_the_radix_edge(i, j, monkeypatch):
     base = max(i, j) + 1
     rows = _oracle_rows(ideal, i, j, monkeypatch)
     assert _decoded(rows, base, 6) == tuple_keyed_rows(ideal, i, j)
-    edge = -(i * base**5 + j * base**2)  # x1^i*y1^j: digits (i, 0, 0, j, 0, 0)
+    edge = i * base**5 + j * base**2  # x1^i*y1^j: digits (i, 0, 0, j, 0, 0)
     assert any(edge in row for row in rows)
 
 

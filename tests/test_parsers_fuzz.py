@@ -101,17 +101,18 @@ _points = st.fixed_dictionaries(
      "d": st.one_of(st.lists(_entries, max_size=3), _json_values)})
 _points_files = st.one_of(
     st.text(),
+    st.binary(max_size=64),
     _json_values.map(json.dumps),
     st.lists(_points, max_size=3).map(json.dumps),
     st.lists(_points, max_size=3).map(lambda pts: json.dumps({"points": pts})),
 )
 
 
-@given(_points_files)
-def test_points_file_parses_or_exits_3(content):
-    result = load_or_usage_error(_load_points_file, content)
+@given(_points_files, st.integers(min_value=1, max_value=3))
+def test_points_file_parses_or_exits_3(content, n):
+    result = load_or_usage_error(lambda path: _load_points_file(path, n), content)
     if not isinstance(result, USAGE_ERRORS):
-        assert all(isinstance(p, ChartPoint) for p in result)
+        assert all(isinstance(p, ChartPoint) and p.n == n for p in result)
 
 
 # --- large --t-max ---

@@ -15,6 +15,7 @@ from flatcert import hilbert
 from flatcert.cli import parse_ideal_file
 from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
+    _eliminate,
     dependent_rows,
     fraction_from_json,
     fraction_to_json,
@@ -23,6 +24,7 @@ from flatcert.util import (
     mat_mul,
     mat_transpose,
     parallel_map,
+    reduced_echelon_form,
     sparse_integer_rank,
 )
 
@@ -175,13 +177,14 @@ def test_sparse_rank_ignores_row_order(seed):
 
 @pytest.mark.parametrize("rows, dependent", [
     # the shortest row, {2: 1}, is the difference of the two before it: the
-    # earliest row of column 0 pivots, so the third row empties, not the second
+    # earlier rows pivot on columns 1 and 2, so the third row empties, not the second
     ([{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {2: 1}], [2]),
     # a zero row on input, and a proportional row after its original
     ([{}, {0: 2, 1: -4}, {1: 1, 2: 1}, {0: -3, 1: 6}], [0, 3]),
-    # the third row cancels column 0 against the first row and column 1
-    # against the second, and empties; the last row, the only one holding
-    # column 2, is reduced to that column and stores its pivot there
+    # the second row, reduced by the first, pivots on column 0; the third
+    # cancels column 1 against the first row and column 0 against the
+    # second, and empties; the last row, the only one holding column 2,
+    # stores its pivot there unreduced
     ([{0: 1, 1: 2}, {1: 1, 2: 0}, {0: 1, 1: 3}, {0: 5, 2: 7}], [2]),
 ], ids=["difference", "zero-and-proportional", "single-row-column-first"])
 def test_emptied_rows_lie_in_the_span_of_earlier_rows(rows, dependent):
@@ -202,6 +205,23 @@ def test_dependent_rows_are_the_rows_that_do_not_raise_the_prefix_rank(seed):
         prefix_gain = reference_sparse_rank(rows[:k + 1]) - reference_sparse_rank(rows[:k])
         assert prefix_gain == (0 if k in dependent else 1), k
     assert sparse_integer_rank(rows) == reference_sparse_rank(rows) == len(rows) - len(dependent)
+    # each pivot is stored under its row's highest column, one per unit of rank
+    pivots, emptied = _eliminate(rows)
+    assert emptied == dependent and len(pivots) == reference_sparse_rank(rows)
+    assert all(col == max(row) for col, row in pivots.items())
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reduced_echelon_form_is_that_of_the_span(seed):
+    rng = random.Random(seed)
+    rows, ncols = planted_sparse_rows(rng) if rng.random() < 0.5 else random_sparse_rows(rng)
+    echelon = reduced_echelon_form(rows)
+    assert len(echelon) == dense_rank(rows, ncols) == dense_rank(rows + [*echelon.values()], ncols)
+    for col, row in echelon.items():
+        assert col == max(row) and row[col] > 0 and gcd(*row.values()) == 1
+        assert row.keys() & echelon.keys() == {col}
+    # the reduced form of a span is unique, whatever rows list it
+    assert reduced_echelon_form(rng.sample(rows, len(rows))) == echelon
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
