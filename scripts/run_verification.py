@@ -11,7 +11,10 @@ one on an n=3 chart fiber up to t = 6, the largest rank-oracle matrix
 under hilbert.MAX_MACAULAY_ENTRIES that a suite builds, and
 the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
 beside a projective_dimension of 1 (that value only bounds the degree; see
-groebner.ideal_dimension); the xi-trials runs at degrees (2,2), (3,3),
+groebner.ideal_dimension), and the one on x1^64*y1 at n=1 by both
+methods up to t = 70, past exponent 63, where the Groebner kernel widens
+its exponent fields and the rank route packs its columns in radix 71;
+the xi-trials runs at degrees (2,2), (3,3),
 (25,1) and (1,25) are expected to exit 1 because the Fermat witness fits
 the Koszul count, with leading coefficient 2*d0*d1, not the closed
 formula, which matches only at (1,1) (see README); (25,1) and (1,25) are the longest Koszul tables under
@@ -38,7 +41,9 @@ A suite expected to exit 3 must also write exactly one non-empty line to
 stderr, the one-line contract for input errors; the juxtaposed-terms
 suite's line must start with its file's path and ":2:", the line of the
 bad generator, the `n 0` suite's with its file's path, and the points
-suite's with its file's path and "point 0:".
+suite's with its file's path and "point 0:".  The script exits 1 before
+any suite runs if two suites share a label, or if such a prefix is keyed
+by a label that names no suite expected to exit 3.
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -67,6 +72,7 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
     from make_ideal_files import ideal_file_text
 
     uni = xy_universe(2)
+    uni1 = xy_universe(1)
 
     # a chart point with coefficients of heights 3..8, so that the rank
     # oracle's elimination meets pivots other than +-1, and a degenerate one
@@ -86,6 +92,7 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
                         ("irrelevant_x_n2",
                          Ideal(uni, [uni.variable(name) for name in uni.x_names])),
                         ("huge_exponent_n2", Ideal(uni, [uni.parse("x1^100000000*y1")])),
+                        ("exponent_64_n1", Ideal(uni1, [uni1.parse("x1^64*y1")])),
                         ("chart_fiber_n2", evaluate_family_at(family_ideal_J(2), chart)),
                         ("degenerate_fiber_n2",
                          evaluate_family_at(family_ideal_J(2), chart_degenerate)),
@@ -147,6 +154,8 @@ def main() -> int:
              ["hilbert", str(files["chart_fiber_n4"]), "--method", "both", "--t-max", "5"], 3),
             ("hilbert: x1^100000000*y1 n=2, no table sees the generator",
              ["hilbert", str(files["huge_exponent_n2"])], 2),
+            ("hilbert: x1^64*y1 n=1, both routes to t = 70",
+             ["hilbert", str(files["exponent_64_n1"]), "--method", "both", "--t-max", "70"], 0),
             ("hilbert: juxtaposed factors without an operator",
              ["hilbert", str(files["juxtaposed_n2"])], 3),
             ("hilbert: header n 0", ["hilbert", str(files["header_n0"])], 3),
@@ -197,6 +206,14 @@ def main() -> int:
                          "hilbert: header n 0": f"flatcert: {files['header_n0']}:",
                          "verify-flatness: a points file of another n":
                          f"flatcert: {files['points_n4']}: point 0:"}
+        # a renamed suite would silently drop its prefix check
+        labels = [label for label, _, _ in suites]
+        duplicates = sorted({label for label in labels if labels.count(label) > 1})
+        stray = sorted(set(stderr_starts) - {label for label, _, code in suites if code == 3})
+        if duplicates or stray:
+            print(f"suite labels used twice: {duplicates}; stderr_starts keys that name no"
+                  f" suite expected to exit 3: {stray}")
+            return 1
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
         failures = 0

@@ -21,7 +21,6 @@ from .polyring import (
 from .groebner import (
     DEFAULT_ORDER,
     BuchbergerRun,
-    DimensionUndefinedError,
     Ideal,
     NonBihomogeneousError,
     buchberger,

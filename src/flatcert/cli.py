@@ -19,7 +19,6 @@ from random import Random
 
 from .groebner import (
     DEFAULT_ORDER,
-    DimensionUndefinedError,
     Ideal,
     ideal_dimension,
     is_groebner_basis,
@@ -210,23 +209,24 @@ def _verdict(passed: bool) -> str:
 
 def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
     # a flat fiber has dimension n - 1, and its fit needs n + 2 samples t = 0..t_max
-    if args.t_max < args.n + 1:
+    t_max = max(8, args.n + 1) if args.t_max is None else args.t_max
+    if t_max < args.n + 1:
         raise ValueError(f"verify-flatness: argument --t-max: must be >= n + 1 = {args.n + 1}"
-                         f" for n = {args.n}, got {args.t_max}")
+                         f" for n = {args.n}, got {t_max}")
     rng = Random(args.seed)
     if args.points:
         extra = _load_points_file(args.points, args.n)
     else:
         extra = [random_chart_point(args.n, rng, degenerate=False),
                  random_chart_point(args.n, rng, degenerate=True)]
-    report = flatness_certificate(args.n, extra, args.t_max, args.method, args.corrupt)
-    lines = [f"flatness n={args.n} t_max={args.t_max} expected={report.expected}"]
+    report = flatness_certificate(args.n, extra, t_max, args.method, args.corrupt)
+    lines = [f"flatness n={args.n} t_max={t_max} expected={report.expected}"]
     for fib in report.fibers:
         got = str(fib.polynomial) if fib.polynomial is not None else f"({fib.failure})"
         mark = "ok" if fib.matches else "DIVERGES"
         lines.append(f"  fiber {fib.index} {fib.point.label()}: {got} {mark}")
     lines.append(f"verdict: {report.verdict}")
-    config = {"n": args.n, "t_max": args.t_max, "seed": args.seed,
+    config = {"n": args.n, "t_max": t_max, "seed": args.seed,
               "method": args.method, "corrupt": args.corrupt, "points": args.points}
     return report.verdict, config, report.to_json_dict(), lines
 
@@ -277,12 +277,9 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
         disagreements = [{"t": t, methods[0]: a[t], methods[1]: b[t]}
                          for t in range(len(a)) if a[t] != b[t]]
     table = tables[methods[0]]
+    dim = ideal_dimension(ideal)
     try:
-        dim = ideal_dimension(ideal)
-    except DimensionUndefinedError:
-        dim = None
-    try:
-        poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim or 0, 0))
+        poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
     except NoStabilizationError:
         poly = None
     report = {
@@ -396,7 +393,7 @@ def build_parser() -> _Parser:
                        help="Hilbert polynomials of family fibers vs chi_graph(n)")
     p.set_defaults(run=_run_verify_flatness)
     p.add_argument("--n", type=dimension, default=2)
-    p.add_argument("--t-max", type=t_max, default=8)
+    p.add_argument("--t-max", type=t_max, default=None, help="default max(8, n + 1)")
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)
     p.add_argument("--corrupt", type=_corruption, default=None, help="e.g. drop-generator:1")
     p.add_argument("--points", default=None, help="JSON file of extra chart points")

@@ -66,10 +66,6 @@ from .polyring import (
 )
 
 
-class DimensionUndefinedError(ValueError):
-    """Dimension was requested for the whole ring (the ideal contains a unit)."""
-
-
 # x/y variable names, most significant first, or None for natural lex
 # (see "Orders" above)
 Order = tuple[str, ...] | None
@@ -582,8 +578,9 @@ def _require_bihomogeneous(ideal: Ideal) -> None:
             raise NonBihomogeneousError(g)
 
 
-def ideal_dimension(ideal: Ideal) -> int:
-    """dim S/in(I) - 2 (= dim S/I - 2): the Krull dimension of S/in(I), the
+def ideal_dimension(ideal: Ideal) -> int | None:
+    """dim S/in(I) - 2 (= dim S/I - 2), or None for the whole ring (the
+    ideal contains a unit, so K = 0): the Krull dimension of S/in(I), the
     pole order at s = 1 of K(s, s) / (1-s)^(2n+2) (Hilbert-Serre), less 2 for
     the two projective scalings.  The order of K(s, s) = sum c_m s^m at s = 1
     is the first k with K^(k)(1) / k! = sum c_m C(m, k) nonzero; the
@@ -598,12 +595,13 @@ def ideal_dimension(ideal: Ideal) -> int:
     holds p x- and q y-variables counts C(t-a+p-1, p-1) * C(t-b+q-1, q-1)
     on the diagonal, degree p+q-2, or eventually 0 when p or q is 0.  So it
     is a sound dim_bound for interpolate_hilbert_polynomial, whose fit of
-    degree at most the bound recovers any polynomial of lower degree."""
+    degree at most the bound recovers any polynomial of lower degree; the
+    fit reads None, whose table is all 0, as the bound 0."""
     coeffs: dict[int, int] = {}
     for (a, b), c in ideal.series_numerator().items():
         coeffs[a + b] = coeffs.get(a + b, 0) + c
     if not any(coeffs.values()):
-        raise DimensionUndefinedError("the ideal is the whole ring")
+        return None
     order = next(k for k in count() if sum(c * comb(m, k) for m, c in coeffs.items()))
     return ideal.universe.num_xy - order - 2
 

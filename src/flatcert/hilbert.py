@@ -82,16 +82,8 @@ class MacaulayBudgetError(ValueError):
 
 
 class NoStabilizationError(RuntimeError):
-    """The table never settles onto one polynomial; carries the residuals."""
-
-    def __init__(self, message: str, residuals: dict[int, tuple[int, Fraction]] | None = None):
-        self.residuals = residuals or {}
-        detail = ""
-        if self.residuals:
-            rows = ", ".join(f"t={t}: table {obs} vs fit {pred}"
-                             for t, (obs, pred) in sorted(self.residuals.items()))
-            detail = f" [{rows}]"
-        super().__init__(message + detail)
+    """The table never settles onto one polynomial; the message names the
+    sample where the fit's walk back stopped."""
 
 
 # --- univariate exact polynomial helpers (coefficient lists, low degree first) ---
@@ -446,19 +438,20 @@ def _newton(t0: int, values: Sequence[int]) -> tuple[list[int], int]:
     return num, factorial(m)
 
 
-def interpolate_hilbert_polynomial(table: Sequence[int], dim_bound: int) -> HilbertPolynomialQ:
+def interpolate_hilbert_polynomial(table: Sequence[int], dim_bound: int | None) -> HilbertPolynomialQ:
     """Fit the eventual polynomial of a diagonal Hilbert function sampled at
     t = 0..len(table)-1.
 
     Fits degree <= dim_bound through the last dim_bound+1 samples, walks
     backwards to find where the table starts agreeing, and raises
-    NoStabilizationError (with the residual rows) if the table is shorter
-    than dim_bound+3 or its last dim_bound+2 samples never agree.  The fit
-    interpolates integer values at consecutive integers, so it is
+    NoStabilizationError if the table is shorter than dim_bound+3 or its
+    last dim_bound+2 samples never agree; then the message names the one
+    sample t0-1 that breaks the fit.  A dim_bound of None (as
+    `ideal_dimension` returns for the whole ring) or below 0 is read as 0.
+    The fit interpolates integer values at consecutive integers, so it is
     integer-valued (Hartshorne, Algebraic Geometry, Prop. I.7.3).
     """
-    if dim_bound < 0:
-        dim_bound = 0
+    dim_bound = max(dim_bound or 0, 0)
     need = dim_bound + 3
     if len(table) < need:
         raise NoStabilizationError(
@@ -467,18 +460,17 @@ def interpolate_hilbert_polynomial(table: Sequence[int], dim_bound: int) -> Hilb
     t0 = len(table) - dim_bound - 1
     num, den = _newton(t0, table[t0:])
 
-    # the fit points t0.. match by construction, so the walk starts below them
+    # the fit points t0.. match by construction; the walk starts at t0-1 >= 1
     threshold = t0
-    residuals: dict[int, tuple[int, Fraction]] = {}
     for t in range(t0 - 1, -1, -1):
         pred = _poly_eval(num, t)
         if pred != table[t] * den:
-            residuals[t] = (table[t], Fraction(pred, den))
             break
         threshold = t
     if threshold == t0:
         raise NoStabilizationError(
-            f"table does not stabilize onto a degree<={dim_bound} polynomial", residuals)
+            f"table does not stabilize onto a degree<={dim_bound} polynomial"
+            f" [t={t}: table {table[t]} vs fit {Fraction(pred, den)}]")
 
     return HilbertPolynomialQ.from_coefficients([Fraction(c, den) for c in num],
                                                 stabilization_threshold=threshold)

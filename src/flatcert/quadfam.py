@@ -40,7 +40,6 @@ from random import Random
 from typing import Sequence
 
 from .groebner import (
-    DimensionUndefinedError,
     Ideal,
     NonBihomogeneousError,
     _subtract_shifted,
@@ -564,15 +563,12 @@ def apply_corruption(J: Ideal, corrupt: str) -> Ideal:
 def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
                  method: str, expected: HilbertPolynomialQ) -> FiberCheck:
     fiber = evaluate_family_at(J, point)
-    try:
-        dim = ideal_dimension(fiber)
-    except DimensionUndefinedError:
-        dim = None
+    dim = ideal_dimension(fiber)
     table = tabulate_diagonal(fiber, t_max, method)
     if dim is None and any(table):
         return FiberCheck(index, point, None, None, False, "dimension undefined")
     try:
-        poly = interpolate_hilbert_polynomial(table, dim_bound=max(dim or 0, 0))
+        poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
     except NoStabilizationError as exc:
         return FiberCheck(index, point, None, dim, False, f"no stabilization: {exc}")
     return FiberCheck(index, point, poly, dim, poly == expected)

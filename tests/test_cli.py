@@ -306,6 +306,24 @@ def test_xi_trials_reads_no_seed(monkeypatch):
     assert run(["xi-trials", "2", "2", "--seed", "7", "--trials", "20"]) == (code, text)
 
 
+def test_verify_flatness_default_t_max_is_the_fits_floor_from_n_8(monkeypatch):
+    # without --t-max the certificate runs to max(8, n + 1): 8 up to n = 7,
+    # and at MAX_N the n + 1 = 9 that the command asks for; stubbed, so no
+    # n = 8 certificate runs here
+    seen = []
+
+    def certificate(n, extra, t_max, method, corrupt):
+        seen.append((n, t_max))
+        return quadfam.FlatnessReport(n, t_max, method, corrupt, quadfam.chi_graph(n), [])
+
+    monkeypatch.setattr(cli, "flatness_certificate", certificate)
+    for n in (1, 7, MAX_N):
+        code, text = run(["verify-flatness", "--n", str(n)])
+        assert code == 0
+        assert json.loads(text)["config"]["t_max"] == max(8, n + 1)
+    assert seen == [(1, 8), (7, 8), (MAX_N, 9)]
+
+
 def test_torus_check(monkeypatch):
     def refuse(seed=None):
         raise AssertionError("torus-check drew a random number")
@@ -472,7 +490,7 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         (["verify-flatness", "--n", "1", "--method", "both"], "--method"),
         (["verify-flatness", "--n", "1", "--t-max", "2"], "--t-max"),
         # a flat fiber's fit needs t = 0..n+1; refused before any fiber
-        (["verify-flatness", "--n", str(MAX_N)], "--t-max"),
+        (["verify-flatness", "--n", str(MAX_N), "--t-max", str(MAX_N)], "--t-max"),
         (["verify-flatness", "--n", "4", "--t-max", "4"], "--t-max"),
         (["verify-flatness", "--n", "1", "--format", "yaml"], "--format"),
         (["verify-flatness", "--t-max", "0"], "--t-max"),

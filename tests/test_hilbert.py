@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from flatcert import (
+    DEFAULT_ORDER,
     BiPolynomial,
     ChartPoint,
     HilbertPolynomialQ,
@@ -21,6 +22,7 @@ from flatcert import (
     VariableUniverse,
     apply_corruption,
     bigraded_hilbert_function,
+    buchberger,
     chi_graph,
     diagonal_ideal,
     evaluate_family_at,
@@ -47,7 +49,7 @@ from flatcert.hilbert import (
     tabulate_diagonal,
 )
 from flatcert.polyring import iter_exponents_of_bidegree
-from flatcert.util import dependent_rows, sparse_integer_rank
+from flatcert.util import _eliminate, dependent_rows, sparse_integer_rank
 
 
 def identity_graph(n):
@@ -391,6 +393,48 @@ def test_packed_columns_reach_the_radix_edge(i, j, monkeypatch):
     assert any(edge in row for row in rows)
 
 
+def _pivot_monomials(ideal, t, monkeypatch):
+    """The exponents of the pivot columns that `_eliminate` finds on the
+    oracle's level (t, t)."""
+    pivots, _ = _eliminate(_oracle_rows(ideal, t, t, monkeypatch))
+    return {e for e, _ in _decoded([pivots], t + 1, ideal.universe.num_xy)[0]}
+
+
+def _lex_leading_multiples(ideal, t):
+    """The bidegree-(t,t) monomials that some natural lex leading monomial
+    of the reduced Groebner basis divides: the leading monomials of I_(t,t)."""
+    basis, _ = buchberger(ideal.generators, DEFAULT_ORDER)
+    leads = [max(g.terms) for g in basis]
+    return {m for m in iter_exponents_of_bidegree(ideal.universe, t, t)
+            if any(monomial_divides(lead, m) for lead in leads)}
+
+
+# (n, seed of a chart point or None for the special fiber, zero one d_i, t_max)
+@pytest.mark.parametrize("n, seed, degenerate, t_max", [
+    (2, 0, False, 5), (2, 1, True, 5), (2, None, False, 5),
+    (3, 0, False, 4), (3, 1, True, 4), (3, None, False, 4)])
+def test_rank_route_pivots_are_the_lex_leading_monomials(n, seed, degenerate, t_max,
+                                                         monkeypatch):
+    # each pivot row sits under its highest column, and no two share one, so
+    # the pivot columns of a level are the leading monomials of I_(t,t)
+    # under the columns' order, natural lex (Lazard, EUROCAL 1983)
+    point = (ChartPoint.special(n) if seed is None
+             else random_chart_point(n, Random(seed), degenerate))
+    ideal = evaluate_family_at(family_ideal_J(n), point)
+    for t in range(t_max + 1):
+        assert _pivot_monomials(ideal, t, monkeypatch) == _lex_leading_multiples(ideal, t), t
+
+
+def test_lex_leading_monomials_tell_a_chart_fiber_from_the_special_fiber(monkeypatch):
+    # the control of the test above: natural lex is not the chart order,
+    # so a chart fiber and the special fiber lead differently there
+    J = family_ideal_J(3)
+    chart = evaluate_family_at(J, random_chart_point(3, Random(0)))
+    special = evaluate_family_at(J, ChartPoint.special(3))
+    assert _pivot_monomials(chart, 3, monkeypatch) != _pivot_monomials(special, 3, monkeypatch)
+    assert _lex_leading_multiples(chart, 3) != _lex_leading_multiples(special, 3)
+
+
 def test_rank_route_refuses_matrices_over_the_budget():
     path = Path(__file__).parent / "data" / "fiber_n4_chart.ideal"
     ideal = parse_ideal_file(str(path))
@@ -518,7 +562,9 @@ def test_interpolation_flags_nonstabilizing_fit():
     table = tabulate_diagonal(ideal, 7)
     with pytest.raises(NoStabilizationError) as exc:
         interpolate_hilbert_polynomial(table, dim_bound=0)
-    assert exc.value.residuals
+    # the walk back stops at the first sample below the fit point t = 7
+    assert str(exc.value) == ("table does not stabilize onto a degree<=0 polynomial"
+                              " [t=6: table 25 vs fit 29]")
 
 
 # --- the integer closed forms and fit against Fraction references ---
@@ -634,8 +680,9 @@ def _reference_newton(points):
 def reference_interpolation(values, dim_bound):
     """The fit of a table given as a dict t -> value: it searches for the
     trailing run of consecutive t, fits the run's last dim_bound + 1
-    samples and walks the run backwards."""
-    if dim_bound < 0:
+    samples and walks the run backwards.  A failed walk names every
+    residual row it kept, sorted by t."""
+    if dim_bound is None or dim_bound < 0:
         dim_bound = 0
     ts = sorted(values)
     run = []
@@ -659,8 +706,10 @@ def reference_interpolation(values, dim_bound):
             residuals[t] = (values[t], Fraction(pred, den))
             break
     if len(matched) < dim_bound + 2:
+        rows = ", ".join(f"t={t}: table {obs} vs fit {pred}"
+                         for t, (obs, pred) in sorted(residuals.items()))
         raise NoStabilizationError(
-            f"table does not stabilize onto a degree<={dim_bound} polynomial", residuals)
+            f"table does not stabilize onto a degree<={dim_bound} polynomial [{rows}]")
     return HilbertPolynomialQ.from_coefficients([Fraction(c, den) for c in num],
                                                 stabilization_threshold=min(matched))
 
@@ -669,19 +718,21 @@ def reference_interpolation(values, dim_bound):
 def _tables(draw):
     """(table, dim_bound): an integer-valued polynomial of degree <= 4 (an
     integer combination of C(t, k)) at t = 0..11 at most, with up to three
-    samples moved anywhere, the tail included."""
+    samples moved anywhere, the tail included; dim_bound is None or in -1..4."""
     length = draw(st.integers(1, 12))
     coeffs = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
     table = [sum(c * comb(t, k) for k, c in enumerate(coeffs)) for t in range(length)]
     for _ in range(draw(st.integers(0, 3))):
         table[draw(st.integers(0, length - 1))] += draw(st.integers(-5, 5))
-    return table, draw(st.integers(-1, 4))
+    return table, draw(st.none() | st.integers(-1, 4))
 
 
 @given(_tables())
 @example(([1, 5, 9, 13, 17, 21, 25, 29], 1))  # chi_graph(2) from t = 0
 @example(([7, 3, 9, 13, 17], 1))  # settles at t = 2
 @example(([1, 5, 9, 13, 17], 4))  # too short for the bound
+@example(([0, 0, 0, 0], None))  # the whole ring's table
+@example(([1, 5, 9, 13, 17, 21, 25, 29], 0))  # breaks at t = 6, the sample below the fit
 def test_fit_matches_the_dict_reference(case):
     table, dim_bound = case
     try:
@@ -690,7 +741,6 @@ def test_fit_matches_the_dict_reference(case):
         with pytest.raises(NoStabilizationError) as got:
             interpolate_hilbert_polynomial(table, dim_bound)
         assert str(got.value) == str(exc)
-        assert got.value.residuals == exc.residuals
     else:
         got = interpolate_hilbert_polynomial(table, dim_bound)
         assert got.coefficients == want.coefficients
