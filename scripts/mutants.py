@@ -1,0 +1,123 @@
+"""Checked-in mutation checks: each entry edits one exact text of the source,
+and the tests it names must then fail, unless the entry marks the mutant
+equivalent (no test can tell it from the original) and says why.
+
+    python scripts/mutants.py
+
+For each entry, src/, tests/ and pyproject.toml are copied to a temporary
+directory, the old text (which must occur there exactly once) is replaced
+by the new text, and pytest runs only the named test ids in that copy.
+First the named tests run once on an unmutated copy, which must pass.
+
+Exits 0 when every mutant behaves as recorded.  Exits 1 when a
+non-equivalent mutant survives, an equivalent one is killed, an old text
+is missing or occurs more than once, or pytest cannot run the named tests.
+Not part of tier-1: it runs pytest once per entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids
+    equivalent: str | None = None  # why no test can kill it; None: it must be killed
+
+
+MUTANTS = [
+    # the pivot rule: a row must be stored under its highest column, its
+    # leading monomial, or the echelon generators get the wrong leads
+    Mutant("src/flatcert/util.py", "col = max(r)", "col = min(r)",
+           ("tests/test_util.py::test_dependent_rows_are_the_rows_that_do_not_raise_the_prefix_rank",
+            "tests/test_hilbert.py::test_echelon_generators_match_the_fraction_loop")),
+    # a radix of max(i, j) lets a digit carry and merges distinct columns
+    Mutant("src/flatcert/hilbert.py", "base = max(i, j) + 1", "base = max(i, j)",
+           ("tests/test_hilbert.py::test_packed_columns_reach_the_radix_edge",)),
+    # no signature pruning: the values stay, the rows that vanish do not
+    Mutant("src/flatcert/hilbert.py", "skip = leads + state.signatures[r]", "skip = leads",
+           ("tests/test_hilbert.py::test_rank_oracle_on_a_chart_fiber",)),
+    # echelon generators in ascending lead order: the values stay, the
+    # generator order (and so the stored signatures) does not
+    Mutant("src/flatcert/hilbert.py",
+           "sorted(_eliminate(groups[deg])[0].items(), reverse=True)",
+           "sorted(_eliminate(groups[deg])[0].items())",
+           ("tests/test_hilbert.py::test_echelon_generators_match_the_fraction_loop",)),
+]
+
+PYTEST_FAILED = 1  # pytest's exit code when tests ran and some failed
+
+
+def _copy() -> Path:
+    tmp = Path(tempfile.mkdtemp(prefix="flatcert-mutant-"))
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, tmp / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", tmp)
+    return tmp
+
+
+def _pytest(tmp: Path, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           *tests], cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def _run(mutant: Mutant) -> str | None:
+    """None when the mutant behaves as recorded, else what went wrong."""
+    tmp = _copy()
+    try:
+        path = tmp / mutant.file
+        text = path.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"old text occurs {count} times, not once"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        code = _pytest(tmp, mutant.tests)
+    finally:
+        shutil.rmtree(tmp)
+    if code not in (0, PYTEST_FAILED):
+        return f"pytest exited {code}: the named tests did not run"
+    killed = code == PYTEST_FAILED
+    if mutant.equivalent is None and not killed:
+        return "survived"
+    if mutant.equivalent is not None and killed:
+        return "killed, but recorded as equivalent"
+    return None
+
+
+def main() -> int:
+    tmp = _copy()
+    try:
+        baseline = _pytest(tmp, tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
+    finally:
+        shutil.rmtree(tmp)
+    if baseline != 0:
+        print(f"the named tests fail on the unmutated source (pytest exit {baseline})")
+        return 1
+    failures = 0
+    for mutant in MUTANTS:
+        problem = _run(mutant)
+        status = problem or ("equivalent" if mutant.equivalent else "killed")
+        print(f"{'ok  ' if problem is None else 'FAIL'} {mutant.file}: "
+              f"{mutant.old!r} -> {mutant.new!r}: {status}")
+        failures += problem is not None
+    print(f"{len(MUTANTS) - failures}/{len(MUTANTS)} mutants behaved as recorded")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

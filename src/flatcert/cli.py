@@ -280,8 +280,9 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
     dim = ideal_dimension(ideal)
     try:
         poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
-    except NoStabilizationError:
-        poly = None
+        fit = str(poly)
+    except NoStabilizationError as exc:
+        poly, fit = None, f"did not stabilize ({exc})"
     report = {
         "file": args.ideal_file,
         "method": args.method,
@@ -293,7 +294,7 @@ def _run_hilbert(args: argparse.Namespace) -> Outcome:
     lines = [f"hilbert {args.ideal_file} (method={args.method})"]
     for t, v in enumerate(table):
         lines.append(f"  t={t}: {v}")
-    lines.append(f"polynomial: {poly if poly is not None else 'did not stabilize'}")
+    lines.append(f"polynomial: {fit}")
     if disagreements:
         lines.append(f"METHODS DISAGREE on {len(disagreements)} rows")
     config = {"file": args.ideal_file, "t_max": args.t_max, "method": args.method}
@@ -308,7 +309,7 @@ def _run_xi_trials(args: argparse.Namespace) -> Outcome:
                          f"MAX_DEGREE_PRODUCT = {MAX_DEGREE_PRODUCT}")
     t_max = default_t_max(args.d0, args.d1) if args.t_max is None else args.t_max
     report = run_xi_trials(args.d0, args.d1, t_max, args.method)
-    fit = report.polynomial if report.polynomial is not None else "did not stabilize"
+    fit = report.polynomial or f"did not stabilize ({report.fit_error})"
     lines = [
         f"xi-trials d0={args.d0} d1={args.d1}: the Koszul count of every curve pair,"
         " on one witness",

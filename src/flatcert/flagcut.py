@@ -101,6 +101,7 @@ class XiTrialsReport:
     witness: PlaneCurvePair
     numerator_identity: bool
     polynomial: HilbertPolynomialQ | None
+    fit_error: str | None  # why the fit failed, for the text report; not in to_json_dict
     xi_expected: HilbertPolynomialQ
     koszul_expected: HilbertPolynomialQ
     total_retries = 0  # nothing is redrawn; bench/tracing.py's _retries hook reads it
@@ -162,8 +163,8 @@ def run_xi_trials(d0: int, d1: int, t_max: int | None = None,
     dim = ideal_dimension(ideal)
     table = tabulate_diagonal(ideal, t_max, method)
     try:
-        poly = interpolate_hilbert_polynomial(table, dim_bound=dim)
-    except NoStabilizationError:
-        poly = None
-    return XiTrialsReport(d0, d1, witness, identity, poly,
+        poly, why = interpolate_hilbert_polynomial(table, dim_bound=dim), None
+    except NoStabilizationError as exc:
+        poly, why = None, str(exc)
+    return XiTrialsReport(d0, d1, witness, identity, poly, why,
                           xi_formula(d0, d1), koszul_hilbert_polynomial(d0, d1))

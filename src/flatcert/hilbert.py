@@ -5,16 +5,18 @@ Route one reads the Hilbert function off the initial ideal (Groebner): the
 bigraded Hilbert series of S/in(I) is K(s1, s2) / ((1-s1)(1-s2))^(n+1), with
 K from `Ideal.series_numerator()` (the Bayer-Stillman recursion).
 Route two never touches a Groebner basis: it puts each bidegree's
-generators into reduced echelon form (a change of basis of the same span)
-and lists their bidegree-(i,j) multiples in signature order, minus the
-rows that the Koszul syzygies g_i*g_j = g_j*g_i make redundant and the
-multiples of rows that a lower level found in the span of the rows before
-them (the F5 rewritten criterion).  One sparse fraction-free kernel,
-`util._eliminate`, does both eliminations; it combines a row only with
-rows before it, so on the Macaulay matrix it gives the exact rank and
-names the rows to skip above.  The levels below (i, j) on its diagonal
-are computed first, and what they store is kept on the Ideal.  The second
-route is the referee for the first throughout the test suite.
+generators into row echelon form (a change of basis of the same span, no
+two rows with one leading term) and lists their bidegree-(i,j) multiples
+in signature order, minus the rows that the Koszul syzygies
+g_i*g_j = g_j*g_i make redundant and the multiples of rows that a lower
+level found in the span of the rows before them (the F5 rewritten
+criterion).  One sparse fraction-free kernel, `util._eliminate`, does
+both eliminations; it combines a row only with rows before it, so its
+pivot rows are the echelon generators, and on the Macaulay matrix it
+gives the exact rank and names the rows to skip above.  The levels below
+(i, j) on its diagonal are computed first, and what they store is kept on
+the Ideal.  The second route is the referee for the first throughout the
+test suite.
 
 A table is a plain list: `tabulate_diagonal(ideal, t_max)` returns
 [HF(t, t) for t = 0..t_max], and `interpolate_hilbert_polynomial` reads
@@ -38,7 +40,7 @@ from .groebner import (
     monomial_divides,
 )
 from .polyring import Exponents, Rational, VariableUniverse, _rational, iter_exponents_of_bidegree
-from .util import dependent_rows, parallel_map, reduced_echelon_form, sparse_integer_rank
+from .util import _eliminate, dependent_rows, parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
 METHOD_RANK = "rank_oracle"
@@ -62,23 +64,18 @@ def normalize_method(method: str) -> str:
 # scripts/run_verification.py reach is 9897 x 7056 (7.0e7 entries), at n=3
 # and t=6.  Its cost is set by coefficient growth and by the rows that
 # still vanish, not by its shape: the table t <= 6 of the special fiber
-# takes 0.10 s and that of a chart fiber with |u|, |d| up to 9 takes
-# 0.63 s (CPython 3.11, one core of a 2-core host).  The n=4 chart fiber
-# of tests/data takes 2.0 s up to t=3 and 5.8 s up to t=4, 7180 x 4900
-# (3.5e7).  At t=5, 24760 x 15876 (3.9e8), an earlier kernel (shortest-row
-# pivots on Koszul-pruned rows) ran for minutes past 900 MB; the budget
-# refuses it.  So this is a size budget, not a time limit.
+# takes 0.1 s and that of a chart fiber with |u|, |d| up to 9 takes
+# 0.2-0.3 s (CPython 3.11, one core of a 2-core host).  The n=4 chart
+# fiber of tests/data takes 0.2-0.3 s up to t=3 and 0.6-0.7 s up to t=4,
+# 7180 x 4900 (3.5e7).  At t=5, 24760 x 15876 (3.9e8), an earlier kernel
+# (shortest-row pivots on Koszul-pruned rows) ran for minutes past 900 MB;
+# the budget refuses it.  So this is a size budget, not a time limit.
 MAX_MACAULAY_ENTRIES = 10**8
 
 
 class MacaulayBudgetError(ValueError):
-    """A rank-oracle matrix would exceed MAX_MACAULAY_ENTRIES."""
-
-    def __init__(self, t: int, rows: int, cols: int):
-        super().__init__(
-            f"rank oracle: the bidegree-({t},{t}) Macaulay matrix would be {rows} x {cols}"
-            f" = {rows * cols} entries, over the budget MAX_MACAULAY_ENTRIES = "
-            f"{MAX_MACAULAY_ENTRIES}")
+    """A rank-oracle matrix would exceed MAX_MACAULAY_ENTRIES; the message
+    gives its shape."""
 
 
 class NoStabilizationError(RuntimeError):
@@ -263,17 +260,18 @@ _EchelonGenerator = tuple[tuple[int, int], Exponents, dict[Exponents, int]]
 
 
 def _echelon_generators(ideal: Ideal) -> list[_EchelonGenerator]:
-    """Each bidegree's generators in reduced row echelon form, rows primitive
-    with a positive leading coefficient: bidegrees ascending, then leading
-    exponents, the largest exponent tuple (lex x1 > .. > y{n+1}, a monomial
-    order), descending.  Zero and dependent generators drop out; each
-    bidegree's span, and so the ideal, is unchanged."""
+    """Each bidegree's generators in row echelon form: `_eliminate`'s pivot
+    rows, primitive, no two with the same leading exponents (the largest
+    exponent tuple, lex x1 > .. > y{n+1}, a monomial order), tails left
+    unreduced.  Bidegrees ascending, then leading exponents descending.
+    Zero and dependent generators drop out; each bidegree's span, and so
+    the ideal, is unchanged."""
     _require_bihomogeneous(ideal)
     groups: dict[tuple[int, int], list[dict[Exponents, int]]] = {}
     for g in ideal.generators:
         groups.setdefault(g.bidegree(), []).append(_integer_terms(g.terms)[0])
     return [(deg, lead, row) for deg in sorted(groups)
-            for lead, row in sorted(reduced_echelon_form(groups[deg]).items(), reverse=True)]
+            for lead, row in sorted(_eliminate(groups[deg])[0].items(), reverse=True)]
 
 
 def rank_matrix_shape(ideal: Ideal, t: int) -> tuple[int, int]:
@@ -336,10 +334,10 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
     term.  Row (r, m) is skipped in two cases, and each skipped row lies in
     the span of kept rows before it, by induction on that order, so the
     rank is that of all multiples:
-    - LT(g_q) | m for some q < r.  With m = m'*LT(g_q) and g_q monic, the
-      Koszul identity g_q*g_r = g_r*g_q gives m*g_r = (m'*g_r)*g_q -
-      (m'*(g_q - LT(g_q)))*g_r: rows of g_q plus rows m''*g_r with
-      m'' < m.  Lazard (EUROCAL 1983); the F5 criterion of Faugere
+    - LT(g_q) | m for some q < r.  With m = m'*LT(g_q) and g_q scaled to
+      be monic, the Koszul identity g_q*g_r = g_r*g_q gives m*g_r =
+      (m'*g_r)*g_q - (m'*(g_q - LT(g_q)))*g_r: rows of g_q plus rows
+      m''*g_r with m'' < m.  Lazard (EUROCAL 1983); the F5 criterion of Faugere
       (ISSAC 2002).
     - m = w*m' for a stored signature m' of g_r.  m'*g_r is a combination
       of rows before (r, m') at a lower level, and multiplying by w keeps
@@ -406,7 +404,10 @@ def tabulate_diagonal(ideal: Ideal, t_max: int, method: str = METHOD_INITIAL) ->
     if method == METHOD_RANK:
         rows, cols = rank_matrix_shape(ideal, t_max)
         if rows * cols > MAX_MACAULAY_ENTRIES:
-            raise MacaulayBudgetError(t_max, rows, cols)
+            raise MacaulayBudgetError(
+                f"rank oracle: the bidegree-({t_max},{t_max}) Macaulay matrix would be"
+                f" {rows} x {cols} = {rows * cols} entries, over the budget"
+                f" MAX_MACAULAY_ENTRIES = {MAX_MACAULAY_ENTRIES}")
     # serial; parallel_map stays only because bench/tracing.py traces this call
     return parallel_map(lambda t: bigraded_hilbert_function(ideal, t, t, method),
                         range(t_max + 1))

@@ -104,20 +104,6 @@ def dependent_rows(rows: Iterable[dict[T, int]]) -> list[int]:
     return _eliminate(rows)[1]
 
 
-def reduced_echelon_form(rows: Iterable[dict[T, int]]) -> dict[T, dict[T, int]]:
-    """The reduced row echelon form of the rows' span, keyed by leading
-    (highest) column, each row primitive with a positive leading entry:
-    `_eliminate`'s pivots, back-substituted from the lowest one up."""
-    pivots, _ = _eliminate(rows)
-    for col in sorted(pivots):
-        r = pivots[col]
-        for c in [c for c in r if c != col and c in pivots]:
-            _cancel(r, pivots[c], c)  # pivots[c] is reduced: it brings in no pivot column
-        g = gcd(*r.values()) if r[col] > 0 else -gcd(*r.values())
-        pivots[col] = {c: v // g for c, v in r.items()}
-    return pivots
-
-
 def _eliminate(rows: Iterable[dict[T, int]]) -> tuple[dict[T, dict[T, int]], list[int]]:
     """(pivot rows keyed by their column, ascending ids of the rows that
     emptied) of a sparse integer matrix, by fraction-free elimination in

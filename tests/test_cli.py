@@ -162,6 +162,26 @@ def test_hilbert_short_table_is_inconclusive(tmp_path):
     assert rep["projective_dimension"] == 2 and rep["polynomial"] is None
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["hilbert", "x64.ideal", "--t-max", "64"],
+     "polynomial: did not stabilize (table does not stabilize onto a degree<=1 polynomial"
+     " [t=62: table 3969 vs fit 4031])"),
+    (["xi-trials", "1", "3", "--t-max", "3"],
+     "fit up to t=3: did not stabilize (table does not stabilize onto a degree<=1 polynomial"
+     " [t=1: table 5 vs fit 6])"),
+], ids=["hilbert", "xi-trials"])
+def test_text_reports_say_why_the_fit_failed(argv, why, tmp_path, monkeypatch):
+    # HF(t, t) of x1^64*y1 is (t+1)^2 up to t = 63, so the line through
+    # t = 63, 64 misses t = 62; the JSON report keeps "polynomial": null
+    # and leaves the message out
+    (tmp_path / "x64.ideal").write_text("n 1\nx1^64*y1\n")
+    monkeypatch.chdir(tmp_path)
+    code, text = run([*argv, "--format", "text"])
+    assert code == 2 and why in text
+    code, text = run(argv)
+    assert code == 2 and "did not stabilize" not in text
+
+
 def test_verify_flatness_with_points_file(tmp_path):
     # a points file replaces the random sample: special + ones + the extras
     path = tmp_path / "points.json"

@@ -206,10 +206,11 @@ def random_bihomogeneous_ideal(n, rng):
 
 
 def reference_echelon_generators(ideal):
-    """`_echelon_generators` by the Fraction loop that the integer kernel
-    replaced: within a bidegree each generator, reduced by the monic rows
-    so far, becomes monic under its largest exponent tuple and reduces them
-    in turn; each row is then scaled to primitive integers."""
+    """Each bidegree's reduced row echelon form, as (bidegree, lead, row)
+    in `_echelon_generators`' order, by a Fraction loop: within a bidegree
+    each generator, reduced by the monic rows so far, becomes monic under
+    its largest exponent tuple and reduces them in turn; each row is then
+    scaled to primitive integers."""
     def subtract_multiple(row, c, other):
         for e, v in other.items():
             nv = row.get(e, 0) - c * v
@@ -267,9 +268,16 @@ def _dropped_generator_fibers():
     lambda: [random_bihomogeneous_ideal(n, Random(seed)) for n in (1, 2, 3) for seed in range(15)],
 ], ids=["chart-fibers", "drop-generator", "xi-witnesses", "special-and-diagonal", "random"])
 def test_echelon_generators_match_the_fraction_loop(ideals):
-    # equal row for row; dict equality leaves the order of terms aside
+    # the kernel's rows keep their tails unreduced, so they are compared
+    # with the reduced Fraction loop by leads and by span: the reduced
+    # echelon form of a span is unique, so equal reduced forms mean equal spans
     for ideal in ideals():
-        assert hilbert._echelon_generators(ideal) == reference_echelon_generators(ideal)
+        generators = hilbert._echelon_generators(ideal)
+        reference = reference_echelon_generators(ideal)
+        assert [g[:2] for g in generators] == [g[:2] for g in reference]
+        rows = Ideal(ideal.universe, [BiPolynomial(ideal.universe, terms)
+                                      for _, _, terms in generators])
+        assert reference_echelon_generators(rows) == reference
 
 
 @pytest.mark.parametrize("n, seed", [(1, s) for s in range(10)] + [(2, s) for s in range(10)])
@@ -302,8 +310,16 @@ def test_rank_values_do_not_depend_on_the_call_order(n, seed):
             assert bigraded_hilbert_function(fresh, *ij, METHOD_RANK) == expected[ij], (order, ij)
 
 
-def test_rank_oracle_on_an_n3_chart_fiber(monkeypatch):
-    # at t=4 rows still vanish after the signatures of t <= 3 are used
+# (the fiber's builder, t_max, its table, the dependent rows harvested at t = 2, 3, ..)
+@pytest.mark.parametrize("fiber, t_max, table, harvest", [
+    (lambda: evaluate_family_at(family_ideal_J(3), ChartPoint.from_strict_lower(
+        [[3], [-5, 2], [4, -7, 6]], [2, -9, 5])), 5, [1, 9, 25, 49, 81, 121], [16, 10]),
+    (lambda: parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n4_chart.ideal")),
+     3, [1, 14, 55, 140], [50, 30]),
+], ids=["n3", "n4"])
+def test_rank_oracle_on_a_chart_fiber(fiber, t_max, table, harvest, monkeypatch):
+    # at t=3 rows still vanish after the signatures of t=2 are used, and
+    # the rows of the levels after the harvest are independent
     harvested = []
     original = hilbert.dependent_rows
 
@@ -313,11 +329,10 @@ def test_rank_oracle_on_an_n3_chart_fiber(monkeypatch):
         return dependent
 
     monkeypatch.setattr(hilbert, "dependent_rows", recording)
-    point = ChartPoint.from_strict_lower([[3], [-5, 2], [4, -7, 6]], [2, -9, 5])
-    fiber = evaluate_family_at(family_ideal_J(3), point)
-    table = tabulate_diagonal(fiber, 5, METHOD_RANK)
-    assert table == tabulate_diagonal(fiber, 5, METHOD_INITIAL) == [1, 9, 25, 49, 81, 121]
-    assert harvested == [16, 27, 9]  # t = 2, 3, 4; the rows of t = 5 are independent
+    ideal = fiber()
+    assert tabulate_diagonal(ideal, t_max, METHOD_RANK) == table
+    assert tabulate_diagonal(ideal, t_max, METHOD_INITIAL) == table
+    assert harvested == harvest
 
 
 def tuple_keyed_rows(ideal, i, j):
@@ -453,7 +468,7 @@ def _strata(n):
             for mask in range(2 ** n)]
 
 
-@pytest.mark.parametrize("n, t_max", [(2, 8), (3, 4)])
+@pytest.mark.parametrize("n, t_max", [(2, 8), (3, 4), (4, 3)])
 def test_methods_agree_on_every_stratum(n, t_max):
     J = family_ideal_J(n)
     for point in _strata(n):
