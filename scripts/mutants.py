@@ -47,8 +47,11 @@ MUTANTS = [
     Mutant("src/flatcert/hilbert.py", "base = max(i, j) + 1", "base = max(i, j)",
            ("tests/test_hilbert.py::test_packed_columns_reach_the_radix_edge",)),
     # no signature pruning: the values stay, the rows that vanish do not
-    Mutant("src/flatcert/hilbert.py", "skip = leads + state.signatures[r]", "skip = leads",
+    Mutant("src/flatcert/hilbert.py", "for s in leads + state.signatures[r]:", "for s in leads:",
            ("tests/test_hilbert.py::test_rank_oracle_on_a_chart_fiber",)),
+    # skipped keys that are not multiples of s: the wrong rows are built
+    Mutant("src/flatcert/hilbert.py", "ps + w", "w",
+           ("tests/test_hilbert.py::test_packed_columns_give_the_tuple_keyed_rows",)),
     # echelon generators in ascending lead order: the values stay, the
     # generator order (and so the stored signatures) does not
     Mutant("src/flatcert/hilbert.py",

@@ -7,10 +7,13 @@ K from `Ideal.series_numerator()` (the Bayer-Stillman recursion).
 Route two never touches a Groebner basis: it puts each bidegree's
 generators into row echelon form (a change of basis of the same span, no
 two rows with one leading term) and lists their bidegree-(i,j) multiples
-in signature order, minus the rows that the Koszul syzygies
-g_i*g_j = g_j*g_i make redundant and the multiples of rows that a lower
-level found in the span of the rows before them (the F5 rewritten
-criterion).  One sparse fraction-free kernel, `util._eliminate`, does
+in signature order.  It skips a multiplier that is a multiple of a
+leading term of an earlier generator (the rows that the Koszul syzygies
+g_i*g_j = g_j*g_i make redundant) or of a multiplier whose row a lower
+level found in the span of the rows before it (the F5 rewritten
+criterion).  Monomials are packed integer keys, so each level puts the
+keys of those multiples into one set and keeps the candidates outside
+it.  One sparse fraction-free kernel, `util._eliminate`, does
 both eliminations; it combines a row only with rows before it, so its
 pivot rows are the echelon generators, and on the Macaulay matrix it
 gives the exact rank and names the rows to skip above.  The levels below
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -37,9 +41,8 @@ from .groebner import (
     _product_numerator,
     _require_bihomogeneous,
     _series_numerator,
-    monomial_divides,
 )
-from .polyring import Exponents, Rational, VariableUniverse, _rational, iter_exponents_of_bidegree
+from .polyring import Exponents, Rational, VariableUniverse, _rational
 from .util import _eliminate, dependent_rows, parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
@@ -66,7 +69,7 @@ def normalize_method(method: str) -> str:
 # still vanish, not by its shape: the table t <= 6 of the special fiber
 # takes 0.1 s and that of a chart fiber with |u|, |d| up to 9 takes
 # 0.2-0.3 s (CPython 3.11, one core of a 2-core host).  The n=4 chart
-# fiber of tests/data takes 0.2-0.3 s up to t=3 and 0.6-0.7 s up to t=4,
+# fiber of tests/data takes 0.2 s up to t=3 and 0.55-0.6 s up to t=4,
 # 7180 x 4900 (3.5e7).  At t=5, 24760 x 15876 (3.9e8), an earlier kernel
 # (shortest-row pivots on Koszul-pruned rows) ran for minutes past 900 MB;
 # the budget refuses it.  So this is a size budget, not a time limit.
@@ -325,38 +328,59 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     return state.values[i, j]
 
 
+def _block_keys(parts: int, top: int, base: int) -> dict[int, list[int]]:
+    """For each total d = 0..top, the keys e_1*base^(parts-1) + .. + e_parts
+    of the tuples e of `parts` nonnegative ints summing to d, ascending."""
+    keys = {d: [d] for d in range(top + 1)}
+    for m in range(1, parts):
+        scale = base**m
+        keys = {d: [first * scale + rest for first in range(d + 1) for rest in keys[d - first]]
+                for d in keys}
+    return keys
+
+
 def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int:
     """dim of the bidegree-(i,j) piece as the column count minus the rank
     of the Macaulay matrix of multiples m*g_r of the echelon generators.
 
     Rows come in signature order: r ascending, then m ascending in lex,
     the order whose maximum `_echelon_generators` takes as the leading
-    term.  Row (r, m) is skipped in two cases, and each skipped row lies in
-    the span of kept rows before it, by induction on that order, so the
-    rank is that of all multiples:
-    - LT(g_q) | m for some q < r.  With m = m'*LT(g_q) and g_q scaled to
-      be monic, the Koszul identity g_q*g_r = g_r*g_q gives m*g_r =
+    term.  Row (r, m) is skipped when m is a multiple of a monomial in one
+    of two lists, and each skipped row lies in the span of kept rows before
+    it, by induction on that order, so the rank is that of all multiples:
+    - the leads LT(g_q), q < r.  With m = m'*LT(g_q) and g_q scaled to be
+      monic, the Koszul identity g_q*g_r = g_r*g_q gives m*g_r =
       (m'*g_r)*g_q - (m'*(g_q - LT(g_q)))*g_r: rows of g_q plus rows
-      m''*g_r with m'' < m.  Lazard (EUROCAL 1983); the F5 criterion of Faugere
-      (ISSAC 2002).
-    - m = w*m' for a stored signature m' of g_r.  m'*g_r is a combination
-      of rows before (r, m') at a lower level, and multiplying by w keeps
-      each of them before (r, w*m'), because lex is a monomial order.
-      This is the F5 rewritten criterion applied level by level to
-      Macaulay matrices, as in Matrix-F5 (Bardet, Faugere & Salvy, J.
-      Symbolic Comput. 70, 2015).
+      m''*g_r with m'' < m.  Lazard (EUROCAL 1983); the F5 criterion of
+      Faugere (ISSAC 2002).
+    - the stored signatures m' of g_r.  m'*g_r is a combination of rows
+      before (r, m') at a lower level, and multiplying by w keeps each of
+      them before (r, w*m'), because lex is a monomial order.  This is the
+      F5 rewritten criterion applied level by level to Macaulay matrices,
+      as in Matrix-F5 (Bardet, Faugere & Salvy, J. Symbolic Comput. 70,
+      2015).
     When the rank falls short of the row count, `dependent_rows` names the
     rows in the span of the rows before them, and their multipliers are
-    stored as signatures.
+    stored as signatures, exponent tuples that any level can pack.
 
-    The column of e*m is pack(e) + pack(m), exponent tuples packed in
-    radix max(i, j) + 1.  e*m has bidegree (i, j) and no parameter variable
-    (_require_bihomogeneous refused them; the bidegree bounds none), so each
-    digit is at most max(i, j) and none carries.  So the columns order the
-    monomials as lex does: a row's highest column, which the elimination
-    cancels first, is its leading monomial.  There are C(i+n, n)*C(j+n, n).
+    Monomials are packed keys: exponent tuples read as digits in radix
+    max(i, j) + 1, so that the column of e*m is pack(e) + pack(m).  A
+    monomial here has bidegree at most (i, j) and no parameter variable
+    (_require_bihomogeneous refused them; the bidegree bounds none), so
+    each digit is at most max(i, j) and no sum carries.  So the keys order
+    the monomials as lex does: a row's highest column, which the
+    elimination cancels first, is its leading monomial.  And m is a
+    multiple of s exactly when pack(m) = pack(s) + pack(w) for a monomial
+    w of bidegree bideg(m) - bideg(s).  So each generator's candidates are
+    the ascending keys of one bidegree, built once per level from the keys
+    of the x and y blocks, and a set of those sums names the ones to skip.
+    There are C(i+n, n)*C(j+n, n) columns.
     """
     base = max(i, j) + 1
+    width = len(uni.names)
+    k = uni.n + 1
+    y_scale = base ** (width - 2 * k)  # the parameter digits, all zero
+    x_scale = y_scale * base ** k
 
     def pack(e: Exponents) -> int:
         key = 0
@@ -364,26 +388,39 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
             key = key * base + x
         return key
 
+    blocks = _block_keys(k, base - 1, base)
+
+    @cache
+    def keys(p: int, q: int) -> list[int]:
+        """The keys of the monomials of bidegree (p, q), ascending; none if
+        p or q is negative."""
+        return [x * x_scale + y * y_scale for x in blocks.get(p, ()) for y in blocks.get(q, ())]
+
     rows: list[dict[int, int]] = []
-    signatures: list[tuple[int, Exponents]] = []
+    signatures: list[tuple[int, int]] = []
     leads: list[Exponents] = []
-    multipliers: dict[tuple[int, int], list[tuple[Exponents, int]]] = {}  # by bidegree
     for r, ((a, b), lead, int_terms) in enumerate(state.generators):
         terms = [(pack(e), v) for e, v in int_terms.items()]
-        if (a, b) not in multipliers:
-            ascending = reversed(list(iter_exponents_of_bidegree(uni, i - a, j - b)))
-            multipliers[a, b] = [(m, pack(m)) for m in ascending]
-        skip = leads + state.signatures[r]
-        for m, pm in multipliers[a, b]:
-            if not any(monomial_divides(p, m) for p in skip):
+        p, q = i - a, j - b
+        skipped: set[int] = set()
+        for s in leads + state.signatures[r]:
+            sx, sy = uni.bidegree_of(s)
+            ps = pack(s)
+            skipped.update([ps + w for w in keys(p - sx, q - sy)])
+        for pm in keys(p, q):
+            if pm not in skipped:
                 rows.append({pe + pm: v for pe, v in terms})
-                signatures.append((r, m))
+                signatures.append((r, pm))
         leads.append(lead)
     rank = sparse_integer_rank(rows)
     if rank < len(rows):
-        for k in dependent_rows(rows):
-            r, m = signatures[k]
-            state.signatures[r].append(m)
+        for index in dependent_rows(rows):
+            r, pm = signatures[index]
+            digits = []
+            for _ in range(width):
+                pm, digit = divmod(pm, base)
+                digits.append(digit)
+            state.signatures[r].append(tuple(reversed(digits)))
     return comb(i + uni.n, uni.n) * comb(j + uni.n, uni.n) - rank
 
 

@@ -51,7 +51,7 @@ from flatcert.groebner import (
     monomial_lcm,
     order_json,
 )
-from flatcert.polyring import iter_exponents_of_bidegree
+from monomials import iter_exponents_of_bidegree
 
 UNI = xy_universe(2)
 

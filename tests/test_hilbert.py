@@ -48,8 +48,8 @@ from flatcert.hilbert import (
     rank_matrix_shape,
     tabulate_diagonal,
 )
-from flatcert.polyring import iter_exponents_of_bidegree
 from flatcert.util import _eliminate, dependent_rows, sparse_integer_rank
+from monomials import iter_exponents_of_bidegree
 
 
 def identity_graph(n):
@@ -406,6 +406,33 @@ def test_packed_columns_reach_the_radix_edge(i, j, monkeypatch):
     assert _decoded(rows, base, 6) == tuple_keyed_rows(ideal, i, j)
     edge = i * base**5 + j * base**2  # x1^i*y1^j: digits (i, 0, 0, j, 0, 0)
     assert any(edge in row for row in rows)
+
+
+@pytest.mark.parametrize("fiber", [
+    lambda: parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal")),
+    lambda: evaluate_family_at(family_ideal_J(2),
+                               ChartPoint.from_strict_lower([[-8], [6, 4]], [0, -7])),
+], ids=["chart", "degenerate"])
+def test_packed_rows_at_the_rank_referee_level(fiber, monkeypatch):
+    # level (8, 8) of an n=2 fiber, the top of every rank-referee benchmark
+    # item: the signatures stored at t = 2 and 3 skip 420 of the rows that
+    # Koszul pruning alone keeps
+    ideal = fiber()
+    rows = _oracle_rows(ideal, 8, 8, monkeypatch)
+    assert _decoded(rows, 9, 6) == tuple_keyed_rows(ideal, 8, 8)
+    assert rank_matrix_shape(ideal, 8)[0] - len(rows) == 420
+
+
+def test_a_generator_above_the_level_gives_no_rows(monkeypatch):
+    # at level (1, 3) the (2, 1) generator has no multiplier of bidegree
+    # (-1, 2), so only the (1, 1) generator's rows are built
+    uni = xy_universe(2)
+    low = uni.parse("x1*y2 - 3*x2*y3")
+    both = Ideal(uni, [low, uni.parse("x1^2*y1 + 2*x2*x3*y2")])
+    rows = _oracle_rows(both, 1, 3, monkeypatch)
+    assert [g[0] for g in hilbert._echelon_generators(both)] == [(1, 1), (2, 1)]
+    assert _decoded(rows, 4, 6) == tuple_keyed_rows(both, 1, 3)
+    assert rows == _oracle_rows(Ideal(uni, [low]), 1, 3, monkeypatch) != []
 
 
 def _pivot_monomials(ideal, t, monkeypatch):

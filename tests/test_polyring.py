@@ -20,8 +20,8 @@ from flatcert import (
     xy_universe,
 )
 from flatcert.groebner import monomial_divides
-from flatcert.polyring import iter_exponents_of_bidegree
 from flatcert.quadfam import ChartPoint, evaluate_family_at, random_chart_point
+from monomials import iter_exponents_of_bidegree
 
 UNI = xy_universe(2)
 
