@@ -58,6 +58,54 @@ MUTANTS = [
            "sorted(_eliminate(groups[deg])[0].items(), reverse=True)",
            "sorted(_eliminate(groups[deg])[0].items())",
            ("tests/test_hilbert.py::test_echelon_generators_match_the_fraction_loop",)),
+    # substitution: a parameter's value to the first power whatever its exponent
+    Mutant("src/flatcert/polyring.py", "num *= p ** e", "num *= p",
+           ("tests/test_polyring.py::test_substitute_matches_reference_loop",
+            "tests/test_cli.py::test_fiber_files_are_the_family_at_their_point")),
+    # the Hilbert integer routes: the y-block binomial read at the x-degree
+    Mutant("src/flatcert/hilbert.py",
+           "comb(i - a + k - 1, k - 1) * comb(j - b + k - 1, k - 1)",
+           "comb(i - a + k - 1, k - 1) * comb(j - a + k - 1, k - 1)",
+           ("tests/test_hilbert.py::test_numerator_matches_enumeration",
+            "tests/test_acceptance.py::test_ac02_diagonal_hilbert_identity")),
+    # ... and the diagonal polynomial over (k-1)! where it is over (k-1)!^2
+    Mutant("src/flatcert/hilbert.py", "return total, factorial(k - 1) ** 2",
+           "return total, factorial(k - 1)",
+           ("tests/test_hilbert.py::test_diagonal_polynomial_matches_the_fraction_reference",
+            "tests/test_flagcut.py::test_koszul_values")),
+    # the fit through the last dim_bound samples, one too few
+    Mutant("src/flatcert/hilbert.py", "t0 = len(table) - dim_bound - 1",
+           "t0 = len(table) - dim_bound",
+           ("tests/test_hilbert.py::test_fit_matches_the_dict_reference",
+            "tests/test_acceptance.py::test_ac03_special_fiber_polynomial")),
+    # the torus check: a coordinate of weight zero taken as moved to 0
+    Mutant("src/flatcert/quadfam.py", "min(table[name]) >= 0 and max(table[name]) > 0",
+           "min(table[name]) >= 0",
+           ("tests/test_quadfam.py::test_torus_checks_reject_the_trivial_action",)),
+    # ... and a verdict that ignores the conjugation law
+    Mutant("src/flatcert/quadfam.py", 'passed = law_ok and "not proportional" not in scalars',
+           'passed = "not proportional" not in scalars',
+           ("tests/test_quadfam.py::test_torus_checks_reject_the_trivial_action",)),
+    # the chart matrices: A = u^T*diag*u in place of u*diag*u^T
+    Mutant("src/flatcert/quadfam.py",
+           "for row in u]\n    return mat_mul(scaled, mat_transpose(u))",
+           "for row in mat_transpose(u)]\n    return mat_mul(scaled, u)",
+           ("tests/test_quadfam.py::test_gauss_graph_link_is_an_identity",)),
+    # ... a last diagonal factor d1 in place of d_n
+    Mutant("src/flatcert/quadfam.py", "for name in uni.param_names[:n]:",
+           'for name in (*uni.param_names[:n - 1], "d1"):',
+           ("tests/test_quadfam.py::test_fiber_matrix_values",)),
+    # ... and y' = u^{-T}*y in place of u^{-1}*y
+    Mutant("src/flatcert/quadfam.py", "yp = mat_mul(_unipotent_inverse(u, uni),",
+           "yp = mat_mul(mat_transpose(_unipotent_inverse(u, uni)),",
+           ("tests/test_quadfam.py::test_family_ideal_n1_expansion",
+            "tests/test_acceptance.py::test_ac06_torus_equivariance")),
+    # the Buchberger budget: no check at all, and one more basis element let in
+    Mutant("src/flatcert/groebner.py", "if len(gdata) - len(gens) >= MAX_NEW_GENERATORS:",
+           "if False:", ("tests/test_cli.py::test_buchberger_budget_is_exact",)),
+    Mutant("src/flatcert/groebner.py", "if len(gdata) - len(gens) >= MAX_NEW_GENERATORS:",
+           "if len(gdata) - len(gens) > MAX_NEW_GENERATORS:",
+           ("tests/test_cli.py::test_buchberger_budget_is_exact",)),
 ]
 
 PYTEST_FAILED = 1  # pytest's exit code when tests ran and some failed

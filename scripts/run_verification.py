@@ -1,49 +1,69 @@
 #!/usr/bin/env python3
 """Run every CLI verification suite and summarize the exit codes.
 
-Each suite has an expected exit code.  Most suites must pass (0), among
-them verify-groebner at n=3 and at cli.MAX_N, the largest n it accepts,
-verify-flatness at n=1, 2, 4 and at cli.MAX_N (t <= 9), and at n=4 on a
---points file of two rational chart points, one of them with d1 = 0,
-the hilbert runs on an n=2 chart fiber and on one with d1 = 0, the
-latter up to t = 8 by both methods as in the rank-referee benchmark, the
-one on an n=3 chart fiber up to t = 6, the largest rank-oracle matrix
-under hilbert.MAX_MACAULAY_ENTRIES that a suite builds, and
-the one on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
-beside a projective_dimension of 1 (that value only bounds the degree; see
-groebner.ideal_dimension), and the one on x1^64*y1 at n=1 by both
-methods up to t = 70, past exponent 63, where the Groebner kernel widens
-its exponent fields and the rank route packs its columns in radix 71;
-the xi-trials runs at degrees (2,2), (3,3),
-(25,1) and (1,25) are expected to exit 1 because the Fermat witness fits
-the Koszul count, with leading coefficient 2*d0*d1, not the closed
-formula, which matches only at (1,1) (see README); (25,1) and (1,25) are the longest Koszul tables under
-cli.MAX_DEGREE_PRODUCT, t = 0..31.  The two negative controls are
-expected to exit 1, the n=4 chart fiber at t=5 to exit 3 because its
-rank-oracle matrix is over hilbert.MAX_MACAULAY_ENTRIES, the same fiber
-at t=3 by both methods to exit 2 because its two tables agree (a
-disagreement exits 1) but are too short to fit a degree-3 polynomial,
-xi-trials at
-(1,3) with --t-max 3 to exit 2 because that table is too short to fix the
-curve's polynomial, xi-trials at (6,6) to exit 3 because d0*d1 is over
-cli.MAX_DEGREE_PRODUCT, verify-flatness on a --points file nested 100000
-deep to exit 3 because that is a usage error, not a traceback, the
-hilbert run on an ideal file line `x1*y2 x2*y1`, a minor missing its
-operator, to exit 3 because juxtaposed terms are not read as a sum, the
-hilbert run on a file with the header `n 0` and verify-flatness --n 2 on
-the n=4 points file to exit 3 because neither names a ring the command can
-use, and the hilbert run on x1^100000000*y1 to exit 2 (INCONCLUSIVE) because no table
-up to t_max sees that generator; its dimension is read without a dense
-list of 10^8 coefficients.  xi-trials
-reads no seed, so its suites pass none; --seed is handed to the
+Each suite has an expected exit code.
+
+Exit 0, the checked property holds:
+- verify-groebner at n=3 and at cli.MAX_N, the largest n it accepts;
+- verify-flatness at n=1, 2, 4 and at cli.MAX_N (t <= 9), at n=2 by the
+  rank oracle, and at n=4 on a --points file of two rational chart
+  points, one of them with d1 = 0;
+- hilbert by both methods on the n=2 minors, the n=2 special fiber, the
+  unit ideal (polynomial 0), an n=2 chart fiber, one with d1 = 0 up to
+  t = 8 as in the rank-referee benchmark, and an n=3 chart fiber up to
+  t = 6, the largest rank-oracle matrix under
+  hilbert.MAX_MACAULAY_ENTRIES that a suite builds;
+- hilbert on <x1, x2, x3>, empty in P2 x P2*, whose polynomial 0 stands
+  beside a projective_dimension of 1 (that value only bounds the degree;
+  see groebner.ideal_dimension);
+- hilbert on x1^64*y1 at n=1 by both methods up to t = 70, past exponent
+  63, where the Groebner kernel widens its exponent fields and the rank
+  route packs its columns in radix 71;
+- torus-check at n=2 and 4, conic-equations, primary-check at n=4, and
+  xi-trials at (1,1), where the closed formula holds.
+
+Exit 1, the property fails:
+- xi-trials at (2,2), (3,3), (25,1) and (1,25): the Fermat witness fits
+  the Koszul count, with leading coefficient 2*d0*d1, not the closed
+  formula (see README); (25,1) and (1,25) are the longest Koszul tables
+  under cli.MAX_DEGREE_PRODUCT, t = 0..31;
+- the two negative controls, drop-generator:1 at n=2, one of them on a
+  table too short to fit the special fiber.
+
+Exit 2, inconclusive:
+- hilbert on the n=4 chart fiber at t=3 by both methods: the tables agree
+  (a disagreement exits 1) but are too short to fit a degree-3 polynomial;
+- xi-trials at (1,3) with --t-max 3, too short to fix the curve's
+  polynomial;
+- hilbert on x1^100000000*y1: no table up to t_max sees that generator,
+  and its dimension is read without a dense list of 10^8 coefficients.
+
+Exit 3, usage or input error:
+- hilbert on the n=4 chart fiber at t=5: its rank-oracle matrix is over
+  hilbert.MAX_MACAULAY_ENTRIES;
+- hilbert by the rank route on tests/data/buchberger_budget_n2.ideal,
+  three (2,2) generators whose completion is over
+  groebner.MAX_NEW_GENERATORS (the rank route completes a basis for its
+  fit's degree bound);
+- xi-trials at (6,6): d0*d1 is over cli.MAX_DEGREE_PRODUCT;
+- verify-flatness on a --points file nested 100000 deep, and at n=2 on
+  the n=4 points file;
+- hilbert on an ideal file line `x1*y2 x2*y1`, a minor missing its
+  operator (juxtaposed terms are not read as a sum), and on a file with
+  the header `n 0`;
+- torus-check --seed 1: only verify-flatness and xi-trials take --seed.
+
+xi-trials reads no seed, so its suites pass none; --seed is handed to the
 verify-flatness suites only.
 A suite expected to exit 3 must also write exactly one non-empty line to
 stderr, the one-line contract for input errors; the juxtaposed-terms
 suite's line must start with its file's path and ":2:", the line of the
-bad generator, the `n 0` suite's with its file's path, and the points
-suite's with its file's path and "point 0:".  The script exits 1 before
-any suite runs if two suites share a label, or if such a prefix is keyed
-by a label that names no suite expected to exit 3.
+bad generator, the `n 0` suite's with its file's path, the points
+suite's with its file's path and "point 0:", the Buchberger budget
+suite's with the budget's name and value, and the torus-check suite's
+with argparse's "unrecognized arguments: --seed 1".  The script exits 1
+before any suite runs if two suites share a label, or if such a prefix
+is keyed by a label that names no suite expected to exit 3.
 flatcert is imported from this checkout's src/, here and in every suite.
 Each suite's line gives its exit code and wall time (the subprocess,
 interpreter start-up included); the last line gives the total.
@@ -62,7 +82,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 sys.path.insert(0, SRC)
 
 
@@ -117,6 +138,7 @@ def ideal_files(tmp: Path) -> dict[str, Path]:
 
 def main() -> int:
     from flatcert.cli import MAX_N
+    from flatcert.groebner import MAX_NEW_GENERATORS
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0,
@@ -128,6 +150,7 @@ def main() -> int:
         files = ideal_files(tmp)
         deep_points = tmp / "deep_points.json"
         deep_points.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        budget_file = ROOT / "tests" / "data" / "buchberger_budget_n2.ideal"
         suites: list[tuple[str, list[str], int]] = [
             ("groebner certificate",
              ["verify-groebner", "--n", "3"], 0),
@@ -159,6 +182,8 @@ def main() -> int:
             ("hilbert: juxtaposed factors without an operator",
              ["hilbert", str(files["juxtaposed_n2"])], 3),
             ("hilbert: header n 0", ["hilbert", str(files["header_n0"])], 3),
+            ("hilbert: three (2,2) generators over the Buchberger budget",
+             ["hilbert", str(budget_file), "--method", "rank", "--t-max", "6"], 3),
             ("flatness n=1",
              ["verify-flatness", "--n", "1", "--seed", str(args.seed)], 0),
             ("flatness n=2",
@@ -185,6 +210,7 @@ def main() -> int:
              ["verify-flatness", "--n", "2", "--points", str(files["points_n4"])], 3),
             ("torus equivariance n=2", ["torus-check", "--n", "2"], 0),
             ("torus equivariance n=4", ["torus-check", "--n", "4"], 0),
+            ("torus-check: --seed is not its flag", ["torus-check", "--n", "2", "--seed", "1"], 3),
             ("conic equations", ["conic-equations"], 0),
             ("primary structure",
              ["primary-check", "--n", "4"], 0),
@@ -204,6 +230,11 @@ def main() -> int:
         stderr_starts = {"hilbert: juxtaposed factors without an operator":
                          f"flatcert: {files['juxtaposed_n2']}:2:",
                          "hilbert: header n 0": f"flatcert: {files['header_n0']}:",
+                         "hilbert: three (2,2) generators over the Buchberger budget":
+                         "flatcert: buchberger: completing 3 generators would add more than"
+                         f" MAX_NEW_GENERATORS = {MAX_NEW_GENERATORS} basis elements",
+                         "torus-check: --seed is not its flag":
+                         "flatcert: error: unrecognized arguments: --seed 1",
                          "verify-flatness: a points file of another n":
                          f"flatcert: {files['points_n4']}: point 0:"}
         # a renamed suite would silently drop its prefix check

@@ -27,8 +27,6 @@ from .groebner import (
     chart_order,
     ideal_dimension,
     is_groebner_basis,
-    normal_form,
-    spolynomial,
 )
 from .hilbert import (
     METHOD_INITIAL,

@@ -5,7 +5,9 @@ mathematically, 2 the run was inconclusive (a Hilbert table too short, or
 not settled, within --t-max), 3 usage or input error.  Reports are
 byte-identical given the same arguments and seed: no timestamps, sorted
 JSON keys, and every fiber run in order.  Only verify-flatness reads
---seed, to draw its two chart points when --points is not given.
+--seed, to draw its two chart points when --points is not given;
+xi-trials accepts it and ignores it.  verify-flatness, xi-trials and
+hilbert accept --workers and ignore it: every run is serial.
 """
 
 from __future__ import annotations
@@ -382,17 +384,18 @@ def build_parser() -> _Parser:
     t_max = _int_in_range(3, MAX_T)
     parser = _Parser(prog="flatcert", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--output", default=None, help="write the report to a file")
-    # accepted and ignored: every bench/workloads.py item passes it
-    common.add_argument("--workers", type=positive, default=None,
+    # accepted and ignored on the three subcommands bench/workloads.py passes it to
+    serial = argparse.ArgumentParser(add_help=False, parents=[common])
+    serial.add_argument("--workers", type=positive, default=None,
                         help="accepted and ignored; every run is serial")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-flatness", parents=[common],
+    p = sub.add_parser("verify-flatness", parents=[serial],
                        help="Hilbert polynomials of family fibers vs chi_graph(n)")
     p.set_defaults(run=_run_verify_flatness)
+    p.add_argument("--seed", type=int, default=0, help="draws the two chart points")
     p.add_argument("--n", type=dimension, default=2)
     p.add_argument("--t-max", type=t_max, default=None, help="default max(8, n + 1)")
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)
@@ -404,7 +407,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_run_verify_groebner)
     p.add_argument("--n", type=dimension, default=2)
 
-    p = sub.add_parser("hilbert", parents=[common],
+    p = sub.add_parser("hilbert", parents=[serial],
                        help="diagonal Hilbert function and polynomial of an ideal file")
     p.set_defaults(run=_run_hilbert)
     p.add_argument("ideal_file")
@@ -412,13 +415,14 @@ def build_parser() -> _Parser:
     p.add_argument("--method", type=_method_or_both, default="both",
                    help="initial_ideal_count | rank_oracle | both")
 
-    p = sub.add_parser("xi-trials", parents=[common],
+    p = sub.add_parser("xi-trials", parents=[serial],
                        help="the Koszul count of every curve pair on F2, from one"
                             " witness, vs the xi closed form")
     p.set_defaults(run=_run_xi_trials)
     p.add_argument("d0", type=positive)
     p.add_argument("d1", type=positive)
-    # accepted and ignored, as --seed is here: bench/workloads.py passes both
+    # accepted and ignored: bench/workloads.py passes both
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=positive, default=1)
     p.add_argument("--t-max", type=t_max, default=None)
     p.add_argument("--method", type=_method, default=METHOD_INITIAL)

@@ -22,21 +22,21 @@ leading exponent of a polynomial g is `max(g.terms)`, since tuples compare
 lexicographically.  Parameter variables compare below all x/y variables in
 every order, so leading terms are taken with respect to x/y content when
 chart parameters are still symbolic.  `DEFAULT_ORDER` is the default of
-`buchberger`, `normal_form` and `is_groebner_basis`, but every `Ideal`
-completes under `chart_order`, x1 > ... > x{n+1} > y{n+1} > ... > y1.
-Under it the chart change x' = u^T.x, y' = u^-1.y (u lower unipotent) is
-triangular: x'_j leads with x_j and y'_j with y_j, so it keeps every
-leading term, and a chart fiber completes along the special fiber's path
-to the same initial ideal, with fewer S-pairs than under natural lex.  No
-report depends on the choice: an `Ideal`'s basis feeds only its Hilbert
-series and dimension, which are the same for every term order.
+`buchberger` and `is_groebner_basis`, the kernel's two entry points, but
+every `Ideal` completes under `chart_order`,
+x1 > ... > x{n+1} > y{n+1} > ... > y1.  Under it the chart change
+x' = u^T.x, y' = u^-1.y (u lower unipotent) is triangular: x'_j leads
+with x_j and y'_j with y_j, so it keeps every leading term, and a chart
+fiber completes along the special fiber's path to the same initial ideal,
+with fewer S-pairs than under natural lex.  No report depends on the
+choice: an `Ideal`'s basis feeds only its Hilbert series and dimension,
+which are the same for every term order.
 
-Arithmetic.  Inside `normal_form`, `spolynomial`, `buchberger` (with its
-interreduction) and `is_groebner_basis`, each monomial is one int
-(`_Packing`): one field per exponent, in the order's significance order,
-with a guard bit above each field.  Multiplying monomials adds their ints,
-comparing them compares monomials, and a divides b exactly when b - a sets
-no guard bit.  Reduction runs fraction-free inside `_reduce_terms`: the
+Arithmetic.  Inside `buchberger` (with its interreduction) and
+`is_groebner_basis`, each monomial is one int (`_Packing`): one field per
+exponent, in the order's significance order, with a guard bit above each
+field.  Multiplying monomials adds their ints, comparing them compares
+monomials, and a divides b exactly when b - a sets no guard bit.  Reduction runs fraction-free inside `_reduce_terms`: the
 working polynomial is integers over one common denominator, each basis
 element is a primitive integer polynomial built once per basis, S-pairs are
 formed from the integer tails, and the leading term comes off a heap of
@@ -192,10 +192,6 @@ def _packed_terms(f: BiPolynomial, pk: _Packing) -> tuple[dict[int, int], int]:
     return {pk.pack(e): c for e, c in ints.items()}, scale
 
 
-def _polynomial(terms: dict[int, Fraction], pk: _Packing) -> BiPolynomial:
-    return BiPolynomial(pk.universe, _canonical={pk.unpack(k): c for k, c in terms.items()})
-
-
 # One record per basis element, built once: the key of the leading
 # monomial, the element scaled to a primitive integer polynomial with
 # positive leading coefficient, split into that coefficient and its tail,
@@ -223,7 +219,8 @@ def _gdata(basis: Sequence[BiPolynomial], pk: _Packing) -> list[_Divisor]:
 
 def _monic_polynomial(d: _Divisor, pk: _Packing) -> BiPolynomial:
     lm, lc, tail, _ = d
-    return _polynomial({lm: Fraction(1), **{k: Fraction(c, lc) for k, c in tail}}, pk)
+    terms = {pk.unpack(lm): Fraction(1), **{pk.unpack(k): Fraction(c, lc) for k, c in tail}}
+    return BiPolynomial(pk.universe, _canonical=terms)
 
 
 def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
@@ -293,7 +290,7 @@ def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
 def _universe(polys: Sequence[BiPolynomial],
               universe: VariableUniverse | None = None) -> VariableUniverse:
     """The one universe of polys (universe, if given), checked on entry to
-    the kernel: ValueError for no polynomials or a zero one,
+    the kernel and by `Ideal`: ValueError for no polynomials or a zero one,
     UniverseMismatchError for a polynomial over another universe."""
     if not polys:
         raise ValueError("need at least one polynomial")
@@ -304,17 +301,6 @@ def _universe(polys: Sequence[BiPolynomial],
         if g.is_zero():
             raise ValueError(f"polynomial {k} is the zero polynomial")
     return uni
-
-
-def normal_form(f: BiPolynomial, basis: Sequence[BiPolynomial],
-                order: Order = DEFAULT_ORDER) -> BiPolynomial:
-    """Deterministic full remainder of f modulo the listed polynomials."""
-    uni = _universe(basis, f.universe)
-
-    def run(pk: _Packing) -> BiPolynomial:
-        r, _ = _reduce_terms(*_packed_terms(f, pk), _gdata(basis, pk), pk)
-        return _polynomial(r, pk)
-    return _packed(run, uni, order)
 
 
 def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[int, int], int]:
@@ -337,18 +323,6 @@ def _spair(p: _Divisor, q: _Divisor, lcm_key: int, pk: _Packing) -> tuple[dict[i
             else:
                 del h[e]
     return h, lcp * a
-
-
-def spolynomial(f: BiPolynomial, g: BiPolynomial,
-                order: Order = DEFAULT_ORDER) -> BiPolynomial:
-    uni = _universe((f, g))
-
-    def run(pk: _Packing) -> BiPolynomial:
-        p, q = _gdata((f, g), pk)
-        lcm_key = pk.pack(monomial_lcm(pk.unpack(p[0]), pk.unpack(q[0])))
-        h, scale = _spair(p, q, lcm_key, pk)
-        return _polynomial({k: Fraction(c, scale) for k, c in h.items()}, pk)
-    return _packed(run, uni, order)
 
 
 # --- Buchberger completion ---
@@ -400,6 +374,25 @@ def _interreduce(gdata: list[_Divisor], pk: _Packing) -> list[_Divisor]:
             minimal[i] = _divisor(_integer_terms(r)[0], pk)
     minimal.sort(key=itemgetter(0))
     return minimal
+
+
+# Budget of one completion: the most basis elements it may add to its
+# generators, one per S-pair with a nonzero remainder.  The most that the
+# tests, the benchmark and scripts/run_verification.py add is 25, on the
+# (25, 1) xi witness; an n=8 chart fiber adds 8, a drop-generator:K control
+# at n=8 at most 22, and J_d at n=16 (ROADMAP item 1) 16.  The three (2,2)
+# generators of tests/data/buchberger_budget_n2.ideal add 100 in 0.45 s,
+# 150 in 1.7 s and 200 in 11 s in-process, with coefficients past 1000
+# bits, and do not finish within minutes (CPython 3.11, one core of a
+# 2-core host).  A count of S-pairs reduced would separate worse: J_d at
+# n=16 reduces 1632, a drop-generator control at n=8 386, and that file
+# 400 in under a second.  So this is a growth budget, not a time limit.
+MAX_NEW_GENERATORS = 100
+
+
+class BuchbergerBudgetError(ValueError):
+    """A completion would add more than MAX_NEW_GENERATORS basis elements;
+    the message says how many generators it started from."""
 
 
 def buchberger(gens: Sequence[BiPolynomial],
@@ -456,6 +449,10 @@ def _complete(gens: list[BiPolynomial], order: Order,
             continue
         r, steps = _reduce_terms(*_spair(gdata[i], gdata[j], lcm_key, pk), gdata, pk)
         if r:
+            if len(gdata) - len(gens) >= MAX_NEW_GENERATORS:
+                raise BuchbergerBudgetError(
+                    f"buchberger: completing {len(gens)} generators would add more than"
+                    f" MAX_NEW_GENERATORS = {MAX_NEW_GENERATORS} basis elements")
             gdata.append(_divisor(_integer_terms(r)[0], pk))
             keys.append(gdata[-1][0])
             lms.append(pk.unpack(keys[-1]))
@@ -501,11 +498,8 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
 # --- ideals ---
 
 class NonBihomogeneousError(ValueError):
-    """A generator mixes bidegrees; Hilbert bookkeeping needs bihomogeneity."""
-
-    def __init__(self, generator: BiPolynomial):
-        self.generator = generator
-        super().__init__(f"generator is not bihomogeneous: {generator}")
+    """A generator mixes bidegrees; Hilbert bookkeeping needs bihomogeneity.
+    The message names the generator."""
 
 
 class Ideal:
@@ -525,15 +519,9 @@ class Ideal:
 
     def __init__(self, universe: VariableUniverse, generators: Iterable[BiPolynomial]):
         gens = tuple(generators)
-        if not gens:
-            raise ValueError("an ideal here needs at least one generator")
-        for g in gens:
-            if not isinstance(g, BiPolynomial):
-                raise TypeError("generators must be BiPolynomial")
-            if g.universe != universe:
-                raise UniverseMismatchError("generator universe differs from the ideal's")
-            if g.is_zero():
-                raise ValueError("zero generator")
+        if not all(isinstance(g, BiPolynomial) for g in gens):
+            raise TypeError("generators must be BiPolynomial")
+        _universe(gens, universe)
         self.universe = universe
         self.generators = gens
         self._computed: tuple[tuple[BiPolynomial, ...], tuple[Exponents, ...]] | None = None
@@ -575,7 +563,7 @@ def _require_bihomogeneous(ideal: Ideal) -> None:
         raise ValueError("specialize parameter variables before Hilbert computations")
     for g in ideal.generators:
         if g.bidegree() is None:
-            raise NonBihomogeneousError(g)
+            raise NonBihomogeneousError(f"generator is not bihomogeneous: {g}")
 
 
 def ideal_dimension(ideal: Ideal) -> int | None:

@@ -403,7 +403,7 @@ def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiPolynomial],
         return False
     deg = f.bidegree()
     if deg is None:
-        raise NonBihomogeneousError(f)
+        raise NonBihomogeneousError(f"generator is not bihomogeneous: {f}")
 
     def in_prime(prime: tuple[str, ...]) -> bool:
         positions = [uni.index[name] for name in prime]

@@ -265,7 +265,7 @@ def test_ac10_determinism():
     ]
     for argv in pairs:
         assert capture(argv) == capture(argv), argv
-    argv = [sys.executable, "-m", "flatcert", "verify-groebner", "--n", "2", "--seed", "5"]
+    argv = [sys.executable, "-m", "flatcert", "verify-groebner", "--n", "2"]
     proc1 = subprocess.run(argv, capture_output=True)
     proc2 = subprocess.run(argv, capture_output=True)
     assert proc1.stdout == proc2.stdout and proc1.returncode == proc2.returncode == 0

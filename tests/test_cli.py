@@ -1,5 +1,6 @@
 """Command line entry points, exit codes, and report determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -22,11 +23,13 @@ from flatcert import (
     evaluate_family_at,
     family_ideal_J,
     flagcut,
+    groebner,
     quadfam,
     xy_universe,
 )
 from flatcert.cli import MAX_DEGREE_PRODUCT, MAX_N, MAX_T, main, parse_ideal_file
 from flatcert.flagcut import default_t_max
+from flatcert.groebner import MAX_NEW_GENERATORS
 from flatcert.hilbert import MAX_MACAULAY_ENTRIES
 
 SPECIAL_N2 = """# special fiber monomials plus the incidence form
@@ -256,14 +259,13 @@ def test_verify_groebner(monkeypatch):
 
     monkeypatch.setattr(cli, "Random", refuse)
     monkeypatch.setattr(quadfam, "Random", refuse)
-    code, text = run(["verify-groebner", "--n", "2", "--seed", "0"])
+    code, text = run(["verify-groebner", "--n", "2"])
     assert code == 0
     rep = json.loads(text)
     assert rep["config"] == {"n": 2}
     assert rep["report"] == {"n": 2, "order": {"kind": "lex", "variable_permutation": None},
                              "s_pairs": 3, "groebner": True, "lex_leading_terms": True,
                              "passed": True}
-    assert run(["verify-groebner", "--n", "2", "--seed", "7"]) == (code, text)
 
 
 def _plus_minor(n):
@@ -350,13 +352,12 @@ def test_torus_check(monkeypatch):
 
     monkeypatch.setattr(cli, "Random", refuse)
     monkeypatch.setattr(quadfam, "Random", refuse)
-    code, text = run(["torus-check", "--n", "2", "--seed", "0"])
+    code, text = run(["torus-check", "--n", "2"])
     assert code == 0
     rep = json.loads(text)
     assert rep["config"] == {"n": 2}
     assert sorted(rep["report"]) == ["closed_orbit_limit", "passed", "symbolic"]
     assert rep["report"]["symbolic"]["passed"] and rep["report"]["closed_orbit_limit"]
-    assert run(["torus-check", "--n", "2", "--seed", "7"]) == (code, text)
 
 
 def test_conic_equations(monkeypatch):
@@ -365,12 +366,11 @@ def test_conic_equations(monkeypatch):
 
     monkeypatch.setattr(cli, "Random", refuse)
     monkeypatch.setattr(quadfam, "Random", refuse)
-    code, text = run(["conic-equations", "--seed", "0"])
+    code, text = run(["conic-equations"])
     assert code == 0
     assert json.loads(text)["config"] == {}
     assert json.loads(text)["report"] == {"adjugate": True, "graph_minors": True,
                                           "parametrization": True, "passed": True}
-    assert run(["conic-equations", "--seed", "7"]) == (code, text)
 
 
 def test_primary_check():
@@ -526,13 +526,61 @@ def test_usage_errors_exit_3(ideal_file, tmp_path, capsys):
         (["xi-trials", "0", "2"], "d0"),
         (["xi-trials", "1", "x"], "d1"),
         (["torus-check", "--n", "-1"], "--n"),
-        (["torus-check", "--n", "1", "--workers", "0"], "--workers"),
+        (["xi-trials", "2", "2", "--workers", "0"], "--workers"),
         (["hilbert", ideal_file, "--workers", "-5"], "--workers"),
     ]:
         capsys.readouterr()
         assert run(argv) == (3, ""), argv
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert f"argument {name}:" in last, (argv, last)
+
+
+def test_each_flag_lives_where_a_caller_passes_it(capsys):
+    # --seed where it is read (verify-flatness) or bench/workloads.py passes
+    # it (xi-trials); --workers where bench/workloads.py passes it
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: set(p._option_string_actions) for name, p in subparsers.items()}
+    assert {flag: {name for name in options if flag in options[name]}
+            for flag in ("--seed", "--workers")} == {
+        "--seed": {"verify-flatness", "xi-trials"},
+        "--workers": {"verify-flatness", "xi-trials", "hilbert"}}
+    assert set.intersection(*options.values()) == {"-h", "--help", "--format", "--output"}
+    for argv in (["torus-check", "--n", "2", "--seed", "1"],
+                 ["primary-check", "--n", "2", "--workers", "1"]):
+        capsys.readouterr()
+        assert run(argv) == (3, ""), argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"flatcert: error: unrecognized arguments: {' '.join(argv[-2:])}"], err
+
+
+def _budget_line(generators, budget):
+    return (f"flatcert: buchberger: completing {generators} generators would add more"
+            f" than MAX_NEW_GENERATORS = {budget} basis elements")
+
+
+@pytest.mark.parametrize("method", ["initial", "rank"])
+def test_buchberger_budget_refuses_a_runaway_completion(method):
+    # three (2,2) generators whose completion ran past 120 s on both routes:
+    # the rank route completes a basis too, for its fit's degree bound
+    path = Path(__file__).parent / "data" / "buchberger_budget_n2.ideal"
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcert", "hilbert", str(path), "--method", method,
+         "--t-max", "6"], capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.splitlines() == [_budget_line(3, MAX_NEW_GENERATORS)]
+
+
+def test_buchberger_budget_is_exact(monkeypatch, capsys):
+    # the n=2 chart fiber's four generators complete by adding two
+    chart = str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal")
+    monkeypatch.setattr(groebner, "MAX_NEW_GENERATORS", 2)
+    assert run(["hilbert", chart, "--t-max", "4"])[0] == 0
+    monkeypatch.setattr(groebner, "MAX_NEW_GENERATORS", 1)
+    for method in ("initial", "rank"):
+        capsys.readouterr()
+        assert run(["hilbert", chart, "--method", method, "--t-max", "4"]) == (3, "")
+        assert capsys.readouterr().err.splitlines() == [_budget_line(4, 1)]
 
 
 def test_reused_parser_keeps_no_state(capsys):

@@ -28,10 +28,8 @@ from flatcert import (
     gamma_curve_ideal,
     ideal_dimension,
     is_groebner_basis,
-    normal_form,
     random_chart_point,
     special_fiber_ideal,
-    spolynomial,
     xy_universe,
 )
 from flatcert.groebner import (
@@ -146,8 +144,9 @@ def test_buchberger_adds_spolynomials_when_needed():
     ok, _ = is_groebner_basis(basis)
     assert ok
     # every generator reduces to zero against the basis
-    assert normal_form(f, basis).is_zero()
-    assert normal_form(g, basis).is_zero()
+    keyf = reference_key(DEFAULT_ORDER, uni)
+    for h in (f, g):
+        assert reference_reduce_terms(h.terms, reference_gdata(basis, keyf), keyf)[0] == {}
 
 
 @pytest.mark.parametrize("label", ORDER_LABELS)
@@ -156,32 +155,6 @@ def test_buchberger_terminates_under_every_order(label):
     basis, _ = buchberger(special_fiber_ideal(2).generators, order)
     ok, _ = is_groebner_basis(basis, order)
     assert ok
-
-
-def test_normal_form_frozen_example():
-    # x1^2*y2^2 modulo the 2x2 minors rewrites to x2^2*y1^2 under lex
-    ideal = diagonal_ideal(2)
-    f = UNI.parse("x1^2*y2^2")
-    nf = normal_form(f, ideal.groebner_basis(), DEFAULT_ORDER)
-    assert nf == UNI.parse("x2^2*y1^2")
-
-
-def test_normal_form_is_idempotent_and_linear():
-    ideal = diagonal_ideal(2)
-    basis = ideal.groebner_basis()
-    f = UNI.parse("x1^2*y2^2 + 3*x1*y3")
-    nf = normal_form(f, basis)
-    assert normal_form(nf, basis) == nf
-    g = UNI.parse("x2*y3")
-    assert normal_form(f + g, basis) == normal_form(f, basis) + normal_form(g, basis)
-
-
-def test_spolynomial_cancels_leading_terms():
-    uni = xy_universe(1)
-    f = uni.parse("x1*y2 - x2*y1")
-    g = uni.parse("x1*y1 + x2*y2")
-    sp = spolynomial(f, g)
-    assert sp == uni.parse("-x2*y1^2 - x2*y2^2")
 
 
 def test_initial_ideal_of_minors():
@@ -251,7 +224,7 @@ def test_order_is_a_permutation_of_the_xy_variables():
                          (names[:-1] + ["z"], "not an x/y variable"),
                          (names[:-1] + ["a"], "not an x/y variable")]:
         with pytest.raises(ValueError, match=message):
-            normal_form(fa, [fa], bad)
+            buchberger([fa], bad)
 
 
 def test_ideal_caches_one_basis(monkeypatch):
@@ -436,8 +409,6 @@ def test_monomial_intersection_and_minimalization():
 ENTRY_POINTS = {
     "buchberger": lambda f, g: buchberger([f, g]),
     "is_groebner_basis": lambda f, g: is_groebner_basis([f, g]),
-    "normal_form": lambda f, g: normal_form(f, [f, g]),
-    "spolynomial": spolynomial,
 }
 
 
@@ -646,6 +617,8 @@ def random_polynomial(rng, universe, bidegree, num_terms):
 
 @pytest.mark.parametrize("label", ORDER_LABELS)
 def test_normal_form_matches_reference_kernel(label):
+    """The normal form, the full remainder that `_reduce_terms` computes,
+    against the Fraction loop."""
     order = order_for(label, UNI)
     keyf = reference_key(order, UNI)
     pk = _packing(UNI, order, _INITIAL_WIDTH)
@@ -659,8 +632,6 @@ def test_normal_form_matches_reference_kernel(label):
         r = {pk.unpack(k): c for k, c in r.items()}
         ref_r, ref_steps = reference_reduce_terms(f.terms, reference_gdata(basis, keyf), keyf)
         assert r == ref_r and steps == ref_steps, seed
-        assert normal_form(f, basis, order).terms == ref_r
-        assert spolynomial(*basis[:2], order) == reference_spolynomial(*basis[:2], keyf)
         steps_seen += steps
     assert steps_seen > 0
 
@@ -739,12 +710,21 @@ def test_packed_fields_never_wrap():
     with pytest.raises(_FieldOverflow):
         _reduce_terms(*_packed_terms(f, pk), _gdata([g], pk), pk)
     ref_r, _ = reference_reduce_terms(f.terms, reference_gdata([g], keyf), keyf)
-    assert normal_form(f, [g]).terms == ref_r == {(0, 64, 1, 0): 1, (0, 0, 0, 1): 1}
+
+    def remainder(pk):
+        r, _ = _reduce_terms(*_packed_terms(f, pk), _gdata([g], pk), pk)
+        return {pk.unpack(k): c for k, c in r.items()}
+    assert _packed(remainder, uni, DEFAULT_ORDER) == ref_r == {(0, 64, 1, 0): 1, (0, 0, 0, 1): 1}
     # the S-pair shifts x2^60 by x2^50
     p, q = uni.parse("x1^60 - x2^60"), uni.parse("x1*x2^50 + y1")
     with pytest.raises(_FieldOverflow):
         _spair(*_gdata([p, q], pk), pk.pack((60, 50, 0, 0)), pk)
-    assert spolynomial(p, q) == reference_spolynomial(p, q, keyf) == uni.parse("-x2^110 - x1^59*y1")
+
+    def spair(pk):
+        h, scale = _spair(*_gdata([p, q], pk), pk.pack((60, 50, 0, 0)), pk)
+        return BiPolynomial(uni, {pk.unpack(k): Fraction(c, scale) for k, c in h.items()})
+    assert (_packed(spair, uni, DEFAULT_ORDER) == reference_spolynomial(p, q, keyf)
+            == uni.parse("-x2^110 - x1^59*y1"))
 
 
 def test_packed_fields_follow_the_permutation():
