@@ -96,10 +96,22 @@ MUTANTS = [
            'for name in (*uni.param_names[:n - 1], "d1"):',
            ("tests/test_quadfam.py::test_fiber_matrix_values",)),
     # ... and y' = u^{-T}*y in place of u^{-1}*y
-    Mutant("src/flatcert/quadfam.py", "yp = mat_mul(_unipotent_inverse(u, uni),",
-           "yp = mat_mul(mat_transpose(_unipotent_inverse(u, uni)),",
+    Mutant("src/flatcert/quadfam.py", "yp = mat_mul(_unipotent_inverse(u),",
+           "yp = mat_mul(mat_transpose(_unipotent_inverse(u)),",
            ("tests/test_quadfam.py::test_family_ideal_n1_expansion",
             "tests/test_acceptance.py::test_ac06_torus_equivariance")),
+    # straightening with u^T in place of u^-1: still an invertible change of
+    # coordinates, so every verdict and golden survives; only the
+    # term-for-term comparison with the fiber at (I, d) kills it
+    Mutant("src/flatcert/quadfam.py", "_integer_matrix(_unipotent_inverse(u))",
+           "_integer_matrix(mat_transpose(u))",
+           ("tests/test_quadfam.py::test_straightened_fiber_is_the_fiber_at_the_identity",)),
+    # ... and a singular map, y_{n+1} -> 0: the Hilbert function changes
+    Mutant("src/flatcert/quadfam.py", "(U, a), (V, b) = _integer_matrix(u),",
+           "(U, a), (V, b) = _integer_matrix([*u[:-1], [0] * m]),",
+           ("tests/test_cli.py::test_golden_reports_are_byte_identical[flatness_n3_points_rational]",
+            "tests/test_cli.py::test_golden_reports_are_byte_identical[flatness_n2_rank_seed0]",
+            "tests/test_quadfam.py::test_flatness_certificate_n2_with_extra_point")),
     # the Buchberger budget: no check at all, and one more basis element let in
     Mutant("src/flatcert/groebner.py", "if len(gdata) - len(gens) >= MAX_NEW_GENERATORS:",
            "if False:", ("tests/test_cli.py::test_buchberger_budget_is_exact",)),

@@ -66,7 +66,7 @@ USAGE_ERRORS = (ValueError, OSError)  # main reports these with EXIT_USAGE
 # Input budget: the largest projective dimension n accepted by --n and by an
 # ideal file's header.  Every suite, script and benchmark runs n <= 8.  At
 # n = 8 on a 2-core VM, as subprocesses, verify-flatness --t-max 9 takes
-# 1.4 s, torus-check 0.8 s, primary-check 0.16-0.27 s and verify-groebner
+# 0.7-0.8 s, torus-check 0.8 s, primary-check 0.16-0.27 s and verify-groebner
 # 0.13-0.15 s; past it torus-check roughly triples per step (in-process:
 # 0.4-0.6 s at n = 8, 1.2-1.6 s at n = 9, 3.2-4.2 s at n = 10).
 MAX_N = 8

@@ -4,7 +4,7 @@ Contents: the determinantal ideal of the pointwise graph, its monomial
 special fiber, Gauss-graph ideals of quadrics with entries in Q or in a
 polynomial ring, the unipotent-times-diagonal chart for quadric
 degenerations and its symbolic quadric matrix, the cancelled-minor family
-ideal J over that chart, fiber evaluation, the torus
+ideal J over that chart, fiber evaluation and straightening, the torus
 symmetry that contracts the chart onto the most special point, the primary
 decomposition of the special monomial ideal, nonzerodivisor checks, the
 equations of the complete-conics graph as polynomial identities, and the
@@ -42,6 +42,7 @@ from typing import Sequence
 from .groebner import (
     Ideal,
     NonBihomogeneousError,
+    _integer_terms,
     _subtract_shifted,
     ideal_dimension,
     intersect_monomial_exponents,
@@ -204,14 +205,18 @@ def _unipotent_matrix(uni: VariableUniverse, n: int) -> list[list[BiPolynomial]]
     return mat
 
 
-def _unipotent_inverse(mat: list[list[BiPolynomial]], uni: VariableUniverse) -> list[list[BiPolynomial]]:
-    """Forward substitution on mat * inv = I, for mat unipotent lower triangular:
-    inv[i][j] = -sum_{k=j}^{i-1} mat[i][k] * inv[k][j]."""
-    m = len(mat)
-    inv = [[uni.one() if i == j else uni.zero() for j in range(m)] for i in range(m)]
-    for i in range(m):
+def _unipotent_inverse(mat: Sequence[Sequence]) -> list[list]:
+    """Forward substitution on mat * inv = I, for mat unipotent lower triangular
+    over any commutative ring (entries need +, -, *, as for util.mat_mul):
+    inv[i][j] = -sum_{k=j}^{i-1} mat[i][k] * inv[k][j].  The unit diagonal
+    and the zeros above it are mat's own entries."""
+    inv = [list(row) for row in mat]
+    for i in range(len(mat)):
         for j in range(i):
-            inv[i][j] = -sum((mat[i][k] * inv[k][j] for k in range(j, i)), uni.zero())
+            acc = mat[i][j] * inv[j][j]
+            for k in range(j + 1, i):
+                acc = acc + mat[i][k] * inv[k][j]
+            inv[i][j] = -acc
     return inv
 
 
@@ -220,7 +225,7 @@ def primed_coordinates(uni: VariableUniverse, n: int) -> tuple[list[BiPolynomial
     and y'_j = sum_i inv(u)_ji y_i."""
     u = _unipotent_matrix(uni, n)
     (xp,) = mat_mul([[uni.variable(name) for name in uni.x_names]], u)
-    yp = mat_mul(_unipotent_inverse(u, uni), [[uni.variable(name)] for name in uni.y_names])
+    yp = mat_mul(_unipotent_inverse(u), [[uni.variable(name)] for name in uni.y_names])
     return xp, [y for (y,) in yp]
 
 
@@ -560,9 +565,58 @@ def apply_corruption(J: Ideal, corrupt: str) -> Ideal:
     return Ideal(J.universe, gens)
 
 
+def _integer_matrix(mat: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(h, scale) with integer rows h and mat == h / scale."""
+    h, scale = _integer_terms({(i, j): v for i, row in enumerate(mat) for j, v in enumerate(row)})
+    return [[h[i, j] for j in range(len(row))] for i, row in enumerate(mat)], scale
+
+
+def _straightened(fiber: Ideal, point: ChartPoint) -> Ideal:
+    """The fiber after x -> u^-T x, y -> u y, the inverse of the point's
+    chart change: each generator, bilinear as every generator of J is,
+    goes from x^T C y to x^T (u^-1 C u) y, in generator order.
+
+    The map is a bigraded automorphism of Q[x, y], so the Hilbert function,
+    the dimension and every table of the image are the fiber's, whatever J
+    is.  On a correct J the image is the fiber at (I, d), term for term.
+    At u = I the map is the identity and the fiber comes back as it is.
+    In integers: with u = U / a, u^-1 = V / b and C = h / scale (from
+    groebner._integer_terms), the image is V h U / (scale a b)."""
+    if not any(map(any, point.rows)):
+        return fiber  # u = I: the map is the identity
+    m = point.n + 1
+    u = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for i, row in enumerate(point.rows, start=1):
+        u[i][:i] = row
+    (U, a), (V, b) = _integer_matrix(u), _integer_matrix(_unipotent_inverse(u))
+    # x_i y_j as an exponent tuple, and back
+    mono = [[tuple(int(k == i or k == m + j) for k in range(2 * m)) for j in range(m)]
+            for i in range(m)]
+    slot = {mono[i][j]: (i, j) for i in range(m) for j in range(m)}
+    uni = fiber.universe
+    gens = []
+    for g in fiber.generators:
+        h, scale = _integer_terms(g.terms)
+        c = [[0] * m for _ in range(m)]
+        for e, v in h.items():
+            i, j = slot[e]
+            c[i][j] = v
+        total = scale * a * b
+        image = mat_mul(mat_mul(V, c), U)
+        gens.append(BiPolynomial(uni, _canonical={
+            mono[i][j]: Fraction(v, total)
+            for i, row in enumerate(image) for j, v in enumerate(row) if v}))
+    return Ideal(uni, gens)
+
+
 def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
                  method: str, expected: HilbertPolynomialQ) -> FiberCheck:
-    fiber = evaluate_family_at(J, point)
+    """Fit the Hilbert polynomial of the fiber of J at the point.  The
+    fiber is completed after x -> u^-T x, y -> u y (`_straightened`), a
+    bigraded automorphism, so its dimension, its table and the fit are the
+    fiber's own; on a correct J the ideal completed is the sparse fiber at
+    (I, d)."""
+    fiber = _straightened(evaluate_family_at(J, point), point)
     dim = ideal_dimension(fiber)
     table = tabulate_diagonal(fiber, t_max, method)
     if dim is None and any(table):
@@ -581,7 +635,12 @@ def flatness_certificate(n: int, extra_points: Sequence[ChartPoint] = (),
     family has Hilbert polynomial chi_graph(n).
 
     The fibers over (I, 0) and (I, (1,..,1)) are always included, followed
-    by extra_points, and are checked in that order.
+    by extra_points, and are checked in that order.  Each fiber is
+    completed after x -> u^-T x, y -> u y, the inverse of its point's chart
+    change.  That map is a bigraded automorphism of Q[x, y], so the Hilbert
+    function is unchanged for any J, a corrupted one included; on a correct
+    J it turns the fiber at (u, d) into the fiber at (I, d), the incidence
+    form plus the binomials x_i y_j - D_ij x_j y_i.
     """
     J = family_ideal_J(n)
     if corrupt:

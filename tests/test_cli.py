@@ -398,6 +398,10 @@ GOLDEN = {
     "flatness_n3_seed0": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0"], 0),
     "flatness_n3_seed0_drop1": (["verify-flatness", "--n", "3", "--t-max", "6", "--seed", "0",
                                  "--corrupt", "drop-generator:1"], 1),
+    "flatness_n2_rank_seed0": (["verify-flatness", "--n", "2", "--method", "rank", "--seed", "0"], 0),
+    # a rational u entry (1/2) and a zero d_i, from a points file
+    "flatness_n3_points_rational": (["verify-flatness", "--n", "3", "--points",
+                                     "tests/data/points_n3_rational.json"], 0),
     "conic_equations": (["conic-equations"], 0),
     "primary_check_n3": (["primary-check", "--n", "3"], 0),
     "hilbert_fiber_n2_ones": (["hilbert", "tests/data/fiber_n2_ones.ideal", "--method", "both",

@@ -38,6 +38,7 @@ from flatcert import (
     xy_universe,
 )
 from flatcert.cli import main as cli_main
+from flatcert.hilbert import rank_matrix_shape
 from flatcert.util import mat_mul
 
 
@@ -139,7 +140,7 @@ def test_family_generators_match_primed_coordinates():
 def test_unipotent_inverse(n):
     uni = family_universe(n)
     u = quadfam._unipotent_matrix(uni, n)
-    product = mat_mul(u, quadfam._unipotent_inverse(u, uni))
+    product = mat_mul(u, quadfam._unipotent_inverse(u))
     assert product == [[uni.one() if i == j else uni.zero() for j in range(n + 1)]
                        for i in range(n + 1)]
 
@@ -204,7 +205,7 @@ def test_gauss_graph_link_is_an_identity(n):
     G = gauss_graph_ideal(fiber_matrix(n), uni).generators
     assert J[0] == G[0] == incidence_form(uni)
     xp, yp = primed_coordinates(uni, n)
-    uinv = quadfam._unipotent_inverse(quadfam._unipotent_matrix(uni, n), uni)
+    uinv = quadfam._unipotent_inverse(quadfam._unipotent_matrix(uni, n))
     pairs = list(combinations(range(n + 1), 2))
 
     def minors(a):
@@ -405,6 +406,78 @@ def test_unit_fiber_has_the_zero_polynomial(method):
                                  method, chi_graph(1))
     assert (check.polynomial, check.dimension, check.failure) == (HilbertPolynomialQ(()), None, None)
     assert check.polynomial.stabilization_threshold == 0 and not check.matches
+
+
+# --- straightened fibers ---
+
+def _straightening_case(case: str) -> tuple[Ideal, ChartPoint]:
+    """(J, point): a seeded point at n = 1..5 ("n3-degenerate"), a rational
+    u ("rational"), or a J with one generator dropped ("drop-generator")."""
+    if case == "rational":
+        return family_ideal_J(3), ChartPoint.from_strict_lower(
+            [[Fraction(1, 2)], [3, Fraction(-2, 3)], [0, 5, Fraction(7, 4)]],
+            [2, 0, Fraction(-3, 5)])
+    if case == "drop-generator":
+        return (apply_corruption(family_ideal_J(3), "drop-generator:2"),
+                random_chart_point(3, random.Random(5)))
+    n, kind = int(case[1]), case[3:]
+    rng = random.Random(38 + n)
+    return family_ideal_J(n), random_chart_point(n, rng, degenerate=kind == "degenerate")
+
+
+STRAIGHTENING_CASES = [f"n{n}-{kind}" for n in range(1, 6)
+                       for kind in ("nondegenerate", "degenerate")] + ["rational", "drop-generator"]
+
+
+def _at_identity(point: ChartPoint) -> ChartPoint:
+    return ChartPoint.from_strict_lower([[0] * len(row) for row in point.rows], point.d)
+
+
+@pytest.mark.parametrize("case", STRAIGHTENING_CASES)
+def test_straightened_fiber_is_the_fiber_at_the_identity(case):
+    """x -> u^-T x, y -> u y undoes the chart change: the fiber at (u, d)
+    becomes the fiber at (I, d), term for term and in generator order."""
+    J, point = _straightening_case(case)
+    assert any(map(any, point.rows))
+    straight = quadfam._straightened(evaluate_family_at(J, point), point)
+    want = evaluate_family_at(J, _at_identity(point))
+    assert straight.universe == want.universe
+    assert [g.terms_sorted() for g in straight.generators] == \
+        [g.terms_sorted() for g in want.generators]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_straightening_at_the_identity_changes_nothing(n):
+    rng = random.Random(n)
+    for point in [ChartPoint.special(n), ChartPoint.all_ones(n),
+                  _at_identity(random_chart_point(n, rng, degenerate=True))]:
+        fiber = evaluate_family_at(family_ideal_J(n), point)
+        assert list(quadfam._straightened(fiber, point).generators) == list(fiber.generators)
+
+
+@pytest.mark.parametrize("case", [c for c in STRAIGHTENING_CASES if c[:2] in ("n1", "n2", "n3")]
+                         + ["rational", "drop-generator"])
+def test_straightening_keeps_the_hilbert_series_and_the_rank_budget(case):
+    """The unstraightened fiber is the referee: the same Hilbert-series
+    numerator.  The rank route's budget reads the Koszul-pruned shape, which
+    follows lex leading terms.  On a correct J the shape is the same; with
+    generator 2 dropped it is smaller from t = 3 on.  Either way it is the
+    shape at (I, 0), the fiber every certificate checks first, so a
+    MAX_MACAULAY_ENTRIES refusal still comes at that fiber with the same
+    message."""
+    J, point = _straightening_case(case)
+    fiber = evaluate_family_at(J, point)
+    straight = quadfam._straightened(fiber, point)
+    first = evaluate_family_at(J, ChartPoint.special(point.n))
+    assert straight.series_numerator() == fiber.series_numerator()
+    for t in range(6):
+        (rows, cols), (referee_rows, referee_cols) = (rank_matrix_shape(straight, t),
+                                                      rank_matrix_shape(fiber, t))
+        assert (rows, cols) == rank_matrix_shape(first, t) and cols == referee_cols
+        if case == "drop-generator" and t >= 3:
+            assert rows < referee_rows
+        else:
+            assert rows == referee_rows
 
 
 def test_apply_corruption_validation():
