@@ -118,6 +118,15 @@ MUTANTS = [
     Mutant("src/flatcert/groebner.py", "if len(gdata) - len(gens) >= MAX_NEW_GENERATORS:",
            "if len(gdata) - len(gens) > MAX_NEW_GENERATORS:",
            ("tests/test_cli.py::test_buchberger_budget_is_exact",)),
+    # a points file's JSON errors back to undecodable bytes only: a syntax
+    # error still exits 3, but without the file's path
+    Mutant("src/flatcert/cli.py", "except ValueError as exc:  # undecodable",
+           "except UnicodeDecodeError as exc:  # undecodable",
+           ("tests/test_cli.py::test_malformed_points_file_exits_3[not-json]",)),
+    # the default t_max a constant 8: the n = 8 fit is one sample short
+    Mutant("src/flatcert/quadfam.py", "return max(8, n + 1)", "return 8",
+           ("tests/test_quadfam.py::test_flatness_certificate_default_t_max_fits_n_8",
+            "tests/test_cli.py::test_verify_flatness_default_t_max_is_the_fits_floor_from_n_8")),
 ]
 
 PYTEST_FAILED = 1  # pytest's exit code when tests ran and some failed

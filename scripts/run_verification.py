@@ -46,8 +46,8 @@ Exit 3, usage or input error:
   groebner.MAX_NEW_GENERATORS (the rank route completes a basis for its
   fit's degree bound);
 - xi-trials at (6,6): d0*d1 is over cli.MAX_DEGREE_PRODUCT;
-- verify-flatness on a --points file nested 100000 deep, and at n=2 on
-  the n=4 points file;
+- verify-flatness on a --points file nested 100000 deep, at n=1 on a
+  truncated JSON points file, and at n=2 on the n=4 points file;
 - hilbert on an ideal file line `x1*y2 x2*y1`, a minor missing its
   operator (juxtaposed terms are not read as a sum), and on a file with
   the header `n 0`;
@@ -58,8 +58,9 @@ verify-flatness suites only.
 A suite expected to exit 3 must also write exactly one non-empty line to
 stderr, the one-line contract for input errors; the juxtaposed-terms
 suite's line must start with its file's path and ":2:", the line of the
-bad generator, the `n 0` suite's with its file's path, the points
-suite's with its file's path and "point 0:", the Buchberger budget
+bad generator, the `n 0` suite's with its file's path, the truncated
+points suite's with its file's path, the other-n points suite's with
+its file's path and "point 0:", the Buchberger budget
 suite's with the budget's name and value, and the torus-check suite's
 with argparse's "unrecognized arguments: --seed 1".  The script exits 1
 before any suite runs if two suites share a label, or if such a prefix
@@ -150,6 +151,8 @@ def main() -> int:
         files = ideal_files(tmp)
         deep_points = tmp / "deep_points.json"
         deep_points.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        truncated_points = tmp / "truncated_points.json"
+        truncated_points.write_text('[{"u": [], "d": [', encoding="utf-8")
         budget_file = ROOT / "tests" / "data" / "buchberger_budget_n2.ideal"
         suites: list[tuple[str, list[str], int]] = [
             ("groebner certificate",
@@ -206,6 +209,8 @@ def main() -> int:
               "--corrupt", "drop-generator:1"], 1),
             ("flatness n=2, points file nested 100000 deep",
              ["verify-flatness", "--n", "2", "--points", str(deep_points)], 3),
+            ("verify-flatness: a truncated JSON points file",
+             ["verify-flatness", "--n", "1", "--points", str(truncated_points)], 3),
             ("verify-flatness: a points file of another n",
              ["verify-flatness", "--n", "2", "--points", str(files["points_n4"])], 3),
             ("torus equivariance n=2", ["torus-check", "--n", "2"], 0),
@@ -230,6 +235,8 @@ def main() -> int:
         stderr_starts = {"hilbert: juxtaposed factors without an operator":
                          f"flatcert: {files['juxtaposed_n2']}:2:",
                          "hilbert: header n 0": f"flatcert: {files['header_n0']}:",
+                         "verify-flatness: a truncated JSON points file":
+                         f"flatcert: {truncated_points}: ",
                          "hilbert: three (2,2) generators over the Buchberger budget":
                          "flatcert: buchberger: completing 3 generators would add more than"
                          f" MAX_NEW_GENERATORS = {MAX_NEW_GENERATORS} basis elements",

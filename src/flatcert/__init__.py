@@ -11,9 +11,6 @@ comparing every fiber against the closed form chi_graph(n).
 
 from .polyring import (
     BiPolynomial,
-    ParseError,
-    UniverseMismatchError,
-    UnknownVariableError,
     VariableUniverse,
     parse_polynomial,
     polynomial_text,
@@ -22,7 +19,6 @@ from .groebner import (
     DEFAULT_ORDER,
     BuchbergerRun,
     Ideal,
-    NonBihomogeneousError,
     buchberger,
     chart_order,
     ideal_dimension,

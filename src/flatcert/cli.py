@@ -35,11 +35,7 @@ from .hilbert import (
     tabulate_diagonal,
 )
 from .flagcut import default_t_max, run_xi_trials
-from .polyring import (
-    ParseError,
-    VariableUniverse,
-    parse_polynomial,
-)
+from .polyring import VariableUniverse, parse_polynomial
 from .quadfam import (
     ChartPoint,
     closed_orbit_limit_check,
@@ -47,6 +43,7 @@ from .quadfam import (
     corruption_index,
     diagonal_ideal,
     flatness_certificate,
+    flatness_t_max,
     incidence_form,
     nonzerodivisor_check,
     primary_intersection_check,
@@ -62,7 +59,10 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_CODES = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}
-USAGE_ERRORS = (ValueError, OSError)  # main reports these with EXIT_USAGE
+# main reports these with EXIT_USAGE: every input or budget error is a
+# ValueError whose one-line message names its place (the file and line, the
+# point, or the budget and its value)
+USAGE_ERRORS = (ValueError, OSError)
 # Input budget: the largest projective dimension n accepted by --n and by an
 # ideal file's header.  Every suite, script and benchmark runs n <= 8.  At
 # n = 8 on a 2-core VM, as subprocesses, verify-flatness --t-max 9 takes
@@ -139,7 +139,7 @@ def _load_points_file(path: str, n: int) -> list[ChartPoint]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes, bad JSON, an over-long integer
             raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             # caught here, not in USAGE_ERRORS, so that a recursion bug
@@ -167,7 +167,7 @@ def parse_ideal_file(path: str) -> Ideal:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,27 +175,27 @@ def parse_ideal_file(path: str) -> Ideal:
         head = line.split()
         if head[0] == "n" and n is None and not gen_lines:
             if len(head) != 2 or not head[1].isdecimal():
-                raise ParseError(f"{path}: header must be 'n <int>', got {line!r}")
+                raise ValueError(f"{path}: header must be 'n <int>', got {line!r}")
             n = int(head[1])
             if not 1 <= n <= MAX_N:
-                raise ParseError(f"{path}: n {n} is outside 1..MAX_N = {MAX_N}")
+                raise ValueError(f"{path}: n {n} is outside 1..MAX_N = {MAX_N}")
         else:
             gen_lines.append((lineno, line))
     if n is None:
-        raise ParseError(f"{path}: missing 'n <int>' header line")
+        raise ValueError(f"{path}: missing 'n <int>' header line")
     uni = VariableUniverse.standard(n)
     gens = []
     for lineno, line in gen_lines:
         try:
             gens.append(parse_polynomial(uni, line))
         except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not gens[-1]:
-            raise ParseError(f"{path}:{lineno}: zero generator")
+            raise ValueError(f"{path}:{lineno}: zero generator")
         if gens[-1].bidegree() is None:
-            raise ParseError(f"{path}:{lineno}: generator is not bihomogeneous: {line}")
+            raise ValueError(f"{path}:{lineno}: generator is not bihomogeneous: {line}")
     if not gens:
-        raise ParseError(f"{path}: no generators")
+        raise ValueError(f"{path}: no generators")
     return Ideal(uni, gens)
 
 
@@ -210,8 +210,7 @@ def _verdict(passed: bool) -> str:
 
 
 def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
-    # a flat fiber has dimension n - 1, and its fit needs n + 2 samples t = 0..t_max
-    t_max = max(8, args.n + 1) if args.t_max is None else args.t_max
+    t_max = flatness_t_max(args.n) if args.t_max is None else args.t_max
     if t_max < args.n + 1:
         raise ValueError(f"verify-flatness: argument --t-max: must be >= n + 1 = {args.n + 1}"
                          f" for n = {args.n}, got {t_max}")

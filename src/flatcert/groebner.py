@@ -58,12 +58,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, le, lshift
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .polyring import (
-    BiPolynomial,
-    Exponents,
-    UniverseMismatchError,
-    VariableUniverse,
-)
+from .polyring import BiPolynomial, Exponents, VariableUniverse
 
 
 # x/y variable names, most significant first, or None for natural lex
@@ -290,14 +285,14 @@ def _reduce_terms(h: dict[int, int], scale: int, gdata: Sequence[_Divisor],
 def _universe(polys: Sequence[BiPolynomial],
               universe: VariableUniverse | None = None) -> VariableUniverse:
     """The one universe of polys (universe, if given), checked on entry to
-    the kernel and by `Ideal`: ValueError for no polynomials or a zero one,
-    UniverseMismatchError for a polynomial over another universe."""
+    the kernel and by `Ideal`: ValueError for no polynomials, a zero one,
+    or one over another universe, naming the polynomial by its index."""
     if not polys:
         raise ValueError("need at least one polynomial")
     uni = polys[0].universe if universe is None else universe
     for k, g in enumerate(polys):
         if g.universe != uni:
-            raise UniverseMismatchError(f"polynomial {k} lives over another universe")
+            raise ValueError(f"polynomial {k} lives over another universe")
         if g.is_zero():
             raise ValueError(f"polynomial {k} is the zero polynomial")
     return uni
@@ -390,14 +385,11 @@ def _interreduce(gdata: list[_Divisor], pk: _Packing) -> list[_Divisor]:
 MAX_NEW_GENERATORS = 100
 
 
-class BuchbergerBudgetError(ValueError):
-    """A completion would add more than MAX_NEW_GENERATORS basis elements;
-    the message says how many generators it started from."""
-
-
 def buchberger(gens: Sequence[BiPolynomial],
                order: Order = DEFAULT_ORDER) -> tuple[tuple[BiPolynomial, ...], BuchbergerRun]:
-    """Reduced Groebner basis of <gens> plus the S-pair audit trail."""
+    """Reduced Groebner basis of <gens> plus the S-pair audit trail.
+    ValueError if it would add more than MAX_NEW_GENERATORS basis elements;
+    the message says how many generators it started from."""
     gens = list(gens)
     uni = _universe(gens)
     return _packed(lambda pk: _complete(gens, order, pk), uni, order)
@@ -450,7 +442,7 @@ def _complete(gens: list[BiPolynomial], order: Order,
         r, steps = _reduce_terms(*_spair(gdata[i], gdata[j], lcm_key, pk), gdata, pk)
         if r:
             if len(gdata) - len(gens) >= MAX_NEW_GENERATORS:
-                raise BuchbergerBudgetError(
+                raise ValueError(
                     f"buchberger: completing {len(gens)} generators would add more than"
                     f" MAX_NEW_GENERATORS = {MAX_NEW_GENERATORS} basis elements")
             gdata.append(_divisor(_integer_terms(r)[0], pk))
@@ -496,11 +488,6 @@ def is_groebner_basis(basis: Sequence[BiPolynomial],
 
 
 # --- ideals ---
-
-class NonBihomogeneousError(ValueError):
-    """A generator mixes bidegrees; Hilbert bookkeeping needs bihomogeneity.
-    The message names the generator."""
-
 
 class Ideal:
     """A finitely generated bihomogeneous ideal with its reduced basis under
@@ -563,7 +550,7 @@ def _require_bihomogeneous(ideal: Ideal) -> None:
         raise ValueError("specialize parameter variables before Hilbert computations")
     for g in ideal.generators:
         if g.bidegree() is None:
-            raise NonBihomogeneousError(f"generator is not bihomogeneous: {g}")
+            raise ValueError(f"generator is not bihomogeneous: {g}")
 
 
 def ideal_dimension(ideal: Ideal) -> int | None:

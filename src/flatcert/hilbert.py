@@ -76,11 +76,6 @@ def normalize_method(method: str) -> str:
 MAX_MACAULAY_ENTRIES = 10**8
 
 
-class MacaulayBudgetError(ValueError):
-    """A rank-oracle matrix would exceed MAX_MACAULAY_ENTRIES; the message
-    gives its shape."""
-
-
 class NoStabilizationError(RuntimeError):
     """The table never settles onto one polynomial; the message names the
     sample where the fit's walk back stopped."""
@@ -436,12 +431,13 @@ def bigraded_hilbert_function(ideal: Ideal, i: int, j: int,
 
 def tabulate_diagonal(ideal: Ideal, t_max: int, method: str = METHOD_INITIAL) -> list[int]:
     """[HF(t, t) for t = 0..t_max] by the chosen route.  The rank route first
-    refuses a t_max whose Macaulay matrix is over MAX_MACAULAY_ENTRIES."""
+    refuses, with a ValueError giving its shape, a t_max whose Macaulay
+    matrix is over MAX_MACAULAY_ENTRIES."""
     method = normalize_method(method)
     if method == METHOD_RANK:
         rows, cols = rank_matrix_shape(ideal, t_max)
         if rows * cols > MAX_MACAULAY_ENTRIES:
-            raise MacaulayBudgetError(
+            raise ValueError(
                 f"rank oracle: the bidegree-({t_max},{t_max}) Macaulay matrix would be"
                 f" {rows} x {cols} = {rows * cols} entries, over the budget"
                 f" MAX_MACAULAY_ENTRIES = {MAX_MACAULAY_ENTRIES}")

@@ -43,18 +43,6 @@ Exponents = tuple[int, ...]
 Rational = Union[Fraction, int]
 
 
-class UniverseMismatchError(ValueError):
-    """Operands live over different variable universes."""
-
-
-class UnknownVariableError(ValueError):
-    """A name or a parse referenced a variable the universe lacks."""
-
-
-class ParseError(ValueError):
-    """Malformed polynomial text."""
-
-
 def _is_rational(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -141,7 +129,7 @@ class VariableUniverse:
     def variable(self, name: str) -> "BiPolynomial":
         i = self.index.get(name)
         if i is None:
-            raise UnknownVariableError(name)
+            raise ValueError(f"unknown variable {name!r}")
         exps = [0] * self.num_vars
         exps[i] = 1
         return BiPolynomial(self, _canonical={tuple(exps): Fraction(1)})
@@ -211,8 +199,7 @@ class BiPolynomial:
 
     def _check(self, other: "BiPolynomial") -> None:
         if other.universe != self.universe:
-            raise UniverseMismatchError(
-                f"universes differ: {self.universe.names} vs {other.universe.names}")
+            raise ValueError(f"universes differ: {self.universe.names} vs {other.universe.names}")
 
     def __add__(self, other):
         if _is_rational(other):
@@ -378,47 +365,47 @@ def parse_polynomial(universe: VariableUniverse, text: str) -> BiPolynomial:
     while pos < len(s):
         m = _TOKEN_RE.match(s, pos)
         if not m:
-            raise ParseError(f"unexpected input at position {pos}: {s[pos:pos + 12]!r}")
+            raise ValueError(f"unexpected input at position {pos}: {s[pos:pos + 12]!r}")
         tokens.append(m.group(1))
         pos = m.end()
     if not tokens:
-        raise ParseError("empty polynomial text")
+        raise ValueError("empty polynomial text")
 
     nv = universe.num_vars
     acc: dict[Exponents, Fraction] = {}
     i = 0
     while i < len(tokens):
         if i and tokens[i] not in "+-":
-            raise ParseError(f"expected '+' or '-' between terms, got {tokens[i]!r}")
+            raise ValueError(f"expected '+' or '-' between terms, got {tokens[i]!r}")
         sign = 1
         while i < len(tokens) and tokens[i] in "+-":
             if tokens[i] == "-":
                 sign = -sign
             i += 1
         if i >= len(tokens):
-            raise ParseError("dangling sign at end of input")
+            raise ValueError("dangling sign at end of input")
         coeff = Fraction(sign)
         exps = [0] * nv
         while True:
             tok = tokens[i]
             if tok in "+-*":
-                raise ParseError(f"expected a factor, got {tok!r}")
+                raise ValueError(f"expected a factor, got {tok!r}")
             if tok[0].isdigit():
                 try:
                     coeff *= Fraction(tok)
                 except ZeroDivisionError:
-                    raise ParseError(f"coefficient {tok!r} has a zero denominator") from None
+                    raise ValueError(f"coefficient {tok!r} has a zero denominator") from None
             else:
                 name, _, exp_s = tok.partition("^")
                 idx = universe.index.get(name)
                 if idx is None:
-                    raise UnknownVariableError(f"unknown variable {name!r}")
+                    raise ValueError(f"unknown variable {name!r}")
                 exps[idx] += int(exp_s) if exp_s else 1
             i += 1
             if i < len(tokens) and tokens[i] == "*":
                 i += 1
                 if i >= len(tokens):
-                    raise ParseError("dangling '*' at end of input")
+                    raise ValueError("dangling '*' at end of input")
                 continue
             break
         e = tuple(exps)

@@ -41,7 +41,6 @@ from typing import Sequence
 
 from .groebner import (
     Ideal,
-    NonBihomogeneousError,
     _integer_terms,
     _subtract_shifted,
     ideal_dimension,
@@ -408,7 +407,7 @@ def nonzerodivisor_check(f: BiPolynomial, monomials: Sequence[BiPolynomial],
         return False
     deg = f.bidegree()
     if deg is None:
-        raise NonBihomogeneousError(f"generator is not bihomogeneous: {f}")
+        raise ValueError(f"generator is not bihomogeneous: {f}")
 
     def in_prime(prime: tuple[str, ...]) -> bool:
         positions = [uni.index[name] for name in prime]
@@ -628,11 +627,18 @@ def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
     return FiberCheck(index, point, poly, dim, poly == expected)
 
 
+def flatness_t_max(n: int) -> int:
+    """The default t_max of a flatness certificate, max(8, n + 1): a flat
+    fiber has dimension n - 1, and its fit needs n + 2 samples t = 0..t_max."""
+    return max(8, n + 1)
+
+
 def flatness_certificate(n: int, extra_points: Sequence[ChartPoint] = (),
-                         t_max: int = 8, method: str = METHOD_INITIAL,
+                         t_max: int | None = None, method: str = METHOD_INITIAL,
                          corrupt: str | None = None) -> FlatnessReport:
     """Certify (or refute, under corruption) that every listed fiber of the
-    family has Hilbert polynomial chi_graph(n).
+    family has Hilbert polynomial chi_graph(n), tabulated up to t_max
+    (default `flatness_t_max(n)`).
 
     The fibers over (I, 0) and (I, (1,..,1)) are always included, followed
     by extra_points, and are checked in that order.  Each fiber is
@@ -642,6 +648,8 @@ def flatness_certificate(n: int, extra_points: Sequence[ChartPoint] = (),
     J it turns the fiber at (u, d) into the fiber at (I, d), the incidence
     form plus the binomials x_i y_j - D_ij x_j y_i.
     """
+    if t_max is None:
+        t_max = flatness_t_max(n)
     J = family_ideal_J(n)
     if corrupt:
         J = apply_corruption(J, corrupt)

@@ -216,9 +216,12 @@ def test_verify_flatness_with_points_file(tmp_path):
      "point 1: rationals must be integers or 'p/q' strings, got 'x'"),
     ([{"u": [[1]], "d": [1]}], "point 0: a chart point of n = 1, expected n = 2"),
     (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0"),
+    # cut off mid-point, and an integer past the interpreter's digit limit
+    (b'[{"u": [[2], [1, -3]], "d": [1, ', "Expecting value: line 1 column 33"),
+    (b"[" + b"1" * 5000 + b"]", "Exceeds the limit (4300 digits)"),
 ], ids=["zero-denominator", "points-not-a-list", "point-not-an-object", "u-not-rows",
         "no-points-key", "exponent-notation", "full-u", "short-d", "second-point",
-        "point-of-another-n", "not-utf-8"])
+        "point-of-another-n", "not-utf-8", "not-json", "long-integer"])
 def test_malformed_points_file_exits_3(tmp_path, capsys, body, message):
     path = tmp_path / "points.json"
     path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())

@@ -16,7 +16,6 @@ from flatcert import (
     BiPolynomial,
     VariableUniverse,
     PlaneCurvePair,
-    UniverseMismatchError,
     Ideal,
     apply_corruption,
     buchberger,
@@ -420,7 +419,7 @@ def test_entry_points_check_their_polynomials(entry):
     # a parameter the kernel would drop, and another dimension
     for other in (VariableUniverse.standard(1, ("a",)).parse("x1*y2 + a*x2*y1"),
                   xy_universe(2).parse("x1*y2 - x2*y1")):
-        with pytest.raises(UniverseMismatchError):
+        with pytest.raises(ValueError, match="polynomial 1 lives over another universe"):
             call(f, other)
     with pytest.raises(ValueError, match="polynomial 1 is the zero polynomial"):
         call(f, uni.zero())

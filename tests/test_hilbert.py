@@ -18,7 +18,6 @@ from flatcert import (
     METHOD_INITIAL,
     METHOD_RANK,
     NoStabilizationError,
-    NonBihomogeneousError,
     VariableUniverse,
     apply_corruption,
     bigraded_hilbert_function,
@@ -43,7 +42,6 @@ from flatcert.cli import parse_ideal_file
 from flatcert.groebner import _integer_terms, monomial_divides
 from flatcert.hilbert import (
     MAX_MACAULAY_ENTRIES,
-    MacaulayBudgetError,
     normalize_method,
     rank_matrix_shape,
     tabulate_diagonal,
@@ -482,7 +480,7 @@ def test_rank_route_refuses_matrices_over_the_budget():
     ideal = parse_ideal_file(str(path))
     rows, cols = rank_matrix_shape(ideal, 5)
     assert (rows, cols) == (24760, 15876) and rows * cols > MAX_MACAULAY_ENTRIES
-    with pytest.raises(MacaulayBudgetError, match="MAX_MACAULAY_ENTRIES"):
+    with pytest.raises(ValueError, match="over the budget MAX_MACAULAY_ENTRIES"):
         tabulate_diagonal(ideal, 5, METHOD_RANK)
     # the initial-ideal route has no Macaulay matrix to bound
     assert tabulate_diagonal(ideal, 5)[5] == chi_graph(4).evaluate(5)
@@ -518,15 +516,15 @@ def test_rank_oracle_never_calls_groebner(monkeypatch):
 def test_nonbihomogeneous_input_rejected():
     uni = xy_universe(1)
     bad = Ideal(uni, [uni.parse("x1 + y1")])
-    with pytest.raises(NonBihomogeneousError):
+    with pytest.raises(ValueError, match=r"generator is not bihomogeneous: x1 \+ y1"):
         bigraded_hilbert_function(bad, 1, 1)
 
 
 UNCHECKED_IDEALS = {
     "inhomogeneous": (lambda uni: Ideal(uni, [uni.parse("x1*y1 + x2"), uni.parse("x1*y2")]),
-                      xy_universe(1), NonBihomogeneousError),
+                      xy_universe(1), "generator is not bihomogeneous"),
     "parametric": (lambda uni: Ideal(uni, [uni.parse("a*x1*y1 - x2*y2")]),
-                   VariableUniverse.standard(1, ("a",)), ValueError),
+                   VariableUniverse.standard(1, ("a",)), "specialize parameter variables"),
 }
 ENTRY_POINTS = {
     "dimension": ideal_dimension,
@@ -540,10 +538,10 @@ ENTRY_POINTS = {
 def test_unchecked_ideal_raises_from_every_entry_point(kind, first):
     # one Ideal throughout: whichever entry point runs first must not leave
     # a cached numerator behind that lets a later one count
-    make, uni, error = UNCHECKED_IDEALS[kind]
+    make, uni, message = UNCHECKED_IDEALS[kind]
     ideal = make(uni)
     for name in [first, *sorted(set(ENTRY_POINTS) - {first})]:
-        with pytest.raises(error):
+        with pytest.raises(ValueError, match=message):
             ENTRY_POINTS[name](ideal)
 
 

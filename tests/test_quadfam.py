@@ -391,6 +391,14 @@ def test_flatness_certificate_n2_with_extra_point():
     assert d["verdict"] == "PASS" and d["n"] == 2
 
 
+def test_flatness_certificate_default_t_max_fits_n_8():
+    # the library default follows the command line's: max(8, n + 1), so the
+    # n = 8 fit gets the n + 2 samples that a flat fiber of dimension 7 needs
+    report = flatness_certificate(8)
+    assert report.t_max == 9
+    assert report.verdict == "PASS"
+
+
 def test_flatness_detects_corruption():
     report = flatness_certificate(2, t_max=7, corrupt="drop-generator:1")
     assert report.verdict == "FAIL"
