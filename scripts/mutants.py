@@ -123,6 +123,24 @@ MUTANTS = [
     Mutant("src/flatcert/cli.py", "except ValueError as exc:  # undecodable",
            "except UnicodeDecodeError as exc:  # undecodable",
            ("tests/test_cli.py::test_malformed_points_file_exits_3[not-json]",)),
+    # adj(z) with one cyclic cross product reversed: its column 2 is -(z3 x z1)
+    Mutant("src/flatcert/quadfam.py", "_cross(z[2], z[0])", "_cross(z[0], z[2])",
+           ("tests/test_quadfam.py::test_conic_matrix_identity",
+            "tests/test_quadfam.py::test_cross_product_adjugate_over_fractions",
+            "tests/test_quadfam.py::test_a_mutated_conic_identity_fails[graph_minors]",
+            "tests/test_acceptance.py::test_ac09_conic_global_equations",
+            "tests/test_cli.py::test_conic_equations")),
+    # text reports without the verdict line that main appends
+    Mutant("src/flatcert/cli.py", '"\\n".join([*lines, f"verdict: {verdict}"])',
+           '"\\n".join(lines)',
+           ("tests/test_cli.py::test_hilbert_text_format",
+            "tests/test_cli.py::test_text_reports_say_why_the_fit_failed[hilbert]")),
+    # a fiber's dimension before its table: the rank route runs Buchberger
+    # before its budget refuses the table
+    Mutant("src/flatcert/quadfam.py",
+           "    table = tabulate_diagonal(fiber, t_max, method)\n    dim = ideal_dimension(fiber)",
+           "    dim = ideal_dimension(fiber)\n    table = tabulate_diagonal(fiber, t_max, method)",
+           ("tests/test_cli.py::test_rank_route_refuses_before_buchberger[verify-flatness]",)),
     # the default t_max a constant 8: the n = 8 fit is one sample short
     Mutant("src/flatcert/quadfam.py", "return max(8, n + 1)", "return 8",
            ("tests/test_quadfam.py::test_flatness_certificate_default_t_max_fits_n_8",

@@ -46,6 +46,8 @@ Exit 3, usage or input error:
   groebner.MAX_NEW_GENERATORS (the rank route completes a basis for its
   fit's degree bound);
 - xi-trials at (6,6): d0*d1 is over cli.MAX_DEGREE_PRODUCT;
+- xi-trials at (25,1) by the rank route: its t = 31 Macaulay matrix is
+  over hilbert.MAX_MACAULAY_ENTRIES, refused before any Buchberger work;
 - verify-flatness on a --points file nested 100000 deep, at n=1 on a
   truncated JSON points file, and at n=2 on the n=4 points file;
 - hilbert on an ideal file line `x1*y2 x2*y1`, a minor missing its
@@ -61,8 +63,9 @@ suite's line must start with its file's path and ":2:", the line of the
 bad generator, the `n 0` suite's with its file's path, the truncated
 points suite's with its file's path, the other-n points suite's with
 its file's path and "point 0:", the Buchberger budget
-suite's with the budget's name and value, and the torus-check suite's
-with argparse's "unrecognized arguments: --seed 1".  The script exits 1
+suite's with the budget's name and value, the rank-route xi-trials
+suite's with "rank oracle:", and the torus-check suite's with
+argparse's "unrecognized arguments: --seed 1".  The script exits 1
 before any suite runs if two suites share a label, or if such a prefix
 is keyed by a label that names no suite expected to exit 3.
 flatcert is imported from this checkout's src/, here and in every suite.
@@ -229,6 +232,8 @@ def main() -> int:
             ("xi witness (1,3), t <= 3: too short a table",
              ["xi-trials", "1", "3", "--t-max", "3"], 2),
             ("xi witness (6,6): over the degree budget", ["xi-trials", "6", "6"], 3),
+            ("xi witness (25,1), rank oracle over its matrix budget",
+             ["xi-trials", "25", "1", "--method", "rank"], 3),
         ]
 
         # the start of the one stderr line of a suite expected to exit 3
@@ -240,6 +245,8 @@ def main() -> int:
                          "hilbert: three (2,2) generators over the Buchberger budget":
                          "flatcert: buchberger: completing 3 generators would add more than"
                          f" MAX_NEW_GENERATORS = {MAX_NEW_GENERATORS} basis elements",
+                         "xi witness (25,1), rank oracle over its matrix budget":
+                         "flatcert: rank oracle:",
                          "torus-check: --seed is not its flag":
                          "flatcert: error: unrecognized arguments: --seed 1",
                          "verify-flatness: a points file of another n":

@@ -200,7 +200,8 @@ def parse_ideal_file(path: str) -> Ideal:
 
 
 # --- subcommand handlers: each takes the parsed arguments and returns
-# (verdict, config, report, text lines); main does the rest ---
+# (verdict, config, report, text lines); main does the rest, and ends
+# every text report with its verdict line ---
 
 Outcome = tuple[str, dict, dict, list[str]]
 
@@ -226,7 +227,6 @@ def _run_verify_flatness(args: argparse.Namespace) -> Outcome:
         got = str(fib.polynomial) if fib.polynomial is not None else f"({fib.failure})"
         mark = "ok" if fib.matches else "DIVERGES"
         lines.append(f"  fiber {fib.index} {fib.point.label()}: {got} {mark}")
-    lines.append(f"verdict: {report.verdict}")
     config = {"n": args.n, "t_max": t_max, "seed": args.seed,
               "method": args.method, "corrupt": args.corrupt, "points": args.points}
     return report.verdict, config, report.to_json_dict(), lines
@@ -259,8 +259,7 @@ def _run_verify_groebner(args: argparse.Namespace) -> Outcome:
     passed = ok and leads_ok
     lines = [f"groebner n={args.n}: 2x2 minors, one certificate for every term order",
              f"  lex S-pairs reduce to zero: {_verdict(ok)} ({len(spairs)} S-pairs)",
-             f"  lex leading term of minor (i, j) is x_i*y_j: {_verdict(leads_ok)}",
-             f"verdict: {_verdict(passed)}"]
+             f"  lex leading term of minor (i, j) is x_i*y_j: {_verdict(leads_ok)}"]
     report = {"n": args.n, "order": order_json(DEFAULT_ORDER), "s_pairs": len(spairs),
               "groebner": ok, "lex_leading_terms": leads_ok, "passed": passed}
     return _verdict(passed), {"n": args.n}, report, lines
@@ -321,7 +320,6 @@ def _run_xi_trials(args: argparse.Namespace) -> Outcome:
         f"  xi_formula {report.xi_expected}: {'match' if report.xi_match else 'miss'}",
         f"  koszul count {report.koszul_expected}:"
         f" {'match' if report.koszul_match else 'miss'}",
-        f"verdict: {report.verdict}",
     ]
     config = {"d0": args.d0, "d1": args.d1, "t_max": t_max, "method": args.method}
     return report.verdict, config, report.to_json_dict(), lines
@@ -336,8 +334,7 @@ def _run_torus_check(args: argparse.Namespace) -> Outcome:
     lines = [f"torus-check n={args.n}",
              f"  symbolic scalars: {', '.join(symbolic.generator_scalars)}"
              f" [{_verdict(symbolic.passed)}]",
-             f"  closed-orbit limit -> (I, 0): {_verdict(orbit_ok)}",
-             f"verdict: {_verdict(passed)}"]
+             f"  closed-orbit limit -> (I, 0): {_verdict(orbit_ok)}"]
     return _verdict(passed), {"n": args.n}, report, lines
 
 
@@ -348,8 +345,7 @@ def _run_conic_equations(args: argparse.Namespace) -> Outcome:
              f"  z*adj(z) = det(z)*I: {_verdict(identities['adjugate'])}",
              f"  minors of (x, x*z*adj(z)) vanish: {_verdict(identities['graph_minors'])}",
              "  Q(x(q), x(q)) = Q(q,q)^2*Q(b,b), x(q) = Q(q,q)*b - 2*B(b,q)*q:"
-             f" {_verdict(identities['parametrization'])}",
-             f"verdict: {_verdict(passed)}"]
+             f" {_verdict(identities['parametrization'])}"]
     return _verdict(passed), {}, {**identities, "passed": passed}, lines
 
 
@@ -368,8 +364,7 @@ def _run_primary_check(args: argparse.Namespace) -> Outcome:
     lines = [f"primary-check n={args.n}",
              f"  <x_i y_j : i<j> = intersection of {args.n + 1} primes:"
              f" {_verdict(intersection_ok)}",
-             f"  x.y nonzerodivisor mod the monomial ideal: {_verdict(nzd_ok)}",
-             f"verdict: {_verdict(passed)}"]
+             f"  x.y nonzerodivisor mod the monomial ideal: {_verdict(nzd_ok)}"]
     config = {"n": args.n}
     return _verdict(passed), config, report, lines
 
@@ -452,8 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         verdict, config, report, lines = args.run(args)
         envelope = {"schema": SCHEMA_VERSION, "command": args.command,
                     "config": config, "report": report}
-        payload = (json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-                   if args.format == "json" else "\n".join(lines) + "\n")
+        payload = (json.dumps(envelope, indent=2, sort_keys=True) if args.format == "json"
+                   else "\n".join([*lines, f"verdict: {verdict}"])) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(payload)

@@ -157,11 +157,12 @@ def run_xi_trials(d0: int, d1: int, t_max: int | None = None,
     if t_max is None:
         t_max = default_t_max(d0, d1)
     witness = fermat_pair(d0, d1)
-    # one Ideal: the numerator, the dimension and the table share one basis
+    # one Ideal: the table, the numerator and the dimension share one basis;
+    # the table first, so the rank route refuses before any Buchberger work
     ideal = gamma_curve_ideal(witness)
+    table = tabulate_diagonal(ideal, t_max, method)
     identity = ideal.series_numerator() == _product_numerator([(d0, 0), (0, d1), (1, 1)])
     dim = ideal_dimension(ideal)
-    table = tabulate_diagonal(ideal, t_max, method)
     try:
         poly, why = interpolate_hilbert_polynomial(table, dim_bound=dim), None
     except NoStabilizationError as exc:

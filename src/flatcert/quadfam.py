@@ -63,8 +63,6 @@ from .polyring import (
 from .util import (
     fraction_from_json,
     fraction_to_json,
-    mat_adjugate,
-    mat_det,
     mat_mul,
     mat_transpose,
     parallel_map,
@@ -445,9 +443,20 @@ def conic_parametrization(z: list[list[BiPolynomial]], b: Sequence[BiPolynomial]
     return [qq * b[k] - bq * q[k] * 2 for k in range(3)]
 
 
+def _cross(p: Sequence, q: Sequence) -> list:
+    """p x q of two vectors of length 3 over any commutative ring."""
+    return [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+
+
+def _adjugate(z: Sequence[Sequence]) -> list[list]:
+    """adj(z) of a 3x3 z: its columns are the cross products z2 x z3, z3 x z1
+    and z1 x z2 of the rows of z."""
+    return mat_transpose([_cross(z[1], z[2]), _cross(z[2], z[0]), _cross(z[0], z[1])])
+
+
 def _adjugate_identity(z: list[list[BiPolynomial]], w: list[list[BiPolynomial]]) -> bool:
-    """z w = det(z) I."""
-    det = mat_det(z)
+    """z w = det(z) I, with det(z) the triple product z1 . (z2 x z3)."""
+    det = sum(a * c for a, c in zip(z[0], _cross(z[1], z[2])))
     zw = mat_mul(z, w)
     return all(zw[i][j] == (det if i == j else 0) for i in range(3) for j in range(3))
 
@@ -481,7 +490,7 @@ def conic_graph_identities() -> dict[str, bool]:
     x = [v(name) for name in uni.x_names]
     b = [v(f"b{k}") for k in range(1, 4)]
     q = [v(f"q{k}") for k in range(1, 4)]
-    w = mat_adjugate(z)
+    w = _adjugate(z)
     xq = conic_parametrization(z, b, q)
     qq = _bilinear(z, q, q)
     return {
@@ -616,8 +625,10 @@ def _check_fiber(J: Ideal, index: int, point: ChartPoint, t_max: int,
     fiber's own; on a correct J the ideal completed is the sparse fiber at
     (I, d)."""
     fiber = _straightened(evaluate_family_at(J, point), point)
-    dim = ideal_dimension(fiber)
+    # the table first: the rank route refuses an input over its budget
+    # before ideal_dimension runs Buchberger
     table = tabulate_diagonal(fiber, t_max, method)
+    dim = ideal_dimension(fiber)
     if dim is None and any(table):
         return FiberCheck(index, point, None, None, False, "dimension undefined")
     try:

@@ -58,39 +58,6 @@ def mat_transpose(a: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*a)]
 
 
-def mat_det(a: Sequence[Sequence]):
-    """Determinant by cofactor expansion; fine for the small sizes used here."""
-    m = len(a)
-    if m == 1:
-        return a[0][0]
-    total = None
-    for j in range(m):
-        minor = [row[:j] + row[j + 1:] for row in (list(r) for r in a[1:])]
-        term = a[0][j] * mat_det(minor)
-        if total is None:
-            total = term
-        elif j % 2:
-            total = total - term
-        else:
-            total = total + term
-    return total
-
-
-def mat_adjugate(a: Sequence[Sequence]) -> list[list]:
-    """Transposed cofactor matrix; requires size >= 2."""
-    m = len(a)
-    if m < 2:
-        raise ValueError("adjugate needs a matrix of size >= 2")
-    rows = [list(r) for r in a]
-    cof = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(rows) if k != i]
-            d = mat_det(minor)
-            cof[i][j] = -d if (i + j) % 2 else d
-    return mat_transpose(cof)
-
-
 # --- sparse exact elimination ---
 
 def sparse_integer_rank(rows: Iterable[dict[T, int]]) -> int:

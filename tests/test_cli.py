@@ -76,6 +76,7 @@ def test_hilbert_text_format(tmp_path):
     assert code == 0
     assert "polynomial: 2t+1" in text
     assert "t=0: 1" in text
+    assert text.endswith("\nverdict: PASS\n")
 
 
 def test_hilbert_zero_quotient(tmp_path):
@@ -180,7 +181,7 @@ def test_text_reports_say_why_the_fit_failed(argv, why, tmp_path, monkeypatch):
     (tmp_path / "x64.ideal").write_text("n 1\nx1^64*y1\n")
     monkeypatch.chdir(tmp_path)
     code, text = run([*argv, "--format", "text"])
-    assert code == 2 and why in text
+    assert code == 2 and why in text and text.endswith("\nverdict: INCONCLUSIVE\n")
     code, text = run(argv)
     assert code == 2 and "did not stabilize" not in text
 
@@ -588,6 +589,21 @@ def test_buchberger_budget_is_exact(monkeypatch, capsys):
         capsys.readouterr()
         assert run(["hilbert", chart, "--method", method, "--t-max", "4"]) == (3, "")
         assert capsys.readouterr().err.splitlines() == [_budget_line(4, 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-flatness", "--n", "3", "--method", "rank"],
+    ["xi-trials", "25", "1", "--method", "rank"],
+], ids=["verify-flatness", "xi-trials"])
+def test_rank_route_refuses_before_buchberger(argv, monkeypatch, capsys):
+    # both tables are over MAX_MACAULAY_ENTRIES: the refusal comes before
+    # the basis that the numerator and the fit's degree bound read
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("Buchberger ran before the rank budget's refusal")
+    monkeypatch.setattr(groebner, "buchberger", no_buchberger)
+    assert run(argv) == (3, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("flatcert: rank oracle:")
 
 
 def test_reused_parser_keeps_no_state(capsys):

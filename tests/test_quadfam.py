@@ -336,6 +336,25 @@ def test_conic_matrix_identity():
                                         "parametrization": True}
 
 
+def test_cross_product_adjugate_over_fractions():
+    # det(b) = 1, so b adj(b) = I
+    b = [[Fraction(2), Fraction(0), Fraction(1)],
+         [Fraction(0), Fraction(1), Fraction(0)],
+         [Fraction(1), Fraction(0), Fraction(1)]]
+    assert mat_mul(b, quadfam._adjugate(b)) == [
+        [Fraction(1), Fraction(0), Fraction(0)],
+        [Fraction(0), Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(1)],
+    ]
+    # b and the conic's z are symmetric, where adj and its transpose agree;
+    # c is not, and det(c) = 25
+    c = [[Fraction(1), Fraction(2), Fraction(0)],
+         [Fraction(0), Fraction(1), Fraction(3)],
+         [Fraction(4), Fraction(0), Fraction(1)]]
+    assert mat_mul(c, quadfam._adjugate(c)) == [
+        [Fraction(25 if i == j else 0) for j in range(3)] for i in range(3)]
+
+
 def _flip_one_cofactor(check):
     def flipped(z, w):
         w = [list(row) for row in w]

@@ -19,8 +19,6 @@ from flatcert.util import (
     dependent_rows,
     fraction_from_json,
     fraction_to_json,
-    mat_adjugate,
-    mat_det,
     mat_mul,
     mat_transpose,
     parallel_map,
@@ -308,17 +306,5 @@ def test_fraction_from_json_rejects_with_value_error(bad):
 
 def test_matrix_helpers():
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert mat_det(a) == -2
-    adj = mat_adjugate(a)
-    prod = mat_mul(a, adj)
-    assert prod == [[Fraction(-2), Fraction(0)], [Fraction(0), Fraction(-2)]]
+    assert mat_mul(a, a) == [[Fraction(7), Fraction(10)], [Fraction(15), Fraction(22)]]
     assert mat_transpose(a) == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
-    b = [[Fraction(2), Fraction(0), Fraction(1)],
-         [Fraction(0), Fraction(1), Fraction(0)],
-         [Fraction(1), Fraction(0), Fraction(1)]]
-    assert mat_det(b) == 1
-    assert mat_mul(b, mat_adjugate(b)) == [
-        [Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1)],
-    ]
