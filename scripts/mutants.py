@@ -42,11 +42,23 @@ MUTANTS = [
     # leading monomial, or the echelon generators get the wrong leads
     Mutant("src/flatcert/util.py", "col = max(r)", "col = min(r)",
            ("tests/test_util.py::test_dependent_rows_are_the_rows_that_do_not_raise_the_prefix_rank",
+            "tests/test_util.py::test_sparse_rank_reduces_its_rows_in_place",
             "tests/test_hilbert.py::test_echelon_generators_match_the_fraction_loop")),
-    # a radix of max(i, j) lets a digit carry and merges distinct columns
-    Mutant("src/flatcert/hilbert.py", "base = max(i, j) + 1", "base = max(i, j)",
+    # a radix that max(i, j) may equal lets a digit carry and merges
+    # distinct columns
+    Mutant("src/flatcert/hilbert.py", "while top >= state.base:", "while top > state.base:",
            ("tests/test_hilbert.py::test_packed_columns_reach_the_radix_edge",)),
-    # no signature pruning: the values stay, the rows that vanish do not
+    # parent rows packed in radix 16 reused after the radix doubled
+    Mutant("src/flatcert/hilbert.py", "below[0] == (i - 1, j - 1, base)",
+           "below[0][:2] == (i - 1, j - 1)",
+           ("tests/test_hilbert.py::test_packed_columns_reach_the_radix_edge",)),
+    # an inherited row not shifted by w: the parent's row, a level too low
+    Mutant("src/flatcert/hilbert.py", "{c + pw: v for c, v in parent[pm - pw].items()}",
+           "{c: v for c, v in parent[pm - pw].items()}",
+           ("tests/test_hilbert.py::test_packed_columns_give_the_tuple_keyed_rows",
+            "tests/test_hilbert.py::test_packed_rows_at_the_rank_referee_level",
+            "tests/test_hilbert.py::test_rank_oracle_on_a_chart_fiber")),
+    # no signature pruning: a parent row that emptied is not there to inherit
     Mutant("src/flatcert/hilbert.py", "for s in leads + state.signatures[r]:", "for s in leads:",
            ("tests/test_hilbert.py::test_rank_oracle_on_a_chart_fiber",)),
     # skipped keys that are not multiples of s: the wrong rows are built

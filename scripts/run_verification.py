@@ -18,7 +18,7 @@ Exit 0, the checked property holds:
   see groebner.ideal_dimension);
 - hilbert on x1^64*y1 at n=1 by both methods up to t = 70, past exponent
   63, where the Groebner kernel widens its exponent fields and the rank
-  route packs its columns in radix 71;
+  route's radix for packed columns doubles from 16 to 128;
 - torus-check at n=2 and 4, conic-equations, primary-check at n=4, and
   xi-trials at (1,1), where the closed formula holds.
 

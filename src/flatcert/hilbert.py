@@ -13,13 +13,17 @@ g_i*g_j = g_j*g_i make redundant) or of a multiplier whose row a lower
 level found in the span of the rows before it (the F5 rewritten
 criterion).  Monomials are packed integer keys, so each level puts the
 keys of those multiples into one set and keeps the candidates outside
-it.  One sparse fraction-free kernel, `util._eliminate`, does
-both eliminations; it combines a row only with rows before it, so its
-pivot rows are the echelon generators, and on the Macaulay matrix it
-gives the exact rank and names the rows to skip above.  The levels below
-(i, j) on its diagonal are computed first, and what they store is kept on
-the Ideal.  The second route is the referee for the first throughout the
-test suite.
+it.  As in Matrix-F5, a kept row m*g_r is built as w*P from the reduced
+row P of its parent signature (r, m/w) one level below, w = x_a*y_b;
+every prefix of those rows spans what the same prefix of the m*g_r rows
+spans, so the values are the same.  One sparse fraction-free kernel,
+`util._eliminate`, does both eliminations, in place; it combines a row
+only with rows before it, so its pivot rows are the echelon generators,
+and on the Macaulay matrix one call gives the exact rank, the rows to
+skip above (those left empty) and the reduced rows the level above is
+built from.  The levels below (i, j) on its diagonal are computed first,
+and what they store is kept on the Ideal.  The second route is the
+referee for the first throughout the test suite.
 
 A table is a plain list: `tabulate_diagonal(ideal, t_max)` returns
 [HF(t, t) for t = 0..t_max], and `interpolate_hilbert_polynomial` reads
@@ -43,7 +47,7 @@ from .groebner import (
     _series_numerator,
 )
 from .polyring import Exponents, Rational, VariableUniverse, _rational
-from .util import _eliminate, dependent_rows, parallel_map, sparse_integer_rank
+from .util import _eliminate, parallel_map, sparse_integer_rank
 
 METHOD_INITIAL = "initial_ideal_count"
 METHOD_RANK = "rank_oracle"
@@ -67,9 +71,9 @@ def normalize_method(method: str) -> str:
 # scripts/run_verification.py reach is 9897 x 7056 (7.0e7 entries), at n=3
 # and t=6.  Its cost is set by coefficient growth and by the rows that
 # still vanish, not by its shape: the table t <= 6 of the special fiber
-# takes 0.1 s and that of a chart fiber with |u|, |d| up to 9 takes
-# 0.2-0.3 s (CPython 3.11, one core of a 2-core host).  The n=4 chart
-# fiber of tests/data takes 0.2 s up to t=3 and 0.55-0.6 s up to t=4,
+# takes 0.03 s and that of a chart fiber with |u|, |d| up to 9 takes
+# 0.05-0.08 s (CPython 3.11, one core of a 2-core host).  The n=4 chart
+# fiber of tests/data takes 0.07 s up to t=3 and 0.11-0.13 s up to t=4,
 # 7180 x 4900 (3.5e7).  At t=5, 24760 x 15876 (3.9e8), an earlier kernel
 # (shortest-row pivots on Koszul-pruned rows) ran for minutes past 900 MB;
 # the budget refuses it.  So this is a size budget, not a time limit.
@@ -292,14 +296,24 @@ class _RankState:
     """What the rank oracle knows about one Ideal, kept on it: the echelon
     generators, for each of them the signatures stored so far (multipliers
     m with m*g_r in the span of the rows before it, valid at every
-    bidegree), and the values computed so far."""
+    bidegree), the values computed so far, the radix of the packed keys,
+    and the reduced rows of one level.
 
-    __slots__ = ("generators", "signatures", "values")
+    The radix starts at 16 and doubles whenever a level's max(i, j)
+    reaches it, so every digit of a key stays below it, and a level
+    usually packs its keys as the level below did.  `below` holds the
+    last level's nonempty reduced rows, as ((i, j, radix), one dict per
+    generator from a multiplier's key to its row), until the next level
+    takes them: at most one level's rows stay on the Ideal."""
+
+    __slots__ = ("generators", "signatures", "values", "base", "below")
 
     def __init__(self, ideal: Ideal):
         self.generators = _echelon_generators(ideal)
         self.signatures: list[list[Exponents]] = [[] for _ in self.generators]
         self.values: dict[tuple[int, int], int] = {}
+        self.base = 16
+        self.below: tuple[tuple[int, int, int], list[dict[int, dict[int, int]]]] | None = None
 
 
 def _rank_state(ideal: Ideal) -> _RankState:
@@ -312,8 +326,8 @@ def _rank_oracle_value(ideal: Ideal, i: int, j: int) -> int:
     """dim of the bidegree-(i,j) piece of the quotient, Groebner-free.
 
     Walks the levels (i-k, j-k) upward from k = min(i, j) and computes the
-    ones not yet cached, so that each level starts from the signatures the
-    levels below it stored.  See `_rank_level`.
+    ones not yet cached, so that each level starts from the signatures and
+    the reduced rows the level below it stored.  See `_rank_level`.
     """
     state = _rank_state(ideal)
     for k in range(min(i, j), -1, -1):
@@ -354,24 +368,50 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
       F5 rewritten criterion applied level by level to Macaulay matrices,
       as in Matrix-F5 (Bardet, Faugere & Salvy, J. Symbolic Comput. 70,
       2015).
-    When the rank falls short of the row count, `dependent_rows` names the
-    rows in the span of the rows before them, and their multipliers are
-    stored as signatures, exponent tuples that any level can pack.
 
-    Monomials are packed keys: exponent tuples read as digits in radix
-    max(i, j) + 1, so that the column of e*m is pack(e) + pack(m).  A
+    A kept row is built from the level below where it can be, as in
+    Matrix-F5: when m has an x and a y factor and level (i-1, j-1) left
+    its reduced rows under this level's radix, row (r, m) is w*P, where
+    w = x_a*y_b is the product of the lex-smallest x and y variables
+    dividing m and P is the reduced row that signature (r, m/w) became
+    there.  Otherwise it is m*g_r.  The values are those of the m*g_r rows:
+    - the parent is there.  Had (r, m/w) been skipped, m would be a
+      multiple of the same lead or signature; had its row emptied, m/w
+      would be a stored signature.  Either way m would be skipped.
+    - P = c*(m/w)*g_r, c != 0, plus rows of smaller signature at the
+      level below, by induction on the levels: the elimination adds to a
+      row only multiples of rows before it.  Times w, those rows stay
+      before (r, m), because lex is a monomial order, and by the skip
+      argument above they lie in the span of the kept rows before (r, m).
+    So every prefix of these rows spans what the same prefix of the m*g_r
+    rows spans, and the rank, the rows that empty, the signatures stored
+    and the pivot columns are the same.
+
+    `sparse_integer_rank` reduces the rows in place.  A row that empties
+    lies in the span of the rows before it, and its multiplier is stored
+    as a signature, an exponent tuple that any level can pack.  The others
+    are kept, as the pivot rows of this level, for the level above; the
+    rows of the level below are dropped before the elimination.
+
+    Monomials are packed keys: exponent tuples read as digits in the
+    state's radix, so that the column of e*m is pack(e) + pack(m).  A
     monomial here has bidegree at most (i, j) and no parameter variable
     (_require_bihomogeneous refused them; the bidegree bounds none), so
-    each digit is at most max(i, j) and no sum carries.  So the keys order
-    the monomials as lex does: a row's highest column, which the
-    elimination cancels first, is its leading monomial.  And m is a
-    multiple of s exactly when pack(m) = pack(s) + pack(w) for a monomial
-    w of bidegree bideg(m) - bideg(s).  So each generator's candidates are
-    the ascending keys of one bidegree, built once per level from the keys
-    of the x and y blocks, and a set of those sums names the ones to skip.
-    There are C(i+n, n)*C(j+n, n) columns.
+    each digit is at most max(i, j), below the radix, and no sum carries.
+    So the keys order the monomials as lex does: a row's highest column,
+    which the elimination cancels first, is its leading monomial.  And m
+    is a multiple of s exactly when pack(m) = pack(s) + pack(w) for a
+    monomial w of bidegree bideg(m) - bideg(s).  So each generator's
+    candidates are the ascending keys of one bidegree, built once per
+    level from the keys of the x and y blocks, and a set of those sums
+    names the ones to skip.  A level whose radix differs from the one its
+    parents were packed in builds every row as m*g_r.  There are
+    C(i+n, n)*C(j+n, n) columns.
     """
-    base = max(i, j) + 1
+    top = max(i, j)
+    while top >= state.base:
+        state.base *= 2
+    base = state.base
     width = len(uni.names)
     k = uni.n + 1
     y_scale = base ** (width - 2 * k)  # the parameter digits, all zero
@@ -383,7 +423,14 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
             key = key * base + x
         return key
 
-    blocks = _block_keys(k, base - 1, base)
+    def lowest(key: int) -> int:
+        """base ** the place of the lowest nonzero digit of a positive key."""
+        unit = 1
+        while key % (unit * base) == 0:
+            unit *= base
+        return unit
+
+    blocks = _block_keys(k, top, base)
 
     @cache
     def keys(p: int, q: int) -> list[int]:
@@ -391,31 +438,52 @@ def _rank_level(uni: VariableUniverse, state: _RankState, i: int, j: int) -> int
         p or q is negative."""
         return [x * x_scale + y * y_scale for x in blocks.get(p, ()) for y in blocks.get(q, ())]
 
+    @cache
+    def divisors(p: int, q: int) -> list[int]:
+        """For p, q >= 1, the key of x_a*y_b for each key of keys(p, q): the
+        lex-smallest x and y variables dividing that monomial."""
+        xs = [lowest(x) * x_scale for x in blocks[p]]
+        ys = [lowest(y) * y_scale for y in blocks[q]]
+        return [wx + wy for wx in xs for wy in ys]
+
+    below, state.below = state.below, None
+    parents = below[1] if below is not None and below[0] == (i - 1, j - 1, base) else None
     rows: list[dict[int, int]] = []
     signatures: list[tuple[int, int]] = []
     leads: list[Exponents] = []
     for r, ((a, b), lead, int_terms) in enumerate(state.generators):
-        terms = [(pack(e), v) for e, v in int_terms.items()]
         p, q = i - a, j - b
         skipped: set[int] = set()
         for s in leads + state.signatures[r]:
             sx, sy = uni.bidegree_of(s)
             ps = pack(s)
             skipped.update([ps + w for w in keys(p - sx, q - sy)])
-        for pm in keys(p, q):
-            if pm not in skipped:
-                rows.append({pe + pm: v for pe, v in terms})
-                signatures.append((r, pm))
         leads.append(lead)
+        if parents is not None and p > 0 and q > 0:
+            parent = parents[r]
+            for pm, pw in zip(keys(p, q), divisors(p, q)):
+                if pm not in skipped:
+                    rows.append({c + pw: v for c, v in parent[pm - pw].items()})
+                    signatures.append((r, pm))
+        else:
+            terms = [(pack(e), v) for e, v in int_terms.items()]
+            for pm in keys(p, q):
+                if pm not in skipped:
+                    rows.append({pe + pm: v for pe, v in terms})
+                    signatures.append((r, pm))
+    below = parents = parent = None  # the level below goes before the elimination
     rank = sparse_integer_rank(rows)
-    if rank < len(rows):
-        for index in dependent_rows(rows):
-            r, pm = signatures[index]
-            digits = []
-            for _ in range(width):
-                pm, digit = divmod(pm, base)
-                digits.append(digit)
-            state.signatures[r].append(tuple(reversed(digits)))
+    kept: list[dict[int, dict[int, int]]] = [{} for _ in state.generators]
+    for (r, pm), row in zip(signatures, rows):
+        if row:
+            kept[r][pm] = row
+            continue
+        digits = []
+        for _ in range(width):
+            pm, digit = divmod(pm, base)
+            digits.append(digit)
+        state.signatures[r].append(tuple(reversed(digits)))
+    state.below = ((i, j, base), kept)
     return comb(i + uni.n, uni.n) * comb(j + uni.n, uni.n) - rank
 
 

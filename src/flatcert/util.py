@@ -61,29 +61,28 @@ def mat_transpose(a: Sequence[Sequence]) -> list[list]:
 # --- sparse exact elimination ---
 
 def sparse_integer_rank(rows: Iterable[dict[T, int]]) -> int:
-    """Rank of a sparse integer matrix; see `_eliminate`."""
+    """Rank of a sparse integer matrix, its rows reduced in place; see
+    `_eliminate`."""
     return len(_eliminate(rows)[0])
-
-
-def dependent_rows(rows: Iterable[dict[T, int]]) -> list[int]:
-    """Ascending ids of the rows that lie in the span of the rows before
-    them: exactly those whose prefix does not gain rank; see `_eliminate`."""
-    return _eliminate(rows)[1]
 
 
 def _eliminate(rows: Iterable[dict[T, int]]) -> tuple[dict[T, dict[T, int]], list[int]]:
     """(pivot rows keyed by their column, ascending ids of the rows that
     emptied) of a sparse integer matrix, by fraction-free elimination in
-    row order (after Bareiss 1968).  Rows are dicts column -> nonzero
-    integer, columns of any ordered type; the caller's dicts are not
-    changed.  Each row in turn cancels its highest column against the
-    pivot stored under it.  A row whose highest column has no pivot becomes
-    its pivot, divided by its content; a row that empties, or was zero on
-    input, lies in the span of the rows before it."""
+    row order (after Bareiss 1968).  Rows are dicts column -> integer,
+    columns of any ordered type, and distinct dicts.  Each row in turn
+    drops its zero entries and cancels its highest column against the
+    pivot stored under it, in place.  A row whose highest column has no
+    pivot is divided by its content and becomes that pivot.  So after the
+    call each row is either empty, exactly when it lies in the span of the
+    rows before it, or the primitive pivot row stored under its highest
+    column."""
     pivots: dict[T, dict[T, int]] = {}
     emptied: list[int] = []
-    for rid, row in enumerate(rows):
-        r = {c: v for c, v in row.items() if v}
+    for rid, r in enumerate(rows):
+        if 0 in r.values():
+            for c in [c for c, v in r.items() if not v]:
+                del r[c]
         while r:
             col = max(r)
             pivot = pivots.get(col)

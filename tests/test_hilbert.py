@@ -46,7 +46,7 @@ from flatcert.hilbert import (
     rank_matrix_shape,
     tabulate_diagonal,
 )
-from flatcert.util import _eliminate, dependent_rows, sparse_integer_rank
+from flatcert.util import _cancel, _eliminate, sparse_integer_rank
 from monomials import iter_exponents_of_bidegree
 
 
@@ -308,39 +308,33 @@ def test_rank_values_do_not_depend_on_the_call_order(n, seed):
             assert bigraded_hilbert_function(fresh, *ij, METHOD_RANK) == expected[ij], (order, ij)
 
 
-# (the fiber's builder, t_max, its table, the dependent rows harvested at t = 2, 3, ..)
+# (the fiber's builder, t_max, its table, the signatures stored at t = 0, 1, ..)
 @pytest.mark.parametrize("fiber, t_max, table, harvest", [
     (lambda: evaluate_family_at(family_ideal_J(3), ChartPoint.from_strict_lower(
-        [[3], [-5, 2], [4, -7, 6]], [2, -9, 5])), 5, [1, 9, 25, 49, 81, 121], [16, 10]),
+        [[3], [-5, 2], [4, -7, 6]], [2, -9, 5])), 5, [1, 9, 25, 49, 81, 121], [0, 0, 16, 10, 0, 0]),
     (lambda: parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n4_chart.ideal")),
-     3, [1, 14, 55, 140], [50, 30]),
+     4, [1, 14, 55, 140, 285], [0, 0, 50, 30, 0]),
 ], ids=["n3", "n4"])
-def test_rank_oracle_on_a_chart_fiber(fiber, t_max, table, harvest, monkeypatch):
+def test_rank_oracle_on_a_chart_fiber(fiber, t_max, table, harvest):
     # at t=3 rows still vanish after the signatures of t=2 are used, and
     # the rows of the levels after the harvest are independent
-    harvested = []
-    original = hilbert.dependent_rows
-
-    def recording(rows):
-        dependent = original(rows)
-        harvested.append(len(dependent))
-        return dependent
-
-    monkeypatch.setattr(hilbert, "dependent_rows", recording)
     ideal = fiber()
+    stored = [0]
+    for t in range(t_max + 1):
+        assert bigraded_hilbert_function(ideal, t, t, METHOD_RANK) == table[t], t
+        stored.append(sum(map(len, ideal._rank_state.signatures)))
+    assert [b - a for a, b in zip(stored, stored[1:])] == harvest
     assert tabulate_diagonal(ideal, t_max, METHOD_RANK) == table
     assert tabulate_diagonal(ideal, t_max, METHOD_INITIAL) == table
-    assert harvested == harvest
 
 
 def tuple_keyed_rows(ideal, i, j):
-    """The rank oracle's bidegree-(i,j) rows on a fresh Ideal, each entry
-    keyed by the exponent tuple of its monomial, the tuple sum of e and m.
-    Like the oracle it walks the levels (i-k, j-k) upward, lists rows in
-    signature order (generator, then multiplier ascending), skips the
-    Koszul multiples and those of stored signatures, and stores the
-    multipliers of the rows `dependent_rows` names, with the exponent
-    tuples themselves as the columns."""
+    """The rank oracle's bidegree-(i,j) rows built afresh as m*g_r, each
+    entry keyed by the exponent tuple of its monomial, the tuple sum of e
+    and m.  Like the oracle it walks the levels (i-k, j-k) upward, lists
+    rows in signature order (generator, then multiplier ascending), skips
+    the Koszul multiples and those of stored signatures, and stores the
+    multipliers of the rows that `_eliminate` empties."""
     uni = ideal.universe
     generators = hilbert._echelon_generators(ideal)
     stored = [[] for _ in generators]
@@ -354,23 +348,33 @@ def tuple_keyed_rows(ideal, i, j):
                                  for e, v in int_terms.items()})
                     signatures.append((r, m))
             leads.append(lead)
-        for row_id in dependent_rows(rows):
+        for row_id in _eliminate(_copies(rows))[1]:
             r, m = signatures[row_id]
             stored[r].append(m)
-    return [list(row.items()) for row in rows]
+    return rows
+
+
+def _copies(rows):
+    return [dict(row) for row in rows]
 
 
 def _oracle_rows(ideal, i, j, monkeypatch):
-    """The matrix of the oracle's top level (i, j), on a fresh Ideal."""
+    """The matrix of the oracle's top level (i, j) on a fresh Ideal, as
+    built: each level's rows are copied, then ranked in place."""
     captured = []
-    monkeypatch.setattr(hilbert, "sparse_integer_rank", lambda rows: captured.append(rows) or 0)
+
+    def capture(rows):
+        captured.append(_copies(rows))
+        return sparse_integer_rank(rows)
+
+    monkeypatch.setattr(hilbert, "sparse_integer_rank", capture)
     hilbert._rank_oracle_value(Ideal(ideal.universe, ideal.generators), i, j)
     return captured[-1]
 
 
 def _decoded(rows, base, width):
     """rows with each key e_1*base^(width-1) + .. + e_width read back as
-    the exponent tuple e, entry order kept."""
+    the exponent tuple e."""
     def exponents(key):
         digits = []
         for _ in range(width):
@@ -378,30 +382,76 @@ def _decoded(rows, base, width):
             digits.append(digit)
         assert key == 0
         return tuple(reversed(digits))
-    return [[(exponents(key), v) for key, v in row.items()] for row in rows]
+    return [{exponents(key): v for key, v in row.items()} for row in rows]
+
+
+def _reduced(row, pivots):
+    """A copy of row, its highest column cancelled against the pivot rows
+    stored under it while there is one: empty exactly when row lies in
+    the span of the pivots, which have distinct highest columns."""
+    r = dict(row)
+    while r and max(r) in pivots:
+        col = max(r)
+        _cancel(r, pivots[col], col)
+    return r
+
+
+def _lex_leading_multiples(ideal, i, j):
+    """The bidegree-(i,j) monomials that some natural lex leading monomial
+    of the reduced Groebner basis divides: the leading monomials of I_(i,j)."""
+    basis, _ = buchberger(ideal.generators, DEFAULT_ORDER)
+    leads = [max(g.terms) for g in basis]
+    return {m for m in iter_exponents_of_bidegree(ideal.universe, i, j)
+            if any(monomial_divides(lead, m) for lead in leads)}
+
+
+def assert_rows_match_fresh(ideal, i, j, rows, base):
+    """The oracle's level-(i,j) rows, packed in radix `base`, against the
+    fresh m*g_r rows of `tuple_keyed_rows`, by the invariants its values
+    rest on: the same prefix ranks, so the same rows empty; row k a
+    nonzero multiple of fresh row k modulo the span of the fresh rows
+    before k; and pivot columns that are the lex leading monomials of
+    I_(i,j) (Lazard, EUROCAL 1983)."""
+    decoded = _decoded(rows, base, ideal.universe.num_xy)
+    fresh = tuple_keyed_rows(ideal, i, j)
+    assert len(decoded) == len(fresh)
+    assert _eliminate(_copies(decoded))[1] == _eliminate(_copies(fresh))[1]
+    # F the span of the fresh rows before k: row k = c*fresh k mod F with
+    # c != 0 exactly when row k lies in F + <fresh k>, and in F only if
+    # fresh k does
+    pivots = {}
+    for k, (row, f) in enumerate(zip(decoded, fresh)):
+        outside = bool(_reduced(row, pivots))
+        f = _reduced(f, pivots)
+        if f:
+            pivots[max(f)] = f
+        assert outside == bool(f) and not _reduced(row, pivots), k
+    assert set(_eliminate(decoded)[0]) == _lex_leading_multiples(ideal, i, j)
 
 
 @pytest.mark.parametrize("n, seed", [(1, s) for s in range(5)] + [(2, s) for s in range(5)])
 def test_packed_columns_give_the_tuple_keyed_rows(n, seed, monkeypatch):
-    # every (i, j) up to 3, so (0, j), (i, 0) and off-diagonal pieces too;
-    # rows and their entries must come out in the same order
+    # every (i, j) up to 3, so (0, j), (i, 0) and off-diagonal pieces,
+    # whose rows are m*g_r, and levels built from the reduced rows below
     ideal = random_bihomogeneous_ideal(n, Random(seed))
     for i in range(4):
         for j in range(4):
             rows = _oracle_rows(ideal, i, j, monkeypatch)
-            assert _decoded(rows, max(i, j) + 1, 2 * n + 2) == tuple_keyed_rows(ideal, i, j), (i, j)
+            assert_rows_match_fresh(ideal, i, j, rows, 16)
 
 
-@pytest.mark.parametrize("i, j", [(1, 1), (4, 1), (1, 4), (2, 6), (5, 5)])
+@pytest.mark.parametrize("i, j", [(1, 1), (4, 1), (1, 4), (2, 6), (5, 5),
+                                  (15, 2), (2, 15), (16, 2), (2, 16)])
 def test_packed_columns_reach_the_radix_edge(i, j, monkeypatch):
     # x1*y1 is a term of a generator of the chart fiber, and its multiple
     # x1^(i-1)*y1^(j-1) has the column x1^i*y1^j, whose largest exponent
-    # is max(i, j): the largest digit the radix max(i, j) + 1 allows.  At
-    # (1, 1) a radix of max(i, j) would be 1 and merge distinct columns.
+    # is max(i, j).  At 15 that is the largest digit the starting radix 16
+    # allows.  At 16 the radix doubles to 32, and the level's parents,
+    # packed in radix 16 at (i-1, j-1), are not reused: its rows are m*g_r.
+    base = 16 if max(i, j) < 16 else 32
     ideal = parse_ideal_file(str(Path(__file__).parent / "data" / "fiber_n2_chart.ideal"))
-    base = max(i, j) + 1
     rows = _oracle_rows(ideal, i, j, monkeypatch)
-    assert _decoded(rows, base, 6) == tuple_keyed_rows(ideal, i, j)
+    assert_rows_match_fresh(ideal, i, j, rows, base)
     edge = i * base**5 + j * base**2  # x1^i*y1^j: digits (i, 0, 0, j, 0, 0)
     assert any(edge in row for row in rows)
 
@@ -417,7 +467,7 @@ def test_packed_rows_at_the_rank_referee_level(fiber, monkeypatch):
     # Koszul pruning alone keeps
     ideal = fiber()
     rows = _oracle_rows(ideal, 8, 8, monkeypatch)
-    assert _decoded(rows, 9, 6) == tuple_keyed_rows(ideal, 8, 8)
+    assert_rows_match_fresh(ideal, 8, 8, rows, 16)
     assert rank_matrix_shape(ideal, 8)[0] - len(rows) == 420
 
 
@@ -429,24 +479,17 @@ def test_a_generator_above_the_level_gives_no_rows(monkeypatch):
     both = Ideal(uni, [low, uni.parse("x1^2*y1 + 2*x2*x3*y2")])
     rows = _oracle_rows(both, 1, 3, monkeypatch)
     assert [g[0] for g in hilbert._echelon_generators(both)] == [(1, 1), (2, 1)]
-    assert _decoded(rows, 4, 6) == tuple_keyed_rows(both, 1, 3)
+    assert_rows_match_fresh(both, 1, 3, rows, 16)
     assert rows == _oracle_rows(Ideal(uni, [low]), 1, 3, monkeypatch) != []
 
 
 def _pivot_monomials(ideal, t, monkeypatch):
     """The exponents of the pivot columns that `_eliminate` finds on the
-    oracle's level (t, t)."""
-    pivots, _ = _eliminate(_oracle_rows(ideal, t, t, monkeypatch))
-    return {e for e, _ in _decoded([pivots], t + 1, ideal.universe.num_xy)[0]}
-
-
-def _lex_leading_multiples(ideal, t):
-    """The bidegree-(t,t) monomials that some natural lex leading monomial
-    of the reduced Groebner basis divides: the leading monomials of I_(t,t)."""
-    basis, _ = buchberger(ideal.generators, DEFAULT_ORDER)
-    leads = [max(g.terms) for g in basis]
-    return {m for m in iter_exponents_of_bidegree(ideal.universe, t, t)
-            if any(monomial_divides(lead, m) for lead in leads)}
+    oracle's level (t, t), after checking its rows against the fresh ones."""
+    rows = _oracle_rows(ideal, t, t, monkeypatch)
+    assert_rows_match_fresh(ideal, t, t, rows, 16)
+    pivots, _ = _eliminate(rows)
+    return set(_decoded([pivots], 16, ideal.universe.num_xy)[0])
 
 
 # (n, seed of a chart point or None for the special fiber, zero one d_i, t_max)
@@ -462,7 +505,7 @@ def test_rank_route_pivots_are_the_lex_leading_monomials(n, seed, degenerate, t_
              else random_chart_point(n, Random(seed), degenerate))
     ideal = evaluate_family_at(family_ideal_J(n), point)
     for t in range(t_max + 1):
-        assert _pivot_monomials(ideal, t, monkeypatch) == _lex_leading_multiples(ideal, t), t
+        assert_rows_match_fresh(ideal, t, t, _oracle_rows(ideal, t, t, monkeypatch), 16)
 
 
 def test_lex_leading_monomials_tell_a_chart_fiber_from_the_special_fiber(monkeypatch):
@@ -472,7 +515,7 @@ def test_lex_leading_monomials_tell_a_chart_fiber_from_the_special_fiber(monkeyp
     chart = evaluate_family_at(J, random_chart_point(3, Random(0)))
     special = evaluate_family_at(J, ChartPoint.special(3))
     assert _pivot_monomials(chart, 3, monkeypatch) != _pivot_monomials(special, 3, monkeypatch)
-    assert _lex_leading_multiples(chart, 3) != _lex_leading_multiples(special, 3)
+    assert _lex_leading_multiples(chart, 3, 3) != _lex_leading_multiples(special, 3, 3)
 
 
 def test_rank_route_refuses_matrices_over_the_budget():

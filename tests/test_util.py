@@ -16,7 +16,6 @@ from flatcert.cli import parse_ideal_file
 from flatcert.quadfam import ChartPoint, evaluate_family_at, family_ideal_J
 from flatcert.util import (
     _eliminate,
-    dependent_rows,
     fraction_from_json,
     fraction_to_json,
     mat_mul,
@@ -185,8 +184,8 @@ def test_sparse_rank_ignores_row_order(seed):
     ([{0: 1, 1: 2}, {1: 1, 2: 0}, {0: 1, 1: 3}, {0: 5, 2: 7}], [2]),
 ], ids=["difference", "zero-and-proportional", "single-row-column-first"])
 def test_emptied_rows_lie_in_the_span_of_earlier_rows(rows, dependent):
-    assert dependent_rows(rows) == dependent
-    assert sparse_integer_rank(rows) == dense_rank(rows, 3) == len(rows) - len(dependent)
+    assert _eliminate(copy.deepcopy(rows))[1] == dependent
+    assert sparse_integer_rank(copy.deepcopy(rows)) == dense_rank(rows, 3) == len(rows) - len(dependent)
     for k in range(len(rows)):
         gained = dense_rank(rows[:k + 1], 3) - dense_rank(rows[:k], 3)
         assert gained == (0 if k in dependent else 1), k
@@ -196,29 +195,35 @@ def test_emptied_rows_lie_in_the_span_of_earlier_rows(rows, dependent):
 def test_dependent_rows_are_the_rows_that_do_not_raise_the_prefix_rank(seed):
     rng = random.Random(seed)
     rows, ncols = planted_sparse_rows(rng) if rng.random() < 0.5 else random_sparse_rows(rng)
-    dependent = dependent_rows(rows)
+    reduced = copy.deepcopy(rows)
+    pivots, dependent = _eliminate(reduced)
     assert dependent == sorted(set(dependent))
     for k in range(len(rows)):
         prefix_gain = reference_sparse_rank(rows[:k + 1]) - reference_sparse_rank(rows[:k])
         assert prefix_gain == (0 if k in dependent else 1), k
-    assert sparse_integer_rank(rows) == reference_sparse_rank(rows) == len(rows) - len(dependent)
-    # each pivot is primitive and stored under its row's highest column, one
-    # per unit of rank, and the pivots span the rows
-    pivots, emptied = _eliminate(rows)
     rank = reference_sparse_rank(rows)
-    assert emptied == dependent and len(pivots) == rank
+    assert sparse_integer_rank(copy.deepcopy(rows)) == rank == len(rows) - len(dependent)
+    # the dependent rows are the ones left empty; each pivot is primitive,
+    # stored under its row's highest column, one per unit of rank, and the
+    # pivots span the rows
+    assert [k for k, row in enumerate(reduced) if not row] == dependent and len(pivots) == rank
     assert dense_rank(rows + [*pivots.values()], ncols) == rank
     assert all(col == max(row) and gcd(*row.values()) == 1 for col, row in pivots.items())
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_sparse_rank_leaves_input_unchanged(seed):
-    rows, _ = random_sparse_rows(random.Random(seed))
+def test_sparse_rank_reduces_its_rows_in_place(seed):
+    rows, ncols = random_sparse_rows(random.Random(seed))
     rows.append({0: 0, 1: 6, 2: -4})  # an explicit zero and a common factor
     before = copy.deepcopy(rows)
-    sparse_integer_rank(rows)
-    dependent_rows(rows)
-    assert rows == before
+    rank = sparse_integer_rank(rows)
+    # each row ends empty, or primitive under a highest column of its own,
+    # and the rows left span what the input rows span
+    kept = [row for row in rows if row]
+    assert len(kept) == rank == dense_rank(before, max(ncols, 3))
+    assert all(0 not in row.values() and gcd(*row.values()) == 1 for row in kept)
+    assert len({max(row) for row in kept}) == rank
+    assert dense_rank(before + kept, max(ncols, 3)) == rank
 
 
 def _macaulay_matrices(ideal, ts, monkeypatch):
@@ -226,7 +231,7 @@ def _macaulay_matrices(ideal, ts, monkeypatch):
     of the levels that the value at (t, t) computes."""
     captured = []
     monkeypatch.setattr(hilbert, "sparse_integer_rank",
-                        lambda rows: captured.append(copy.deepcopy(rows)) or 0)
+                        lambda rows: captured.append(copy.deepcopy(rows)) or sparse_integer_rank(rows))
     matrices = []
     for t in ts:
         hilbert.bigraded_hilbert_function(ideal, t, t, hilbert.METHOD_RANK)
@@ -248,8 +253,9 @@ def test_sparse_rank_matches_reference_on_macaulay_matrices(point, ts, monkeypat
     matrices = _macaulay_matrices(fiber, ts, monkeypatch)
     assert len(matrices) == len(ts)
     for rows in matrices:
-        assert sparse_integer_rank(rows) == reference_sparse_rank(rows)
-        assert len(rows) - len(dependent_rows(rows)) == reference_sparse_rank(rows)
+        rank = reference_sparse_rank(rows)
+        assert sparse_integer_rank(copy.deepcopy(rows)) == rank
+        assert len(rows) - len(_eliminate(copy.deepcopy(rows))[1]) == rank
 
 
 def test_pruned_macaulay_matrix_shape(monkeypatch):
@@ -264,7 +270,7 @@ def test_pruned_macaulay_matrix_shape(monkeypatch):
     assert len(rows) == 1992
     assert len({c for row in rows for c in row}) == 2025
     assert hilbert.rank_matrix_shape(ideal, 8) == (2412, 2025)
-    assert sparse_integer_rank(rows) == reference_sparse_rank(rows) == 1992
+    assert sparse_integer_rank(copy.deepcopy(rows)) == reference_sparse_rank(rows) == 1992
 
 
 def test_sparse_rank_edge_cases():
